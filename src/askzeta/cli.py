@@ -23,7 +23,7 @@ from .closed_forms import (
     elliptic_point_count,
     ex_elliptic_formula,
 )
-from .engine import DEFAULT_BUDGET, ask_series
+from .engine import DEFAULT_BUDGET, _run_partials, ask_series, points_needed
 from .errors import (
     AskZetaError,
     BudgetExceededError,
@@ -73,6 +73,22 @@ def load_module(path: str) -> MatrixModule:
     return module_from_json(data)
 
 
+def _int_matrix(value, what: str) -> IntMatrix:
+    """A JSON list of lists of integers (bools and floats do not count)."""
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in value
+    ):
+        raise InputError(f"{what} must be a list of lists of integers")
+    return IntMatrix(value)
+
+
+def _int_matrices(data: dict, key: str) -> list[IntMatrix]:
+    value = data[key]
+    if not isinstance(value, list):
+        raise InputError(f"{key!r} must be a list of integer matrices")
+    return [_int_matrix(v, f"{key}[{i}]") for i, v in enumerate(value)]
+
+
 def module_from_json(data) -> MatrixModule:
     if not isinstance(data, dict):
         raise InputError("module document must be a JSON object")
@@ -82,11 +98,9 @@ def module_from_json(data) -> MatrixModule:
         if key not in data:
             raise InputError(f"module document lacks {key!r}")
     d, e = data["d"], data["e"]
-    if not isinstance(d, int) or not isinstance(e, int):
+    if type(d) is not int or type(e) is not int:
         raise InputError("d and e must be integers")
-    basis = []
-    for mat in data["basis"]:
-        basis.append(IntMatrix(mat))
+    basis = _int_matrices(data, "basis")
     return MatrixModule(d, e, basis, str(data.get("label", "")))
 
 
@@ -107,8 +121,10 @@ def load_group(path: str) -> GroupGenSet:
         raise InputError(f'missing or unsupported "schema" (expected "{SCHEMA}")')
     if "generators" not in data or "d" not in data:
         raise InputError("group document needs d and generators")
-    gens = tuple(IntMatrix(g) for g in data["generators"])
-    return GroupGenSet(int(data["d"]), gens, str(data.get("label", "")))
+    if type(data["d"]) is not int:
+        raise InputError("d must be an integer")
+    gens = tuple(_int_matrices(data, "generators"))
+    return GroupGenSet(data["d"], gens, str(data.get("label", "")))
 
 
 def _emit(report: dict, args) -> None:
@@ -168,17 +184,10 @@ def _run_series(m, primes, n_max, method, budget, jobs):
     """Workers go to the per-prime tasks, or into the single enumeration when
     only one prime is requested; either way the results are exact and
     schedule-independent."""
-    if jobs > 1 and len(primes) == 1:
+    if len(primes) == 1:
         return [_series_task((m, primes[0], n_max, method, budget, jobs))]
     tasks = [(m, p, n_max, method, budget, 1) for p in primes]
-    if jobs > 1 and len(tasks) > 1:
-        from multiprocessing import Pool
-
-        with Pool(processes=min(jobs, len(tasks))) as pool:
-            results = pool.map(_series_task, tasks)
-    else:
-        results = [_series_task(t) for t in tasks]
-    return results
+    return _run_partials(_series_task, tasks, jobs)
 
 
 def cmd_ask(args) -> int:
@@ -228,11 +237,9 @@ def cmd_verify(args) -> int:
         if w is None:  # elliptic entry: formula depends on a curve point count
             w = ex_elliptic_formula(elliptic_point_count(p))
         expected = expand(w, p, args.n_max + 1).coeffs
-        # cross-check the engines when both enumerations fit the budget;
-        # otherwise the affordable one alone carries the comparison
-        both_ok = max(
-            p ** (m.dim * args.n_max), p ** (m.d * args.n_max)
-        ) <= args.budget
+        # cross-check the routes when both enumerations fit the budget;
+        # otherwise the affordable view alone carries the comparison
+        both_ok = points_needed(m, p, args.n_max, "both") <= args.budget
         method = "both" if both_ok else "auto"
         got = ask_series(m, p, args.n_max, method, args.budget).coefficients()
         per_n = []
@@ -305,7 +312,7 @@ def _get_algebra(args) -> NilpotentAlgebra:
     if getattr(args, "module", None):
         with open(args.module, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if not data.get("lie"):
+        if not isinstance(data, dict) or not data.get("lie"):
             raise InputError('algebra documents must set "lie": true')
         return NilpotentAlgebra(module_from_json(data))
     raise InputError("provide --algebra KEY or --module FILE")
@@ -547,6 +554,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n_max < 0:
+            raise InputError(f"--n-max must be >= 0, got {args.n_max}")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

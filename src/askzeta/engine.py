@@ -1,18 +1,27 @@
-"""Exact computation of average kernel sizes over Z/p^n by two independent routes.
+"""Exact computation of average kernel sizes over Z/p^n by one orbit-sum kernel.
 
-Both engines compute the same rational number:
+Every route is the sum, over the points x of (Z/p^n)^k, of 1/|span of the
+generator rows at x|, taken over one view of the basis tensor b_1, ..., b_l
+of M inside Mat_{d x e}:
 
-  * ask_average runs over the coefficient space (Z/p^n)^l of the canonical
-    basis and averages |Ker(sum c_i b_i)|.  The coefficient-tuple map onto
-    the module has equal-size fibers, so the average is unchanged.
-  * ask_orbit runs over the acted-on space (Z/p^n)^d and sums 1/|x M|,
-    where x M is the row span of the orbit matrix evaluated at any integer
-    lift of x.
+  * ask_orbit takes the rows of M: generator i is b_i and x runs over
+    (Z/p^n)^d, so the span is x M and the sum is the orbit formula (k = d).
+  * ask_average takes the Knuth dual M°: generator r has row i equal to row
+    r of b_i and the coefficient tuple c runs over (Z/p^n)^l, so the rows at
+    c are those of A = sum c_i b_i.  Since |Ker A| = p^(dn) / |row span of A|,
+    the defining average of |Ker A| over coefficient tuples is p^(n(d-l))
+    times the sum (k = l).  The coefficient-tuple map onto the module has
+    equal-size fibers, so averaging over tuples is averaging over M.
+  * the transpose view is p^(n(d-e)) * ask_orbit(M^T) (k = e).
 
-Enumeration is compressed by scalar symmetry: kernels and spans are invariant
-under multiplying the coefficient tuple (resp. the point x) by a unit, so
-each unit-scaling class is visited once and weighted by its size.  Nonzero x
-decompose uniquely as p^w times a primitive vector mod p^(n-w).
+ask_series "auto" takes the view with the fewest points p^(kn); "both"
+compares the average and orbit routes, i.e. the definition with the orbit
+formula.
+
+Enumeration is compressed by scalar symmetry: spans are invariant under
+multiplying the point by a unit, so each unit-scaling class is visited once
+and weighted by its size.  Nonzero x decompose uniquely as p^w times a
+primitive vector mod p^(n-w).
 """
 
 from __future__ import annotations
@@ -23,14 +32,20 @@ from itertools import product
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
 from .intmat import IntMatrix
-from .module import MatrixModule
+from .module import MatrixModule, transpose_module
 from .zpn import RingSpec, kernel_size_mod, lambdas_mod
 
 DEFAULT_BUDGET = 10**8
 
 
 def _unit_class_reps_at(p: int, m: int, k: int, j: int):
-    """Representatives whose first unit coordinate sits at position j."""
+    """Representatives of primitive vectors in (Z/p^m)^k modulo units, pivot j.
+
+    The first unit coordinate sits at position j and is scaled to 1;
+    coordinates before it run over multiples of p, coordinates after it are
+    free.  The pivot positions partition the representatives into disjoint
+    blocks, which is also the work split used by parallel enumeration.
+    """
     pm = p**m
     nonunits = range(0, pm, p)
     for lo in product(nonunits, repeat=j):
@@ -38,61 +53,19 @@ def _unit_class_reps_at(p: int, m: int, k: int, j: int):
             yield lo + (1,) + hi
 
 
-def _unit_class_reps(p: int, m: int, k: int):
-    """Canonical representatives of primitive vectors in (Z/p^m)^k modulo units.
-
-    The first unit coordinate is scaled to 1; coordinates before it run over
-    multiples of p, coordinates after it are free.  The pivot position j
-    partitions the representatives into disjoint blocks, which is also the
-    work split used by parallel enumeration.
-    """
-    for j in range(k):
-        yield from _unit_class_reps_at(p, m, k, j)
-
-
-def _sparse_basis(m: MatrixModule):
-    """Per-basis-element nonzero triples (row, col, value)."""
-    out = []
-    for b in m.basis:
-        trip = []
-        for i, row in enumerate(b.entries):
-            for j, v in enumerate(row):
-                if v:
-                    trip.append((i, j, v))
-        out.append(tuple(trip))
-    return tuple(out)
-
-
-def _average_partial(payload):
-    """Kernel-size sum over one representative block; pure, for any scheduler."""
-    triples, p, n, w, pivot, ell, d, e = payload
-    cap = n - w
-    part = 0
-    for c in _unit_class_reps_at(p, cap, ell, pivot):
-        a = [[0] * e for _ in range(d)]
-        for coeff, trip in zip(c, triples):
-            if coeff:
-                for i, j, v in trip:
-                    a[i][j] += coeff * v
-        lams = lambdas_mod(a, p, cap)
-        exp = sum(lams) + w * len(lams) + (d - len(lams)) * n
-        part += p**exp
-    return w, part
-
-
 def _orbit_partial(payload):
-    """Orbit-size exponent counts over one representative block."""
-    triples, p, n, w, pivot, ell, d, e = payload
+    """Span-size exponent counts over one representative block; pure, for any scheduler."""
+    generators, p, n, w, pivot, k, e = payload
     cap = n - w
     counts: dict[int, int] = {}
-    for x in _unit_class_reps_at(p, cap, d, pivot):
+    for x in _unit_class_reps_at(p, cap, k, pivot):
         rows = []
-        for trip in triples:
+        for trip in generators:
             row = [0] * e
-            for i, j, v in trip:
-                xi = x[i]
-                if xi:
-                    row[j] += xi * v
+            for a, j, v in trip:
+                xa = x[a]
+                if xa:
+                    row[j] += xa * v
             rows.append(row)
         lams = lambdas_mod(rows, p, cap)
         exp = sum(cap - lv for lv in lams)
@@ -101,6 +74,7 @@ def _orbit_partial(payload):
 
 
 def _run_partials(worker, payloads, jobs):
+    """worker over payloads, in order; the package's one process pool."""
     if jobs > 1 and len(payloads) > 1:
         from multiprocessing import Pool
 
@@ -109,33 +83,45 @@ def _run_partials(worker, payloads, jobs):
     return [worker(pl) for pl in payloads]
 
 
+def _orbit_sum(generators, k, e, ring: RingSpec, budget, jobs, hint) -> Fraction:
+    """Sum over x in (Z/p^n)^k of 1/|span of the generator rows at x|.
+
+    Each generator is a k x e matrix; its row at x is x times the matrix.
+    The enumeration takes it as the nonzero triples (point axis, column,
+    value).  The point count p^(k*n) must stay within the budget.
+    """
+    p, n = ring.p, ring.n
+    if n == 0:
+        return Fraction(1)
+    points = p ** (k * n)
+    if points > budget:
+        raise BudgetExceededError(points, budget, hint)
+    triples = tuple(
+        tuple((a, j, v) for a, row in enumerate(g) for j, v in enumerate(row) if v)
+        for g in generators
+    )
+    payloads = [(triples, p, n, w, pivot, k, e) for w in range(n) for pivot in range(k)]
+    total = Fraction(1)  # x = 0 spans nothing
+    for w, counts in _run_partials(_orbit_partial, payloads, jobs):
+        weight = p ** (n - w - 1) * (p - 1)
+        for exp, cnt in counts.items():
+            total += weight * Fraction(cnt, p**exp)
+    return total
+
+
 def ask_average(
     m: MatrixModule, ring: RingSpec, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> Fraction:
     """Average size of the kernel of a random element of M over Z/p^n.
 
-    Enumerates coefficient tuples; the point count p^(l*n) must stay within
-    the budget.  `jobs` splits the representative blocks across processes;
-    the result does not depend on the split.
+    Enumerates coefficient tuples, as the orbit sum of the Knuth dual; the
+    point count p^(l*n) must stay within the budget.  `jobs` splits the
+    representative blocks across processes; the result does not depend on
+    the split.
     """
-    p, n = ring.p, ring.n
-    if n == 0:
-        return Fraction(1)
-    ell, d, e = m.dim, m.d, m.e
-    points = p ** (ell * n)
-    if points > budget:
-        raise BudgetExceededError(points, budget, "try the orbit method")
-    triples = _sparse_basis(m)
-    payloads = [
-        (triples, p, n, w, pivot, ell, d, e)
-        for w in range(n)
-        for pivot in range(ell)
-    ]
-    total = Fraction(p ** (d * n))  # zero tuple: the kernel is everything
-    for w, part in _run_partials(_average_partial, payloads, jobs):
-        weight = p ** (n - w - 1) * (p - 1)
-        total += weight * part
-    return total / p ** (ell * n)
+    dual = list(zip(*(b.entries for b in m.basis)))  # generator r: row r of each b_i
+    total = _orbit_sum(dual, m.dim, m.e, ring, budget, jobs, "try the orbit method")
+    return total * Fraction(ring.p) ** (ring.n * (m.d - m.dim))
 
 
 def ask_orbit(
@@ -146,26 +132,48 @@ def ask_orbit(
     Equals ask_average exactly.  The point count p^(d*n) must stay within
     the budget.
     """
-    p, n = ring.p, ring.n
-    if n == 0:
-        return Fraction(1)
-    ell, d, e = m.dim, m.d, m.e
-    points = p ** (d * n)
-    if points > budget:
-        raise BudgetExceededError(points, budget, "try the average method")
-    # rows of the orbit matrix at x: row i is x * b_i; triples indexed by x-coord
-    triples = _sparse_basis(m)
-    payloads = [
-        (triples, p, n, w, pivot, ell, d, e)
-        for w in range(n)
-        for pivot in range(d)
-    ]
-    total = Fraction(1)  # x = 0 has a one-point orbit
-    for w, counts in _run_partials(_orbit_partial, payloads, jobs):
-        weight = p ** (n - w - 1) * (p - 1)
-        for exp, cnt in counts.items():
-            total += weight * Fraction(cnt, p**exp)
-    return total
+    rows = [b.entries for b in m.basis]
+    return _orbit_sum(rows, m.d, m.e, ring, budget, jobs, "try the average method")
+
+
+# views in the order "auto" breaks ties: orbit before average, as when l == d
+_VIEWS = ("orbit", "average", "transpose")
+
+
+def _view_dim(m: MatrixModule, view: str) -> int:
+    """k of the view: the point space it enumerates at level n is (Z/p^n)^k."""
+    return {"orbit": m.d, "average": m.dim, "transpose": m.e}[view]
+
+
+def _method_views(m: MatrixModule, method: str) -> tuple[str, ...]:
+    if method == "both":
+        return ("average", "orbit")
+    if method == "auto":
+        return (min(_VIEWS, key=lambda view: _view_dim(m, view)),)
+    if method in ("average", "orbit"):
+        return (method,)
+    raise InputError(f"unknown method {method!r}")
+
+
+def points_needed(m: MatrixModule, p: int, n: int, method: str) -> int:
+    """Points the largest view that `method` runs enumerates at level n."""
+    return max(p ** (_view_dim(m, view) * n) for view in _method_views(m, method))
+
+
+def ask_view(
+    m: MatrixModule,
+    ring: RingSpec,
+    view: str,
+    budget: int = DEFAULT_BUDGET,
+    jobs: int = 1,
+) -> Fraction:
+    """ask(M, Z/p^n) through one view: "orbit", "average" or "transpose"."""
+    if view == "orbit":
+        return ask_orbit(m, ring, budget, jobs)
+    if view == "average":
+        return ask_average(m, ring, budget, jobs)
+    scale = Fraction(ring.p) ** (ring.n * (m.d - m.e))
+    return scale * ask_orbit(transpose_module(m), ring, budget, jobs)
 
 
 @dataclass(frozen=True)
@@ -203,38 +211,27 @@ def ask_series(
 ) -> CoeffSeq:
     """Coefficients ask(M, Z/p^n) for n = 0 .. n_max.
 
-    method "auto" picks the cheaper enumeration per level; "both" runs the
-    two engines and insists on exact agreement.
+    method "auto" runs the view with the fewest points; "both" runs the
+    average and orbit routes and insists on exact agreement.
     """
-    if method not in ("auto", "average", "orbit", "both"):
-        raise InputError(f"unknown method {method!r}")
+    views = _method_views(m, method)
+    label = method if method == "both" else views[0]
     values = []
     for n in range(n_max + 1):
         ring = RingSpec(p, n)
         if n == 0:
             values.append(AskValue(Fraction(1), p, 0, "trivial"))
             continue
-        chosen = method
         if method == "auto":
-            cost_avg = p ** (m.dim * n)
-            cost_orb = p ** (m.d * n)
-            if min(cost_avg, cost_orb) > budget:
-                raise BudgetExceededError(min(cost_avg, cost_orb), budget)
-            chosen = "average" if cost_avg < cost_orb else "orbit"
-        if chosen == "both":
-            va = ask_average(m, ring, budget, jobs)
-            vo = ask_orbit(m, ring, budget, jobs)
-            if va != vo:
-                raise InternalConsistencyError(
-                    f"engines disagree at (p, n) = ({p}, {n}): {va} != {vo}"
-                )
-            values.append(AskValue(va, p, n, "both"))
-        elif chosen == "average":
-            values.append(
-                AskValue(ask_average(m, ring, budget, jobs), p, n, "average")
+            points = points_needed(m, p, n, method)
+            if points > budget:
+                raise BudgetExceededError(points, budget)
+        found = [ask_view(m, ring, view, budget, jobs) for view in views]
+        if found[0] != found[-1]:
+            raise InternalConsistencyError(
+                f"engines disagree at (p, n) = ({p}, {n}): {found[0]} != {found[-1]}"
             )
-        else:
-            values.append(AskValue(ask_orbit(m, ring, budget, jobs), p, n, "orbit"))
+        values.append(AskValue(found[0], p, n, label))
     return CoeffSeq(p, tuple(values))
 
 
@@ -246,20 +243,12 @@ def ask_mod_composite(
         raise InputError("modulus must be >= 1")
     if modulus == 1:
         return Fraction(1)
-    ell, d = m.dim, m.d
-    points = modulus**ell
+    points = modulus**m.dim
     if points > budget:
         raise BudgetExceededError(points, budget)
     total = 0
-    for c in product(range(modulus), repeat=ell):
-        a = [[0] * m.e for _ in range(d)]
-        for coeff, b in zip(c, m.basis):
-            if coeff:
-                for i, row in enumerate(b.entries):
-                    for j, v in enumerate(row):
-                        if v:
-                            a[i][j] += coeff * v
-        total += kernel_size_mod(IntMatrix(a), modulus)
+    for c in product(range(modulus), repeat=m.dim):
+        total += kernel_size_mod(IntMatrix(m.element_rows(c)), modulus)
     return Fraction(total, points)
 
 

@@ -122,15 +122,5 @@ class IntMatrix:
         return tuple(v for row in self.entries for v in row)
 
 
-def row_action(x, a: IntMatrix):
-    """Row vector times matrix: x*a for x of length a.rows."""
-    if len(x) != a.rows:
-        raise InputError("vector length does not match row count")
-    ent = a.entries
-    return tuple(
-        sum(x[k] * ent[k][j] for k in range(len(x))) for j in range(a.cols)
-    )
-
-
 def from_flat(flat, rows: int, cols: int) -> IntMatrix:
     return IntMatrix([flat[i * cols : (i + 1) * cols] for i in range(rows)])

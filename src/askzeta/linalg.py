@@ -3,26 +3,22 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import InputError
 
 
-def frac_rref(rows):
-    """Reduced row echelon form over Q.
+def _reduce(a, ncols: int) -> list[int]:
+    """Bring the Fraction rows `a` to reduced echelon form in place.
 
-    Returns (rref_rows, pivot_columns); zero rows are dropped.
+    Pivots are sought only in the first `ncols` columns; the pivot columns
+    are returned, and the rows below the last pivot row are zero there.
     """
-    a = [[Fraction(v) for v in row] for row in rows]
     pivots = []
     r = 0
-    ncols = len(a[0]) if a else 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(a)):
-            if a[i][c]:
-                piv = i
-                break
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
@@ -34,31 +30,52 @@ def frac_rref(rows):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
+    return pivots
+
+
+def frac_rref(rows):
+    """Reduced row echelon form over Q.
+
+    Returns (rref_rows, pivot_columns); zero rows are dropped.
+    """
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = _reduce(a, len(a[0]) if a else 0)
+    return a[: len(pivots)], pivots
 
 
 def frac_rank(rows) -> int:
     return len(frac_rref(rows)[0])
 
 
-def frac_solve(rows, rhs):
-    """One exact solution of A x = b over Q, or None if inconsistent.
+def frac_solve_multi(rows, targets):
+    """Solutions of A x = t over Q for several right-hand sides, one elimination.
 
-    `rows` are the rows of A; free variables are set to zero.
+    `rows` are the rows of A.  Each entry of the result is one solution, with
+    the free variables set to zero, or None when that t is inconsistent:
+    pivots are sought only among the columns of A, so t is inconsistent
+    exactly when it is nonzero in a row whose A-part was cleared.
     """
-    if not rows:
-        return None if any(rhs) else ()
-    ncols = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    red, pivots = frac_rref(aug)
-    sol = [Fraction(0)] * ncols
-    for prow, c in zip(red, pivots):
-        if c == ncols:
-            return None
-        sol[c] = prow[ncols]
-    return tuple(sol)
+    ncols = len(rows[0]) if rows else 0
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(t[i]) for t in targets]
+        for i, row in enumerate(rows)
+    ]
+    pivots = _reduce(aug, ncols)
+    sols = []
+    for col in range(ncols, ncols + len(targets)):
+        if any(aug[i][col] for i in range(len(pivots), len(aug))):
+            sols.append(None)
+            continue
+        sol = [Fraction(0)] * ncols
+        for i, c in enumerate(pivots):
+            sol[c] = aug[i][col]
+        sols.append(tuple(sol))
+    return sols
+
+
+def frac_solve(rows, rhs):
+    """One exact solution of A x = b over Q, or None if inconsistent."""
+    return frac_solve_multi(rows, [rhs])[0]
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -183,19 +200,3 @@ def matrix_inverse_mod(entries, p: int, n: int):
         out.append(tuple(out_row))
     return out
 
-
-def primitive_scaled(row_fracs) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector with positive lead."""
-    lcm = 1
-    for v in row_fracs:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in row_fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)

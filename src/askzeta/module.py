@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import (
     InputError,
@@ -84,7 +83,18 @@ class MatrixModule:
     def is_isolated_at(self, p: int) -> bool:
         return all(s % p for s in self.elementary_divisors())
 
-    # -- generic linear combinations -----------------------------------
+    # -- linear combinations -------------------------------------------
+
+    def element_rows(self, coeffs) -> list[list[int]]:
+        """Sum c_i * b_i over the canonical basis, as fresh mutable rows."""
+        a = [[0] * self.e for _ in range(self.d)]
+        for c, b in zip(coeffs, self.basis):
+            if c:
+                for i, row in enumerate(b.entries):
+                    for j, v in enumerate(row):
+                        if v:
+                            a[i][j] += c * v
+        return a
 
     def element_matrix(self):
         """Sum x_i * b_i over the canonical basis, as a d x e Poly matrix."""
@@ -264,23 +274,3 @@ def ad_representation(m: MatrixModule) -> MatrixModule:
     label = f"ad({m.label})" if m.label else "ad"
     return MatrixModule(ell, ell, ad_mats, label)
 
-
-def commutator_coords(m: MatrixModule):
-    """Exact rational coordinates of all [b_i, b_j] in the canonical basis.
-
-    Returns a dict (i, j) -> tuple of Fractions, or raises NotLieAlgebraError.
-    """
-    flat_rows = [b.flat() for b in m.basis]
-    columns = list(zip(*flat_rows)) if flat_rows else []
-    out = {}
-    for i, bi in enumerate(m.basis):
-        for j, bj in enumerate(m.basis):
-            if i == j:
-                out[(i, j)] = tuple(Fraction(0) for _ in m.basis)
-                continue
-            target = bi.commutator(bj).flat()
-            coords = frac_solve(columns, target)
-            if coords is None:
-                raise NotLieAlgebraError(f"commutator ({i},{j}) leaves the span")
-            out[(i, j)] = coords
-    return out

@@ -374,6 +374,14 @@ def expand(w: QTRational, q_value, order: int) -> SeriesQ:
     # shift so the denominator starts at T^0 with an invertible constant term
     den = {te - dmin: v for te, v in den.items()}
     num = {te - dmin: v for te, v in num.items()}
+    return SeriesQ(qv, _quotient_coeffs(num, den, order))
+
+
+def _quotient_coeffs(num: dict, den: dict, order: int) -> tuple[Fraction, ...]:
+    """First `order` coefficients of num/den, both {power of T: coefficient}.
+
+    den[0] must be nonzero; each coefficient follows from the earlier ones.
+    """
     d0 = den[0]
     coeffs = []
     for k in range(order):
@@ -383,7 +391,7 @@ def expand(w: QTRational, q_value, order: int) -> SeriesQ:
             if dj:
                 acc -= dj * coeffs[k - j]
         coeffs.append(acc / d0)
-    return SeriesQ(qv, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def hadamard(a: SeriesQ, b: SeriesQ) -> SeriesQ:
@@ -416,17 +424,9 @@ class RationalFit:
     qpow: int
 
     def expand(self, order: int) -> SeriesQ:
-        den = _den_coeffs(self.q_value, self.factors, self.qpow)
-        num = {i: c for i, c in enumerate(self.num_coeffs)}
-        coeffs = []
-        d0 = den[0]
-        for k in range(order):
-            acc = num.get(k, Fraction(0))
-            for j in range(1, k + 1):
-                if j < len(den) and den[j]:
-                    acc -= den[j] * coeffs[k - j]
-            coeffs.append(acc / d0)
-        return SeriesQ(self.q_value, tuple(coeffs))
+        den = dict(enumerate(_den_coeffs(self.q_value, self.factors, self.qpow)))
+        num = dict(enumerate(self.num_coeffs))
+        return SeriesQ(self.q_value, _quotient_coeffs(num, den, order))
 
 
 def _den_coeffs(q_value, factors, qpow):

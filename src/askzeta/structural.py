@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .errors import InputError, InternalConsistencyError
-from .linalg import rank_mod_p
+from .linalg import frac_solve_multi, rank_mod_p
 from .module import MatrixModule
 from .poly import bareiss_det
 from .primes import factorize
@@ -104,15 +103,15 @@ def _monomial_span_test(rows, generic_rank, nvars, budget):
         monos = sorted(_monomials(nvars, i))
         index = {m: k for k, m in enumerate(monos)}
         # columns are minors, rows are monomials; solve A c = e(X_j^i)
-        a_rows = [[Fraction(0)] * len(minors) for _ in monos]
+        a_rows = [[0] * len(minors) for _ in monos]
         for col, m in enumerate(minors):
             for e, c in m.terms.items():
-                a_rows[index[e]][col] = Fraction(c)
+                a_rows[index[e]][col] = c
         targets = []
         for j in range(nvars):
             target_exp = tuple(i if t == j else 0 for t in range(nvars))
-            targets.append([Fraction(int(e == target_exp)) for e in monos])
-        sols = _solve_multi(a_rows, targets)
+            targets.append([int(e == target_exp) for e in monos])
+        sols = frac_solve_multi(a_rows, targets)
         for j, sol in enumerate(sols):
             if sol is None:
                 return (False, (j, i)), None
@@ -124,45 +123,6 @@ def _monomial_span_test(rows, generic_rank, nvars, budget):
         for p in factorize(den):
             primes.add(p)
     return (True, combos), tuple(sorted(primes))
-
-
-def _solve_multi(a_rows, targets):
-    """Solutions of A c = t for several right-hand sides with one elimination.
-
-    Pivot search is restricted to the columns of A, so the target columns are
-    never used for elimination; a target is inconsistent exactly when it has
-    a nonzero entry in a row whose A-part was cleared.
-    """
-    ncols = len(a_rows[0]) if a_rows else 0
-    aug = [list(row) + [t[i] for t in targets] for i, row in enumerate(a_rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    sols = []
-    for idx in range(len(targets)):
-        col = ncols + idx
-        if any(aug[i][col] for i in range(r, len(aug))):
-            sols.append(None)
-            continue
-        sol = [Fraction(0)] * ncols
-        for row_i, c in enumerate(pivots):
-            sol[c] = aug[row_i][col]
-        sols.append(tuple(sol))
-    return sols
 
 
 def _monomials(nvars, degree):
@@ -292,29 +252,13 @@ def check_constant_rank_fq(m: MatrixModule, q: int, budget: int = 10**7):
     ranks = set()
     # projective representatives: first nonzero coordinate equal to 1
     for j in range(ell):
-        for tail in _tuples(q, ell - 1 - j):
+        for tail in product(range(q), repeat=ell - 1 - j):
             coeffs = (0,) * j + (1,) + tail
-            a = [[0] * m.e for _ in range(m.d)]
-            for c, b in zip(coeffs, m.basis):
-                if c:
-                    for r, row in enumerate(b.entries):
-                        for s, v in enumerate(row):
-                            if v:
-                                a[r][s] += c * v
-            ranks.add(rank_mod_p(a, q))
+            ranks.add(rank_mod_p(m.element_rows(coeffs), q))
             if len(ranks) > 1:
                 return False, None
     rank = ranks.pop()
     return True, rank
-
-
-def _tuples(q, k):
-    if k == 0:
-        yield ()
-        return
-    for head in range(q):
-        for rest in _tuples(q, k - 1):
-            yield (head,) + rest
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,76 @@ class TestSchema:
         assert report["results"][0]["coefficients"][1] == {"num": "5", "den": "1"}
 
 
+MODULE_DOC = {"schema": "askzeta/1", "d": 1, "e": 1, "basis": [[[1]]]}
+GROUP_DOC = {"schema": "askzeta/1", "d": 2, "generators": [[[1, 1], [0, 1]]]}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"basis": [[["x"]]]},
+            {"basis": 5},
+            {"basis": [[[1.5]]]},
+            {"basis": [[[True]]]},
+            {"basis": [[1]]},
+            {"basis": [[[1, 2], [3]]]},
+            {"d": "1"},
+            {"e": True},
+        ],
+    )
+    def test_module_document(self, tmp_path, capsys, change):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps({**MODULE_DOC, **change}))
+        assert main(["ask", "--module", str(path), "--p", "3", "--n-max", "1"]) == EXIT_INPUT
+        assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", [[1, 2], "text", {**MODULE_DOC, "lie": True, "basis": {}}])
+    def test_algebra_document(self, tmp_path, capsys, document):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(document))
+        assert main(["cc", "--module", str(path), "--p", "5", "--n-max", "1"]) == EXIT_INPUT
+        assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"generators": [[[1, "a"], [0, 1]]]},
+            {"generators": 5},
+            {"generators": [[[1.0, 0], [0, 1]]]},
+            {"d": "2"},
+        ],
+    )
+    def test_group_document(self, tmp_path, capsys, change):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({**GROUP_DOC, **change}))
+        assert main(["oc", "--group", str(path), "--p", "5", "--n-max", "1"]) == EXIT_INPUT
+        assert "input error:" in capsys.readouterr().err
+
+    def test_well_formed_group_document(self, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(GROUP_DOC))
+        assert main(["oc", "--group", str(path), "--p", "5", "--n-max", "1"]) == EXIT_OK
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ask", "--catalog", "so(3)"],
+            ["verify", "--catalog", "n(3)"],
+            ["structure", "--catalog", "diag(2)"],
+            ["cc", "--algebra", "L_{3,2}"],
+            ["oc", "--gl", "2"],
+            ["feqn", "--form", "1/(1-T)", "--d", "1"],
+            ["catalog"],
+            ["brenti", "--n", "2"],
+        ],
+    )
+    def test_negative_level(self, capsys, argv):
+        assert main([*argv, "--n-max", "-1"]) == EXIT_INPUT
+        assert "--n-max" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

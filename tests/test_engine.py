@@ -16,9 +16,11 @@ from askzeta import (
     ask_orbit,
     ask_series,
     catalog_module,
+    closed_form,
+    expand,
     rank_distribution,
 )
-from askzeta.engine import AskValue
+from askzeta.engine import AskValue, ask_view
 from conftest import brute_ask, random_module
 
 
@@ -57,14 +59,14 @@ class TestEngineAgreement:
     def test_brute_force_oracle(self, rng):
         for _ in range(8):
             m = random_module(rng, dmax=2, emax=2, lmax=2, bound=3)
-            p = rng.choice([2, 3])
-            n = rng.randint(0, 2)
-            want = brute_ask(m, p, n)
-            ring = RingSpec(p, n)
-            if n == 0:
-                assert want == 1
-            assert ask_average(m, ring) == want
-            assert ask_orbit(m, ring) == want
+            assert ask_average(m, RingSpec(3, 0)) == ask_orbit(m, RingSpec(3, 0)) == 1
+            for p in (2, 3):
+                for n in (1, 2):
+                    want = brute_ask(m, p, n)
+                    ring = RingSpec(p, n)
+                    assert ask_average(m, ring) == want
+                    assert ask_orbit(m, ring) == want
+                    assert ask_view(m, ring, "transpose") == want
 
     def test_randomized_agreement(self):
         rng = random.Random(12345)
@@ -73,7 +75,9 @@ class TestEngineAgreement:
             for p in (2, 3):
                 for n in (1, 2):
                     ring = RingSpec(p, n)
-                    assert ask_average(m, ring) == ask_orbit(m, ring)
+                    want = ask_orbit(m, ring)
+                    assert ask_average(m, ring) == want
+                    assert ask_view(m, ring, "transpose") == want
 
 
 class TestAskSeries:
@@ -93,6 +97,15 @@ class TestAskSeries:
         with pytest.raises(InputError):
             ask_series(catalog_module("mat(1,1)"), 3, 1, "guess")
 
+    @pytest.mark.parametrize("key", ["mat(2,1)", "mat(3,1)", "mat(3,2)"])
+    def test_auto_takes_the_transpose_view(self, key):
+        # e is strictly the smallest of d, e and dim on these modules
+        m = catalog_module(key)
+        for p in (2, 3):
+            series = ask_series(m, p, 2)
+            assert [v.method for v in series.values[1:]] == ["transpose", "transpose"]
+            assert series.coefficients() == list(expand(closed_form(key).formula, p, 3).coeffs)
+
     def test_auto_respects_budget(self):
         with pytest.raises(BudgetExceededError):
             ask_series(catalog_module("mat(2,2)"), 5, 2, budget=10)
@@ -109,6 +122,7 @@ class TestParallelPartition:
             ring = RingSpec(3, 2)
             assert ask_orbit(m, ring, jobs=3) == ask_orbit(m, ring)
             assert ask_average(m, ring, jobs=3) == ask_average(m, ring)
+            assert ask_view(m, ring, "transpose", jobs=3) == ask_view(m, ring, "transpose")
 
     def test_series_with_jobs(self):
         m = catalog_module("so(3)")
