@@ -40,9 +40,8 @@ def mat_module(d: int, e: int) -> MatrixModule:
 
 
 def gl_module(d: int) -> MatrixModule:
-    m = mat_module(d, d)
-    m.label = f"gl({d})"
-    return m
+    basis = [_unit(d, d, i, j) for i in range(d) for j in range(d)]
+    return MatrixModule(d, d, basis, f"gl({d})")
 
 
 def sl_module(d: int) -> MatrixModule:

@@ -55,8 +55,26 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+# Reports print integers of at most 4,300 decimal digits, the interpreter's
+# default int-string limit; 2^14284 < 10^4300, so a bit length check suffices.
+_MAX_REPORT_BITS = 14284
+
+
+class _ReportTooLarge(BudgetExceededError):
+    """A report integer with more bits than _MAX_REPORT_BITS."""
+
+    def __str__(self):
+        return (
+            f"a report value of {self.needed} bits exceeds the {self.budget}-bit"
+            " limit (about 4,300 decimal digits)"
+        )
+
+
 def _rat(value) -> dict:
     f = Fraction(value)
+    for part in (f.numerator, f.denominator):
+        if part.bit_length() > _MAX_REPORT_BITS:
+            raise _ReportTooLarge(part.bit_length(), _MAX_REPORT_BITS)
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
@@ -216,7 +234,7 @@ def _verify_formula(args, m):
     entry = closed_form(args.catalog)
     if entry.formula is not None:
         return entry.formula, entry
-    if args.catalog == "ex_elliptic":
+    if entry.key == "ex_elliptic":
         return None, entry  # per-prime specialization below
     raise InputError(f"catalog entry {args.catalog!r} stores no fixed formula")
 

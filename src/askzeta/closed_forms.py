@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb
 
+from .catalog import _parse_key
 from .errors import BudgetExceededError, InputError
 from .ratfun import LPoly, QTRational, parse_rational
 
@@ -323,7 +324,8 @@ def closed_form(key: str) -> CatalogEntry:
                 None, "all p", (3,),
             )
         raise InputError(f"unknown oc catalog key {key!r}")
-    head, params = _split(key)
+    head, params = _parse_key(key)
+    key = f"{head}({','.join(map(str, params))})" if params else head
     if head == "mat" and len(params) == 2:
         d, e = params
         return CatalogEntry(key, "ask", mat_form(d, e), key, "all p")
@@ -398,17 +400,6 @@ def _cc_dim6_lookup(name: str):
         if name in names:
             return text
     return None
-
-
-def _split(key: str):
-    if key.endswith(")") and "(" in key and not key.startswith("L_{"):
-        head, _, args = key.partition("(")
-        try:
-            params = tuple(int(v) for v in args[:-1].split(",")) if args[:-1] else ()
-        except ValueError as exc:
-            raise InputError(f"bad catalog key {key!r}") from exc
-        return head, params
-    return key, ()
 
 
 def catalog_keys() -> list[str]:

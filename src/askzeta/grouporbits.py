@@ -22,8 +22,8 @@ from .intmat import IntMatrix, from_flat
 from .linalg import matrix_inverse_mod
 from .module import MatrixModule, ad_representation
 from .poly import char_poly_is_pure_power
-from .primes import primitive_root
-from .zpn import RingSpec, equivalence_type
+from .primes import is_prime, primitive_root
+from .zpn import RingSpec, lambdas_mod
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,10 @@ class GroupGenSet:
                 raise InputError("generator shape mismatch")
 
     def check_invertible(self, p: int):
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not prime")
         for g in self.generators:
-            if equivalence_type(g, p) != (0,) * self.d:
+            if len(lambdas_mod(g.entries, p, 1)) != self.d:
                 raise InputError(f"generator not invertible mod {p}")
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra helpers: rational elimination, Hermite form, mod-p ranks."""
+"""Exact linear algebra helpers: rational elimination, Hermite form, inverses mod p^n."""
 
 from __future__ import annotations
 
@@ -76,34 +76,6 @@ def frac_solve_multi(rows, targets):
 def frac_solve(rows, rhs):
     """One exact solution of A x = b over Q, or None if inconsistent."""
     return frac_solve_multi(rows, [rhs])[0]
-
-
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix over the field F_p."""
-    a = [[v % p for v in row] for row in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(a)):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [v * inv % p for v in a[r]]
-        for i in range(r + 1, len(a)):
-            f = a[i][c]
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-        rank += 1
-        if r == len(a):
-            break
-    return rank
 
 
 def hermite_form(rows) -> list[tuple[int, ...]]:

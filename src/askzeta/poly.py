@@ -145,74 +145,61 @@ class Poly:
         return " + ".join(parts)
 
 
-def poly_matrix_from_int(rows, nvars: int):
-    return [[Poly.const(nvars, v) for v in row] for row in rows]
+def _bareiss(rows):
+    """Fraction-free (Bareiss) elimination of a Poly matrix, column by column.
+
+    Yields (column, pivot, sign) for each pivot in turn, with the sign of the
+    row permutation so far; the pivot is yielded before its column is
+    cleared, so a caller that stops early saves the rest of the work.  The
+    k-th pivot is the leading k x k minor of the row-permuted matrix on the
+    pivot columns, and each division by the previous pivot is exact
+    (Sylvester's identity).  So the number of pivots is the rank over
+    Q(x_1, ..., x_m), and when the pivots of a square matrix fill its
+    diagonal the last one, times the sign, is the determinant.
+    """
+    a = [list(r) for r in rows]
+    nr = len(a)
+    nc = len(a[0]) if a else 0
+    prev = None
+    sign = 1
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            return
+        i0 = next((i for i in range(r, nr) if not a[i][c].is_zero()), None)
+        if i0 is None:
+            continue
+        if i0 != r:
+            a[r], a[i0] = a[i0], a[r]
+            sign = -sign
+        piv, row0 = a[r][c], a[r]
+        yield c, piv, sign
+        for i in range(r + 1, nr):
+            ai = a[i]
+            f = ai[c]
+            for j in range(c + 1, nc):
+                x = piv * ai[j] - f * row0[j]
+                ai[j] = x if prev is None else x.exact_div(prev)
+        prev = piv
+        r += 1
 
 
 def bareiss_det(rows) -> Poly:
     """Fraction-free determinant of a square matrix of Poly entries."""
-    a = [list(r) for r in rows]
-    n = len(a)
+    n = len(rows)
     if n == 0:
         raise InputError("empty determinant")
-    nvars = a[0][0].nvars
-    sign = 1
-    prev = Poly.const(nvars, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.const(nvars, 0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = Poly.const(nvars, 0)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    for k, (c, piv, sign) in enumerate(_bareiss(rows)):
+        if c != k:  # column k has no pivot: singular, stop eliminating
+            break
+        if k == n - 1:
+            return piv if sign == 1 else -piv
+    return Poly.const(rows[0][0].nvars, 0)
 
 
 def symbolic_rank(rows) -> int:
-    """Rank over Q(x_1, ..., x_m) by fraction-free elimination with full pivoting."""
-    a = [list(r) for r in rows]
-    if not a or not a[0]:
-        return 0
-    nvars = a[0][0].nvars
-    nr, nc = len(a), len(a[0])
-    rank = 0
-    prev = Poly.const(nvars, 1)
-    r = 0
-    used_cols = []
-    while r < nr:
-        piv = None
-        for j in range(nc):
-            if j in used_cols:
-                continue
-            for i in range(r, nr):
-                if not a[i][j].is_zero():
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[r], a[i0] = a[i0], a[r]
-        for i in range(r + 1, nr):
-            for j in range(nc):
-                if j == j0 or j in used_cols:
-                    continue
-                a[i][j] = (a[r][j0] * a[i][j] - a[i][j0] * a[r][j]).exact_div(prev)
-            a[i][j0] = Poly.const(nvars, 0)
-        prev = a[r][j0]
-        used_cols.append(j0)
-        rank += 1
-        r += 1
-    return rank
+    """Rank over Q(x_1, ..., x_m) by fraction-free elimination."""
+    return sum(1 for _ in _bareiss(rows))
 
 
 def evaluated_rank(rows, point) -> int:

@@ -12,7 +12,10 @@ The text grammar (round-trip stable) is:
     factor := ('-' | '+')* atom ('^' exponent)?
     atom   := INTEGER | 'q' | 'T' | '(' expr ')'
 
-with integer exponents, possibly negative, optionally parenthesized.
+with integer exponents, possibly negative, optionally parenthesized, of
+absolute value at most MAX_EXPONENT (the stored formulas need at most 36).
+Division by zero, a negative power of zero, an exponent out of range and an
+integer literal too long to convert are input errors.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, NotExpandableError
+
+# Largest |k| accepted in `x^k` by the text grammar.
+MAX_EXPONENT = 1000
 
 
 class LPoly:
@@ -273,7 +279,12 @@ class _Parser:
             op = self.peek()
             self.pos += 1
             rhs = self.factor()
-            v = v * rhs if op == "*" else v / rhs
+            if op == "*":
+                v = v * rhs
+            elif rhs.num.is_zero():
+                self.error("division by zero")
+            else:
+                v = v / rhs
         return v
 
     def factor(self) -> QTRational:
@@ -285,7 +296,12 @@ class _Parser:
         v = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            v = v ** self.exponent()
+            k = self.exponent()
+            if abs(k) > MAX_EXPONENT:
+                self.error(f"exponent {k} outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]")
+            if k < 0 and v.num.is_zero():
+                self.error("division by zero")
+            v = v**k
         return v if sign == 1 else -v
 
     def exponent(self) -> int:
@@ -303,12 +319,18 @@ class _Parser:
             if self.peek() == "-":
                 sign = -sign
             self.pos += 1
+        return sign * self.digits()
+
+    def digits(self) -> int:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if start == self.pos:
             self.error("expected integer")
-        return sign * int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than the interpreter's int-string limit
+            self.error(f"integer literal of {self.pos - start} digits")
 
     def atom(self) -> QTRational:
         ch = self.peek()
@@ -324,10 +346,7 @@ class _Parser:
             self.pos += 1
             return QTRational(LPoly.monomial(1, 0, 1), LPoly.const(1))
         if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return QTRational.const(int(self.text[start : self.pos]))
+            return QTRational.const(self.digits())
         self.error("expected atom")
 
 

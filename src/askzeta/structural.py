@@ -23,12 +23,13 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import InputError, InternalConsistencyError
-from .linalg import frac_solve_multi, rank_mod_p
+from .linalg import frac_solve_multi
 from .module import MatrixModule
 from .poly import bareiss_det
-from .primes import factorize
+from .primes import factorize, is_prime
 from .ratfun import QTRational
 from .closed_forms import constant_rank_form, mat_form
+from .zpn import lambdas_mod
 
 DEFAULT_MINOR_BUDGET = 10**6
 DEFAULT_WITNESS_TRIALS = 10**4
@@ -243,7 +244,11 @@ def check_constant_rank_fq(m: MatrixModule, q: int, budget: int = 10**7):
 
     Returns (flag, rank); the zero module reports (True, 0).  Enumerates
     projective representatives, so the cost is (q^dim - 1)/(q - 1) points.
+    q must be prime: the rank over F_q is the number of unit elementary
+    divisors mod q.
     """
+    if not is_prime(q):
+        raise InputError(f"q = {q} is not prime")
     ell = m.dim
     if q**ell > budget:
         raise InputError(f"q^dim = {q ** ell} exceeds budget {budget}")
@@ -254,7 +259,7 @@ def check_constant_rank_fq(m: MatrixModule, q: int, budget: int = 10**7):
     for j in range(ell):
         for tail in product(range(q), repeat=ell - 1 - j):
             coeffs = (0,) * j + (1,) + tail
-            ranks.add(rank_mod_p(m.element_rows(coeffs), q))
+            ranks.add(len(lambdas_mod(m.element_rows(coeffs), q, 1)))
             if len(ranks) > 1:
                 return False, None
     rank = ranks.pop()

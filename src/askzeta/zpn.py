@@ -7,8 +7,10 @@ localized at p).  Over Z/p^n the induced map on row vectors x -> x*a has
     |kernel| = p^(sum_i min(lam_i, n) + (d - r) * n)
     |image|  = p^(sum_i (n - min(lam_i, n)))
 
-Both formulas only involve the valuations below n, which is what the mod-p^n
-reduction in this module computes.
+Both formulas only involve the valuations below n, which is what the one
+mod-p^cap reduction in this module, lambdas_mod, computes; the exact
+valuations and ranks over F_p are that reduction at a larger cap or at cap 1.
+The Smith form over Z (smith_diagonal) is kept for composite moduli.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ def pval(x: int, p: int):
     return v
 
 
-def _val_below(x: int, p: int, cap: int) -> int:
-    """Valuation of a nonzero residue x in [1, p^cap); always < cap."""
+def _val_below(x: int, p: int) -> int:
+    """Valuation of a nonzero residue x; below cap when x lies in [1, p^cap)."""
     v = 0
     while x % p == 0:
         x //= p
@@ -90,31 +92,33 @@ def _val_below(x: int, p: int, cap: int) -> int:
     return v
 
 
-def _pivot_reduce(a, p, cap):
-    """Shared Smith-style reduction at p.
+def lambdas_mod(entries, p: int, cap: int) -> list[int]:
+    """Elementary divisor valuations below `cap`, computed mod p^cap.
 
-    `a` is a mutable list of row lists.  When `cap` is given, entries live in
-    [0, p^cap) and only valuations < cap are reported; when `cap` is None the
-    reduction runs over Z and reports all of them.  Row and column operations
-    multiply by p-units only, so the valuations of the elementary divisors are
-    preserved.
+    `entries` is any iterable of integer rows; rows may be exhausted lazily.
+    Returns the sorted valuations lam_i < cap.  Divisors with valuation >= cap
+    are indistinguishable from 0 mod p^cap and are not reported.  The
+    reduction pivots on an entry of least valuation and clears its row and
+    column; row and column operations multiply by p-units only, so the
+    valuations of the elementary divisors are preserved.
     """
-    pm = p**cap if cap is not None else None
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    rows = list(range(nrows))
-    cols = list(range(ncols))
+    if cap <= 0:
+        return []
+    pm = p**cap
+    a = [[v % pm for v in row] for row in entries]
+    rows = list(range(len(a)))
+    cols = list(range(len(a[0]) if a else 0))
     lams = []
     while rows and cols:
         best = None
-        best_v = None
+        best_v = cap
         for i in rows:
             ai = a[i]
             for j in cols:
                 x = ai[j]
                 if x:
-                    v = _val_below(x, p, cap) if cap is not None else pval(x, p)
-                    if best_v is None or v < best_v:
+                    v = _val_below(x, p)
+                    if v < best_v:
                         best_v = v
                         best = (i, j)
                         if v == 0:
@@ -135,55 +139,42 @@ def _pivot_reduce(a, p, cap):
             if e:
                 f = e // pv
                 ai = a[i]
-                if pm is None:
-                    for j in cols:
-                        ai[j] = u * ai[j] - f * row0[j]
-                else:
-                    for j in cols:
-                        ai[j] = (u * ai[j] - f * row0[j]) % pm
+                for j in cols:
+                    ai[j] = (u * ai[j] - f * row0[j]) % pm
         for j in cols:
             if j == j0:
                 continue
             e = row0[j]
             if e:
                 f = e // pv
-                if pm is None:
-                    for i in rows:
-                        a[i][j] = u * a[i][j] - f * a[i][j0]
-                else:
-                    for i in rows:
-                        a[i][j] = (u * a[i][j] - f * a[i][j0]) % pm
+                for i in rows:
+                    a[i][j] = (u * a[i][j] - f * a[i][j0]) % pm
         rows.remove(i0)
         cols.remove(j0)
     lams.sort()
     return lams
 
 
-def lambdas_mod(entries, p: int, cap: int) -> list[int]:
-    """Elementary divisor valuations below `cap`, computed mod p^cap.
-
-    `entries` is any iterable of integer rows; rows may be exhausted lazily.
-    Returns the sorted valuations lam_i < cap.  Divisors with valuation >= cap
-    are indistinguishable from 0 mod p^cap and are not reported.
-    """
-    if cap <= 0:
-        return []
-    pm = p**cap
-    a = [[v % pm for v in row] for row in entries]
-    return _pivot_reduce(a, p, cap)
-
-
 def equivalence_type(a: IntMatrix, p: int) -> tuple[int, ...]:
     """Valuations (lam_1, ..., lam_r) of the elementary divisors of `a` at p.
 
     r is the rank of `a` over the rationals; the zero matrix gives ().
-    Computed by exact integer reduction with pivoting on entries of minimal
-    valuation.
+    Computed by lambdas_mod at the least cap with p^cap > B, where B is the
+    product over the rows of max(1, sum_j |a_ij|).  This is exact: every
+    r x r minor D is at most B in absolute value (each row contributes at
+    most its absolute row sum), lam_1 + ... + lam_r is the least valuation
+    of a nonzero r x r minor, and so each lam_i <= v_p(D) < cap.  Mod p^cap
+    the divisors of valuation below cap are exactly lam_1, ..., lam_r.
     """
     if not is_prime(p):
         raise InputError(f"p = {p} is not prime")
-    rows = [list(r) for r in a.entries]
-    return tuple(_pivot_reduce(rows, p, None))
+    bound = 1
+    for row in a.entries:
+        bound *= max(1, sum(abs(v) for v in row))
+    cap, pw = 1, p
+    while pw <= bound:
+        cap, pw = cap + 1, pw * p
+    return tuple(lambdas_mod(a.entries, p, cap))
 
 
 def equivalence_type_minors(a: IntMatrix, p: int) -> tuple[int, ...]:
@@ -244,9 +235,8 @@ def kernel_size(a: IntMatrix, ring: RingSpec) -> int:
 
 
 def image_size_exp(a: IntMatrix, ring: RingSpec) -> int:
-    n = ring.n
-    lams = lambdas_mod(a.entries, ring.p, n)
-    return sum(n - lam for lam in lams)
+    """Exponent k with |Image(a mod p^n)| = p^k: the span of the rows of a."""
+    return span_size_exp(a.entries, ring)
 
 
 def image_size(a: IntMatrix, ring: RingSpec) -> int:
@@ -256,12 +246,8 @@ def image_size(a: IntMatrix, ring: RingSpec) -> int:
 
 def span_size_exp(rows, ring: RingSpec) -> int:
     """Exponent of the size of the row span of integer vectors in (Z/p^n)^e."""
-    rows = list(rows)
-    if not rows:
-        return 0
     n = ring.n
-    lams = lambdas_mod(rows, ring.p, n)
-    return sum(n - lam for lam in lams)
+    return sum(n - lam for lam in lambdas_mod(rows, ring.p, n))
 
 
 def span_size(rows, ring: RingSpec) -> int:

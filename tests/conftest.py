@@ -6,11 +6,12 @@ code they are checking.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from askzeta import IntMatrix, MatrixModule
+from askzeta.poly import Poly
 
 
 def brute_kernel_size(a: IntMatrix, p: int, n: int) -> int:
@@ -65,6 +66,46 @@ def brute_kernel_size_mod(a: IntMatrix, modulus: int) -> int:
         ):
             count += 1
     return count
+
+
+def leibniz_det(rows, nvars: int) -> Poly:
+    """Determinant of a square Poly matrix as the signed sum over permutations."""
+    n = len(rows)
+    total = Poly(nvars)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = Poly.const(nvars, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def minor_rank(rows, nvars: int) -> int:
+    """Largest k with a nonzero k x k minor (Leibniz determinants)."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(nr, nc), 0, -1):
+        for rsel in combinations(range(nr), k):
+            for csel in combinations(range(nc), k):
+                sub = [[rows[i][j] for j in csel] for i in rsel]
+                if not leibniz_det(sub, nvars).is_zero():
+                    return k
+    return 0
+
+
+def random_poly(rng: random.Random, nvars: int, bound=4) -> Poly:
+    """A Poly with up to three terms of degree <= 2 per variable; zero a quarter of the time."""
+    if rng.random() < 0.25:
+        return Poly(nvars)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[exps] = rng.randint(-bound, bound)
+    return Poly(nvars, terms)
+
+
+def random_poly_matrix(rng: random.Random, nr: int, nc: int, nvars: int):
+    return [[random_poly(rng, nvars) for _ in range(nc)] for _ in range(nr)]
 
 
 def random_module(rng: random.Random, dmax=3, emax=3, lmax=4, bound=5) -> MatrixModule:

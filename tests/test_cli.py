@@ -179,6 +179,31 @@ class TestExitCodes:
         assert main(["feqn", "--form", "1/(1-T)", "--d", "1"]) == EXIT_MISMATCH
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "formula",
+        ["1/0", "(q-q)^-1", "0^-1", "q^99999999", "q^-99999999", "q^(1001)", "9" * 5000],
+    )
+    def test_bad_formula_is_an_input_error(self, module_file, capsys, formula):
+        assert main(["feqn", "--form", formula, "--d", "1"]) == EXIT_INPUT
+        assert main(
+            ["verify", "--module", module_file, "--formula", formula, "--p", "3"]
+        ) == EXIT_INPUT
+        assert "input error:" in capsys.readouterr().err
+
+    def test_report_value_too_long_to_print(self, tmp_path, capsys):
+        # ask = 3^10000 at n = 1 has 4,772 digits
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**MODULE_DOC, "d": 10000, "basis": []}))
+        assert main(["ask", "--module", str(path), "--p", "3", "--n-max", "1"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and "15850 bits" in err
+
+    @pytest.mark.parametrize("key", ["so(3)", "so (3)", " so( 3 ) "])
+    def test_catalog_key_whitespace(self, capsys, key):
+        assert main(["ask", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_OK
+        assert main(["verify", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_OK
+        capsys.readouterr()
+
     def test_bad_prime_list(self, capsys):
         assert main(["ask", "--catalog", "n(2)", "--p", "3;5"]) == EXIT_INPUT
         capsys.readouterr()

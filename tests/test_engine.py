@@ -8,6 +8,7 @@ import pytest
 from askzeta import (
     BudgetExceededError,
     InputError,
+    IntMatrix,
     InternalConsistencyError,
     MatrixModule,
     RingSpec,
@@ -21,7 +22,7 @@ from askzeta import (
     rank_distribution,
 )
 from askzeta.engine import AskValue, ask_view
-from conftest import brute_ask, random_module
+from conftest import brute_ask, brute_image_size, random_module
 
 
 class TestAskAverage:
@@ -179,11 +180,12 @@ class TestRankDistribution:
     def test_matches_brute_count(self):
         from itertools import product
 
-        from askzeta.linalg import rank_mod_p
-
+        # rank over F_3 = log_3 |image mod 3|, counted by enumeration
+        log3 = {3**r: r for r in range(3)}
         counts = {}
         for entries in product(range(3), repeat=4):
-            a = [list(entries[:2]), list(entries[2:])]
-            counts[rank_mod_p(a, 3)] = counts.get(rank_mod_p(a, 3), 0) + 1
+            a = IntMatrix([entries[:2], entries[2:]])
+            r = log3[brute_image_size(a, 3, 1)]
+            counts[r] = counts.get(r, 0) + 1
         for r in range(3):
             assert rank_distribution(2, 2, r, 3) == counts.get(r, 0)

@@ -15,8 +15,8 @@ from askzeta import (
     rescale,
     transpose_module,
 )
-from askzeta.poly import Poly, evaluated_rank, symbolic_rank
-from conftest import random_module
+from askzeta.poly import Poly, bareiss_det, evaluated_rank, symbolic_rank
+from conftest import leibniz_det, minor_rank, random_module, random_poly_matrix
 
 
 class TestCanonicalBasis:
@@ -90,6 +90,46 @@ class TestGenericRanks:
                 point = [rng.randint(-(10**6), 10**6) for _ in range(m.d)]
                 best = max(best, evaluated_rank(rows, point))
             assert best == exact
+
+
+class TestFractionFree:
+    """bareiss_det and symbolic_rank share one elimination; Leibniz checks both."""
+
+    def _square(self, rng, kind):
+        n, nvars = rng.randint(1, 4), rng.randint(1, 3)
+        a = random_poly_matrix(rng, n, n, nvars)
+        if kind == "singular" and n > 1:
+            c = Poly.variable(0, nvars) + Poly.const(nvars, rng.randint(-2, 2))
+            a[-1] = [c * x + y for x, y in zip(a[0], a[1])] if n > 2 else [c * x for x in a[0]]
+        elif kind == "swap" and n > 1:
+            a[0][0] = Poly(nvars)
+            a[1][0] = Poly.variable(rng.randrange(nvars), nvars)
+        elif kind == "zero column":
+            for row in a:
+                row[0] = Poly(nvars)
+        return a, nvars
+
+    @pytest.mark.parametrize("kind", ["random", "singular", "swap", "zero column"])
+    def test_det_against_leibniz(self, rng, kind):
+        for _ in range(40):
+            a, nvars = self._square(rng, kind)
+            det = bareiss_det(a)
+            assert det == leibniz_det(a, nvars)
+            if kind in ("singular", "zero column") and len(a) > 1:
+                assert det.is_zero()
+
+    def test_empty_determinant_rejected(self):
+        with pytest.raises(InputError):
+            bareiss_det([])
+
+    def test_rank_against_largest_minor(self, rng):
+        for _ in range(60):
+            nr, nc, nvars = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 3)
+            a = random_poly_matrix(rng, nr, nc, nvars)
+            if nr > 1 and rng.random() < 0.5:
+                c = Poly.variable(rng.randrange(nvars), nvars)
+                a[-1] = [c * x for x in a[0]]
+            assert symbolic_rank(a) == minor_rank(a, nvars)
 
 
 class TestTransforms:

@@ -88,6 +88,14 @@ class TestConstantRankFq:
         with pytest.raises(InputError):
             check_constant_rank_fq(catalog_module("gl(3)"), 5, budget=10)
 
+    @pytest.mark.parametrize("q", [4, 6])
+    def test_non_prime_field_rejected(self, q):
+        from askzeta import MatrixModule
+
+        for m in (MatrixModule(1, 1, [[[2]]]), catalog_module("diag(2)")):
+            with pytest.raises(InputError):
+                check_constant_rank_fq(m, q)
+
 
 class TestInconclusive:
     # rank degenerates only on X1^2 + X2^2 = 0, which has no rational point;

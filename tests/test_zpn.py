@@ -63,11 +63,23 @@ class TestEquivalenceType:
         assert equivalence_type(IntMatrix.zeros(2, 3), 7) == ()
 
     def test_against_minor_oracle(self, rng):
-        for _ in range(40):
-            d, e = rng.randint(1, 3), rng.randint(1, 3)
-            a = random_int_matrix(rng, d, e, bound=12)
-            p = rng.choice([2, 3, 5])
+        # large entries and high powers of p put lam_i near the row-sum bound
+        # that fixes the reduction's cap; a 1x1 [p^k] sits exactly below it
+        for _ in range(120):
+            d, e = rng.randint(1, 4), rng.randint(1, 4)
+            p = rng.choice([2, 3, 5, 7])
+            a = random_int_matrix(rng, d, e, bound=rng.choice([12, 10**4, 27 * 10**9]))
+            rows = [
+                [v * p ** rng.choice([0, 0, rng.randint(1, 40)]) for v in row]
+                for row in a.entries
+            ]
+            if d > 1 and rng.random() < 0.3:
+                rows[-1] = [p ** rng.randint(0, 20) * v for v in rows[0]]
+            a = IntMatrix(rows)
             assert equivalence_type(a, p) == equivalence_type_minors(a, p)
+        for p, k in ((2, 60), (3, 35), (7, 1)):
+            a = IntMatrix([[p**k]])
+            assert equivalence_type(a, p) == equivalence_type_minors(a, p) == (k,)
 
     def test_unimodular_invariance(self, rng):
         for _ in range(25):
