@@ -18,10 +18,32 @@ ask_series "auto" takes the view with the fewest points p^(kn); "both"
 compares the average and orbit routes, i.e. the definition with the orbit
 formula.
 
-Enumeration is compressed by scalar symmetry: spans are invariant under
-multiplying the point by a unit, so each unit-scaling class is visited once
-and weighted by its size.  Nonzero x decompose uniquely as p^w times a
-primitive vector mod p^(n-w).
+Spans are invariant under multiplying the point by a unit, and a nonzero x
+is p^w times a primitive vector y mod p^(n-w), whose unit class has
+p^(n-w-1)(p-1) members.  So the sum at level n is
+
+    1 + sum_{w < n} p^(n-w-1) (p-1) S(n-w),
+    S(m) = sum over unit classes y mod p^m of p^-spanexp_m(y),
+
+where p^spanexp_m(y) is the size of the span of the rows at y mod p^m.  A
+unit class mod p^m has a representative with pivot coordinate 1 and the
+coordinates before it divisible by p; its lifts mod p^(m+1) are the p^(k-1)
+classes y + p^m t with t_pivot = 0.  These classes form a tree, and one
+depth-first walk of it gives S(m) for every m <= n_max: each node runs
+lambdas_mod on the rows at cap m and adds to S(m).
+
+The walk stops at a resolved node: one with r divisors below m, where r is
+the generic rank of the rows (the rank over Q(X) of the view's matrix of
+linear forms).  The rows at any lift of y agree with those at y mod p^m, and
+the divisors below m are fixed by the matrix mod p^m; no lift has more than
+r divisors, because every (r+1)-minor vanishes identically.  So every lift
+to level m' > m has the same divisors, spanexp_m' = r m' - sum(lambda), and
+the p^((k-1)(m'-m)) classes below the node add in closed form.  The walk
+trusts r only when the symbolic elimination computed it exactly
+(module._SYMBOLIC_RANK_CAP); otherwise it walks every node, which is still
+exact.  A node with more than r divisors is an internal inconsistency.
+Without resolution the nodes at depth m are exactly the unit classes mod
+p^m, so the walk never reduces more matrices than enumerating each level.
 """
 
 from __future__ import annotations
@@ -32,45 +54,67 @@ from itertools import product
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
 from .intmat import IntMatrix
-from .module import MatrixModule, transpose_module
+from .module import _SYMBOLIC_RANK_CAP, MatrixModule, transpose_module
 from .zpn import RingSpec, kernel_size_mod, lambdas_mod
 
 DEFAULT_BUDGET = 10**8
 
+# views in the order "auto" breaks ties: orbit before average, as when l == d
+_VIEWS = ("orbit", "average", "transpose")
+_ADVICE = {
+    "orbit": "try the average method",
+    "average": "try the orbit method",
+    "transpose": "try the average method",
+}
 
-def _unit_class_reps_at(p: int, m: int, k: int, j: int):
-    """Representatives of primitive vectors in (Z/p^m)^k modulo units, pivot j.
 
-    The first unit coordinate sits at position j and is scaled to 1;
-    coordinates before it run over multiples of p, coordinates after it are
-    free.  The pivot positions partition the representatives into disjoint
-    blocks, which is also the work split used by parallel enumeration.
+def _walk_partial(payload):
+    """Unit classes per (level, span exponent) under one pivot; pure, for any scheduler.
+
+    Walks the tree of unit-class representatives whose first unit coordinate
+    is `pivot`, depth first and lazily, down to level `top`.  A node with
+    `rank` divisors below its level is resolved: its descendants are counted
+    in closed form instead of visited.  `rank` None resolves nothing.
     """
-    pm = p**m
-    nonunits = range(0, pm, p)
-    for lo in product(nonunits, repeat=j):
-        for hi in product(range(pm), repeat=k - 1 - j):
-            yield lo + (1,) + hi
+    triples, p, top, pivot, k, e, rank = payload
+    counts: dict[tuple[int, int], int] = {}  # (level, span exponent) -> classes
+    resolved: dict[tuple[int, int], int] = {}  # (level, sum of divisors) -> nodes
+    free = [a for a in range(k) if a != pivot]
 
-
-def _orbit_partial(payload):
-    """Span-size exponent counts over one representative block; pure, for any scheduler."""
-    generators, p, n, w, pivot, k, e = payload
-    cap = n - w
-    counts: dict[int, int] = {}
-    for x in _unit_class_reps_at(p, cap, k, pivot):
+    def visit(y, m):
         rows = []
-        for trip in generators:
+        for trip in triples:
             row = [0] * e
             for a, j, v in trip:
-                xa = x[a]
-                if xa:
-                    row[j] += xa * v
+                ya = y[a]
+                if ya:
+                    row[j] += ya * v
             rows.append(row)
-        lams = lambdas_mod(rows, p, cap)
-        exp = sum(cap - lv for lv in lams)
-        counts[exp] = counts.get(exp, 0) + 1
-    return w, counts
+        lams = lambdas_mod(rows, p, m)
+        low = sum(lams)
+        key = (m, m * len(lams) - low)
+        counts[key] = counts.get(key, 0) + 1
+        if rank is not None and len(lams) >= rank:
+            if len(lams) > rank:
+                raise InternalConsistencyError(
+                    f"{len(lams)} divisors below {m} exceed the generic rank {rank}"
+                )
+            resolved[(m, low)] = resolved.get((m, low), 0) + 1
+        elif m < top:
+            step = p**m
+            child = list(y)
+            for t in product(range(0, step * p, step), repeat=k - 1):
+                for a, s in zip(free, t):
+                    child[a] = y[a] + s
+                visit(tuple(child), m + 1)
+
+    for hi in product(range(p), repeat=k - 1 - pivot):
+        visit((0,) * pivot + (1,) + hi, 1)
+    for (m, low), nodes in resolved.items():
+        for level in range(m + 1, top + 1):
+            key = (level, rank * level - low)
+            counts[key] = counts.get(key, 0) + nodes * p ** ((k - 1) * (level - m))
+    return counts
 
 
 def _run_partials(worker, payloads, jobs):
@@ -83,30 +127,79 @@ def _run_partials(worker, payloads, jobs):
     return [worker(pl) for pl in payloads]
 
 
-def _orbit_sum(generators, k, e, ring: RingSpec, budget, jobs, hint) -> Fraction:
-    """Sum over x in (Z/p^n)^k of 1/|span of the generator rows at x|.
+def _orbit_sums(
+    generators, k, e, p, top, rank, budget=DEFAULT_BUDGET, jobs=1, view="orbit"
+) -> list[Fraction]:
+    """Sum over x in (Z/p^n)^k of 1/|span of the generator rows at x|, n = 0..top.
 
     Each generator is a k x e matrix; its row at x is x times the matrix.
-    The enumeration takes it as the nonzero triples (point axis, column,
-    value).  The point count p^(k*n) must stay within the budget.
+    The walk takes it as the nonzero triples (point axis, column, value).
+    `rank` is the exact generic rank of the rows, or None.  The point count
+    p^(k*top) of the deepest level must stay within the budget.
     """
-    p, n = ring.p, ring.n
-    if n == 0:
-        return Fraction(1)
-    points = p ** (k * n)
+    points = p ** (k * top)
     if points > budget:
-        raise BudgetExceededError(points, budget, hint)
+        raise BudgetExceededError(points, budget, _ADVICE[view], view, top)
     triples = tuple(
         tuple((a, j, v) for a, row in enumerate(g) for j, v in enumerate(row) if v)
         for g in generators
     )
-    payloads = [(triples, p, n, w, pivot, k, e) for w in range(n) for pivot in range(k)]
-    total = Fraction(1)  # x = 0 spans nothing
-    for w, counts in _run_partials(_orbit_partial, payloads, jobs):
-        weight = p ** (n - w - 1) * (p - 1)
-        for exp, cnt in counts.items():
-            total += weight * Fraction(cnt, p**exp)
-    return total
+    payloads = [(triples, p, top, pivot, k, e, rank) for pivot in range(k)] if top > 0 else []
+    sums = [Fraction(0)] * (top + 1)  # S(m): unit classes mod p^m
+    for counts in _run_partials(_walk_partial, payloads, jobs):
+        for (m, exp), cnt in counts.items():
+            sums[m] += Fraction(cnt, p**exp)
+    # x = 0 spans nothing; x = p^w y has a unit class of p^(n-w-1)(p-1) members
+    return [
+        1 + sum(p ** (n - w - 1) * (p - 1) * sums[n - w] for w in range(n))
+        for n in range(top + 1)
+    ]
+
+
+def _view_dim(m: MatrixModule, view: str) -> int:
+    """k of the view: the point space it enumerates at level n is (Z/p^n)^k."""
+    return {"orbit": m.d, "average": m.dim, "transpose": m.e}[view]
+
+
+def _view_series(
+    m: MatrixModule, p: int, top: int, view: str, budget: int, jobs: int
+) -> list[Fraction]:
+    """ask(M, Z/p^n) for n = 0..top through one view, from one walk.
+
+    The generic rank that resolves nodes is computed only when the walk goes
+    deeper than level 1, where every node is a leaf anyway.
+    """
+    if view == "average":
+        # generator r: row r of each b_i; the rows at c are those of sum c_i b_i
+        gens, k, e, shift = list(zip(*(b.entries for b in m.basis))), m.dim, m.e, m.d - m.dim
+        exact = m.d * m.e <= _SYMBOLIC_RANK_CAP
+        rank_of = m.generic_element_rank
+    elif view in ("orbit", "transpose"):
+        mod = m if view == "orbit" else transpose_module(m)
+        gens, k, e, shift = [b.entries for b in mod.basis], mod.d, mod.e, m.d - mod.d
+        exact = mod.dim * mod.e <= _SYMBOLIC_RANK_CAP
+        rank_of = mod.generic_orbit_rank
+    else:
+        raise InputError(f"unknown view {view!r}")
+    rank = rank_of() if exact and top > 1 else None
+    sums = _orbit_sums(gens, k, e, p, top, rank, budget, jobs, view)
+    return [s * Fraction(p) ** (n * shift) for n, s in enumerate(sums)]
+
+
+def ask_view(
+    m: MatrixModule,
+    ring: RingSpec,
+    view: str,
+    budget: int = DEFAULT_BUDGET,
+    jobs: int = 1,
+) -> Fraction:
+    """ask(M, Z/p^n) through one view: "orbit", "average" or "transpose".
+
+    The point count p^(k*n) of the view must stay within the budget.  `jobs`
+    splits the walk by pivot across processes; the result does not depend on
+    the split.
+    """
+    return _view_series(m, ring.p, ring.n, view, budget, jobs)[ring.n]
 
 
 def ask_average(
@@ -114,14 +207,9 @@ def ask_average(
 ) -> Fraction:
     """Average size of the kernel of a random element of M over Z/p^n.
 
-    Enumerates coefficient tuples, as the orbit sum of the Knuth dual; the
-    point count p^(l*n) must stay within the budget.  `jobs` splits the
-    representative blocks across processes; the result does not depend on
-    the split.
+    The orbit sum of the Knuth dual, over p^(l*n) coefficient tuples.
     """
-    dual = list(zip(*(b.entries for b in m.basis)))  # generator r: row r of each b_i
-    total = _orbit_sum(dual, m.dim, m.e, ring, budget, jobs, "try the orbit method")
-    return total * Fraction(ring.p) ** (ring.n * (m.d - m.dim))
+    return ask_view(m, ring, "average", budget, jobs)
 
 
 def ask_orbit(
@@ -129,20 +217,9 @@ def ask_orbit(
 ) -> Fraction:
     """Sum over x in (Z/p^n)^d of the reciprocal orbit size |x M|.
 
-    Equals ask_average exactly.  The point count p^(d*n) must stay within
-    the budget.
+    Equals ask_average exactly, over p^(d*n) points.
     """
-    rows = [b.entries for b in m.basis]
-    return _orbit_sum(rows, m.d, m.e, ring, budget, jobs, "try the average method")
-
-
-# views in the order "auto" breaks ties: orbit before average, as when l == d
-_VIEWS = ("orbit", "average", "transpose")
-
-
-def _view_dim(m: MatrixModule, view: str) -> int:
-    """k of the view: the point space it enumerates at level n is (Z/p^n)^k."""
-    return {"orbit": m.d, "average": m.dim, "transpose": m.e}[view]
+    return ask_view(m, ring, "orbit", budget, jobs)
 
 
 def _method_views(m: MatrixModule, method: str) -> tuple[str, ...]:
@@ -158,22 +235,6 @@ def _method_views(m: MatrixModule, method: str) -> tuple[str, ...]:
 def points_needed(m: MatrixModule, p: int, n: int, method: str) -> int:
     """Points the largest view that `method` runs enumerates at level n."""
     return max(p ** (_view_dim(m, view) * n) for view in _method_views(m, method))
-
-
-def ask_view(
-    m: MatrixModule,
-    ring: RingSpec,
-    view: str,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
-) -> Fraction:
-    """ask(M, Z/p^n) through one view: "orbit", "average" or "transpose"."""
-    if view == "orbit":
-        return ask_orbit(m, ring, budget, jobs)
-    if view == "average":
-        return ask_average(m, ring, budget, jobs)
-    scale = Fraction(ring.p) ** (ring.n * (m.d - m.e))
-    return scale * ask_orbit(transpose_module(m), ring, budget, jobs)
 
 
 @dataclass(frozen=True)
@@ -216,22 +277,21 @@ def ask_series(
     """
     views = _method_views(m, method)
     label = method if method == "both" else views[0]
+    # every level of every view within the budget before any walk starts
+    for n in range(1, n_max + 1):
+        for view in views:
+            points = p ** (_view_dim(m, view) * n)
+            if points > budget:
+                raise BudgetExceededError(points, budget, "", view, n)
+    found = [_view_series(m, p, n_max, view, budget, jobs) for view in views]
     values = []
     for n in range(n_max + 1):
-        ring = RingSpec(p, n)
-        if n == 0:
-            values.append(AskValue(Fraction(1), p, 0, "trivial"))
-            continue
-        if method == "auto":
-            points = points_needed(m, p, n, method)
-            if points > budget:
-                raise BudgetExceededError(points, budget)
-        found = [ask_view(m, ring, view, budget, jobs) for view in views]
-        if found[0] != found[-1]:
+        value = found[0][n]
+        if value != found[-1][n]:
             raise InternalConsistencyError(
-                f"engines disagree at (p, n) = ({p}, {n}): {found[0]} != {found[-1]}"
+                f"engines disagree at (p, n) = ({p}, {n}): {value} != {found[-1][n]}"
             )
-        values.append(AskValue(found[0], p, n, label))
+        values.append(AskValue(value, p, n, label if n else "trivial"))
     return CoeffSeq(p, tuple(values))
 
 

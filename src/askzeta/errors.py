@@ -12,11 +12,15 @@ class InputError(AskZetaError):
 class BudgetExceededError(AskZetaError):
     """An exact enumeration would exceed the configured budget."""
 
-    def __init__(self, needed, budget, advice=""):
+    def __init__(self, needed, budget, advice="", view="", level=None):
         self.needed = needed
         self.budget = budget
         self.advice = advice
+        self.view = view
+        self.level = level
         msg = f"enumeration of {needed} points exceeds budget {budget}"
+        if view:
+            msg += f" in the {view} view at level n = {level}"
         if advice:
             msg += f" ({advice})"
         super().__init__(msg)

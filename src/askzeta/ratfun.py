@@ -14,8 +14,9 @@ The text grammar (round-trip stable) is:
 
 with integer exponents, possibly negative, optionally parenthesized, of
 absolute value at most MAX_EXPONENT (the stored formulas need at most 36).
-Division by zero, a negative power of zero, an exponent out of range and an
-integer literal too long to convert are input errors.
+Division by zero, a negative power of zero, an exponent out of range, a power
+too large for the bounds at MAX_POWER_TERMS and an integer literal too long to
+convert are input errors.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .errors import InputError, NotExpandableError
 
 # Largest |k| accepted in `x^k` by the text grammar.
 MAX_EXPONENT = 1000
+# A power's numerator and denominator may have degree spans of at most
+# MAX_EXPONENT in q and in T, and at most MAX_POWER_TERMS monomials in the
+# box those spans allow; QTRational.__pow__ checks both before multiplying.
+MAX_POWER_TERMS = 4096
 
 
 class LPoly:
@@ -83,6 +88,14 @@ class LPoly:
         qs = [qe for qe, _ in self.terms]
         ts = [te for _, te in self.terms]
         return min(qs), min(ts)
+
+    def spans(self):
+        """Degree spans (max - min exponent) in q and in T; (0, 0) for zero."""
+        if not self.terms:
+            return 0, 0
+        qs = [qe for qe, _ in self.terms]
+        ts = [te for _, te in self.terms]
+        return max(qs) - min(qs), max(ts) - min(ts)
 
     def shift(self, dq: int, dt: int) -> "LPoly":
         return LPoly({(qe + dq, te + dt): c for (qe, te), c in self.terms.items()})
@@ -212,6 +225,14 @@ class QTRational:
     def __pow__(self, k: int) -> "QTRational":
         if k < 0:
             return QTRational.const(1) / self**(-k)
+        for part in (self.num, self.den):
+            sq, st = part.spans()
+            dq, dt = k * sq, k * st
+            if max(dq, dt) > MAX_EXPONENT or (dq + 1) * (dt + 1) > MAX_POWER_TERMS:
+                raise InputError(
+                    f"power of degree {dq} in q and {dt} in T is too large (at most"
+                    f" {MAX_EXPONENT} in each, {MAX_POWER_TERMS} monomials)"
+                )
         out = QTRational.const(1)
         for _ in range(k):
             out = out * self

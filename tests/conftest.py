@@ -9,9 +9,22 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from askzeta import IntMatrix, MatrixModule
 from askzeta.poly import Poly
+
+# Property tests draw the same examples on every run, so the suite stays
+# reproducible; examples are not stored between runs.
+settings.register_profile(
+    "askzeta",
+    derandomize=True,
+    max_examples=30,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+settings.load_profile("askzeta")
 
 
 def brute_kernel_size(a: IntMatrix, p: int, n: int) -> int:

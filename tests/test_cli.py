@@ -1,6 +1,7 @@
 """CLI behavior: schemas, determinism, exit codes, formats."""
 
 import json
+import time
 
 import pytest
 
@@ -173,6 +174,30 @@ class TestExitCodes:
                      "--budget", "100"])
         assert code == EXIT_BUDGET
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, view, level",
+        [
+            # auto runs the orbit view of mat(3,3): 5^3 points at n = 1
+            (["--catalog", "mat(3,3)", "--p", "5", "--n-max", "3"], "orbit", 1),
+            # both: the average view of mat(2,2) trips first, 3^8 points at n = 2
+            (["--catalog", "mat(2,2)", "--p", "3", "--n-max", "3", "--method", "both"],
+             "average", 2),
+            (["--catalog", "so(3)", "--p", "3", "--n-max", "3", "--method", "orbit"],
+             "orbit", 2),
+        ],
+    )
+    def test_budget_names_view_and_level(self, capsys, argv, view, level):
+        assert main(["ask", *argv, "--budget", "100"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:")
+        assert f"in the {view} view at level n = {level}" in err
+
+    def test_nested_power_is_an_input_error(self, capsys):
+        start = time.perf_counter()
+        assert main(["feqn", "--form", "((1+q+T)^40)^40", "--d", "1"]) == EXIT_INPUT
+        assert time.perf_counter() - start < 2
+        assert "input error:" in capsys.readouterr().err
 
     def test_feqn_codes(self, capsys):
         assert main(["feqn", "--form", "(1-q^-2*T)/((1-T)*(1-T))", "--d", "2"]) == EXIT_OK

@@ -21,7 +21,8 @@ from askzeta import (
     expand,
     rank_distribution,
 )
-from askzeta.engine import AskValue, ask_view
+from askzeta import engine
+from askzeta.engine import DEFAULT_BUDGET, AskValue, ask_view
 from conftest import brute_ask, brute_image_size, random_module
 
 
@@ -114,6 +115,107 @@ class TestAskSeries:
     def test_value_invariant(self):
         with pytest.raises(InternalConsistencyError):
             AskValue(Fraction(1, 2), 3, 1, "orbit")
+
+
+def _levels(m, p, top, view, jobs=1):
+    """ask(M, Z/p^n) for n = 0..top from one walk of the view."""
+    return engine._view_series(m, p, top, view, DEFAULT_BUDGET, jobs)
+
+
+def _closed_form(key, p, top):
+    return list(expand(closed_form(key).formula, p, top + 1).coeffs)
+
+
+class TestTreeWalk:
+    """One walk gives every level; a resolved node counts its ball in closed form."""
+
+    def test_random_modules_match_brute_force(self, rng):
+        for _ in range(8):
+            m = random_module(rng, dmax=2, emax=2, lmax=2, bound=3)
+            # brute force enumerates (p^n)^(d + dim) pairs
+            for p, top in ((2, 3), (3, 3 if m.d + m.dim <= 3 else 2)):
+                want = [brute_ask(m, p, n) for n in range(top + 1)]
+                for view in ("orbit", "average", "transpose"):
+                    assert _levels(m, p, top, view) == want, (m, p, view)
+                assert ask_series(m, p, top, "both").coefficients() == want
+
+    @pytest.mark.parametrize(
+        "key, view", [("diag(3)", "orbit"), ("n(3)", "orbit"), ("mat(2,2)", "average")]
+    )
+    def test_rank_drop_in_codimension_one(self, key, view):
+        m = catalog_module(key)
+        for p, top in ((2, 3), (3, 2)):
+            assert _levels(m, p, top, view) == [brute_ask(m, p, n) for n in range(top + 1)]
+        # brute force at p = 3, n = 3 would take 27^6 pairs: the closed form instead
+        assert _levels(m, 3, 3, view) == _closed_form(key, 3, 3)
+
+    def test_resolved_nodes_stop_the_walk(self, monkeypatch):
+        # every orbit matrix of so(3) has rank 2 mod p at a primitive point, so
+        # the walk never goes below the (p^3 - 1)/(p - 1) classes mod p
+        reductions = []
+
+        def counting(rows, p, cap):
+            reductions.append(cap)
+            return lambdas_mod(rows, p, cap)
+
+        lambdas_mod = engine.lambdas_mod
+        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        assert _levels(catalog_module("so(3)"), 3, 5, "orbit") == _closed_form("so(3)", 3, 5)
+        assert reductions == [1] * 13
+
+    def test_unresolved_walk_above_the_symbolic_cap(self, rng, monkeypatch):
+        # 2 x 201 matrices: the dual has d*e = 402 > 400 symbolic entries, so
+        # its generic rank is only randomized and no node may resolve
+        d, e = 2, 201
+        basis = [[[rng.randint(-2, 2) for _ in range(e)] for _ in range(d)] for _ in range(2)]
+        m = MatrixModule(d, e, basis)
+        assert m.d * m.e > engine._SYMBOLIC_RANK_CAP
+        caps = []
+
+        def counting(rows, p, cap):
+            caps.append(cap)
+            return lambdas_mod(rows, p, cap)
+
+        lambdas_mod = engine.lambdas_mod
+        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        p, top = 3, 3
+        got = _levels(m, p, top, "average")
+        # every unit class mod p^m is visited: (p + 1) p^(m-1) of them for k = 2
+        assert [caps.count(c) for c in range(1, top + 1)] == [4, 12, 36]
+        monkeypatch.setattr(engine, "lambdas_mod", lambdas_mod)
+        assert got == _levels(m, p, top, "orbit")
+        # with the exact rank the same sums come from fewer nodes
+        dual = list(zip(*(b.entries for b in m.basis)))
+        rank = m.generic_element_rank()
+        sums = engine._orbit_sums(dual, m.dim, m.e, p, top, rank)
+        assert [s * Fraction(p) ** (n * (m.d - m.dim)) for n, s in enumerate(sums)] == got
+
+    def test_understated_rank_is_inconsistent(self):
+        m = catalog_module("so(3)")
+        rows = [b.entries for b in m.basis]
+        assert m.generic_orbit_rank() == 2
+        with pytest.raises(InternalConsistencyError):
+            engine._orbit_sums(rows, m.d, m.e, 3, 2, 1)
+
+    def test_jobs_do_not_change_the_walk(self, rng):
+        for _ in range(3):
+            m = random_module(rng, dmax=3, emax=3, lmax=3)
+            for view in ("orbit", "average", "transpose"):
+                assert _levels(m, 3, 3, view, jobs=3) == _levels(m, 3, 3, view)
+        m = catalog_module("diag(3)")
+        assert _levels(m, 3, 3, "orbit", jobs=3) == _levels(m, 3, 3, "orbit")
+
+    @pytest.mark.parametrize("key, p", [("so(3)", 5), ("so(3)", 7), ("diag(3)", 5)])
+    def test_deeper_levels_match_closed_forms(self, key, p):
+        # so(3) at p = 7, n = 3 enumerated 7^9 points per view before the walk
+        got = ask_series(catalog_module(key), p, 3, "both").coefficients()
+        assert got == _closed_form(key, p, 3)
+
+    def test_kernel_budget_names_view_and_level(self):
+        with pytest.raises(BudgetExceededError) as info:
+            ask_orbit(catalog_module("so(3)"), RingSpec(3, 3), budget=1000)
+        assert (info.value.view, info.value.level, info.value.needed) == ("orbit", 3, 3**9)
+        assert "in the orbit view at level n = 3" in str(info.value)
 
 
 class TestParallelPartition:
