@@ -6,6 +6,16 @@ p^n are stored as flat tuples of reduced entries, which makes closure and
 orbit bookkeeping plain set operations.  Orbit enumeration applies generators
 only (no inverses): every generator acts with finite order on a finite set,
 so forward closure already yields the group orbits.
+
+A generator acts only through the columns it moves: the j whose column is
+not e_j, each kept as its nonzero entries (_moved_columns, worked out once per
+call; a generator that is the identity mod p^n drops out).  x*g rewrites the
+moved coordinates of x, el*g the moved columns of el, and g^-1*y the rows
+where g^-1 differs from the identity.  exp(b) of a basis element moves only
+the columns b reaches, and a transvection or a diagonal unit moves one
+column, so an image costs a few products instead of a dense d x d product.
+The orbit BFS carries each point's lexicographic index with it and shifts it
+by the moved coordinates' change.
 """
 
 from __future__ import annotations
@@ -185,24 +195,16 @@ def log_unipotent(u: IntMatrix, ring: RingSpec) -> IntMatrix:
 # -- orbit counting on (Z/p^n)^d --------------------------------------------
 
 
-def _flat_mul(a, b, d, m):
-    out = []
-    for i in range(d):
-        ai = a[i * d : (i + 1) * d]
-        for j in range(d):
-            s = 0
-            for k in range(d):
-                v = ai[k]
-                if v:
-                    s += v * b[k * d + j]
-            out.append(s % m)
-    return tuple(out)
-
-
-def _vec_mul(x, g, d, m):
-    return tuple(
-        sum(x[k] * g[k * d + j] for k in range(d) if x[k]) % m for j in range(d)
-    )
+def _moved_columns(g, d: int, m: int):
+    """The columns a flat d x d matrix moves mod m: (j, ((k, g_kj), ...)) for
+    every j whose column is not e_j, with the nonzero g_kj reduced mod m.
+    Empty for a matrix that is the identity mod m."""
+    moved = []
+    for j in range(d):
+        col = tuple((k, g[k * d + j] % m) for k in range(d) if g[k * d + j] % m)
+        if col != ((j, 1),):
+            moved.append((j, col))
+    return tuple(moved)
 
 
 def orbit_count_vectors(gens_flat, d: int, p: int, n: int, budget: int) -> int:
@@ -214,8 +216,14 @@ def orbit_count_vectors(gens_flat, d: int, p: int, n: int, budget: int) -> int:
         raise BudgetExceededError(size, budget)
     m = p**n
     seen = bytearray((size + 7) // 8)
-    # lexicographic index of x = sum x_i m^(d-1-i)
+    # lexicographic index of x = sum x_i m^(d-1-i); an image rewrites only
+    # the coordinates its generator moves and shifts the index by their change
     weights = [m ** (d - 1 - i) for i in range(d)]
+    actions = []
+    for g in gens_flat:
+        moved = _moved_columns(g, d, m)
+        if moved:
+            actions.append([(j, weights[j], col) for j, col in moved])
     orbits = 0
     idx = 0
     for x in product(range(m), repeat=d):
@@ -223,16 +231,23 @@ def orbit_count_vectors(gens_flat, d: int, p: int, n: int, budget: int) -> int:
             idx += 1
             continue
         orbits += 1
-        stack = [x]
+        stack = [(x, idx)]
         seen[idx >> 3] |= 1 << (idx & 7)
         while stack:
-            y = stack.pop()
-            for g in gens_flat:
-                z = _vec_mul(y, g, d, m)
-                zi = sum(v * w for v, w in zip(z, weights))
+            y, yi = stack.pop()
+            for action in actions:
+                z = list(y)
+                zi = yi
+                for j, w, col in action:
+                    v = 0
+                    for k, c in col:
+                        v += y[k] * c
+                    v %= m
+                    zi += (v - y[j]) * w
+                    z[j] = v
                 if not seen[zi >> 3] & (1 << (zi & 7)):
                     seen[zi >> 3] |= 1 << (zi & 7)
-                    stack.append(z)
+                    stack.append((z, zi))
         idx += 1
     return orbits
 
@@ -253,18 +268,35 @@ def oc_coefficients(
 # -- group closure and conjugacy classes ------------------------------------
 
 
+def _act(el, moved, d: int, m: int, left: bool = False):
+    """el * g for a flat d x d matrix el, rewriting only the columns g moves
+    (`moved` from _moved_columns of g).  With left=True it is g^T * el:
+    `moved` then lists the rows of g^T that differ from e_j, so only those
+    rows of el change."""
+    rs, cs = (1, d) if left else (d, 1)
+    out = list(el)
+    for j, col in moved:
+        for r in range(0, d * rs, rs):
+            v = 0
+            for k, c in col:
+                v += el[r + k * cs] * c
+            out[r + j * cs] = v % m
+    return tuple(out)
+
+
 def group_closure(gens_flat, d: int, m: int, budget: int):
     """All elements of the subgroup generated by the given units mod m."""
     identity = tuple(
         1 if i == j else 0 for i in range(d) for j in range(d)
     )
+    moves = [mv for mv in (_moved_columns(g, d, m) for g in gens_flat) if mv]
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for el in frontier:
-            for g in gens_flat:
-                prod_el = _flat_mul(el, g, d, m)
+            for moved in moves:
+                prod_el = _act(el, moved, d, m)
                 if prod_el not in seen:
                     seen.add(prod_el)
                     if len(seen) > budget:
@@ -277,10 +309,15 @@ def group_closure(gens_flat, d: int, m: int, budget: int):
 def conjugacy_class_count(elements, gens_flat, d: int, p: int, n: int) -> int:
     """Number of orbits of the conjugation action z -> g^-1 z g on `elements`."""
     m = p**n
-    inverses = []
+    # g^-1 * y rewrites the rows of y where g^-1 differs from the identity:
+    # the moved columns of (g^-1)^T, applied from the left
+    actions = []
     for g in gens_flat:
-        inv_rows = matrix_inverse_mod([g[i * d : (i + 1) * d] for i in range(d)], p, n)
-        inverses.append(tuple(v for row in inv_rows for v in row))
+        moved = _moved_columns(g, d, m)
+        if moved:
+            inv_rows = matrix_inverse_mod([g[i * d : (i + 1) * d] for i in range(d)], p, n)
+            inv_t = tuple(inv_rows[i][j] for j in range(d) for i in range(d))
+            actions.append((_moved_columns(inv_t, d, m), moved))
     visited = set()
     classes = 0
     for z in elements:
@@ -291,8 +328,8 @@ def conjugacy_class_count(elements, gens_flat, d: int, p: int, n: int) -> int:
         stack = [z]
         while stack:
             y = stack.pop()
-            for g, ginv in zip(gens_flat, inverses):
-                w = _flat_mul(_flat_mul(ginv, y, d, m), g, d, m)
+            for inv_moved, moved in actions:
+                w = _act(_act(y, inv_moved, d, m, left=True), moved, d, m)
                 if w not in visited:
                     visited.add(w)
                     stack.append(w)

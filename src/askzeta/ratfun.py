@@ -14,9 +14,11 @@ The text grammar (round-trip stable) is:
 
 with integer exponents, possibly negative, optionally parenthesized, of
 absolute value at most MAX_EXPONENT (the stored formulas need at most 36).
-Division by zero, a negative power of zero, an exponent out of range, a power
-too large for the bounds at MAX_POWER_TERMS and an integer literal too long to
-convert are input errors.
+Division by zero, a negative power of zero, an exponent out of range, an
+integer literal too long to convert and a power, product, quotient or sum
+whose numerator or denominator would exceed the size bounds (degree span
+MAX_EXPONENT in q and in T, MAX_POWER_TERMS monomials) are input errors; the
+bounds are checked before anything is multiplied.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from .errors import InputError, NotExpandableError
 
 # Largest |k| accepted in `x^k` by the text grammar.
 MAX_EXPONENT = 1000
-# A power's numerator and denominator may have degree spans of at most
+# A parsed numerator or denominator may have degree spans of at most
 # MAX_EXPONENT in q and in T, and at most MAX_POWER_TERMS monomials in the
-# box those spans allow; QTRational.__pow__ checks both before multiplying.
+# box those spans allow; _check_size checks both before multiplying.
 MAX_POWER_TERMS = 4096
 
 
@@ -70,7 +72,10 @@ class LPoly:
         return LPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LPoly") -> "LPoly":
-        return self + (-other)
+        t = dict(self.terms)
+        for e, c in other.terms.items():
+            t[e] = t.get(e, 0) - c
+        return LPoly(t)
 
     def __mul__(self, other: "LPoly") -> "LPoly":
         t = {}
@@ -84,18 +89,13 @@ class LPoly:
         """Substitute q -> 1/q and T -> 1/T (negate all exponents)."""
         return LPoly({(-qe, -te): c for (qe, te), c in self.terms.items()})
 
-    def min_exps(self):
-        qs = [qe for qe, _ in self.terms]
-        ts = [te for _, te in self.terms]
-        return min(qs), min(ts)
-
-    def spans(self):
-        """Degree spans (max - min exponent) in q and in T; (0, 0) for zero."""
+    def box(self):
+        """(min, max) exponent of q, then of T: (q_lo, q_hi, t_lo, t_hi); None
+        for zero."""
         if not self.terms:
-            return 0, 0
-        qs = [qe for qe, _ in self.terms]
-        ts = [te for _, te in self.terms]
-        return max(qs) - min(qs), max(ts) - min(ts)
+            return None
+        qs, ts = zip(*self.terms)
+        return min(qs), max(qs), min(ts), max(ts)
 
     def shift(self, dq: int, dt: int) -> "LPoly":
         return LPoly({(qe + dq, te + dt): c for (qe, te), c in self.terms.items()})
@@ -116,6 +116,29 @@ class LPoly:
 
     def __repr__(self):
         return f"LPoly({self.terms!r})"
+
+
+def _box_mul(a, b):
+    """The exponent box of a product of polynomials with boxes a and b."""
+    if a is None or b is None:
+        return None
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]
+
+
+def _check_size(boxes) -> None:
+    """Refuse, before it is built, a numerator or denominator whose exponents
+    lie in the union of `boxes` when that union spans more than MAX_EXPONENT
+    in q or in T or holds more than MAX_POWER_TERMS monomials."""
+    boxes = [b for b in boxes if b is not None]
+    if not boxes:
+        return
+    q_lo, q_hi, t_lo, t_hi = zip(*boxes)
+    dq, dt = max(q_hi) - min(q_lo), max(t_hi) - min(t_lo)
+    if max(dq, dt) > MAX_EXPONENT or (dq + 1) * (dt + 1) > MAX_POWER_TERMS:
+        raise InputError(
+            f"result of degree {dq} in q and {dt} in T is too large (at most"
+            f" {MAX_EXPONENT} in each, {MAX_POWER_TERMS} monomials)"
+        )
 
 
 def _format_poly(p: LPoly) -> str:
@@ -149,7 +172,7 @@ class QTRational:
     polynomial gcd; stored catalog formulas are already in lowest terms.
     """
 
-    __slots__ = ("num", "den", "factors", "qpow")
+    __slots__ = ("num", "den", "factors", "qpow", "boxes")
 
     def __init__(self, num: LPoly, den: LPoly):
         # optional factored view of the denominator, kept by from_factors
@@ -160,14 +183,17 @@ class QTRational:
         if num.is_zero():
             self.num = LPoly()
             self.den = LPoly.const(1)
+            self.boxes = (None, (0, 0, 0, 0))
             return
         # cancel the common monomial factor q^a T^b
-        nq, nt = num.min_exps()
-        dq, dt = den.min_exps()
-        cq, ct = min(nq, dq), min(nt, dt)
+        nb, db = num.box(), den.box()
+        cq, ct = min(nb[0], db[0]), min(nb[2], db[2])
         if cq or ct:
             num = num.shift(-cq, -ct)
             den = den.shift(-cq, -ct)
+            nb, db = (_box_mul(b, (-cq, -cq, -ct, -ct)) for b in (nb, db))
+        # exponent boxes of num and den, which the size checks read
+        self.boxes = (nb, db)
         # integer content common to both
         g = gcd(num.content(), den.content())
         if g > 1:
@@ -212,7 +238,9 @@ class QTRational:
         return QTRational(-self.num, self.den)
 
     def __sub__(self, other: "QTRational") -> "QTRational":
-        return self + (-other)
+        return QTRational(
+            self.num * other.den - other.num * self.den, self.den * other.den
+        )
 
     def __mul__(self, other: "QTRational") -> "QTRational":
         return QTRational(self.num * other.num, self.den * other.den)
@@ -225,16 +253,12 @@ class QTRational:
     def __pow__(self, k: int) -> "QTRational":
         if k < 0:
             return QTRational.const(1) / self**(-k)
-        for part in (self.num, self.den):
-            sq, st = part.spans()
-            dq, dt = k * sq, k * st
-            if max(dq, dt) > MAX_EXPONENT or (dq + 1) * (dt + 1) > MAX_POWER_TERMS:
-                raise InputError(
-                    f"power of degree {dq} in q and {dt} in T is too large (at most"
-                    f" {MAX_EXPONENT} in each, {MAX_POWER_TERMS} monomials)"
-                )
-        out = QTRational.const(1)
-        for _ in range(k):
+        for box in self.boxes:
+            _check_size([box and tuple(k * x for x in box)])
+        if k == 0:
+            return QTRational.const(1)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -291,6 +315,7 @@ class _Parser:
             op = self.peek()
             self.pos += 1
             rhs = self.term()
+            _check_operation(v, op, rhs)
             v = v + rhs if op == "+" else v - rhs
         return v
 
@@ -300,12 +325,10 @@ class _Parser:
             op = self.peek()
             self.pos += 1
             rhs = self.factor()
-            if op == "*":
-                v = v * rhs
-            elif rhs.num.is_zero():
+            if op == "/" and rhs.num.is_zero():
                 self.error("division by zero")
-            else:
-                v = v / rhs
+            _check_operation(v, op, rhs)
+            v = v * rhs if op == "*" else v / rhs
         return v
 
     def factor(self) -> QTRational:
@@ -369,6 +392,20 @@ class _Parser:
         if ch.isdigit():
             return QTRational.const(self.digits())
         self.error("expected atom")
+
+
+def _check_operation(a: QTRational, op: str, b: QTRational) -> None:
+    """Check the numerator and denominator that `a op b` builds against the
+    size bounds before any of their products is multiplied out."""
+    (an, ad), (bn, bd) = a.boxes, b.boxes
+    if op == "*":
+        parts = ([_box_mul(an, bn)], [_box_mul(ad, bd)])
+    elif op == "/":
+        parts = ([_box_mul(an, bd)], [_box_mul(ad, bn)])
+    else:  # a sum or difference puts both cross products over a.den * b.den
+        parts = ([_box_mul(an, bd), _box_mul(bn, ad)], [_box_mul(ad, bd)])
+    for boxes in parts:
+        _check_size(boxes)
 
 
 def parse_rational(text: str) -> QTRational:

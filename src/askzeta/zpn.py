@@ -98,9 +98,13 @@ def lambdas_mod(entries, p: int, cap: int) -> list[int]:
     `entries` is any iterable of integer rows; rows may be exhausted lazily.
     Returns the sorted valuations lam_i < cap.  Divisors with valuation >= cap
     are indistinguishable from 0 mod p^cap and are not reported.  The
-    reduction pivots on an entry of least valuation and clears its row and
-    column; row and column operations multiply by p-units only, so the
-    valuations of the elementary divisors are preserved.
+    reduction pivots on an entry of least valuation v and clears its column
+    with row operations that scale rows by the p-unit u = pivot / p^v only,
+    so the valuations of the elementary divisors are preserved.  Every entry
+    of the remaining rows and columns is divisible by p^v, so once the
+    column is clear, clearing the pivot's row as well would change the
+    remaining block only by unit column scalings: the row and the column
+    are dropped instead.
     """
     if cap <= 0:
         return []
@@ -141,14 +145,6 @@ def lambdas_mod(entries, p: int, cap: int) -> list[int]:
                 ai = a[i]
                 for j in cols:
                     ai[j] = (u * ai[j] - f * row0[j]) % pm
-        for j in cols:
-            if j == j0:
-                continue
-            e = row0[j]
-            if e:
-                f = e // pv
-                for i in rows:
-                    a[i][j] = (u * a[i][j] - f * a[i][j0]) % pm
         rows.remove(i0)
         cols.remove(j0)
     lams.sort()

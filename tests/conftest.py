@@ -166,6 +166,64 @@ def random_nilpotent(rng: random.Random, d: int, bound=4) -> IntMatrix:
     return u @ IntMatrix(n) @ uinv
 
 
+def brute_orbit_count(gens, d: int, m: int) -> int:
+    """Orbits of the group generated by `gens` on (Z/m)^d: union-find over the
+    edges x -> x*g, each image a full 1 x d by d x d IntMatrix product."""
+    points = list(product(range(m), repeat=d))
+    parent = {x: x for x in points}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in gens:
+        for x in points:
+            y = (IntMatrix([list(x)]) @ g).mod(m).entries[0]
+            parent[root(x)] = root(tuple(y))
+    return sum(1 for x in points if parent[x] == x)
+
+
+def brute_closure(gens, d: int, m: int, limit: int):
+    """The group generated by `gens` mod m as IntMatrix elements, by dense
+    products; None once it has more than `limit` elements."""
+    identity = IntMatrix.identity(d).mod(m)
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for g in gens:
+                h = (el @ g).mod(m)
+                if h not in group:
+                    group.add(h)
+                    nxt.append(h)
+        if len(group) > limit:
+            return None
+        frontier = nxt
+    return group
+
+
+def brute_class_count(group, m: int) -> int:
+    """Conjugacy classes of a finite matrix group mod m, conjugating every
+    element by every group element (inverses found as powers)."""
+    identity = IntMatrix.identity(next(iter(group)).rows).mod(m)
+    pairs = []
+    for h in group:
+        inv = identity
+        while (inv @ h).mod(m) != identity:
+            inv = (inv @ h).mod(m)
+        pairs.append((inv, h))
+    seen = set()
+    classes = 0
+    for z in group:
+        if z not in seen:
+            classes += 1
+            seen.update((inv @ z @ h).mod(m) for inv, h in pairs)
+    return classes
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

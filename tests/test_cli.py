@@ -199,6 +199,21 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2
         assert "input error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "form",
+        [
+            "(1+q+T)^60*(1+q+T)^60*(1+q+T)^60*(1+q+T)^60",
+            "(1+q+T)^60/(1+q+T)^-60/(1+q+T)^-60",
+            "1/(1+q+T)^60+1/(1+q+T)^60+1/(1+q+T)^60",
+        ],
+    )
+    def test_product_of_powers_is_an_input_error(self, capsys, form):
+        # each power passes the bounds; the product, quotient or sum would not
+        start = time.perf_counter()
+        assert main(["feqn", "--form", form, "--d", "1"]) == EXIT_INPUT
+        assert time.perf_counter() - start < 2
+        assert "input error:" in capsys.readouterr().err
+
     def test_feqn_codes(self, capsys):
         assert main(["feqn", "--form", "(1-q^-2*T)/((1-T)*(1-T))", "--d", "2"]) == EXIT_OK
         assert main(["feqn", "--form", "1/(1-T)", "--d", "1"]) == EXIT_MISMATCH

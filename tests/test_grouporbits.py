@@ -282,3 +282,91 @@ class TestDimensionAtMostFiveCatalog:
         want = list(expand(table, 5, 2).coeffs)
         assert quiet(cc_via_ask, alg, 5, 1) == want
         assert cc_coefficients_direct(alg, 5, 1) == want
+
+
+class TestDenseOracles:
+    """The moved-column actions of orbit_count_vectors, group_closure and
+    conjugacy_class_count against dense IntMatrix products."""
+
+    KINDS = ("dense", "identity", "diagonal", "transvection", "exp")
+
+    @staticmethod
+    def generator(rng, kind, d, p, n):
+        from conftest import random_nilpotent, random_unimodular
+
+        m = p**n
+        if kind in ("dense", "diagonal"):
+            i = rng.randrange(d)
+            unit = rng.choice([u for u in range(2, m) if u % p] or [1])
+            diag = IntMatrix.identity(d) + IntMatrix.unit(d, d, i, i, unit - 1)
+            # a unimodular factor moves every column in most draws
+            return random_unimodular(rng, d) @ diag if kind == "dense" else diag
+        if kind == "identity":
+            # the identity, or a matrix congruent to it mod m
+            i, j = rng.randrange(d), rng.randrange(d)
+            return IntMatrix.identity(d) + IntMatrix.unit(d, d, i, j, m * rng.randint(0, 2))
+        if kind == "transvection":
+            i, j = rng.sample(range(d), 2)
+            return IntMatrix.identity(d) + IntMatrix.unit(d, d, i, j, rng.randint(1, m - 1))
+        return exp_nilpotent(random_nilpotent(rng, d), RingSpec(p, n))
+
+    def draw(self, rng, d, p, n, seen):
+        """1-3 generators of the kinds that exist at (d, p); records in `seen`
+        the kinds drawn and whether one generator moved every column."""
+        kinds = [
+            k for k in self.KINDS
+            if (k != "transvection" or d > 1) and (k != "exp" or p >= d)
+        ]
+        m = p**n
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(kinds)
+            g = self.generator(rng, kind, d, p, n)
+            seen.add(kind)
+            if d > 1 and all(
+                any((g.entries[k][j] - (k == j)) % m for k in range(d)) for j in range(d)
+            ):
+                seen.add("every column moved")
+            gens.append(g)
+        # production callers pass reduced generators; unreduced ones must act alike
+        flat = [g.flat() if rng.random() < 0.5 else g.mod(m).flat() for g in gens]
+        return gens, flat
+
+    def test_orbit_count(self, rng):
+        from askzeta.grouporbits import orbit_count_vectors
+        from conftest import brute_orbit_count
+
+        shapes = [
+            (d, p, n) for d in (1, 2, 3) for p in (2, 3, 5) for n in (1, 2, 3)
+            if p ** (d * n) <= 5 * 10**3
+        ]
+        seen = set()
+        for _ in range(60):
+            d, p, n = rng.choice(shapes)
+            gens, flat = self.draw(rng, d, p, n, seen)
+            want = brute_orbit_count(gens, d, p**n)
+            assert orbit_count_vectors(flat, d, p, n, 10**4) == want, (gens, p, n)
+        assert seen == {*self.KINDS, "every column moved"}
+
+    def test_closure_and_class_count(self, rng):
+        from askzeta.grouporbits import conjugacy_class_count, group_closure
+        from conftest import brute_class_count, brute_closure
+
+        checked = 0
+        seen = set()
+        while checked < 40:
+            d, p, n = rng.choice([(1, 5, 2), (2, 2, 2), (2, 3, 1), (2, 5, 1), (3, 2, 1),
+                                  (3, 3, 1), (3, 5, 1), (3, 3, 2)])
+            drawn = set()
+            gens, flat = self.draw(rng, d, p, n, drawn)
+            m = p**n
+            group = brute_closure(gens, d, m, limit=1000)
+            if group is None:
+                continue
+            checked += 1
+            seen |= drawn
+            elements = group_closure(flat, d, m, 10**4)
+            assert elements == {g.flat() for g in group}, (gens, p, n)
+            want = brute_class_count(group, m)
+            assert conjugacy_class_count(elements, flat, d, p, n) == want, (gens, p, n)
+        assert seen == {*self.KINDS, "every column moved"}

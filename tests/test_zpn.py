@@ -81,6 +81,25 @@ class TestEquivalenceType:
             a = IntMatrix([[p**k]])
             assert equivalence_type(a, p) == equivalence_type_minors(a, p) == (k,)
 
+    def test_every_cap_against_minor_oracle(self, rng):
+        # lambdas_mod at cap c reports exactly the exact valuations below c
+        from askzeta.zpn import lambdas_mod
+
+        for _ in range(150):
+            d, e = rng.randint(1, 4), rng.randint(1, 4)
+            p = rng.choice([2, 3, 5, 7])
+            rows = [
+                [rng.randint(-20, 20) * p ** rng.choice([0, 0, 1, 2, 3, 5])
+                 for _ in range(e)]
+                for _ in range(d)
+            ]
+            if d > 1 and rng.random() < 0.3:
+                rows[-1] = [p ** rng.randint(0, 3) * v for v in rows[0]]
+            exact = equivalence_type_minors(IntMatrix(rows), p)
+            for cap in range(7):
+                want = [v for v in exact if v < cap]
+                assert lambdas_mod(rows, p, cap) == want, (rows, p, cap)
+
     def test_unimodular_invariance(self, rng):
         for _ in range(25):
             d = rng.randint(1, 3)
