@@ -15,11 +15,9 @@ records exclude p = 2.
 
 from __future__ import annotations
 
-
-
 from .errors import InputError
 from .intmat import IntMatrix
-from .module import MatrixModule, direct_sum
+from .module import MatrixModule
 
 
 def _unit(d, e, i, j, v=1):
@@ -160,15 +158,9 @@ def ex_non_lie_module() -> MatrixModule:
 
 # -- nilpotent Lie algebra models (dimension <= 5) -----------------------
 
-def _l33_heisenberg():
-    return n_module(3)
-
-
-def _abelian_rowblock(d, count):
-    """`count` commuting matrix units e_{0,j} inside Mat_d; all products vanish."""
-    return MatrixModule(
-        d, d, [_unit(d, d, 0, j) for j in range(1, count + 1)], ""
-    )
+def _units(d, positions, label):
+    """The module spanned by the matrix units e_{i,j} of Mat_d at `positions`."""
+    return MatrixModule(d, d, [_unit(d, d, i, j) for i, j in positions], label)
 
 
 _ALGEBRA_BUILDERS = {}
@@ -184,40 +176,34 @@ def _algebra(key):
 
 @_algebra("L_{1,1}")
 def _l11():
-    return MatrixModule(2, 2, [_unit(2, 2, 0, 1)], "L_{1,1}")
+    return _units(2, [(0, 1)], "L_{1,1}")
 
 
 @_algebra("L_{2,1}")
 def _l21():
-    return MatrixModule(3, 3, [_unit(3, 3, 0, 1), _unit(3, 3, 0, 2)], "L_{2,1}")
+    return _units(3, [(0, 1), (0, 2)], "L_{2,1}")
 
 
 @_algebra("L_{3,1}")
 def _l31():
-    m = _abelian_rowblock(4, 3)
-    m.label = "L_{3,1}"
-    return m
+    # abelian: matrix units e_{0,j} of one row, all products vanish
+    return _units(4, [(0, 1), (0, 2), (0, 3)], "L_{3,1}")
 
 
 @_algebra("L_{3,2}")
 def _l32():
-    m = n_module(3)
-    m.label = "L_{3,2}"
-    return m
+    return _units(3, [(0, 1), (0, 2), (1, 2)], "L_{3,2}")
 
 
 @_algebra("L_{4,1}")
 def _l41():
-    m = _abelian_rowblock(5, 4)
-    m.label = "L_{4,1}"
-    return m
+    return _units(5, [(0, 1), (0, 2), (0, 3), (0, 4)], "L_{4,1}")
 
 
 @_algebra("L_{4,2}")
 def _l42():
-    m = direct_sum(n_module(3), MatrixModule(2, 2, [_unit(2, 2, 0, 1)], ""))
-    m.label = "L_{4,2}"
-    return m
+    # n(3) (+) L_{1,1}
+    return _units(5, [(0, 1), (0, 2), (1, 2), (3, 4)], "L_{4,2}")
 
 
 @_algebra("L_{4,3}")
@@ -233,22 +219,13 @@ def _l43():
 
 @_algebra("L_{5,1}")
 def _l51():
-    basis = [
-        _unit(5, 5, 0, 2),
-        _unit(5, 5, 0, 3),
-        _unit(5, 5, 0, 4),
-        _unit(5, 5, 1, 2),
-        _unit(5, 5, 1, 3),
-    ]
-    return MatrixModule(5, 5, basis, "L_{5,1}")
+    return _units(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)], "L_{5,1}")
 
 
 @_algebra("L_{5,2}")
 def _l52():
-    two_dim = MatrixModule(3, 3, [_unit(3, 3, 0, 2), _unit(3, 3, 1, 2)], "")
-    m = direct_sum(n_module(3), two_dim)
-    m.label = "L_{5,2}"
-    return m
+    # n(3) (+) the span of e_{0,2}, e_{1,2} in Mat_3
+    return _units(6, [(0, 1), (0, 2), (1, 2), (3, 5), (4, 5)], "L_{5,2}")
 
 
 @_algebra("L_{5,3}")
@@ -265,14 +242,7 @@ def _l53():
 
 @_algebra("L_{5,4}")
 def _l54():
-    basis = [
-        _unit(4, 4, 0, 1),
-        _unit(4, 4, 1, 3),
-        _unit(4, 4, 0, 2),
-        _unit(4, 4, 2, 3),
-        _unit(4, 4, 0, 3),
-    ]
-    return MatrixModule(4, 4, basis, "L_{5,4}")
+    return _units(4, [(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)], "L_{5,4}")
 
 
 @_algebra("L_{5,5}")
@@ -313,14 +283,7 @@ def _l57():
 
 @_algebra("L_{5,8}")
 def _l58():
-    basis = [
-        _unit(4, 4, 0, 1),
-        _unit(4, 4, 1, 2),
-        _unit(4, 4, 1, 3),
-        _unit(4, 4, 0, 2),
-        _unit(4, 4, 0, 3),
-    ]
-    return MatrixModule(4, 4, basis, "L_{5,8}")
+    return _units(4, [(0, 1), (1, 2), (1, 3), (0, 2), (0, 3)], "L_{5,8}")
 
 
 @_algebra("L_{5,9}")
@@ -369,6 +332,19 @@ _FIXED = {
 }
 
 
+def _family(name: str, params: tuple[int, ...]):
+    """The builder of family `name` once its parameters are checked; None for
+    a name that is not a family.  The one check of family keys."""
+    if name not in _FAMILIES:
+        return None
+    builder, arity = _FAMILIES[name]
+    if len(params) != arity:
+        raise InputError(f"{name} expects {arity} parameter(s), got {len(params)}")
+    if any(v < 0 for v in params):
+        raise InputError(f"negative parameter for {name}")
+    return builder
+
+
 def catalog_module(name: str, *params: int) -> MatrixModule:
     """Build a named module, e.g. catalog_module("so", 3) or catalog_module("so(3)")."""
     if not params:
@@ -381,12 +357,8 @@ def catalog_module(name: str, *params: int) -> MatrixModule:
         if params:
             raise InputError(f"{name} takes no parameters")
         return _ALGEBRA_BUILDERS[name]()
-    if name in _FAMILIES:
-        builder, arity = _FAMILIES[name]
-        if len(params) != arity:
-            raise InputError(f"{name} expects {arity} parameter(s), got {len(params)}")
-        if any(v < 0 for v in params):
-            raise InputError(f"negative parameter for {name}")
+    builder = _family(name, params)
+    if builder is not None:
         return builder(*params)
     raise InputError(f"unknown catalog name {name!r}")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb
 
-from .catalog import _parse_key
+from .catalog import _family, _parse_key
 from .errors import BudgetExceededError, InputError
 from .ratfun import LPoly, QTRational, parse_rational
 
@@ -325,29 +325,30 @@ def closed_form(key: str) -> CatalogEntry:
             )
         raise InputError(f"unknown oc catalog key {key!r}")
     head, params = _parse_key(key)
+    _family(head, params)  # arity and signs of a family key, as catalog_module checks them
     key = f"{head}({','.join(map(str, params))})" if params else head
-    if head == "mat" and len(params) == 2:
+    if head == "mat":
         d, e = params
         return CatalogEntry(key, "ask", mat_form(d, e), key, "all p")
-    if head == "gl" and len(params) == 1:
+    if head == "gl":
         d = params[0]
         return CatalogEntry(key, "ask", mat_form(d, d), key, "all p")
-    if head == "sl" and len(params) == 1:
+    if head == "sl":
         d = params[0]
         formula = constant_rank_form(1, 0, 0) if d == 1 else mat_form(d, d)
         return CatalogEntry(key, "ask", formula, key, "all p")
-    if head == "so" and len(params) == 1:
+    if head == "so":
         d = params[0]
         return CatalogEntry(key, "ask", mat_form(d, d - 1), key, "all p")
-    if head == "sp" and len(params) == 1:
+    if head == "sp":
         size = params[0]
         if size % 2:
             raise InputError("sp requires an even size")
         return CatalogEntry(key, "ask", mat_form(size, size), key, "all p")
-    if head == "sym" and len(params) == 1:
+    if head == "sym":
         d = params[0]
         return CatalogEntry(key, "ask", mat_form(d, d), key, "all p")
-    if head == "n" and len(params) == 1:
+    if head == "n":
         d = params[0]
         num = LPoly.const(1)
         one_minus_t = LPoly.const(1) - LPoly.monomial(1, 0, 1)
@@ -356,7 +357,7 @@ def closed_form(key: str) -> CatalogEntry:
         return CatalogEntry(
             key, "ask", QTRational.from_factors(num, [(1, 1)] * d), key, "all p"
         )
-    if head == "tr" and len(params) == 1:
+    if head == "tr":
         d = params[0]
         num = LPoly.const(1)
         shift = LPoly.const(1) - LPoly.monomial(1, -1, 1)
@@ -365,12 +366,12 @@ def closed_form(key: str) -> CatalogEntry:
         return CatalogEntry(
             key, "ask", QTRational.from_factors(num, [(0, 1)] * (d + 1)), key, "all p"
         )
-    if head == "diag" and len(params) == 1:
+    if head == "diag":
         return CatalogEntry(key, "ask", diag_form(params[0]), key, "all p")
-    if head == "band" and len(params) == 1:
+    if head == "band":
         r = params[0]
         return CatalogEntry(key, "ask", constant_rank_form(2 * r - 1, r, r), key, "all p")
-    if head == "zero" and len(params) == 2:
+    if head == "zero":
         d = params[0]
         return CatalogEntry(
             key, "ask", QTRational.from_factors(LPoly.const(1), [(d, 1)]), key, "all p"

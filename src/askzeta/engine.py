@@ -1,22 +1,31 @@
 """Exact computation of average kernel sizes over Z/p^n by one orbit-sum kernel.
 
 Every route is the sum, over the points x of (Z/p^n)^k, of 1/|span of the
-generator rows at x|, taken over one view of the basis tensor b_1, ..., b_l
-of M inside Mat_{d x e}:
+generator rows at x|, taken over one view of the basis tensor B[i][r][c]
+(basis element i, row r, column c) of M inside Mat_{d x e}.  A view is a
+choice of the point, generator and column axes of B (module.VIEWS): the
+module gives one k x w generator per index of the generator axis, and k is
+the size of the point axis.  In every view ask(M, Z/p^n) is p^(n(d-k)) times
+the sum.
 
-  * ask_orbit takes the rows of M: generator i is b_i and x runs over
+  * orbit (row, basis, column): generator i is b_i and x runs over
     (Z/p^n)^d, so the span is x M and the sum is the orbit formula (k = d).
-  * ask_average takes the Knuth dual M°: generator r has row i equal to row
-    r of b_i and the coefficient tuple c runs over (Z/p^n)^l, so the rows at
-    c are those of A = sum c_i b_i.  Since |Ker A| = p^(dn) / |row span of A|,
-    the defining average of |Ker A| over coefficient tuples is p^(n(d-l))
-    times the sum (k = l).  The coefficient-tuple map onto the module has
-    equal-size fibers, so averaging over tuples is averaging over M.
-  * the transpose view is p^(n(d-e)) * ask_orbit(M^T) (k = e).
+  * average (basis, row, column), the Knuth dual M°: generator r has row i
+    equal to row r of b_i and the coefficient tuple c runs over (Z/p^n)^l,
+    so the rows at c are those of A = sum c_i b_i.  Since |Ker A| = p^(dn) /
+    |row span of A|, the defining average of |Ker A| over coefficient tuples
+    is p^(n(d-l)) times the sum (k = l).  The coefficient-tuple map onto the
+    module has equal-size fibers, so averaging over tuples is averaging over
+    M.
+  * transpose (column, basis, row): generator i is b_i^T and x runs over
+    (Z/p^n)^e, so the sum is the orbit sum of M^T, and ask(M^T) =
+    p^(n(e-d)) ask(M) (k = e).  Spans depend only on the lattice, so M's
+    own basis serves.
 
 ask_series "auto" takes the view with the fewest points p^(kn); "both"
 compares the average and orbit routes, i.e. the definition with the orbit
-formula.
+formula.  The budget bounds p^(kn) at every level of every view a call
+runs, and is checked once before any walk starts.
 
 Spans are invariant under multiplying the point by a unit, and a nonzero x
 is p^w times a primitive vector y mod p^(n-w), whose unit class has
@@ -39,11 +48,12 @@ the divisors below m are fixed by the matrix mod p^m; no lift has more than
 r divisors, because every (r+1)-minor vanishes identically.  So every lift
 to level m' > m has the same divisors, spanexp_m' = r m' - sum(lambda), and
 the p^((k-1)(m'-m)) classes below the node add in closed form.  The walk
-trusts r only when the symbolic elimination computed it exactly
-(module._SYMBOLIC_RANK_CAP); otherwise it walks every node, which is still
-exact.  A node with more than r divisors is an internal inconsistency.
-Without resolution the nodes at depth m are exactly the unit classes mod
-p^m, so the walk never reduces more matrices than enumerating each level.
+trusts r only when the module computed it by exact symbolic elimination
+(MatrixModule.generic_rank with `exact`); otherwise it walks every node,
+which is still exact.  A node with more than r divisors is an internal
+inconsistency.  Without resolution the nodes at depth m are exactly the unit
+classes mod p^m, so the walk never reduces more matrices than enumerating
+each level.
 """
 
 from __future__ import annotations
@@ -54,18 +64,10 @@ from itertools import product
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
 from .intmat import IntMatrix
-from .module import _SYMBOLIC_RANK_CAP, MatrixModule, transpose_module
+from .module import VIEWS, MatrixModule
 from .zpn import RingSpec, kernel_size_mod, lambdas_mod
 
 DEFAULT_BUDGET = 10**8
-
-# views in the order "auto" breaks ties: orbit before average, as when l == d
-_VIEWS = ("orbit", "average", "transpose")
-_ADVICE = {
-    "orbit": "try the average method",
-    "average": "try the orbit method",
-    "transpose": "try the average method",
-}
 
 
 def _walk_partial(payload):
@@ -127,19 +129,13 @@ def _run_partials(worker, payloads, jobs):
     return [worker(pl) for pl in payloads]
 
 
-def _orbit_sums(
-    generators, k, e, p, top, rank, budget=DEFAULT_BUDGET, jobs=1, view="orbit"
-) -> list[Fraction]:
+def _orbit_sums(generators, k, e, p, top, rank, jobs=1) -> list[Fraction]:
     """Sum over x in (Z/p^n)^k of 1/|span of the generator rows at x|, n = 0..top.
 
     Each generator is a k x e matrix; its row at x is x times the matrix.
     The walk takes it as the nonzero triples (point axis, column, value).
-    `rank` is the exact generic rank of the rows, or None.  The point count
-    p^(k*top) of the deepest level must stay within the budget.
+    `rank` is the exact generic rank of the rows, or None.
     """
-    points = p ** (k * top)
-    if points > budget:
-        raise BudgetExceededError(points, budget, _ADVICE[view], view, top)
     triples = tuple(
         tuple((a, j, v) for a, row in enumerate(g) for j, v in enumerate(row) if v)
         for g in generators
@@ -156,34 +152,25 @@ def _orbit_sums(
     ]
 
 
-def _view_dim(m: MatrixModule, view: str) -> int:
-    """k of the view: the point space it enumerates at level n is (Z/p^n)^k."""
-    return {"orbit": m.d, "average": m.dim, "transpose": m.e}[view]
+def _check_budget(m: MatrixModule, p: int, top: int, views, budget: int) -> None:
+    """Every level up to top of every view within the budget, before any walk."""
+    for n in range(1, top + 1):
+        for view in views:
+            points = p ** (m.view_shape(view)[0] * n)
+            if points > budget:
+                raise BudgetExceededError(points, budget, view=view, level=n)
 
 
-def _view_series(
-    m: MatrixModule, p: int, top: int, view: str, budget: int, jobs: int
-) -> list[Fraction]:
+def _view_series(m: MatrixModule, p: int, top: int, view: str, jobs: int) -> list[Fraction]:
     """ask(M, Z/p^n) for n = 0..top through one view, from one walk.
 
-    The generic rank that resolves nodes is computed only when the walk goes
+    The generic rank that resolves nodes is asked for only when the walk goes
     deeper than level 1, where every node is a leaf anyway.
     """
-    if view == "average":
-        # generator r: row r of each b_i; the rows at c are those of sum c_i b_i
-        gens, k, e, shift = list(zip(*(b.entries for b in m.basis))), m.dim, m.e, m.d - m.dim
-        exact = m.d * m.e <= _SYMBOLIC_RANK_CAP
-        rank_of = m.generic_element_rank
-    elif view in ("orbit", "transpose"):
-        mod = m if view == "orbit" else transpose_module(m)
-        gens, k, e, shift = [b.entries for b in mod.basis], mod.d, mod.e, m.d - mod.d
-        exact = mod.dim * mod.e <= _SYMBOLIC_RANK_CAP
-        rank_of = mod.generic_orbit_rank
-    else:
-        raise InputError(f"unknown view {view!r}")
-    rank = rank_of() if exact and top > 1 else None
-    sums = _orbit_sums(gens, k, e, p, top, rank, budget, jobs, view)
-    return [s * Fraction(p) ** (n * shift) for n, s in enumerate(sums)]
+    k, _, w = m.view_shape(view)
+    rank = m.generic_rank(view, exact=True) if top > 1 else None
+    sums = _orbit_sums(m.view_generators(view), k, w, p, top, rank, jobs)
+    return [s * Fraction(p) ** (n * (m.d - k)) for n, s in enumerate(sums)]
 
 
 def ask_view(
@@ -199,7 +186,8 @@ def ask_view(
     splits the walk by pivot across processes; the result does not depend on
     the split.
     """
-    return _view_series(m, ring.p, ring.n, view, budget, jobs)[ring.n]
+    _check_budget(m, ring.p, ring.n, (view,), budget)
+    return _view_series(m, ring.p, ring.n, view, jobs)[ring.n]
 
 
 def ask_average(
@@ -226,7 +214,7 @@ def _method_views(m: MatrixModule, method: str) -> tuple[str, ...]:
     if method == "both":
         return ("average", "orbit")
     if method == "auto":
-        return (min(_VIEWS, key=lambda view: _view_dim(m, view)),)
+        return (min(VIEWS, key=lambda view: m.view_shape(view)[0]),)
     if method in ("average", "orbit"):
         return (method,)
     raise InputError(f"unknown method {method!r}")
@@ -234,7 +222,7 @@ def _method_views(m: MatrixModule, method: str) -> tuple[str, ...]:
 
 def points_needed(m: MatrixModule, p: int, n: int, method: str) -> int:
     """Points the largest view that `method` runs enumerates at level n."""
-    return max(p ** (_view_dim(m, view) * n) for view in _method_views(m, method))
+    return max(p ** (m.view_shape(view)[0] * n) for view in _method_views(m, method))
 
 
 @dataclass(frozen=True)
@@ -277,13 +265,8 @@ def ask_series(
     """
     views = _method_views(m, method)
     label = method if method == "both" else views[0]
-    # every level of every view within the budget before any walk starts
-    for n in range(1, n_max + 1):
-        for view in views:
-            points = p ** (_view_dim(m, view) * n)
-            if points > budget:
-                raise BudgetExceededError(points, budget, "", view, n)
-    found = [_view_series(m, p, n_max, view, budget, jobs) for view in views]
+    _check_budget(m, p, n_max, views, budget)
+    found = [_view_series(m, p, n_max, view, jobs) for view in views]
     values = []
     for n in range(n_max + 1):
         value = found[0][n]

@@ -75,15 +75,11 @@ class NilpotentAlgebra:
         for b in module.basis:
             if not b.matpow(d).is_zero():
                 raise InputError("basis element is not nilpotent")
-        if not char_poly_is_pure_power(module.element_matrix()):
+        if not char_poly_is_pure_power(module.linear_forms("average")):
             raise InputError("generic combination is not nilpotent")
         ad_representation(module)  # raises unless Lie-closed with integer constants
         self.module = module
         self.nilpotency_class = self._nilpotency_class()
-
-    @classmethod
-    def from_basis(cls, d: int, basis, label: str = "") -> "NilpotentAlgebra":
-        return cls(MatrixModule(d, d, basis, label))
 
     @property
     def d(self) -> int:

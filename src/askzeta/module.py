@@ -1,4 +1,4 @@
-"""Modules of integer matrices: canonical bases, generic ranks, transforms."""
+"""Modules of integer matrices: canonical bases, views, generic ranks, transforms."""
 
 from __future__ import annotations
 
@@ -18,6 +18,17 @@ from .zpn import smith_diagonal
 # Above this many symbolic entries the ground-truth elimination is skipped
 # and only randomized evaluation is used.
 _SYMBOLIC_RANK_CAP = 400
+
+# A view reads the basis tensor B[i][r][c] (axis 0: basis element i, 1: row
+# r, 2: column c) as (point, generator, column) axes: its points x run over
+# the point axis, and each index of the generator axis gives one matrix
+# whose row at x has the column axis as its width.  The order is the one in
+# which the engine's "auto" breaks ties.
+VIEWS = {
+    "orbit": (1, 0, 2),  # x in (Z/p^n)^d, rows x * b_i
+    "average": (0, 1, 2),  # c in (Z/p^n)^l, rows of sum c_i b_i
+    "transpose": (2, 0, 1),  # x in (Z/p^n)^e, rows x * b_i^T
+}
 
 
 class MatrixModule:
@@ -41,7 +52,6 @@ class MatrixModule:
             gens.append(b)
         self.d = d
         self.e = e
-        self.gens = tuple(gens)
         self.label = label
         rows = [b.flat() for b in gens if not b.is_zero()]
         self.basis = tuple(from_flat(r, d, e) for r in hermite_form(rows))
@@ -96,82 +106,86 @@ class MatrixModule:
                             a[i][j] += c * v
         return a
 
-    def element_matrix(self):
-        """Sum x_i * b_i over the canonical basis, as a d x e Poly matrix."""
-        ell = self.dim
-        rows = []
-        for r in range(self.d):
-            row = []
-            for c in range(self.e):
-                terms = {}
-                for i, b in enumerate(self.basis):
-                    v = b.entries[r][c]
-                    if v:
-                        exp = tuple(1 if k == i else 0 for k in range(ell))
-                        terms[exp] = v
-                row.append(Poly(ell, terms))
-            rows.append(row)
-        return rows
+    # -- views of the basis tensor ----------------------------------------
 
-    def orbit_matrix(self):
-        """The dim x e matrix of linear forms whose i-th row is X * b_i.
+    def view_shape(self, view: str) -> tuple[int, int, int]:
+        """Sizes (k, g, w) of the view's point, generator and column axes.
 
-        The row span at an integer point x equals x * M.  Entries are
-        homogeneous linear Poly values in X_1, ..., X_d.
+        Points of the view at level n run over (Z/p^n)^k.
         """
-        d = self.d
-        rows = []
-        for b in self.basis:
-            row = []
-            for c in range(self.e):
-                terms = {}
-                for k in range(d):
-                    v = b.entries[k][c]
-                    if v:
-                        exp = tuple(1 if t == k else 0 for t in range(d))
-                        terms[exp] = v
-                row.append(Poly(d, terms))
-            rows.append(row)
-        return rows
+        if view not in VIEWS:
+            raise InputError(f"unknown view {view!r}")
+        size = (self.dim, self.d, self.e)
+        return tuple(size[axis] for axis in VIEWS[view])
 
-    def _generic_rank_of(self, rows, nvars: int, seed: int = 0) -> int:
-        """Rank over the rational function field, computed two ways.
+    def view_generators(self, view: str) -> tuple:
+        """One k x w integer slice of the basis tensor per generator index.
+
+        Slice g has entry (a, j) equal to B[i][r][c] with the view's point
+        axis at a, its generator axis at g and its column axis at j.  Its
+        row at an integer point x is x times the slice.
+        """
+        point, gen, col = VIEWS[view]
+        k, count, w = self.view_shape(view)
+        tensor = [b.entries for b in self.basis]
+        at = [0, 0, 0]
+
+        def entry(g, a, j):
+            at[gen], at[point], at[col] = g, a, j
+            return tensor[at[0]][at[1]][at[2]]
+
+        return tuple(
+            tuple(tuple(entry(g, a, j) for j in range(w)) for a in range(k))
+            for g in range(count)
+        )
+
+    def linear_forms(self, view: str):
+        """Linear forms in X_1..X_k, one row per generator G_g: sum_a X_a * G_g[a][j].
+
+        The rows at an integer point x are this matrix at X = x.  The orbit view gives the rows X * b_i, the
+        average view the generic element sum X_i b_i.
+        """
+        k, _, w = self.view_shape(view)
+        units = [tuple(int(t == a) for t in range(k)) for a in range(k)]
+        return [
+            [Poly(k, {units[a]: r[j] for a, r in enumerate(gen) if r[j]}) for j in range(w)]
+            for gen in self.view_generators(view)
+        ]
+
+    def generic_rank(self, view: str, exact: bool = False) -> int | None:
+        """Rank over Q(X) of the view's linear forms, cached per view.
 
         Randomized evaluation can only underestimate the rank, so the exact
-        fraction-free elimination is the authority whenever it is feasible;
-        a disagreement in the other direction is a bug.
+        fraction-free elimination is the authority whenever the forms have at
+        most _SYMBOLIC_RANK_CAP entries; a disagreement in the other
+        direction is a bug.  Above the cap only evaluation is used, and
+        `exact` returns None there instead of a rank.
         """
-        if not rows or not rows[0]:
-            return 0
-        rng = random.Random(seed)
-        best = 0
-        for _ in range(8):
-            point = [rng.randint(-(10**6), 10**6) for _ in range(nvars)]
-            best = max(best, evaluated_rank(rows, point))
-        if len(rows) * len(rows[0]) <= _SYMBOLIC_RANK_CAP:
-            exact = symbolic_rank(rows)
-            if best > exact:
-                raise InternalConsistencyError(
-                    f"randomized rank {best} exceeds symbolic rank {exact}"
-                )
-            return exact
-        # rely on evaluation: repeat until stable a few more times
-        for _ in range(42):
-            point = [rng.randint(-(10**6), 10**6) for _ in range(nvars)]
-            best = max(best, evaluated_rank(rows, point))
+        k, count, w = self.view_shape(view)
+        symbolic = count * w <= _SYMBOLIC_RANK_CAP
+        if exact and not symbolic:
+            return None
+        if view not in self._cache:
+            self._cache[view] = _generic_rank_of(self.linear_forms(view), k, symbolic)
+        return self._cache[view]
+
+
+def _generic_rank_of(rows, nvars: int, symbolic: bool) -> int:
+    """Rank over the rational function field, by evaluation and elimination."""
+    if not rows or not rows[0]:
+        return 0
+    rng = random.Random(0)
+    best = 0
+    # without the elimination, evaluate more often until the rank is stable
+    for _ in range(8 if symbolic else 50):
+        point = [rng.randint(-(10**6), 10**6) for _ in range(nvars)]
+        best = max(best, evaluated_rank(rows, point))
+    if not symbolic:
         return best
-
-    def generic_element_rank(self) -> int:
-        """Maximal rank over Q attained on the module (rank of sum X_i b_i)."""
-        if "grk" not in self._cache:
-            self._cache["grk"] = self._generic_rank_of(self.element_matrix(), self.dim)
-        return self._cache["grk"]
-
-    def generic_orbit_rank(self) -> int:
-        """Generic dimension of x * M, the rank of the orbit matrix over Q(X)."""
-        if "gor" not in self._cache:
-            self._cache["gor"] = self._generic_rank_of(self.orbit_matrix(), self.d)
-        return self._cache["gor"]
+    exact = symbolic_rank(rows)
+    if best > exact:
+        raise InternalConsistencyError(f"randomized rank {best} exceeds symbolic rank {exact}")
+    return exact
 
 
 # -- structural transforms ----------------------------------------------

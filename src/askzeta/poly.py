@@ -68,9 +68,6 @@ class Poly:
     def scale(self, c: int) -> "Poly":
         return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def is_homogeneous(self, deg: int) -> bool:
         return all(sum(e) == deg for e in self.terms)
 

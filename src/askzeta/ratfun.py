@@ -262,9 +262,6 @@ class QTRational:
             out = out * self
         return out
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def __repr__(self):
         return f"QTRational({self})"
 

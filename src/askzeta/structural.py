@@ -168,6 +168,39 @@ def _search_degenerate_point(rows, nvars, generic_rank, trials, seed):
     return None, None
 
 
+def _certify(
+    m: MatrixModule, view: str, excluded_primes, budget: int, trials: int, seed: int
+) -> Certificate:
+    """The monomial test on the view's linear forms, then a witness search.
+
+    `excluded_primes` are excluded from a certificate on top of the primes
+    dividing the denominators of its combinations.
+    """
+    rank = m.generic_rank(view)
+    rows = m.linear_forms(view)
+    nvars = m.view_shape(view)[0]
+    excluded = set(excluded_primes)
+    if rank == 0:
+        return Certificate("certified", excluded_primes=tuple(sorted(excluded)))
+    result, extra = _monomial_span_test(rows, rank, nvars, budget)
+    if result is None:
+        return Certificate("inconclusive", reason=extra)
+    ok, payload = result
+    if ok:
+        excluded.update(extra)
+        return Certificate(
+            "certified", combinations=payload, excluded_primes=tuple(sorted(excluded))
+        )
+    witness, r = _search_degenerate_point(rows, nvars, rank, trials, seed)
+    if witness is not None:
+        return Certificate("refuted", witness=witness, witness_rank=r)
+    j, i = payload
+    return Certificate(
+        "inconclusive",
+        reason=f"X_{j + 1}^{i} not in the degree-{i} minor span; no witness found",
+    )
+
+
 def check_o_maximal(
     m: MatrixModule,
     budget: int = DEFAULT_MINOR_BUDGET,
@@ -176,27 +209,11 @@ def check_o_maximal(
 ) -> Certificate:
     """Certify or refute that orbit sizes are generically as large as possible.
 
-    Certification implies the coefficient stream of M equals that of the full
-    matrix module mat(d, gor) for every prime outside `excluded_primes`.
+    The test runs on the orbit view's linear forms.  Certification implies
+    the coefficient stream of M equals that of the full matrix module
+    mat(d, gor) for every prime outside `excluded_primes`.
     """
-    gor = m.generic_orbit_rank()
-    rows = m.orbit_matrix()
-    if gor == 0:
-        return Certificate("certified")
-    result, extra = _monomial_span_test(rows, gor, m.d, budget)
-    if result is None:
-        return Certificate("inconclusive", reason=extra)
-    ok, payload = result
-    if ok:
-        return Certificate("certified", combinations=payload, excluded_primes=extra)
-    witness, r = _search_degenerate_point(rows, m.d, gor, trials, seed)
-    if witness is not None:
-        return Certificate("refuted", witness=witness, witness_rank=r)
-    j, i = payload
-    return Certificate(
-        "inconclusive",
-        reason=f"X_{j + 1}^{i} not in the degree-{i} minor span; no witness found",
-    )
+    return _certify(m, "orbit", (), budget, trials, seed)
 
 
 def check_k_minimal(
@@ -207,36 +224,12 @@ def check_k_minimal(
 ) -> Certificate:
     """Certify or refute that kernel sizes are generically as small as possible.
 
-    Certification needs the monomial test on the minors of the generic element
-    and isolation of the lattice; primes dividing an elementary divisor are
-    excluded rather than fatal.
+    Certification needs the monomial test on the average view's linear forms
+    (the generic element) and isolation of the lattice; primes dividing an
+    elementary divisor are excluded rather than fatal.
     """
-    grk = m.generic_element_rank()
-    rows = m.element_matrix()
-    excluded = set()
-    for s in m.elementary_divisors():
-        for p in factorize(s):
-            excluded.add(p)
-    if grk == 0:
-        return Certificate("certified", excluded_primes=tuple(sorted(excluded)))
-    result, extra = _monomial_span_test(rows, grk, m.dim, budget)
-    if result is None:
-        return Certificate("inconclusive", reason=extra)
-    ok, payload = result
-    if ok:
-        for p in extra:
-            excluded.add(p)
-        return Certificate(
-            "certified", combinations=payload, excluded_primes=tuple(sorted(excluded))
-        )
-    witness, r = _search_degenerate_point(rows, m.dim, grk, trials, seed)
-    if witness is not None:
-        return Certificate("refuted", witness=witness, witness_rank=r)
-    j, i = payload
-    return Certificate(
-        "inconclusive",
-        reason=f"X_{j + 1}^{i} not in the degree-{i} minor span; no witness found",
-    )
+    divisor_primes = {p for s in m.elementary_divisors() for p in factorize(s)}
+    return _certify(m, "average", divisor_primes, budget, trials, seed)
 
 
 def check_constant_rank_fq(m: MatrixModule, q: int, budget: int = 10**7):
@@ -294,22 +287,23 @@ def structure_report(
     k_cert = check_k_minimal(m, budget, trials, seed)
     template_key = None
     template = None
+    gor, grk = m.generic_rank("orbit"), m.generic_rank("average")
     if o_cert.certified:
-        template_key = f"mat({m.d},{m.generic_orbit_rank()})"
-        template = mat_form(m.d, m.generic_orbit_rank())
+        template_key = f"mat({m.d},{gor})"
+        template = mat_form(m.d, gor)
     if k_cert.certified:
-        k_template = constant_rank_form(m.d, m.dim, m.generic_element_rank())
+        k_template = constant_rank_form(m.d, m.dim, grk)
         if template is not None:
             if template != k_template:
                 raise InternalConsistencyError(
                     "orbit-maximal and kernel-minimal templates disagree"
                 )
         else:
-            template_key = f"constant_rank({m.d},{m.dim},{m.generic_element_rank()})"
+            template_key = f"constant_rank({m.d},{m.dim},{grk})"
             template = k_template
     return StructureReport(
-        grk=m.generic_element_rank(),
-        gor=m.generic_orbit_rank(),
+        grk=grk,
+        gor=gor,
         o_maximal=o_cert,
         k_minimal=k_cert,
         constant_orbit_dim=o_cert.status,

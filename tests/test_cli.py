@@ -14,7 +14,7 @@ from askzeta.cli import (
     module_from_json,
     module_to_json,
 )
-from askzeta import catalog_module, parse_rational
+from askzeta import catalog_keys, catalog_module, parse_rational
 
 
 @pytest.fixture
@@ -243,6 +243,18 @@ class TestExitCodes:
         assert main(["ask", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_OK
         assert main(["verify", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_OK
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key", ["n(-3)", "zero(2,-1)", "sp(-2)", "mat(-1,2)", "tr(-2)"])
+    def test_negative_family_parameter(self, capsys, key):
+        # catalog export and the module builders check family keys the same way
+        assert main(["catalog", "--key", key]) == EXIT_INPUT
+        assert main(["ask", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_INPUT
+        assert "negative parameter" in capsys.readouterr().err
+
+    def test_every_catalog_key_exports(self, capsys):
+        for key in catalog_keys():
+            assert main(["catalog", "--key", key]) == EXIT_OK, key
+            assert json.loads(capsys.readouterr().out)["results"][0]["key"] == key
 
     def test_bad_prime_list(self, capsys):
         assert main(["ask", "--catalog", "n(2)", "--p", "3;5"]) == EXIT_INPUT

@@ -20,9 +20,10 @@ from askzeta import (
     closed_form,
     expand,
     rank_distribution,
+    transpose_module,
 )
-from askzeta import engine
-from askzeta.engine import DEFAULT_BUDGET, AskValue, ask_view
+from askzeta import engine, module
+from askzeta.engine import AskValue, ask_view
 from conftest import brute_ask, brute_image_size, random_module
 
 
@@ -119,7 +120,7 @@ class TestAskSeries:
 
 def _levels(m, p, top, view, jobs=1):
     """ask(M, Z/p^n) for n = 0..top from one walk of the view."""
-    return engine._view_series(m, p, top, view, DEFAULT_BUDGET, jobs)
+    return engine._view_series(m, p, top, view, jobs)
 
 
 def _closed_form(key, p, top):
@@ -169,7 +170,8 @@ class TestTreeWalk:
         d, e = 2, 201
         basis = [[[rng.randint(-2, 2) for _ in range(e)] for _ in range(d)] for _ in range(2)]
         m = MatrixModule(d, e, basis)
-        assert m.d * m.e > engine._SYMBOLIC_RANK_CAP
+        assert m.d * m.e > module._SYMBOLIC_RANK_CAP
+        assert m.generic_rank("average", exact=True) is None
         caps = []
 
         def counting(rows, p, cap):
@@ -186,14 +188,44 @@ class TestTreeWalk:
         assert got == _levels(m, p, top, "orbit")
         # with the exact rank the same sums come from fewer nodes
         dual = list(zip(*(b.entries for b in m.basis)))
-        rank = m.generic_element_rank()
+        rank = m.generic_rank("average")
         sums = engine._orbit_sums(dual, m.dim, m.e, p, top, rank)
         assert [s * Fraction(p) ** (n * (m.d - m.dim)) for n, s in enumerate(sums)] == got
+
+    def test_transpose_view_is_the_orbit_view_of_the_transpose(self, rng, monkeypatch):
+        # the same spans from m's basis transposed and from M^T's own basis
+        calls = []
+
+        def counting(rows, p, cap):
+            calls.append(cap)
+            return lambdas_mod(rows, p, cap)
+
+        lambdas_mod = engine.lambdas_mod
+        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        mods = [random_module(rng) for _ in range(6)] + [catalog_module("band(2)")]
+        for m in mods:
+            t = transpose_module(m)
+            for p, top in ((2, 3), (3, 2)):
+                calls.clear()
+                got = _levels(m, p, top, "transpose")
+                nodes = len(calls)
+                calls.clear()
+                want = _levels(t, p, top, "orbit")
+                assert len(calls) == nodes
+                shift = [Fraction(p) ** (n * (m.d - m.e)) for n in range(top + 1)]
+                assert got == [w * s for w, s in zip(want, shift)]
+
+    def test_every_view_takes_its_points_from_the_shape(self):
+        # zero(2,3) has no generators in the orbit and transpose views, yet
+        # their points are 2- and 3-dimensional
+        m = catalog_module("zero(2,3)")
+        for view in ("orbit", "average", "transpose"):
+            assert _levels(m, 3, 2, view) == [1, 9, 81]
 
     def test_understated_rank_is_inconsistent(self):
         m = catalog_module("so(3)")
         rows = [b.entries for b in m.basis]
-        assert m.generic_orbit_rank() == 2
+        assert m.generic_rank("orbit") == 2
         with pytest.raises(InternalConsistencyError):
             engine._orbit_sums(rows, m.d, m.e, 3, 2, 1)
 

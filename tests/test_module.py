@@ -42,16 +42,16 @@ class TestCanonicalBasis:
 
 class TestOrbitMatrix:
     def test_one_by_one(self):
-        rows = catalog_module("mat(1,1)").orbit_matrix()
+        rows = catalog_module("mat(1,1)").linear_forms("orbit")
         assert rows == [[Poly.variable(0, 1)]]
 
     def test_n2(self):
-        rows = catalog_module("n(2)").orbit_matrix()
+        rows = catalog_module("n(2)").linear_forms("orbit")
         assert rows[0][0].is_zero()
         assert rows[0][1] == Poly.variable(0, 2)
 
     def test_so3_rows(self):
-        rows = catalog_module("so(3)").orbit_matrix()
+        rows = catalog_module("so(3)").linear_forms("orbit")
         x = [Poly.variable(i, 3) for i in range(3)]
         assert rows[0] == [-x[1], x[0], Poly.const(3, 0)]
         assert rows[1] == [-x[2], Poly.const(3, 0), x[0]]
@@ -60,28 +60,28 @@ class TestOrbitMatrix:
 
 class TestGenericRanks:
     def test_element_rank(self):
-        assert catalog_module("mat(2,3)").generic_element_rank() == 2
-        assert catalog_module("band(2)").generic_element_rank() == 2
-        assert catalog_module("zero(2,2)").generic_element_rank() == 0
+        assert catalog_module("mat(2,3)").generic_rank("average") == 2
+        assert catalog_module("band(2)").generic_rank("average") == 2
+        assert catalog_module("zero(2,2)").generic_rank("average") == 0
 
     def test_orbit_rank(self):
-        assert catalog_module("mat(2,3)").generic_orbit_rank() == 3
-        assert catalog_module("mat(3,2)").generic_orbit_rank() == 2
+        assert catalog_module("mat(2,3)").generic_rank("orbit") == 3
+        assert catalog_module("mat(3,2)").generic_rank("orbit") == 2
         for d in (2, 3, 4):
-            assert catalog_module(f"n({d})").generic_orbit_rank() == d - 1
-        assert catalog_module("so(3)").generic_orbit_rank() == 2
-        assert catalog_module("sp(4)").generic_orbit_rank() == 4
+            assert catalog_module(f"n({d})").generic_rank("orbit") == d - 1
+        assert catalog_module("so(3)").generic_rank("orbit") == 2
+        assert catalog_module("sp(4)").generic_rank("orbit") == 4
 
     def test_bounds(self, rng):
         for _ in range(10):
             m = random_module(rng)
-            assert m.generic_orbit_rank() <= m.e
-            assert m.generic_element_rank() <= min(m.d, m.e)
+            assert m.generic_rank("orbit") <= m.e
+            assert m.generic_rank("average") <= min(m.d, m.e)
 
     def test_randomized_matches_symbolic(self, rng):
         for _ in range(10):
             m = random_module(rng)
-            rows = m.orbit_matrix()
+            rows = m.linear_forms("orbit")
             if not rows:
                 continue
             exact = symbolic_rank(rows)
@@ -90,6 +90,62 @@ class TestGenericRanks:
                 point = [rng.randint(-(10**6), 10**6) for _ in range(m.d)]
                 best = max(best, evaluated_rank(rows, point))
             assert best == exact
+
+
+class TestViews:
+    """A view is a choice of point, generator and column axes of B[i][r][c]."""
+
+    def test_generators_slice_the_basis_tensor(self, rng):
+        for _ in range(10):
+            m = random_module(rng)
+            ents = [b.entries for b in m.basis]
+            assert m.view_generators("orbit") == tuple(ents)
+            assert m.view_generators("average") == tuple(
+                tuple(b[r] for b in ents) for r in range(m.d)
+            )
+            assert m.view_generators("transpose") == tuple(
+                b.transpose().entries for b in m.basis
+            )
+
+    def test_shapes(self):
+        m = catalog_module("band(2)")  # dim 2 in Mat_{3 x 2}
+        assert m.view_shape("orbit") == (3, 2, 2)
+        assert m.view_shape("average") == (2, 3, 2)
+        assert m.view_shape("transpose") == (2, 2, 3)
+        # the zero module has no generators in two views, but points in all
+        z = catalog_module("zero(2,3)")
+        assert [z.view_shape(v)[0] for v in ("orbit", "average", "transpose")] == [2, 0, 3]
+        assert z.view_generators("orbit") == ()
+        with pytest.raises(InputError):
+            m.view_shape("diagonal")
+
+    def test_average_forms_are_the_generic_element(self, rng):
+        for _ in range(10):
+            m = random_module(rng)
+            x = [Poly.variable(i, m.dim) for i in range(m.dim)]
+            want = [[Poly(m.dim)] * m.e for _ in range(m.d)]
+            for xi, b in zip(x, m.basis):
+                want = [
+                    [w + xi.scale(v) for w, v in zip(wrow, brow)]
+                    for wrow, brow in zip(want, b.entries)
+                ]
+            assert m.linear_forms("average") == want
+
+    def test_ranks_against_largest_minor(self, rng):
+        for _ in range(12):
+            m = random_module(rng)
+            for view in ("orbit", "average", "transpose"):
+                k = m.view_shape(view)[0]
+                assert m.generic_rank(view) == minor_rank(m.linear_forms(view), k), view
+                assert m.generic_rank(view, exact=True) == m.generic_rank(view)
+            assert m.generic_rank("transpose") == transpose_module(m).generic_rank("orbit")
+
+    def test_exact_rank_only_below_the_symbolic_cap(self):
+        # the average view's forms are 1 x 401, the orbit view's 401 x 401
+        m = MatrixModule(1, 401, [[[int(j == i) for j in range(401)]] for i in range(401)])
+        assert m.generic_rank("average", exact=True) is None
+        assert m.generic_rank("average") == 1
+        assert m.generic_rank("orbit", exact=True) is None
 
 
 class TestFractionFree:
@@ -154,8 +210,8 @@ class TestTransforms:
     def test_padding_preserves_ranks(self):
         m = catalog_module("band(2)")
         padded = add_zero_col(add_zero_row(m, 1), 0)
-        assert padded.generic_element_rank() == m.generic_element_rank()
-        assert add_zero_row(m, 0).generic_orbit_rank() == m.generic_orbit_rank()
+        assert padded.generic_rank("average") == m.generic_rank("average")
+        assert add_zero_row(m, 0).generic_rank("orbit") == m.generic_rank("orbit")
 
     def test_rescale(self):
         r = rescale(catalog_module("mat(1,1)"), 1, 3)

@@ -111,7 +111,7 @@ class TestCoefficientBounds:
         rng = _rng()
         for _ in range(10):
             m = random_module(rng, dmax=3, emax=3, lmax=3, bound=4)
-            gor = m.generic_orbit_rank()
+            gor = m.generic_rank("orbit")
             for p in (2, 3):
                 for n in (1, 2):
                     value = ask_orbit(m, RingSpec(p, n))

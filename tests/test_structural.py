@@ -32,7 +32,7 @@ class TestOrbitMaximal:
         cert = check_o_maximal(m)
         assert cert.status == "refuted"
         assert cert.witness is not None
-        assert cert.witness_rank < m.generic_orbit_rank()
+        assert cert.witness_rank < m.generic_rank("orbit")
 
     def test_zero_module_trivially_certified(self):
         assert check_o_maximal(catalog_module("zero(2,2)")).certified
@@ -129,7 +129,7 @@ class TestInconclusive:
 
 class TestMinorGrading:
     def test_minors_of_linear_forms_are_homogeneous(self):
-        rows = catalog_module("sp(4)").orbit_matrix()
+        rows = catalog_module("sp(4)").linear_forms("orbit")
         from itertools import combinations
 
         for i in (1, 2, 3):
