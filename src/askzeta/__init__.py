@@ -7,7 +7,6 @@ from .closed_forms import (
     CatalogEntry,
     brenti_identity_check,
     brenti_polynomial,
-    catalog_entries,
     catalog_keys,
     closed_form,
     constant_rank_form,

@@ -1,16 +1,22 @@
-"""Builders for the standard module families and nilpotent algebra models.
+"""The module catalog: every key is a row of data.
 
 Names accepted by `catalog_module` (either as "so(3)" or ("so", 3)):
 
     mat(d,e) gl(d) sl(d) so(d) sp(2m) sym(d) n(d) tr(d) diag(d) band(r)
     zero(d,e) ex_unbounded ex_elliptic ex_non_lie L_{d,i}
 
-The L_{d,i} entries are the nilpotent Lie algebras of dimension <= 5 in
+A family key is a row of `_FAMILIES`: its builder, its arity and the
+condition on its parameters.  `_family` is the one check of family keys;
+`closed_forms` calls it too, so a key with no module has no closed form.
+A fixed key is a row of `_FIXED`: the matrix size and the entries of each
+generator, so a new algebra is one row.
+
+The L_{d,i} rows are the nilpotent Lie algebras of dimension <= 5 in
 de Graaf's numbering, realized as explicit integer matrix algebras.  Two
-catalog entries (ex_non_lie and L_{5,6}) carry fractional coefficients in
-their usual presentation; the generators in question are stored multiplied
-by 2, which spans the same module over Z_p for every odd p.  Their validity
-records exclude p = 2.
+rows (ex_non_lie and L_{5,6}) carry fractional coefficients in their usual
+presentation; the generators in question are stored multiplied by 2, which
+spans the same module over Z_p for every odd p.  Their validity records
+exclude p = 2.
 """
 
 from __future__ import annotations
@@ -71,8 +77,6 @@ def sym_module(d: int) -> MatrixModule:
 
 def sp_module(size: int) -> MatrixModule:
     """Symplectic algebra in the 2m x 2m block form [[a, b], [c, -a^T]]."""
-    if size % 2 or size <= 0:
-        raise InputError("sp requires a positive even size")
     m = size // 2
     basis = []
     for i in range(m):
@@ -106,8 +110,6 @@ def diag_module(d: int) -> MatrixModule:
 def band_module(r: int) -> MatrixModule:
     """Constant-rank band module in Mat_{(2r-1) x r}: column j carries x_1..x_r
     shifted down by j."""
-    if r < 1:
-        raise InputError("band parameter must be >= 1")
     d, e = 2 * r - 1, r
     basis = []
     for k in range(r):
@@ -119,183 +121,61 @@ def zero_module(d: int, e: int) -> MatrixModule:
     return MatrixModule(d, e, [], f"zero({d},{e})")
 
 
-def ex_unbounded_module() -> MatrixModule:
-    """Symmetric-shape 3x3 module [[a,b,a],[b,c,d],[a,d,c]] of dimension 4."""
-    basis = [
-        _sum_units(3, 3, [(0, 0), (0, 2), (2, 0)]),
-        _sum_units(3, 3, [(0, 1), (1, 0)]),
-        _sum_units(3, 3, [(1, 1), (2, 2)]),
-        _sum_units(3, 3, [(1, 2), (2, 1)]),
-    ]
-    return MatrixModule(3, 3, basis, "ex_unbounded")
+# -- fixed modules -----------------------------------------------------------
+#
+# key -> (d, e, generators): the module of d x e matrices spanned by one
+# matrix per generator, each given as its entries (i, j[, v]) (v = 1 when
+# omitted; entries at the same position add up).  The L_{d,i} rows are the
+# nilpotent Lie algebras of dimension d <= 5 in de Graaf's numbering.
 
-
-def ex_elliptic_module() -> MatrixModule:
-    """3x3 module [[z,x,y],[x,z,0],[y,0,x]] whose counting data involves the
-    curve Y^2 = X^3 - X."""
-    basis = [
-        _sum_units(3, 3, [(0, 1), (1, 0), (2, 2)]),
-        _sum_units(3, 3, [(0, 2), (2, 0)]),
-        _sum_units(3, 3, [(0, 0), (1, 1)]),
-    ]
-    return MatrixModule(3, 3, basis, "ex_elliptic")
-
-
-def ex_non_lie_module() -> MatrixModule:
-    """A 5-dimensional module of 6x6 nilpotent matrices that is not a Lie algebra.
-
-    Generators two and three are stored doubled to clear halves; valid p != 2.
-    """
-    basis = [
-        _sum_units(6, 6, [(0, 5), (1, 2), (2, 3), (3, 4)]),
-        _sum_units(6, 6, [(0, 1, 2), (1, 3, 1), (4, 5, 2)]),
-        _sum_units(6, 6, [(0, 2, -2), (1, 4, -1), (3, 5, 2)]),
-        _unit(6, 6, 2, 5),
-        _unit(6, 6, 1, 5),
-    ]
-    return MatrixModule(6, 6, basis, "ex_non_lie")
-
-
-# -- nilpotent Lie algebra models (dimension <= 5) -----------------------
-
-def _units(d, positions, label):
-    """The module spanned by the matrix units e_{i,j} of Mat_d at `positions`."""
-    return MatrixModule(d, d, [_unit(d, d, i, j) for i, j in positions], label)
-
-
-_ALGEBRA_BUILDERS = {}
-
-
-def _algebra(key):
-    def reg(fn):
-        _ALGEBRA_BUILDERS[key] = fn
-        return fn
-
-    return reg
-
-
-@_algebra("L_{1,1}")
-def _l11():
-    return _units(2, [(0, 1)], "L_{1,1}")
-
-
-@_algebra("L_{2,1}")
-def _l21():
-    return _units(3, [(0, 1), (0, 2)], "L_{2,1}")
-
-
-@_algebra("L_{3,1}")
-def _l31():
+_FIXED = {
+    # [[a,b,a],[b,c,d],[a,d,c]]
+    "ex_unbounded": (3, 3, [
+        [(0, 0), (0, 2), (2, 0)], [(0, 1), (1, 0)], [(1, 1), (2, 2)], [(1, 2), (2, 1)],
+    ]),
+    # [[z,x,y],[x,z,0],[y,0,x]]; its counting data involves the curve Y^2 = X^3 - X
+    "ex_elliptic": (3, 3, [
+        [(0, 1), (1, 0), (2, 2)], [(0, 2), (2, 0)], [(0, 0), (1, 1)],
+    ]),
+    # nilpotent 6x6 matrices spanning no Lie algebra; generators two and three
+    # are stored doubled to clear halves, valid for p != 2
+    "ex_non_lie": (6, 6, [
+        [(0, 5), (1, 2), (2, 3), (3, 4)],
+        [(0, 1, 2), (1, 3, 1), (4, 5, 2)],
+        [(0, 2, -2), (1, 4, -1), (3, 5, 2)],
+        [(2, 5)],
+        [(1, 5)],
+    ]),
+    "L_{1,1}": (2, 2, [[(0, 1)]]),
+    "L_{2,1}": (3, 3, [[(0, 1)], [(0, 2)]]),
     # abelian: matrix units e_{0,j} of one row, all products vanish
-    return _units(4, [(0, 1), (0, 2), (0, 3)], "L_{3,1}")
-
-
-@_algebra("L_{3,2}")
-def _l32():
-    return _units(3, [(0, 1), (0, 2), (1, 2)], "L_{3,2}")
-
-
-@_algebra("L_{4,1}")
-def _l41():
-    return _units(5, [(0, 1), (0, 2), (0, 3), (0, 4)], "L_{4,1}")
-
-
-@_algebra("L_{4,2}")
-def _l42():
+    "L_{3,1}": (4, 4, [[(0, 1)], [(0, 2)], [(0, 3)]]),
+    "L_{3,2}": (3, 3, [[(0, 1)], [(0, 2)], [(1, 2)]]),
+    "L_{4,1}": (5, 5, [[(0, 1)], [(0, 2)], [(0, 3)], [(0, 4)]]),
     # n(3) (+) L_{1,1}
-    return _units(5, [(0, 1), (0, 2), (1, 2), (3, 4)], "L_{4,2}")
-
-
-@_algebra("L_{4,3}")
-def _l43():
-    basis = [
-        _sum_units(4, 4, [(0, 1), (1, 2), (2, 3)]),
-        _unit(4, 4, 0, 1),
-        _unit(4, 4, 0, 2),
-        _unit(4, 4, 0, 3),
-    ]
-    return MatrixModule(4, 4, basis, "L_{4,3}")
-
-
-@_algebra("L_{5,1}")
-def _l51():
-    return _units(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)], "L_{5,1}")
-
-
-@_algebra("L_{5,2}")
-def _l52():
+    "L_{4,2}": (5, 5, [[(0, 1)], [(0, 2)], [(1, 2)], [(3, 4)]]),
+    "L_{4,3}": (4, 4, [[(0, 1), (1, 2), (2, 3)], [(0, 1)], [(0, 2)], [(0, 3)]]),
+    "L_{5,1}": (5, 5, [[(0, 2)], [(0, 3)], [(0, 4)], [(1, 2)], [(1, 3)]]),
     # n(3) (+) the span of e_{0,2}, e_{1,2} in Mat_3
-    return _units(6, [(0, 1), (0, 2), (1, 2), (3, 5), (4, 5)], "L_{5,2}")
-
-
-@_algebra("L_{5,3}")
-def _l53():
-    basis = [
-        _sum_units(5, 5, [(0, 1), (1, 2), (2, 3)]),
-        _unit(5, 5, 0, 1),
-        _unit(5, 5, 0, 2),
-        _unit(5, 5, 0, 3),
-        _unit(5, 5, 0, 4),
-    ]
-    return MatrixModule(5, 5, basis, "L_{5,3}")
-
-
-@_algebra("L_{5,4}")
-def _l54():
-    return _units(4, [(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)], "L_{5,4}")
-
-
-@_algebra("L_{5,5}")
-def _l55():
-    basis = [
-        _sum_units(5, 5, [(0, 1), (2, 4)]),
-        _sum_units(5, 5, [(1, 2), (3, 4)]),
-        _sum_units(5, 5, [(0, 2), (1, 4, -1)]),
-        _unit(5, 5, 0, 3),
-        _unit(5, 5, 0, 4),
-    ]
-    return MatrixModule(5, 5, basis, "L_{5,5}")
-
-
-@_algebra("L_{5,6}")
-def _l56():
-    basis = [
-        _sum_units(5, 5, [(0, 1), (1, 2), (2, 3)]),
-        _sum_units(5, 5, [(0, 2), (3, 4, 2)]),
-        _sum_units(5, 5, [(0, 3, -1), (2, 4, 2)]),
-        _unit(5, 5, 1, 4),
-        _unit(5, 5, 0, 4),
-    ]
-    return MatrixModule(5, 5, basis, "L_{5,6}")
-
-
-@_algebra("L_{5,7}")
-def _l57():
-    basis = [
-        _sum_units(5, 5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-        _unit(5, 5, 0, 1),
-        _unit(5, 5, 0, 2),
-        _unit(5, 5, 0, 3),
-        _unit(5, 5, 0, 4),
-    ]
-    return MatrixModule(5, 5, basis, "L_{5,7}")
-
-
-@_algebra("L_{5,8}")
-def _l58():
-    return _units(4, [(0, 1), (1, 2), (1, 3), (0, 2), (0, 3)], "L_{5,8}")
-
-
-@_algebra("L_{5,9}")
-def _l59():
-    basis = [
-        _sum_units(6, 6, [(0, 1), (2, 3), (3, 4)]),
-        _sum_units(6, 6, [(0, 2), (3, 5)]),
-        _sum_units(6, 6, [(0, 3, -1), (2, 5)]),
-        _unit(6, 6, 0, 4),
-        _unit(6, 6, 0, 5),
-    ]
-    return MatrixModule(6, 6, basis, "L_{5,9}")
+    "L_{5,2}": (6, 6, [[(0, 1)], [(0, 2)], [(1, 2)], [(3, 5)], [(4, 5)]]),
+    "L_{5,3}": (5, 5, [[(0, 1), (1, 2), (2, 3)], [(0, 1)], [(0, 2)], [(0, 3)], [(0, 4)]]),
+    "L_{5,4}": (4, 4, [[(0, 1)], [(1, 3)], [(0, 2)], [(2, 3)], [(0, 3)]]),
+    "L_{5,5}": (5, 5, [
+        [(0, 1), (2, 4)], [(1, 2), (3, 4)], [(0, 2), (1, 4, -1)], [(0, 3)], [(0, 4)],
+    ]),
+    # generators two and three stored doubled to clear halves, valid for p != 2
+    "L_{5,6}": (5, 5, [
+        [(0, 1), (1, 2), (2, 3)], [(0, 2), (3, 4, 2)], [(0, 3, -1), (2, 4, 2)],
+        [(1, 4)], [(0, 4)],
+    ]),
+    "L_{5,7}": (5, 5, [
+        [(0, 1), (1, 2), (2, 3), (3, 4)], [(0, 1)], [(0, 2)], [(0, 3)], [(0, 4)],
+    ]),
+    "L_{5,8}": (4, 4, [[(0, 1)], [(1, 2)], [(1, 3)], [(0, 2)], [(0, 3)]]),
+    "L_{5,9}": (6, 6, [
+        [(0, 1), (2, 3), (3, 4)], [(0, 2), (3, 5)], [(0, 3, -1), (2, 5)], [(0, 4)], [(0, 5)],
+    ]),
+}
 
 
 def _parse_key(name):
@@ -311,37 +191,37 @@ def _parse_key(name):
     return name, ()
 
 
+# head -> (builder, arity[, condition on the parameters beyond non-negative,
+# the error message when it fails])
 _FAMILIES = {
     "mat": (mat_module, 2),
     "gl": (gl_module, 1),
     "sl": (sl_module, 1),
     "so": (so_module, 1),
-    "sp": (sp_module, 1),
+    "sp": (sp_module, 1, lambda size: size > 0 and size % 2 == 0,
+           "sp requires a positive even size"),
     "sym": (sym_module, 1),
     "n": (n_module, 1),
     "tr": (tr_module, 1),
     "diag": (diag_module, 1),
-    "band": (band_module, 1),
+    "band": (band_module, 1, lambda r: r >= 1, "band parameter must be >= 1"),
     "zero": (zero_module, 2),
-}
-
-_FIXED = {
-    "ex_unbounded": ex_unbounded_module,
-    "ex_elliptic": ex_elliptic_module,
-    "ex_non_lie": ex_non_lie_module,
 }
 
 
 def _family(name: str, params: tuple[int, ...]):
     """The builder of family `name` once its parameters are checked; None for
-    a name that is not a family.  The one check of family keys."""
+    a name that is not a family.  The one check of family keys, for the
+    modules and the closed forms alike."""
     if name not in _FAMILIES:
         return None
-    builder, arity = _FAMILIES[name]
+    builder, arity, *condition = _FAMILIES[name]
     if len(params) != arity:
         raise InputError(f"{name} expects {arity} parameter(s), got {len(params)}")
     if any(v < 0 for v in params):
         raise InputError(f"negative parameter for {name}")
+    if condition and not condition[0](*params):
+        raise InputError(condition[1])
     return builder
 
 
@@ -352,11 +232,8 @@ def catalog_module(name: str, *params: int) -> MatrixModule:
     if name in _FIXED:
         if params:
             raise InputError(f"{name} takes no parameters")
-        return _FIXED[name]()
-    if name in _ALGEBRA_BUILDERS:
-        if params:
-            raise InputError(f"{name} takes no parameters")
-        return _ALGEBRA_BUILDERS[name]()
+        d, e, generators = _FIXED[name]
+        return MatrixModule(d, e, [_sum_units(d, e, g) for g in generators], name)
     builder = _family(name, params)
     if builder is not None:
         return builder(*params)
@@ -364,4 +241,5 @@ def catalog_module(name: str, *params: int) -> MatrixModule:
 
 
 def algebra_keys() -> tuple[str, ...]:
-    return tuple(sorted(_ALGEBRA_BUILDERS))
+    """The nilpotent Lie algebra models L_{d,i}, sorted."""
+    return tuple(sorted(k for k in _FIXED if k.startswith("L_{")))

@@ -390,7 +390,9 @@ def cmd_oc(args) -> int:
     primes = _parse_primes(args.p)
     results = []
     internal_problem = False
-    if args.gl:
+    if args.gl is not None:
+        if args.gl < 1:
+            raise InputError(f"--gl must be >= 1, got {args.gl}")
         groups = [(p, gl_generators(args.gl, p, max(args.n_max, 1))) for p in primes]
     elif args.neg1:
         g = GroupGenSet(1, (IntMatrix([[-1]]),), "neg1")

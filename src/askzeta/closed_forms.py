@@ -10,6 +10,10 @@ Keys:
     (complete) and a sample in dimension 6.
   * oc-kind: "oc:gl(d)", "oc:neg1", "oc:swap".
 
+Every key is a row of one table: a family head of `_FAMILY_FORMS`, whose
+parameters `catalog._family` checks as it does for the module, a fixed key
+of `_ASK_FIXED`, a cc name of `_CC` or an oc name of `_OC`.
+
 Validity strings record the constraint on p under which the formula is
 asserted; "tested_at" lists primes where this package verified it, which is
 all the evidence recorded for entries whose validity threshold is unknown.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 from .catalog import _family, _parse_key
 from .errors import BudgetExceededError, InputError
@@ -62,7 +66,7 @@ def brenti_polynomial(n: int) -> dict[tuple[int, int], int]:
     if n < 0:
         raise InputError("n must be >= 0")
     if n > 8:
-        raise BudgetExceededError(2**n * comb(n, n // 2), 2**8 * 40320)
+        raise BudgetExceededError(2**n * factorial(n), 2**8 * factorial(8))
     out: dict[tuple[int, int], int] = {}
     for perm in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
@@ -233,174 +237,142 @@ _CC_TABLE = {
     "L_{5,9}": "(1 - T)/((1 - q^3*T)*(1 - q^2*T))",
 }
 
-_CC_DIM6 = {
-    ("L_{6,10}", "L_{6,25}", "L_{6,26}"): "(1 - q*T)/((1 - q^4*T)*(1 - q^3*T))",
-    ("L_{6,11}", "L_{6,12}", "L_{6,20}"): (
-        "(1 - 2*q*T + q^2*T + q^4*T^2 - 2*q^5*T^2 + q^6*T^3)"
-        "/((1 - q^6*T^2)*(1 - q^3*T)^2)"
-    ),
-    ("L_{6,16}",): "(1 - q*T)*(1 - T)/((1 - q^2*T)^2*(1 - q^3*T))",
-    ("L_{6,17}",): (
-        "(1 - T - q*T + q^2*T + q^3*T^2 - q^4*T^2 - q^5*T^2 + q^5*T^3)"
-        "/((1 - q^6*T^2)*(1 - q^3*T)*(1 - q^2*T))"
-    ),
-    ("L_{6,18}",): "(1 - T)/((1 - q^2*T)*(1 - q^4*T))",
-    ("L_{6,19}(0)",): (
-        "(1 + T - 3*q*T - q^2*T + q^3*T^2 + 3*q^4*T^2 - q^5*T^2 - q^5*T^3)"
-        "/((1 - q^3*T)^3*(1 - q^2*T))"
-    ),
-    ("L_{6,19}(-1)", "L_{6,21}(0)"): "(1 - q*T)^2/((1 - q^3*T)^2*(1 - q^2*T))",
-    ("L_{6,21}(1)",): (
-        "(1 - T - q*T + q^2*T + q^2*T^2 - q^3*T^2 - q^4*T^2 + q^4*T^3)"
-        "/((1 - q^5*T^2)*(1 - q^3*T)*(1 - q^2*T))"
-    ),
-    ("L_{6,22}(0)",): (
-        "(1 - q*T - q^2*T + q^3*T + q^4*T^2 - q^5*T^2 - q^6*T^2 + q^7*T^3)"
-        "/((1 - q^7*T^2)*(1 - q^4*T)*(1 - q^2*T))"
-    ),
-    ("L_{6,23}", "L_{6,24}(0)"): (
-        "(1 - 2*q*T + q^3*T + q^3*T^2 - 2*q^5*T^2 + q^6*T^3)"
-        "/((1 - q^7*T^2)*(1 - q^3*T)*(1 - q^2*T))"
-    ),
-}
-
 # dimension-6 entries whose structure constants depend on external lists;
 # stored as formulas only, with no matrix model in this package
+_CC_DIM6 = {
+    name: text
+    for names, text in (
+        (("L_{6,10}", "L_{6,25}", "L_{6,26}"), "(1 - q*T)/((1 - q^4*T)*(1 - q^3*T))"),
+        (("L_{6,11}", "L_{6,12}", "L_{6,20}"), (
+            "(1 - 2*q*T + q^2*T + q^4*T^2 - 2*q^5*T^2 + q^6*T^3)"
+            "/((1 - q^6*T^2)*(1 - q^3*T)^2)"
+        )),
+        (("L_{6,16}",), "(1 - q*T)*(1 - T)/((1 - q^2*T)^2*(1 - q^3*T))"),
+        (("L_{6,17}",), (
+            "(1 - T - q*T + q^2*T + q^3*T^2 - q^4*T^2 - q^5*T^2 + q^5*T^3)"
+            "/((1 - q^6*T^2)*(1 - q^3*T)*(1 - q^2*T))"
+        )),
+        (("L_{6,18}",), "(1 - T)/((1 - q^2*T)*(1 - q^4*T))"),
+        (("L_{6,19}(0)",), (
+            "(1 + T - 3*q*T - q^2*T + q^3*T^2 + 3*q^4*T^2 - q^5*T^2 - q^5*T^3)"
+            "/((1 - q^3*T)^3*(1 - q^2*T))"
+        )),
+        (("L_{6,19}(-1)", "L_{6,21}(0)"), "(1 - q*T)^2/((1 - q^3*T)^2*(1 - q^2*T))"),
+        (("L_{6,21}(1)",), (
+            "(1 - T - q*T + q^2*T + q^2*T^2 - q^3*T^2 - q^4*T^2 + q^4*T^3)"
+            "/((1 - q^5*T^2)*(1 - q^3*T)*(1 - q^2*T))"
+        )),
+        (("L_{6,22}(0)",), (
+            "(1 - q*T - q^2*T + q^3*T + q^4*T^2 - q^5*T^2 - q^6*T^2 + q^7*T^3)"
+            "/((1 - q^7*T^2)*(1 - q^4*T)*(1 - q^2*T))"
+        )),
+        (("L_{6,23}", "L_{6,24}(0)"), (
+            "(1 - 2*q*T + q^3*T + q^3*T^2 - 2*q^5*T^2 + q^6*T^3)"
+            "/((1 - q^7*T^2)*(1 - q^3*T)*(1 - q^2*T))"
+        )),
+    )
+    for name in names
+}
+
 _BIG_P = "p sufficiently large, threshold unknown"
+_DOUBLED = f"p != 2 (doubled generators); {_BIG_P}"
 
 
-def _cc_module_ref(key: str):
-    from .catalog import algebra_keys
+def _power_form(factor: LPoly, power: int, denominator) -> QTRational:
+    """factor^power / prod (1 - q^a T^b) for (a, b) in denominator."""
+    num = LPoly.const(1)
+    for _ in range(power):
+        num = num * factor
+    return QTRational.from_factors(num, denominator)
 
-    return key if key in algebra_keys() else None
+
+# family head -> its closed form at the key's parameters; the parameters are
+# checked by catalog._family before a row is read
+_FAMILY_FORMS = {
+    "mat": mat_form,
+    "gl": lambda d: mat_form(d, d),
+    "sl": lambda d: constant_rank_form(1, 0, 0) if d == 1 else mat_form(d, d),
+    "so": lambda d: mat_form(d, d - 1),
+    "sp": lambda size: mat_form(size, size),
+    "sym": lambda d: mat_form(d, d),
+    "n": lambda d: _power_form(
+        LPoly.const(1) - LPoly.monomial(1, 0, 1), d - 1, [(1, 1)] * d
+    ),
+    "tr": lambda d: _power_form(
+        LPoly.const(1) - LPoly.monomial(1, -1, 1), d, [(0, 1)] * (d + 1)
+    ),
+    "diag": diag_form,
+    "band": lambda r: constant_rank_form(2 * r - 1, r, r),
+    "zero": lambda d, e: QTRational.from_factors(LPoly.const(1), [(d, 1)]),
+}
+
+# fixed ask key -> (formula text or None, validity, notes); every one was
+# tested at p = 5, 7
+_ASK_FIXED = {
+    "ex_unbounded": (_EX_UNBOUNDED, _BIG_P, ""),
+    "ex_non_lie": (_EX_NON_LIE, _DOUBLED, ""),
+    "ex_elliptic": (
+        None, _BIG_P, "T-coefficient needs the curve count c(q); see ex_elliptic_formula"
+    ),
+    "L_{5,6}": (_L56_ASK, _DOUBLED, ""),
+}
+
+# algebra name -> (formula text, module key, validity, tested_at, notes)
+_CC = {
+    **{
+        name: (
+            text, name, _BIG_P if name == "L_{5,6}" else "p >= dim of the matrix model",
+            (5, 7), "",
+        )
+        for name, text in _CC_TABLE.items()
+    },
+    # the strictly-upper-triangular algebra in size 4 appears in the
+    # dimension-6 list as L_{6,19}(-1)
+    "n(4)": (_CC_DIM6["L_{6,19}(-1)"], "n(4)", "p >= 4", (5, 7), ""),
+    **{
+        name: (text, None, _BIG_P, (), "no matrix model shipped; formula stored for reference")
+        for name, text in _CC_DIM6.items()
+    },
+}
+
+# oc name -> (formula text, validity, tested_at); "gl(d)" stands for every gl(...)
+_OC = {
+    "gl(d)": ("1/(1 - T)^2", "all p", (3,)),
+    "neg1": ("(2 - q*T - T)/(2*(1 - q*T)*(1 - T))", "p odd", (5, 7)),
+    "swap": ("(2 - q^2*T - q*T)/(2*(1 - q^2*T)*(1 - q*T))", "all p", (3,)),
+}
 
 
 def closed_form(key: str) -> CatalogEntry:
     """Catalog entry for a key; unknown keys raise InputError."""
     key = key.strip()
     if key.startswith("cc:"):
-        name = key[3:]
-        if name == "n(4)":
-            # the strictly-upper-triangular algebra in size 4 appears in the
-            # dimension-6 list as L_{6,19}(-1)
-            return CatalogEntry(
-                key,
-                "cc",
-                parse_rational(_cc_dim6_lookup("L_{6,19}(-1)")),
-                "n(4)",
-                "p >= 4",
-                (5, 7),
-            )
-        if name in _CC_TABLE:
-            return CatalogEntry(
-                key,
-                "cc",
-                parse_rational(_CC_TABLE[name]),
-                _cc_module_ref(name),
-                _BIG_P if name in ("L_{5,6}",) else "p >= dim of the matrix model",
-                (5, 7),
-            )
-        text = _cc_dim6_lookup(name)
-        if text is not None:
-            return CatalogEntry(
-                key, "cc", parse_rational(text), None, _BIG_P, (),
-                notes="no matrix model shipped; formula stored for reference",
-            )
-        raise InputError(f"unknown cc catalog key {key!r}")
+        row = _CC.get(key[3:])
+        if row is None:
+            raise InputError(f"unknown cc catalog key {key!r}")
+        text, module_key, validity, tested_at, notes = row
+        return CatalogEntry(
+            key, "cc", parse_rational(text), module_key, validity, tested_at, notes
+        )
     if key.startswith("oc:"):
         name = key[3:]
         if name.startswith("gl(") and name.endswith(")"):
-            return CatalogEntry(key, "oc", parse_rational("1/(1 - T)^2"), None, "all p", (3,))
-        if name == "neg1":
-            return CatalogEntry(
-                key, "oc",
-                parse_rational("(2 - q*T - T)/(2*(1 - q*T)*(1 - T))"),
-                None, "p odd", (5, 7),
-            )
-        if name == "swap":
-            return CatalogEntry(
-                key, "oc",
-                parse_rational("(2 - q^2*T - q*T)/(2*(1 - q^2*T)*(1 - q*T))"),
-                None, "all p", (3,),
-            )
-        raise InputError(f"unknown oc catalog key {key!r}")
+            name = "gl(d)"
+        row = _OC.get(name)
+        if row is None:
+            raise InputError(f"unknown oc catalog key {key!r}")
+        text, validity, tested_at = row
+        return CatalogEntry(key, "oc", parse_rational(text), None, validity, tested_at)
     head, params = _parse_key(key)
-    _family(head, params)  # arity and signs of a family key, as catalog_module checks them
     key = f"{head}({','.join(map(str, params))})" if params else head
-    if head == "mat":
-        d, e = params
-        return CatalogEntry(key, "ask", mat_form(d, e), key, "all p")
-    if head == "gl":
-        d = params[0]
-        return CatalogEntry(key, "ask", mat_form(d, d), key, "all p")
-    if head == "sl":
-        d = params[0]
-        formula = constant_rank_form(1, 0, 0) if d == 1 else mat_form(d, d)
-        return CatalogEntry(key, "ask", formula, key, "all p")
-    if head == "so":
-        d = params[0]
-        return CatalogEntry(key, "ask", mat_form(d, d - 1), key, "all p")
-    if head == "sp":
-        size = params[0]
-        if size % 2:
-            raise InputError("sp requires an even size")
-        return CatalogEntry(key, "ask", mat_form(size, size), key, "all p")
-    if head == "sym":
-        d = params[0]
-        return CatalogEntry(key, "ask", mat_form(d, d), key, "all p")
-    if head == "n":
-        d = params[0]
-        num = LPoly.const(1)
-        one_minus_t = LPoly.const(1) - LPoly.monomial(1, 0, 1)
-        for _ in range(d - 1):
-            num = num * one_minus_t
-        return CatalogEntry(
-            key, "ask", QTRational.from_factors(num, [(1, 1)] * d), key, "all p"
-        )
-    if head == "tr":
-        d = params[0]
-        num = LPoly.const(1)
-        shift = LPoly.const(1) - LPoly.monomial(1, -1, 1)
-        for _ in range(d):
-            num = num * shift
-        return CatalogEntry(
-            key, "ask", QTRational.from_factors(num, [(0, 1)] * (d + 1)), key, "all p"
-        )
-    if head == "diag":
-        return CatalogEntry(key, "ask", diag_form(params[0]), key, "all p")
-    if head == "band":
-        r = params[0]
-        return CatalogEntry(key, "ask", constant_rank_form(2 * r - 1, r, r), key, "all p")
-    if head == "zero":
-        d = params[0]
-        return CatalogEntry(
-            key, "ask", QTRational.from_factors(LPoly.const(1), [(d, 1)]), key, "all p"
-        )
-    if key == "ex_unbounded":
-        return CatalogEntry(key, "ask", parse_rational(_EX_UNBOUNDED), key, _BIG_P, (5, 7))
-    if key == "ex_non_lie":
-        return CatalogEntry(
-            key, "ask", parse_rational(_EX_NON_LIE), key,
-            f"p != 2 (doubled generators); {_BIG_P}", (5, 7),
-        )
-    if key == "ex_elliptic":
-        return CatalogEntry(
-            key, "ask", None, key, _BIG_P, (5, 7),
-            notes="T-coefficient needs the curve count c(q); see ex_elliptic_formula",
-        )
-    if key == "L_{5,6}":
-        return CatalogEntry(
-            key, "ask", parse_rational(_L56_ASK), key,
-            f"p != 2 (doubled generators); {_BIG_P}", (5, 7),
-        )
-    raise InputError(f"unknown catalog key {key!r}")
-
-
-def _cc_dim6_lookup(name: str):
-    for names, text in _CC_DIM6.items():
-        if name in names:
-            return text
-    return None
+    if _family(head, params) is not None:
+        return CatalogEntry(key, "ask", _FAMILY_FORMS[head](*params), key, "all p")
+    row = _ASK_FIXED.get(key)
+    if row is None:
+        raise InputError(f"unknown catalog key {key!r}")
+    text, validity, notes = row
+    formula = parse_rational(text) if text is not None else None
+    return CatalogEntry(key, "ask", formula, key, validity, (5, 7), notes)
 
 
 def catalog_keys() -> list[str]:
@@ -417,13 +389,6 @@ def catalog_keys() -> list[str]:
     keys += [f"diag({d})" for d in (1, 2, 3, 4)]
     keys += [f"band({r})" for r in (1, 2, 3)]
     keys += ["zero(2,2)", "ex_unbounded", "ex_elliptic", "ex_non_lie", "L_{5,6}"]
-    keys += [f"cc:{name}" for name in _CC_TABLE]
-    keys += ["cc:n(4)"]
-    for names in _CC_DIM6:
-        keys += [f"cc:{name}" for name in names]
+    keys += [f"cc:{name}" for name in _CC]
     keys += ["oc:gl(2)", "oc:neg1", "oc:swap"]
     return keys
-
-
-def catalog_entries() -> list[CatalogEntry]:
-    return [closed_form(k) for k in catalog_keys()]

@@ -109,9 +109,6 @@ class IntMatrix:
         """[self, other] = self*other - other*self."""
         return self @ other - other @ self
 
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
 

@@ -1,5 +1,6 @@
 """CLI behavior: schemas, determinism, exit codes, formats."""
 
+import itertools
 import json
 import time
 
@@ -15,6 +16,7 @@ from askzeta.cli import (
     module_to_json,
 )
 from askzeta import catalog_keys, catalog_module, parse_rational
+from askzeta.catalog import _FAMILIES
 
 
 @pytest.fixture
@@ -251,6 +253,28 @@ class TestExitCodes:
         assert main(["ask", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_INPUT
         assert "negative parameter" in capsys.readouterr().err
 
+    def test_export_and_module_reject_the_same_family_keys(self, capsys):
+        # one parameter check serves both commands, at every small parameter
+        differ = []
+        for head, (_, arity, *_) in _FAMILIES.items():
+            for params in itertools.product(range(4), repeat=arity):
+                key = f"{head}({','.join(map(str, params))})"
+                exported = main(["catalog", "--key", key])
+                built = main(["ask", "--catalog", key, "--n-max", "0"])
+                if (exported == EXIT_INPUT) != (built == EXIT_INPUT):
+                    differ.append(key)
+        capsys.readouterr()
+        assert differ == []
+
+    @pytest.mark.parametrize("key, reason", [
+        ("sp(0)", "positive even"), ("sp(3)", "positive even"), ("band(0)", ">= 1"),
+    ])
+    def test_family_condition(self, capsys, key, reason):
+        assert main(["catalog", "--key", key]) == EXIT_INPUT
+        assert reason in capsys.readouterr().err
+        assert main(["ask", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_INPUT
+        assert reason in capsys.readouterr().err
+
     def test_every_catalog_key_exports(self, capsys):
         for key in catalog_keys():
             assert main(["catalog", "--key", key]) == EXIT_OK, key
@@ -335,6 +359,11 @@ class TestCommands:
         assert main(["oc", "--swap", "--p", "3", "--n-max", "2"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["results"][0]["orbits"] == [1, 6, 45]
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_oc_gl_below_one_is_an_input_error(self, capsys, size):
+        assert main(["oc", "--gl", size, "--p", "3"]) == EXIT_INPUT
+        assert "--gl must be >= 1" in capsys.readouterr().err
 
     def test_oc_algebra_bridge(self, capsys):
         assert main(["oc", "--algebra", "n(2)", "--p", "3", "--n-max", "2"]) == EXIT_OK

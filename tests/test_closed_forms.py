@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 
 from askzeta import (
+    BudgetExceededError,
     InputError,
+    NilpotentAlgebra,
     RingSpec,
+    algebra_keys,
     ask_orbit,
     ask_series,
     brenti_identity_check,
@@ -62,6 +65,18 @@ class TestMasterCatalog:
     def test_unknown_key(self):
         with pytest.raises(InputError):
             closed_form("mystery(3)")
+
+    def test_every_family_has_a_formula(self):
+        from askzeta.catalog import _FAMILIES
+        from askzeta.closed_forms import _FAMILY_FORMS
+
+        assert set(_FAMILY_FORMS) == set(_FAMILIES)
+
+    def test_every_algebra_model_is_its_cc_module(self):
+        for key in algebra_keys():
+            alg = NilpotentAlgebra(catalog_module(key))
+            assert alg.dim == int(key[3:-1].split(",")[0]), key
+            assert closed_form(f"cc:{key}").module_key == key
 
 
 class TestConjugacyEntries:
@@ -143,6 +158,13 @@ class TestBrenti:
     def test_total_count(self):
         for n in range(1, 6):
             assert sum(brenti_polynomial(n).values()) == 2**n * math.factorial(n)
+
+    def test_budget_counts_signed_permutations(self):
+        with pytest.raises(BudgetExceededError) as info:
+            brenti_polynomial(9)
+        assert info.value.needed == 2**9 * math.factorial(9)
+        assert info.value.budget == 2**8 * math.factorial(8)
+        assert info.value.needed > info.value.budget
 
     def test_identity(self):
         assert brenti_identity_check(1, 4)

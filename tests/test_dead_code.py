@@ -3,8 +3,8 @@
 A definition counts as used when its name appears somewhere else in src,
 tests or perfbench: as a name, an attribute, an imported name or a string
 that is exactly the name (getattr-style lookups).  References inside the
-definition itself (recursion) do not count.  Dunders are exempt, and so are
-functions registered by a decorator call, which keeps them in a table.
+definition itself (recursion) do not count, and neither does the package's
+own re-export in its __init__.py.  Dunders are exempt.
 """
 
 import ast
@@ -39,10 +39,7 @@ def _definitions(tree):
 
 
 def _exempt(node) -> bool:
-    if node.name.startswith("__") and node.name.endswith("__"):
-        return True
-    registered = any(isinstance(dec, ast.Call) for dec in node.decorator_list)
-    return registered and not isinstance(node, ast.ClassDef)
+    return node.name.startswith("__") and node.name.endswith("__")
 
 
 def unused_definitions() -> list[str]:
@@ -50,7 +47,8 @@ def unused_definitions() -> list[str]:
     named = Counter()
     for top in SCANNED:
         for path in sorted(top.rglob("*.py")):
-            named += _names(ast.parse(path.read_text(encoding="utf-8")))
+            if path != PACKAGE / "__init__.py":
+                named += _names(ast.parse(path.read_text(encoding="utf-8")))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _definitions(ast.parse(path.read_text(encoding="utf-8"))):
@@ -74,8 +72,9 @@ def test_the_scan_sees_an_unused_function(tmp_path, monkeypatch):
         "@register('x')\ndef builder():\n    pass\n\n\n"
         "class Thing:\n    def __repr__(self):\n        return ''\n"
     )
+    (pkg / "__init__.py").write_text("from .a import lonely\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "t.py").write_text("Thing()\n")
     monkeypatch.setitem(globals(), "PACKAGE", pkg)
     monkeypatch.setitem(globals(), "SCANNED", (tmp_path / "src", tmp_path / "tests"))
-    assert unused_definitions() == ["a.py:5 lonely"]
+    assert unused_definitions() == ["a.py:5 lonely", "a.py:10 builder"]
