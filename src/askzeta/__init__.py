@@ -39,12 +39,12 @@ from .grouporbits import (
     catalog_algebra,
     cc_coefficients_direct,
     cc_via_ask,
+    exp_group,
     exp_nilpotent,
     gl_generators,
     group_closure,
     log_unipotent,
     oc_coefficients,
-    oc_of_exp_group,
     oc_via_ask,
     semidirect_embed,
 )

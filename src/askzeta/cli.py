@@ -36,9 +36,9 @@ from .grouporbits import (
     catalog_algebra,
     cc_coefficients_direct,
     cc_via_ask,
+    exp_group,
     gl_generators,
     oc_coefficients,
-    oc_of_exp_group,
     oc_via_ask,
 )
 from .intmat import IntMatrix
@@ -336,6 +336,23 @@ def _get_algebra(args) -> NilpotentAlgebra:
     raise InputError("provide --algebra KEY or --module FILE")
 
 
+def _bridge(via_route, alg, p, args, direct) -> tuple[dict, bool]:
+    """One prime's kernel-average count, violated hypotheses caught as notes,
+    beside `direct()` (skipped if None): (direct counts or None, entry fields).
+    Returns the entry, and whether the counts differ with no note (a bug)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        via = via_route(alg, p, args.n_max, args.budget)
+    notes = [str(w.message) for w in caught]
+    counts, entry = direct() if direct else (None, {})
+    entry.update(p=p, coefficients=[_rat(c) for c in via], warnings=notes)
+    if counts is None or [Fraction(v) for v in counts] == via:
+        return entry, False
+    if notes:
+        entry["status"] = "hypotheses violated; counts differ"
+    return entry, not notes
+
+
 def cmd_cc(args) -> int:
     alg = _get_algebra(args)
     primes = _parse_primes(args.p)
@@ -343,29 +360,21 @@ def cmd_cc(args) -> int:
     internal_problem = False
     first_mismatch = None
     for p in primes:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            via = cc_via_ask(alg, p, args.n_max, args.budget)
-            notes = [str(w.message) for w in caught]
-        entry = {"p": p, "coefficients": [_rat(c) for c in via], "warnings": notes}
-        if not args.skip_direct:
+
+        def direct():
             try:
-                direct = cc_coefficients_direct(alg, p, args.n_max, args.budget)
-                entry["direct"] = direct
-                if [Fraction(v) for v in direct] != via:
-                    if notes:
-                        entry["status"] = "hypotheses violated; counts differ"
-                    else:
-                        internal_problem = True
+                counts = cc_coefficients_direct(alg, p, args.n_max, args.budget)
             except BudgetExceededError as exc:
-                entry["direct"] = None
-                entry["direct_skipped"] = str(exc)
+                return None, {"direct": None, "direct_skipped": str(exc)}
+            return counts, {"direct": counts}
+
+        entry, bad = _bridge(cc_via_ask, alg, p, args, None if args.skip_direct else direct)
+        internal_problem |= bad
         if args.algebra:
             try:
                 table = closed_form(f"cc:{args.algebra}").formula
-                expected = expand(table, p, args.n_max + 1).coeffs
-                entry["table"] = [_rat(c) for c in expected]
-                for n, (a, b) in enumerate(zip(expected, via)):
+                entry["table"] = [_rat(c) for c in expand(table, p, args.n_max + 1).coeffs]
+                for n, (a, b) in enumerate(zip(entry["table"], entry["coefficients"])):
                     if a != b and first_mismatch is None:
                         first_mismatch = {"p": p, "n": n}
             except InputError:
@@ -386,48 +395,44 @@ def cmd_cc(args) -> int:
     return EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 
-def cmd_oc(args) -> int:
-    primes = _parse_primes(args.p)
-    results = []
-    internal_problem = False
+def _group_source(args):
+    """The given source's group at a prime, and its algebra (None if not exp)."""
     if args.gl is not None:
         if args.gl < 1:
             raise InputError(f"--gl must be >= 1, got {args.gl}")
-        groups = [(p, gl_generators(args.gl, p, max(args.n_max, 1))) for p in primes]
-    elif args.neg1:
-        g = GroupGenSet(1, (IntMatrix([[-1]]),), "neg1")
-        groups = [(p, g) for p in primes]
+        return (lambda p: gl_generators(args.gl, p, max(args.n_max, 1))), None
+    if args.neg1:
+        group = GroupGenSet(1, (IntMatrix([[-1]]),), "neg1")
     elif args.swap:
-        g = GroupGenSet(2, (IntMatrix([[0, 1], [1, 0]]),), "swap")
-        groups = [(p, g) for p in primes]
+        group = GroupGenSet(2, (IntMatrix([[0, 1], [1, 0]]),), "swap")
     elif args.group:
-        g = load_group(args.group)
-        groups = [(p, g) for p in primes]
+        group = load_group(args.group)
     elif args.algebra:
-        groups = None
+        alg = catalog_algebra(args.algebra)
+        return (lambda p: exp_group(alg, p, args.n_max)), alg
     else:
         raise InputError("provide a group source (--group/--gl/--neg1/--swap/--algebra)")
-    if groups is not None:
-        for p, g in groups:
-            counts = oc_coefficients(g, p, args.n_max, args.budget)
-            results.append({"p": p, "orbits": counts, "label": g.label})
-    else:
-        alg = catalog_algebra(args.algebra)
-        for p in primes:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                via = oc_via_ask(alg, p, args.n_max, args.budget)
-                notes = [str(w.message) for w in caught]
-            direct = oc_of_exp_group(alg, p, args.n_max, args.budget)
-            entry = {
-                "p": p,
-                "orbits": direct,
-                "coefficients": [_rat(c) for c in via],
-                "warnings": notes,
-            }
-            if [Fraction(v) for v in direct] != via and not notes:
-                internal_problem = True
-            results.append(entry)
+    return (lambda p: group), None
+
+
+def cmd_oc(args) -> int:
+    primes = _parse_primes(args.p)
+    group_at, alg = _group_source(args)
+    results = []
+    internal_problem = False
+    for p in primes:
+
+        def orbits():
+            group = group_at(p)
+            counts = oc_coefficients(group, p, args.n_max, args.budget)
+            return counts, {"orbits": counts} if alg else {"orbits": counts, "label": group.label}
+
+        if alg is None:
+            results.append({"p": p, **orbits()[1]})
+            continue
+        entry, bad = _bridge(oc_via_ask, alg, p, args, orbits)
+        internal_problem |= bad
+        results.append(entry)
     report = {
         "schema": SCHEMA,
         "command": "oc",
@@ -504,13 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, primes=True):
-        sp.add_argument("--n-max", type=int, default=2)
-        if primes:
+    def common(sp, counts=True):
+        if counts:
+            sp.add_argument("--n-max", type=int, default=2)
             sp.add_argument("--p", type=str, default="3")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
+            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", type=str, default=None)
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
@@ -518,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--catalog", type=str)
     sp.add_argument("--module", type=str)
     sp.add_argument("--method", choices=("auto", "average", "orbit", "both"), default="auto")
+    sp.add_argument("--jobs", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_ask)
 
@@ -531,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("structure", help="structural certificates and template")
     sp.add_argument("--catalog", type=str)
     sp.add_argument("--module", type=str)
-    common(sp, primes=False)
+    sp.add_argument("--seed", type=int, default=0)
+    common(sp, counts=False)
     sp.set_defaults(func=cmd_structure)
 
     sp = sub.add_parser("cc", help="conjugacy class counts of a unipotent group")
@@ -553,30 +559,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("feqn", help="functional equation check for a formula")
     sp.add_argument("--form", type=str, required=True)
     sp.add_argument("--d", type=int, required=True)
-    common(sp, primes=False)
+    common(sp, counts=False)
     sp.set_defaults(func=cmd_feqn)
 
     sp = sub.add_parser("catalog", help="export the closed-form catalog")
     sp.add_argument("--key", type=str)
-    common(sp, primes=False)
+    common(sp, counts=False)
     sp.set_defaults(func=cmd_catalog)
 
     sp = sub.add_parser("brenti", help="signed-permutation polynomial and identity")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--order", type=int, default=0)
-    common(sp, primes=False)
+    common(sp, counts=False)
     sp.set_defaults(func=cmd_brenti)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.n_max < 0:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "n_max", 0) < 0:
             raise InputError(f"--n-max must be >= 0, got {args.n_max}")
         return args.func(args)
+    except SystemExit as exc:  # from argparse: a usage error (2), or 0 after --help
+        return exc.code
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

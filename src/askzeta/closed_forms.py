@@ -335,11 +335,11 @@ _CC = {
     },
 }
 
-# oc name -> (formula text, validity, tested_at); "gl(d)" stands for every gl(...)
+# oc head -> (formula text, validity, tested_at, number of parameters, each >= 1)
 _OC = {
-    "gl(d)": ("1/(1 - T)^2", "all p", (3,)),
-    "neg1": ("(2 - q*T - T)/(2*(1 - q*T)*(1 - T))", "p odd", (5, 7)),
-    "swap": ("(2 - q^2*T - q*T)/(2*(1 - q^2*T)*(1 - q*T))", "all p", (3,)),
+    "gl": ("1/(1 - T)^2", "all p", (3,), 1),
+    "neg1": ("(2 - q*T - T)/(2*(1 - q*T)*(1 - T))", "p odd", (5, 7), 0),
+    "swap": ("(2 - q^2*T - q*T)/(2*(1 - q^2*T)*(1 - q*T))", "all p", (3,), 0),
 }
 
 
@@ -355,13 +355,11 @@ def closed_form(key: str) -> CatalogEntry:
             key, "cc", parse_rational(text), module_key, validity, tested_at, notes
         )
     if key.startswith("oc:"):
-        name = key[3:]
-        if name.startswith("gl(") and name.endswith(")"):
-            name = "gl(d)"
-        row = _OC.get(name)
-        if row is None:
-            raise InputError(f"unknown oc catalog key {key!r}")
-        text, validity, tested_at = row
+        head, params = _parse_key(key[3:])
+        row = _OC.get(head)
+        if row is None or len(params) != row[3] or any(v < 1 for v in params):
+            raise InputError(f"unknown oc catalog key {key!r} (gl(d) takes one d >= 1)")
+        text, validity, tested_at, _ = row
         return CatalogEntry(key, "oc", parse_rational(text), None, validity, tested_at)
     head, params = _parse_key(key)
     key = f"{head}({','.join(map(str, params))})" if params else head

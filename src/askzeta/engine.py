@@ -71,19 +71,33 @@ DEFAULT_BUDGET = 10**8
 
 
 def _walk_partial(payload):
-    """Unit classes per (level, span exponent) under one pivot; pure, for any scheduler.
+    """Visited unit classes and resolved nodes under one pivot; pure, for any scheduler.
 
     Walks the tree of unit-class representatives whose first unit coordinate
     is `pivot`, depth first and lazily, down to level `top`.  A node with
-    `rank` divisors below its level is resolved: its descendants are counted
-    in closed form instead of visited.  `rank` None resolves nothing.
+    `rank` divisors below its level is resolved: _orbit_sums counts its
+    descendants in closed form.  `rank` None resolves nothing.
     """
     triples, p, top, pivot, k, e, rank = payload
     counts: dict[tuple[int, int], int] = {}  # (level, span exponent) -> classes
     resolved: dict[tuple[int, int], int] = {}  # (level, sum of divisors) -> nodes
     free = [a for a in range(k) if a != pivot]
 
-    def visit(y, m):
+    def children(y, m):
+        child = list(y)
+        for t in product(range(0, p ** (m + 1), p**m), repeat=k - 1):
+            for a, s in zip(free, t):
+                child[a] = y[a] + s
+            yield tuple(child)
+
+    # the unvisited siblings at each depth m = 1, 2, ...: memory stays O(depth)
+    stack = [((0,) * pivot + (1,) + hi for hi in product(range(p), repeat=k - 1 - pivot))]
+    while stack:
+        y = next(stack[-1], None)
+        if y is None:
+            stack.pop()
+            continue
+        m = len(stack)
         rows = []
         for trip in triples:
             row = [0] * e
@@ -103,20 +117,8 @@ def _walk_partial(payload):
                 )
             resolved[(m, low)] = resolved.get((m, low), 0) + 1
         elif m < top:
-            step = p**m
-            child = list(y)
-            for t in product(range(0, step * p, step), repeat=k - 1):
-                for a, s in zip(free, t):
-                    child[a] = y[a] + s
-                visit(tuple(child), m + 1)
-
-    for hi in product(range(p), repeat=k - 1 - pivot):
-        visit((0,) * pivot + (1,) + hi, 1)
-    for (m, low), nodes in resolved.items():
-        for level in range(m + 1, top + 1):
-            key = (level, rank * level - low)
-            counts[key] = counts.get(key, 0) + nodes * p ** ((k - 1) * (level - m))
-    return counts
+            stack.append(children(y, m))
+    return counts, resolved
 
 
 def _run_partials(worker, payloads, jobs):
@@ -141,15 +143,23 @@ def _orbit_sums(generators, k, e, p, top, rank, jobs=1) -> list[Fraction]:
         for g in generators
     )
     payloads = [(triples, p, top, pivot, k, e, rank) for pivot in range(k)] if top > 0 else []
-    sums = [Fraction(0)] * (top + 1)  # S(m): unit classes mod p^m
-    for counts in _run_partials(_walk_partial, payloads, jobs):
+    sums = [Fraction(0)] * (top + 1)  # S(m) over the visited unit classes mod p^m
+    ball = [Fraction(0)] * (top + 1)  # sum of p^(low - (k-1)m) over nodes resolved at m
+    for counts, resolved in _run_partials(_walk_partial, payloads, jobs):
         for (m, exp), cnt in counts.items():
             sums[m] += Fraction(cnt, p**exp)
-    # x = 0 spans nothing; x = p^w y has a unit class of p^(n-w-1)(p-1) members
-    return [
-        1 + sum(p ** (n - w - 1) * (p - 1) * sums[n - w] for w in range(n))
-        for n in range(top + 1)
-    ]
+        for (m, low), nodes in resolved.items():
+            ball[m] += nodes * Fraction(p) ** (low - (k - 1) * m)
+    # x = 0 spans nothing; x = p^w y has a unit class of p^(n-w-1)(p-1) members,
+    # so level n is level n - 1 plus (p - 1) p^(n-1) S(n).  A node resolved at
+    # m < n has p^((k-1)(n-m)) classes at level n, of span exponent r n - low
+    out = [Fraction(1)]
+    tail = Fraction(0)
+    for n in range(1, top + 1):
+        tail += ball[n - 1]
+        s = sums[n] + (tail * Fraction(p) ** ((k - 1 - rank) * n) if tail else 0)
+        out.append(out[-1] + (p - 1) * p ** (n - 1) * s)
+    return out
 
 
 def _check_budget(m: MatrixModule, p: int, top: int, views, budget: int) -> None:

@@ -26,10 +26,11 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
+from .catalog import catalog_module
 from .engine import DEFAULT_BUDGET, ask_series
 from .errors import BudgetExceededError, InputError
 from .intmat import IntMatrix, from_flat
-from .linalg import matrix_inverse_mod
+from .linalg import hermite_form, matrix_inverse_mod
 from .module import MatrixModule, ad_representation
 from .poly import char_poly_is_pure_power
 from .primes import is_prime, primitive_root
@@ -77,7 +78,7 @@ class NilpotentAlgebra:
                 raise InputError("basis element is not nilpotent")
         if not char_poly_is_pure_power(module.linear_forms("average")):
             raise InputError("generic combination is not nilpotent")
-        ad_representation(module)  # raises unless Lie-closed with integer constants
+        self.ad = ad_representation(module)  # raises unless Lie-closed over Z
         self.module = module
         self.nilpotency_class = self._nilpotency_class()
 
@@ -98,8 +99,6 @@ class NilpotentAlgebra:
         c = 0
         while span:
             c += 1
-            from .linalg import hermite_form
-
             nxt = []
             for b in self.module.basis:
                 for s in span:
@@ -127,8 +126,6 @@ class NilpotentAlgebra:
 
 def catalog_algebra(key: str) -> NilpotentAlgebra:
     """Nilpotent algebra models by catalog key ("L_{3,2}", "n(4)", ...)."""
-    from .catalog import catalog_module
-
     return NilpotentAlgebra(catalog_module(key))
 
 
@@ -332,8 +329,14 @@ def conjugacy_class_count(elements, gens_flat, d: int, p: int, n: int) -> int:
     return classes
 
 
-def exp_generators(alg: NilpotentAlgebra, ring: RingSpec) -> list[IntMatrix]:
-    return [exp_nilpotent(b, ring) for b in alg.module.basis]
+def exp_group(alg: NilpotentAlgebra, p: int, n: int) -> GroupGenSet:
+    """exp of the basis mod p^n (mod p at n = 0).  Reduced mod p^m, these generate
+    the exponential group at each level m <= n: 1/i! mod p^n is 1/i! mod p^m."""
+    if p < alg.d:
+        raise InputError(f"need p >= {alg.d} for the exponential")
+    ring = RingSpec(p, max(n, 1))
+    gens = tuple(exp_nilpotent(b, ring) for b in alg.module.basis)
+    return GroupGenSet(alg.d, gens, f"exp({alg.label})")
 
 
 def cc_coefficients_direct(
@@ -344,18 +347,14 @@ def cc_coefficients_direct(
     The group at level n is generated by exp of the basis mod p^n; its order
     p^(dim * n) must stay within the budget.
     """
-    if p < alg.d:
-        raise InputError(f"need p >= {alg.d} for the exponential")
-    out = []
-    for n in range(n_max + 1):
-        if n == 0:
-            out.append(1)
-            continue
+    group = exp_group(alg, p, n_max)
+    out = [1]
+    for n in range(1, n_max + 1):
         expected = p ** (alg.dim * n)
         if expected > budget:
             raise BudgetExceededError(expected, budget)
         m = p**n
-        gens = [g.flat() for g in exp_generators(alg, RingSpec(p, n))]
+        gens = [g.mod(m).flat() for g in group.generators]
         elements = group_closure(gens, alg.d, m, budget)
         out.append(conjugacy_class_count(elements, gens, alg.d, p, n))
     return out
@@ -367,8 +366,7 @@ def cc_via_ask(
     """Conjugacy class counts through the adjoint module's kernel averages."""
     for msg in alg.identity_hypothesis_warnings(p):
         warnings.warn(f"identity hypothesis violated: {msg}", stacklevel=2)
-    ad = ad_representation(alg.module)
-    return ask_series(ad, p, n_max, budget=budget).coefficients()
+    return ask_series(alg.ad, p, n_max, budget=budget).coefficients()
 
 
 def oc_via_ask(
@@ -379,22 +377,6 @@ def oc_via_ask(
     for msg in alg.identity_hypothesis_warnings(p):
         warnings.warn(f"identity hypothesis violated: {msg}", stacklevel=2)
     return ask_series(alg.module, p, n_max, budget=budget).coefficients()
-
-
-def oc_of_exp_group(
-    alg: NilpotentAlgebra, p: int, n_max: int, budget: int = DEFAULT_BUDGET
-) -> list[int]:
-    """Orbit counts of exp(algebra) on (Z/p^n)^d, counted directly."""
-    if p < alg.d:
-        raise InputError(f"need p >= {alg.d} for the exponential")
-    out = []
-    for n in range(n_max + 1):
-        if n == 0:
-            out.append(1)
-            continue
-        gens = [g.flat() for g in exp_generators(alg, RingSpec(p, n))]
-        out.append(orbit_count_vectors(gens, alg.d, p, n, budget))
-    return out
 
 
 def semidirect_embed(m: MatrixModule) -> GroupGenSet:

@@ -33,12 +33,12 @@ from askzeta import (
     closed_form,
     elliptic_point_count,
     ex_elliptic_formula,
+    exp_group,
     expand,
     functional_equation_check,
     gl_generators,
     mat_form,
     oc_coefficients,
-    oc_of_exp_group,
     oc_via_ask,
     parse_rational,
     structure_report,
@@ -215,7 +215,7 @@ def test_criterion_08_group_bridge():
         assert cc_coefficients_direct(heis, 5, 2)[2] == 745
         for key in ("n(2)", "n(3)"):
             alg = catalog_algebra(key)
-            direct = oc_of_exp_group(alg, 5, 2)
+            direct = oc_coefficients(exp_group(alg, 5, 2), 5, 2)
             via = oc_via_ask(alg, 5, 2)
             assert [Fraction(v) for v in direct] == via, key
     elapsed = time.monotonic() - t0

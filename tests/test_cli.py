@@ -1,5 +1,6 @@
 """CLI behavior: schemas, determinism, exit codes, formats."""
 
+import argparse
 import itertools
 import json
 import time
@@ -11,11 +12,12 @@ from askzeta.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
     EXIT_OK,
+    build_parser,
     main,
     module_from_json,
     module_to_json,
 )
-from askzeta import catalog_keys, catalog_module, parse_rational
+from askzeta import catalog_keys, catalog_module, closed_form, expand, parse_rational
 from askzeta.catalog import _FAMILIES
 
 
@@ -124,6 +126,77 @@ class TestMalformedDocuments:
     def test_negative_level(self, capsys, argv):
         assert main([*argv, "--n-max", "-1"]) == EXIT_INPUT
         assert "--n-max" in capsys.readouterr().err
+
+
+class TestDeclaredOptions:
+    """Every option a subcommand declares is read by its handler."""
+
+    GROUP = {"schema": "askzeta/1", "d": 1, "generators": [[[-1]]], "label": "signs"}
+    ALGEBRA = {"schema": "askzeta/1", "d": 2, "e": 2, "basis": [[[0, 1], [0, 0]]],
+               "lie": True}
+
+    def _argvs(self, tmp_path, module_file):
+        group, algebra = tmp_path / "group.json", tmp_path / "algebra.json"
+        group.write_text(json.dumps(self.GROUP))
+        algebra.write_text(json.dumps(self.ALGEBRA))
+        return [
+            ["ask", "--catalog", "n(2)"],
+            ["ask", "--module", module_file],
+            ["verify", "--catalog", "n(2)", "--n-max", "1"],
+            ["verify", "--module", module_file, "--formula", "1/(1 - T)", "--n-max", "1"],
+            ["structure", "--catalog", "n(2)"],
+            ["structure", "--module", module_file],
+            ["cc", "--algebra", "n(2)", "--n-max", "1"],
+            ["cc", "--module", str(algebra), "--n-max", "1"],
+            ["oc", "--gl", "1", "--n-max", "1"],
+            ["oc", "--neg1", "--n-max", "1"],
+            ["oc", "--swap", "--n-max", "1"],
+            ["oc", "--group", str(group), "--n-max", "1"],
+            ["oc", "--algebra", "n(2)", "--n-max", "1"],
+            ["feqn", "--form", "1/(1-T)", "--d", "1"],
+            ["catalog", "--key", "n(2)"],
+            ["brenti", "--n", "2", "--order", "2"],
+        ]
+
+    def test_every_declared_option_is_read(self, tmp_path, module_file, capsys):
+        class Recording:
+            def __init__(self, args):
+                object.__setattr__(self, "_args", args)
+                object.__setattr__(self, "read", set())
+
+            def __getattr__(self, name):
+                self.read.add(name)
+                return getattr(self._args, name)
+
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        read = {name: set() for name in sub.choices}
+        for argv in self._argvs(tmp_path, module_file):
+            args = Recording(parser.parse_args(argv))
+            args.func(args)
+            read[argv[0]] |= args.read
+        capsys.readouterr()
+        unread = sorted(
+            f"{name} {action.option_strings[0]}"
+            for name, sp in sub.choices.items()
+            for action in sp._actions
+            if action.option_strings and action.dest != "help" and action.dest not in read[name]
+        )
+        assert unread == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--catalog", "n(2)", "--jobs", "2"],
+            ["structure", "--catalog", "n(2)", "--budget", "5"],
+            ["feqn", "--form", "1/(1-T)", "--d", "1", "--seed", "3"],
+            ["catalog", "--jobs", "9"],
+            ["brenti", "--n", "2", "--n-max", "7"],
+        ],
+    )
+    def test_an_option_no_handler_reads_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -275,6 +348,20 @@ class TestExitCodes:
         assert main(["ask", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_INPUT
         assert reason in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["oc:gl(0)", "oc:gl(-1)", "oc:gl(x)", "oc:gl()", "oc:gl(2,3)", "oc:neg1(2)"]
+    )
+    def test_oc_key_parameters(self, capsys, key):
+        # the oc:gl row takes one size >= 1, as `oc --gl` does
+        assert main(["catalog", "--key", key]) == EXIT_INPUT
+        assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["oc:gl(1)", "oc:gl(2)", "oc: gl( 3 ) "])
+    def test_oc_gl_keys_export(self, capsys, key):
+        assert main(["catalog", "--key", key]) == EXIT_OK
+        entry = json.loads(capsys.readouterr().out)["results"][0]
+        assert entry["formula"] == str(parse_rational("1/(1 - T)^2"))
+
     def test_every_catalog_key_exports(self, capsys):
         for key in catalog_keys():
             assert main(["catalog", "--key", key]) == EXIT_OK, key
@@ -286,6 +373,18 @@ class TestExitCodes:
 
 
 class TestCommands:
+    def test_deep_ask(self, tmp_path):
+        # 1,200 levels of diag(2) at p = 2: the walk keeps an explicit stack
+        out = tmp_path / "deep.json"
+        start = time.perf_counter()
+        argv = ["ask", "--catalog", "diag(2)", "--p", "2", "--n-max", "1200",
+                "--budget", str(10**800), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        assert time.perf_counter() - start < 10
+        got = json.loads(out.read_text())["results"][0]["coefficients"]
+        want = expand(closed_form("diag(2)").formula, 2, 1201).coeffs
+        assert got == [{"num": str(c.numerator), "den": str(c.denominator)} for c in want]
+
     def test_structure(self, capsys):
         assert main(["structure", "--catalog", "band(2)"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 """The two kernel-average engines and the auxiliary counting operations."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,15 @@ class TestTreeWalk:
         # so(3) at p = 7, n = 3 enumerated 7^9 points per view before the walk
         got = ask_series(catalog_module(key), p, 3, "both").coefficients()
         assert got == _closed_form(key, p, 3)
+
+    def test_deep_walk_is_iterative_and_linear_in_depth(self):
+        # diag(2) at p = 2 leaves a few nodes unresolved per level; the walk
+        # once recursed per level and re-expanded every resolved ball into
+        # every deeper level
+        start = time.perf_counter()
+        got = ask_series(catalog_module("diag(2)"), 2, 1200, budget=10**1000).coefficients()
+        assert time.perf_counter() - start < 10
+        assert got == _closed_form("diag(2)", 2, 1200)
 
     def test_kernel_budget_names_view_and_level(self):
         with pytest.raises(BudgetExceededError) as info:

@@ -11,21 +11,24 @@ from askzeta import (
     IntMatrix,
     NilpotentAlgebra,
     RingSpec,
+    ad_representation,
     ask_average,
     catalog_algebra,
     catalog_module,
     cc_coefficients_direct,
     cc_via_ask,
     closed_form,
+    exp_group,
     exp_nilpotent,
     expand,
     gl_generators,
     log_unipotent,
     oc_coefficients,
-    oc_of_exp_group,
     oc_via_ask,
     semidirect_embed,
 )
+from askzeta import grouporbits
+from askzeta.catalog import algebra_keys
 
 
 def quiet(fn, *args, **kwargs):
@@ -151,7 +154,9 @@ class TestNilpotentAlgebra:
         ref = catalog_algebra("n(2)")
         for p in (3, 5):
             assert cc_coefficients_direct(alg, p, 2) == cc_coefficients_direct(ref, p, 2)
-            assert oc_of_exp_group(alg, p, 2) == oc_of_exp_group(ref, p, 2)
+            assert oc_coefficients(exp_group(alg, p, 2), p, 2) == oc_coefficients(
+                exp_group(ref, p, 2), p, 2
+            )
             assert quiet(oc_via_ask, alg, p, 2) == quiet(oc_via_ask, ref, p, 2)
 
     def test_random_combinations_of_certified_algebra_are_nilpotent(self, rng):
@@ -205,22 +210,71 @@ class TestConjugacyClasses:
 class TestOrbitBridge:
     def test_n2(self):
         alg = catalog_algebra("n(2)")
-        direct = oc_of_exp_group(alg, 3, 2)
+        direct = oc_coefficients(exp_group(alg, 3, 2), 3, 2)
         via = quiet(oc_via_ask, alg, 3, 2)
         assert direct == [1, 5, 21]
         assert [Fraction(v) for v in direct] == via
 
     def test_n3(self):
         alg = catalog_algebra("n(3)")
-        direct = oc_of_exp_group(alg, 5, 1)
+        direct = oc_coefficients(exp_group(alg, 5, 1), 5, 1)
         via = quiet(oc_via_ask, alg, 5, 1)
         assert direct == [1, 13]
         assert [Fraction(v) for v in direct] == via
 
     def test_zero_algebra(self):
         alg = NilpotentAlgebra(catalog_module("zero(2,2)"))
-        assert oc_of_exp_group(alg, 3, 2) == [1, 9, 81]
+        assert oc_coefficients(exp_group(alg, 3, 2), 3, 2) == [1, 9, 81]
         assert quiet(oc_via_ask, alg, 3, 2) == [1, 9, 81]
+
+
+class TestExpGroup:
+    """An algebra's exponential group is one generator set per prime."""
+
+    @pytest.mark.parametrize("key", [*algebra_keys(), "n(3)", "n(4)"])
+    def test_generators_reduce_to_every_level(self, key):
+        alg = catalog_algebra(key)
+        for p in (5, 7):
+            if p < alg.d:
+                with pytest.raises(InputError, match=f"need p >= {alg.d}"):
+                    exp_group(alg, p, 1)
+                continue
+            for top in (1, 2, 3):
+                group = exp_group(alg, p, top)
+                assert len(group.generators) == alg.dim
+                for n in range(top + 1):
+                    for g, b in zip(group.generators, alg.module.basis):
+                        assert g.mod(p**n) == exp_nilpotent(b, RingSpec(p, n)), (p, top, n)
+
+    def test_level_zero(self):
+        alg = catalog_algebra("L_{3,2}")
+        assert oc_coefficients(exp_group(alg, 3, 0), 3, 0) == [1]
+        assert cc_coefficients_direct(alg, 3, 0) == [1]
+
+    def test_orbit_bridge_through_inverse_factorials(self):
+        # exp of the first generator of L_{4,3} carries 1/2 and 1/6
+        alg = catalog_algebra("L_{4,3}")
+        direct = oc_coefficients(exp_group(alg, 5, 2), 5, 2)
+        assert direct == [1, 33, 881]
+        assert [Fraction(v) for v in direct] == quiet(oc_via_ask, alg, 5, 2)
+
+    @pytest.mark.parametrize("key", [*algebra_keys(), "n(4)", "zero(2,2)"])
+    def test_adjoint_module_is_kept(self, key):
+        alg = catalog_algebra(key)
+        assert alg.ad == ad_representation(alg.module)
+
+    def test_cc_via_ask_builds_no_adjoint_module(self, monkeypatch):
+        alg = catalog_algebra("L_{4,3}")
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return ad_representation(m)
+
+        monkeypatch.setattr(grouporbits, "ad_representation", counting)
+        for p in (5, 7):
+            assert quiet(cc_via_ask, alg, p, 1)[1] == 2 * p * p - 1
+        assert calls == []
 
 
 class TestSemidirect:
