@@ -9,6 +9,7 @@ strings in lowest terms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -43,6 +44,7 @@ from .grouporbits import (
 )
 from .intmat import IntMatrix
 from .module import MatrixModule
+from .primes import is_prime
 from .ratfun import expand, functional_equation_check, parse_rational
 from .structural import structure_report
 
@@ -78,17 +80,34 @@ def _rat(value) -> dict:
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
-def _parse_primes(text: str) -> list[int]:
+def _primes(text: str) -> list[int]:
+    """The --p type: a non-empty comma-separated list of primes."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad prime list {text!r}") from exc
+        primes = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad prime list {text!r}") from None
+    if not primes:
+        raise argparse.ArgumentTypeError(f"no prime in {text!r}")
+    for p in primes:
+        if not is_prime(p):
+            raise argparse.ArgumentTypeError(f"{p} is not prime")
+    return primes
 
 
-def load_module(path: str) -> MatrixModule:
+def _natural(text: str) -> int:
+    """The --n-max and --order type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return module_from_json(data)
+        return json.load(fh)
 
 
 def _int_matrix(value, what: str) -> IntMatrix:
@@ -107,18 +126,26 @@ def _int_matrices(data: dict, key: str) -> list[IntMatrix]:
     return [_int_matrix(v, f"{key}[{i}]") for i, v in enumerate(value)]
 
 
-def module_from_json(data) -> MatrixModule:
+def _document(data, kind: str, *keys: str) -> list:
+    """The values at `keys` of a `kind` document (module, algebra or group):
+    a JSON object of the package schema whose keys are sizes (integers) but
+    the last, a list of integer matrices."""
     if not isinstance(data, dict):
-        raise InputError("module document must be a JSON object")
+        raise InputError(f"{kind} document must be a JSON object")
     if data.get("schema") != SCHEMA:
         raise InputError(f'missing or unsupported "schema" (expected "{SCHEMA}")')
-    for key in ("d", "e", "basis"):
+    for key in keys:
         if key not in data:
-            raise InputError(f"module document lacks {key!r}")
-    d, e = data["d"], data["e"]
-    if type(d) is not int or type(e) is not int:
-        raise InputError("d and e must be integers")
-    basis = _int_matrices(data, "basis")
+            raise InputError(f"{kind} document lacks {key!r}")
+    *sizes, matrices = keys
+    for key in sizes:
+        if type(data[key]) is not int:
+            raise InputError(f"{key} must be an integer")
+    return [*(data[key] for key in sizes), _int_matrices(data, matrices)]
+
+
+def module_from_json(data) -> MatrixModule:
+    d, e, basis = _document(data, "module", "d", "e", "basis")
     return MatrixModule(d, e, basis, str(data.get("label", "")))
 
 
@@ -132,39 +159,31 @@ def module_to_json(m: MatrixModule) -> dict:
     }
 
 
-def load_group(path: str) -> GroupGenSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA:
-        raise InputError(f'missing or unsupported "schema" (expected "{SCHEMA}")')
-    if "generators" not in data or "d" not in data:
-        raise InputError("group document needs d and generators")
-    if type(data["d"]) is not int:
-        raise InputError("d must be an integer")
-    gens = tuple(_int_matrices(data, "generators"))
-    return GroupGenSet(data["d"], gens, str(data.get("label", "")))
-
-
-def _emit(report: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+def _report(handler, args) -> int:
+    """Every subcommand's one report step: handler(args) gives the report's
+    fields and the exit code; the report, stamped with the schema and the
+    command, is written in the chosen format."""
+    fields, code = handler(args)
+    report = {"schema": SCHEMA, "command": args.command, "results": [], **fields}
+    if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
+    elif args.format == "csv":
         text = _to_csv(report)
     else:
         text = _to_text(report)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return code
 
 
 def _to_csv(report: dict) -> str:
+    """The coefficient or orbit streams of ask, cc and oc, one row per level."""
     lines = ["p,n,num,den"]
-    for res in report.get("results", []):
-        p = res.get("p")
+    for res in report["results"]:
+        p = res["p"]
         if "coefficients" in res:
             for n, c in enumerate(res["coefficients"]):
                 lines.append(f"{p},{n},{c['num']},{c['den']}")
@@ -175,21 +194,21 @@ def _to_csv(report: dict) -> str:
 
 
 def _to_text(report: dict) -> str:
-    lines = [f"command: {report.get('command')}"]
+    lines = [f"command: {report['command']}"]
     for key, value in sorted(report.items()):
         if key in ("command", "results"):
             continue
         lines.append(f"{key}: {value}")
-    for res in report.get("results", []):
+    for res in report["results"]:
         lines.append(json.dumps(res, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
 def _get_module(args) -> MatrixModule:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return catalog_module(args.catalog)
-    if getattr(args, "module", None):
-        return load_module(args.module)
+    if args.module:
+        return module_from_json(_read_json(args.module))
     raise InputError("provide --catalog KEY or --module FILE")
 
 
@@ -208,13 +227,10 @@ def _run_series(m, primes, n_max, method, budget, jobs):
     return _run_partials(_series_task, tasks, jobs)
 
 
-def cmd_ask(args) -> int:
+def cmd_ask(args) -> tuple[dict, int]:
     m = _get_module(args)
-    primes = _parse_primes(args.p)
-    results = _run_series(m, primes, args.n_max, args.method, args.budget, args.jobs)
+    results = _run_series(m, args.p, args.n_max, args.method, args.budget, args.jobs)
     report = {
-        "schema": SCHEMA,
-        "command": "ask",
         "input": args.catalog or args.module,
         "method": args.method,
         "n_max": args.n_max,
@@ -224,33 +240,28 @@ def cmd_ask(args) -> int:
             for p, coeffs in results
         ],
     }
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _verify_formula(args, m):
+def _verify_formula(args):
+    """--formula, else the catalog entry's; None for ex_elliptic, whose formula
+    depends on the prime."""
     if args.formula:
-        return parse_rational(args.formula), None
+        return parse_rational(args.formula)
+    if not args.catalog:
+        raise InputError("verify needs --catalog KEY or --module FILE --formula EXPR")
     entry = closed_form(args.catalog)
-    if entry.formula is not None:
-        return entry.formula, entry
-    if entry.key == "ex_elliptic":
-        return None, entry  # per-prime specialization below
+    if entry.formula is not None or entry.key == "ex_elliptic":
+        return entry.formula
     raise InputError(f"catalog entry {args.catalog!r} stores no fixed formula")
 
 
-def cmd_verify(args) -> int:
-    if args.catalog:
-        m = catalog_module(args.catalog)
-    else:
-        if not (args.module and args.formula):
-            raise InputError("verify needs --catalog KEY or --module FILE --formula EXPR")
-        m = load_module(args.module)
-    formula, entry = _verify_formula(args, m)
-    primes = _parse_primes(args.p)
+def cmd_verify(args) -> tuple[dict, int]:
+    m = _get_module(args)
+    formula = _verify_formula(args)
     results = []
     first_mismatch = None
-    for p in primes:
+    for p in args.p:
         w = formula
         if w is None:  # elliptic entry: formula depends on a curve point count
             w = ex_elliptic_formula(elliptic_point_count(p))
@@ -275,8 +286,6 @@ def cmd_verify(args) -> int:
                 first_mismatch = {"p": p, "n": n}
         results.append({"p": p, "per_n": per_n})
     report = {
-        "schema": SCHEMA,
-        "command": "verify",
         "input": args.catalog or args.module,
         "n_max": args.n_max,
         "seed": args.seed,
@@ -284,11 +293,10 @@ def cmd_verify(args) -> int:
         "first_mismatch": first_mismatch,
         "results": results,
     }
-    _emit(report, args)
-    return EXIT_OK if first_mismatch is None else EXIT_MISMATCH
+    return report, EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 
-def cmd_structure(args) -> int:
+def cmd_structure(args) -> tuple[dict, int]:
     m = _get_module(args)
     rep = structure_report(m, seed=args.seed)
 
@@ -306,8 +314,6 @@ def cmd_structure(args) -> int:
         return out
 
     report = {
-        "schema": SCHEMA,
-        "command": "structure",
         "input": args.catalog or args.module,
         "seed": args.seed,
         "grk": rep.grk,
@@ -318,21 +324,19 @@ def cmd_structure(args) -> int:
         "constant_orbit_dim": rep.constant_orbit_dim,
         "template_key": rep.template_key,
         "template": str(rep.template) if rep.template is not None else None,
-        "results": [],
     }
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 def _get_algebra(args) -> NilpotentAlgebra:
-    if getattr(args, "algebra", None):
+    if args.algebra:
         return catalog_algebra(args.algebra)
-    if getattr(args, "module", None):
-        with open(args.module, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or not data.get("lie"):
+    if args.module:
+        data = _read_json(args.module)
+        m = module_from_json(data)
+        if not data.get("lie"):
             raise InputError('algebra documents must set "lie": true')
-        return NilpotentAlgebra(module_from_json(data))
+        return NilpotentAlgebra(m)
     raise InputError("provide --algebra KEY or --module FILE")
 
 
@@ -353,13 +357,12 @@ def _bridge(via_route, alg, p, args, direct) -> tuple[dict, bool]:
     return entry, not notes
 
 
-def cmd_cc(args) -> int:
+def cmd_cc(args) -> tuple[dict, int]:
     alg = _get_algebra(args)
-    primes = _parse_primes(args.p)
     results = []
     internal_problem = False
     first_mismatch = None
-    for p in primes:
+    for p in args.p:
 
         def direct():
             try:
@@ -381,18 +384,15 @@ def cmd_cc(args) -> int:
                 pass
         results.append(entry)
     report = {
-        "schema": SCHEMA,
-        "command": "cc",
         "input": args.algebra or args.module,
         "n_max": args.n_max,
         "seed": args.seed,
         "first_mismatch": first_mismatch,
         "results": results,
     }
-    _emit(report, args)
     if internal_problem:
-        return EXIT_INTERNAL
-    return EXIT_OK if first_mismatch is None else EXIT_MISMATCH
+        return report, EXIT_INTERNAL
+    return report, EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 
 def _group_source(args):
@@ -406,7 +406,9 @@ def _group_source(args):
     elif args.swap:
         group = GroupGenSet(2, (IntMatrix([[0, 1], [1, 0]]),), "swap")
     elif args.group:
-        group = load_group(args.group)
+        data = _read_json(args.group)
+        d, gens = _document(data, "group", "d", "generators")
+        group = GroupGenSet(d, tuple(gens), str(data.get("label", "")))
     elif args.algebra:
         alg = catalog_algebra(args.algebra)
         return (lambda p: exp_group(alg, p, args.n_max)), alg
@@ -415,12 +417,11 @@ def _group_source(args):
     return (lambda p: group), None
 
 
-def cmd_oc(args) -> int:
-    primes = _parse_primes(args.p)
+def cmd_oc(args) -> tuple[dict, int]:
     group_at, alg = _group_source(args)
     results = []
     internal_problem = False
-    for p in primes:
+    for p in args.p:
 
         def orbits():
             group = group_at(p)
@@ -433,33 +434,18 @@ def cmd_oc(args) -> int:
         entry, bad = _bridge(oc_via_ask, alg, p, args, orbits)
         internal_problem |= bad
         results.append(entry)
-    report = {
-        "schema": SCHEMA,
-        "command": "oc",
-        "n_max": args.n_max,
-        "seed": args.seed,
-        "results": results,
-    }
-    _emit(report, args)
-    return EXIT_INTERNAL if internal_problem else EXIT_OK
+    report = {"n_max": args.n_max, "seed": args.seed, "results": results}
+    return report, EXIT_INTERNAL if internal_problem else EXIT_OK
 
 
-def cmd_feqn(args) -> int:
+def cmd_feqn(args) -> tuple[dict, int]:
     w = parse_rational(args.form)
     holds = functional_equation_check(w, args.d)
-    report = {
-        "schema": SCHEMA,
-        "command": "feqn",
-        "form": str(w),
-        "d": args.d,
-        "holds": holds,
-        "results": [],
-    }
-    _emit(report, args)
-    return EXIT_OK if holds else EXIT_MISMATCH
+    report = {"form": str(w), "d": args.d, "holds": holds}
+    return report, EXIT_OK if holds else EXIT_MISMATCH
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> tuple[dict, int]:
     keys = [args.key] if args.key else catalog_keys()
     entries = []
     for key in keys:
@@ -475,31 +461,20 @@ def cmd_catalog(args) -> int:
                 "notes": e.notes,
             }
         )
-    report = {
-        "schema": SCHEMA,
-        "command": "catalog",
-        "results": entries,
-    }
-    _emit(report, args)
-    return EXIT_OK
+    return {"results": entries}, EXIT_OK
 
 
-def cmd_brenti(args) -> int:
+def cmd_brenti(args) -> tuple[dict, int]:
     poly = brenti_polynomial(args.n)
     report = {
-        "schema": SCHEMA,
-        "command": "brenti",
         "n": args.n,
         "polynomial": {f"{i},{j}": c for (i, j), c in sorted(poly.items())},
-        "results": [],
     }
-    if args.order:
-        report["identity_order"] = args.order
-        report["identity_holds"] = brenti_identity_check(args.n, args.order)
-    _emit(report, args)
-    if args.order and not report["identity_holds"]:
-        return EXIT_MISMATCH
-    return EXIT_OK
+    if not args.order:
+        return report, EXIT_OK
+    holds = brenti_identity_check(args.n, args.order)
+    report.update(identity_order=args.order, identity_holds=holds)
+    return report, EXIT_OK if holds else EXIT_MISMATCH
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,43 +484,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, counts=True):
+    def common(sp, handler, counts=True, csv=False):
+        """The options every subcommand shares, and its report step; csv is
+        offered to the coefficient and orbit streams only."""
         if counts:
-            sp.add_argument("--n-max", type=int, default=2)
-            sp.add_argument("--p", type=str, default="3")
+            sp.add_argument("--n-max", type=_natural, default=2)
+            sp.add_argument("--p", type=_primes, default="3")
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", type=str, default=None)
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        formats = ("json", "csv", "text") if csv else ("json", "text")
+        sp.add_argument("--format", choices=formats, default="json")
+        sp.set_defaults(func=functools.partial(_report, handler))
 
     sp = sub.add_parser("ask", help="coefficient stream of a module")
     sp.add_argument("--catalog", type=str)
     sp.add_argument("--module", type=str)
     sp.add_argument("--method", choices=("auto", "average", "orbit", "both"), default="auto")
     sp.add_argument("--jobs", type=int, default=1)
-    common(sp)
-    sp.set_defaults(func=cmd_ask)
+    common(sp, cmd_ask, csv=True)
 
     sp = sub.add_parser("verify", help="check coefficients against a closed form")
     sp.add_argument("--catalog", type=str)
     sp.add_argument("--module", type=str)
     sp.add_argument("--formula", type=str)
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
+    common(sp, cmd_verify)
 
     sp = sub.add_parser("structure", help="structural certificates and template")
     sp.add_argument("--catalog", type=str)
     sp.add_argument("--module", type=str)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, counts=False)
-    sp.set_defaults(func=cmd_structure)
+    common(sp, cmd_structure, counts=False)
 
     sp = sub.add_parser("cc", help="conjugacy class counts of a unipotent group")
     sp.add_argument("--algebra", type=str)
     sp.add_argument("--module", type=str)
     sp.add_argument("--skip-direct", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_cc)
+    common(sp, cmd_cc, csv=True)
 
     sp = sub.add_parser("oc", help="orbit counts of a linear group")
     sp.add_argument("--group", type=str)
@@ -553,25 +528,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gl", type=int)
     sp.add_argument("--neg1", action="store_true")
     sp.add_argument("--swap", action="store_true")
-    common(sp)
-    sp.set_defaults(func=cmd_oc)
+    common(sp, cmd_oc, csv=True)
 
     sp = sub.add_parser("feqn", help="functional equation check for a formula")
     sp.add_argument("--form", type=str, required=True)
     sp.add_argument("--d", type=int, required=True)
-    common(sp, counts=False)
-    sp.set_defaults(func=cmd_feqn)
+    common(sp, cmd_feqn, counts=False)
 
     sp = sub.add_parser("catalog", help="export the closed-form catalog")
     sp.add_argument("--key", type=str)
-    common(sp, counts=False)
-    sp.set_defaults(func=cmd_catalog)
+    common(sp, cmd_catalog, counts=False)
 
     sp = sub.add_parser("brenti", help="signed-permutation polynomial and identity")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--order", type=int, default=0)
-    common(sp, counts=False)
-    sp.set_defaults(func=cmd_brenti)
+    sp.add_argument("--order", type=_natural, default=0)
+    common(sp, cmd_brenti, counts=False)
 
     return parser
 
@@ -579,8 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "n_max", 0) < 0:
-            raise InputError(f"--n-max must be >= 0, got {args.n_max}")
         return args.func(args)
     except SystemExit as exc:  # from argparse: a usage error (2), or 0 after --help
         return exc.code

@@ -22,10 +22,11 @@ the sum.
     p^(n(e-d)) ask(M) (k = e).  Spans depend only on the lattice, so M's
     own basis serves.
 
-ask_series "auto" takes the view with the fewest points p^(kn); "both"
-compares the average and orbit routes, i.e. the definition with the orbit
-formula.  The budget bounds p^(kn) at every level of every view a call
-runs, and is checked once before any walk starts.
+ask_series is the one entry: it runs one view by name, or "auto", the view
+with the fewest points p^(kn), or "both", which compares the average and
+orbit routes, i.e. the definition with the orbit formula.  The budget bounds
+p^(kn) at every level of every view a call runs, and is checked once before
+any walk starts.
 
 Spans are invariant under multiplying the point by a unit, and a nonzero x
 is p^w times a primitive vector y mod p^(n-w), whose unit class has
@@ -183,49 +184,12 @@ def _view_series(m: MatrixModule, p: int, top: int, view: str, jobs: int) -> lis
     return [s * Fraction(p) ** (n * (m.d - k)) for n, s in enumerate(sums)]
 
 
-def ask_view(
-    m: MatrixModule,
-    ring: RingSpec,
-    view: str,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
-) -> Fraction:
-    """ask(M, Z/p^n) through one view: "orbit", "average" or "transpose".
-
-    The point count p^(k*n) of the view must stay within the budget.  `jobs`
-    splits the walk by pivot across processes; the result does not depend on
-    the split.
-    """
-    _check_budget(m, ring.p, ring.n, (view,), budget)
-    return _view_series(m, ring.p, ring.n, view, jobs)[ring.n]
-
-
-def ask_average(
-    m: MatrixModule, ring: RingSpec, budget: int = DEFAULT_BUDGET, jobs: int = 1
-) -> Fraction:
-    """Average size of the kernel of a random element of M over Z/p^n.
-
-    The orbit sum of the Knuth dual, over p^(l*n) coefficient tuples.
-    """
-    return ask_view(m, ring, "average", budget, jobs)
-
-
-def ask_orbit(
-    m: MatrixModule, ring: RingSpec, budget: int = DEFAULT_BUDGET, jobs: int = 1
-) -> Fraction:
-    """Sum over x in (Z/p^n)^d of the reciprocal orbit size |x M|.
-
-    Equals ask_average exactly, over p^(d*n) points.
-    """
-    return ask_view(m, ring, "orbit", budget, jobs)
-
-
 def _method_views(m: MatrixModule, method: str) -> tuple[str, ...]:
     if method == "both":
         return ("average", "orbit")
     if method == "auto":
         return (min(VIEWS, key=lambda view: m.view_shape(view)[0]),)
-    if method in ("average", "orbit"):
+    if method in VIEWS:
         return (method,)
     raise InputError(f"unknown method {method!r}")
 
@@ -268,11 +232,15 @@ def ask_series(
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> CoeffSeq:
-    """Coefficients ask(M, Z/p^n) for n = 0 .. n_max.
+    """Coefficients ask(M, Z/p^n) for n = 0 .. n_max; the engine's one entry.
 
-    method "auto" runs the view with the fewest points; "both" runs the
-    average and orbit routes and insists on exact agreement.
+    method is a view ("orbit", "average" or "transpose"); "auto" runs the
+    view with the fewest points, and "both" runs the average and orbit
+    routes and insists on exact agreement.  The point count p^(k*n) of every
+    view run must stay within the budget at every level.  `jobs` splits each
+    walk by pivot across processes; the result does not depend on the split.
     """
+    RingSpec(p, n_max)
     views = _method_views(m, method)
     label = method if method == "both" else views[0]
     _check_budget(m, p, n_max, views, budget)
@@ -286,6 +254,26 @@ def ask_series(
             )
         values.append(AskValue(value, p, n, label if n else "trivial"))
     return CoeffSeq(p, tuple(values))
+
+
+def ask_average(
+    m: MatrixModule, ring: RingSpec, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> Fraction:
+    """Average size of the kernel of a random element of M over Z/p^n.
+
+    The orbit sum of the Knuth dual, over p^(l*n) coefficient tuples.
+    """
+    return ask_series(m, ring.p, ring.n, "average", budget, jobs).values[-1].value
+
+
+def ask_orbit(
+    m: MatrixModule, ring: RingSpec, budget: int = DEFAULT_BUDGET, jobs: int = 1
+) -> Fraction:
+    """Sum over x in (Z/p^n)^d of the reciprocal orbit size |x M|.
+
+    Equals ask_average exactly, over p^(d*n) points.
+    """
+    return ask_series(m, ring.p, ring.n, "orbit", budget, jobs).values[-1].value
 
 
 def ask_mod_composite(

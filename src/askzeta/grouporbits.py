@@ -360,13 +360,22 @@ def cc_coefficients_direct(
     return out
 
 
+def _via_ask(
+    alg: NilpotentAlgebra, m: MatrixModule, p: int, n_max: int, budget: int
+) -> list[Fraction]:
+    """ask_series of m, then a warning per violated identity hypothesis: the
+    series checks p and n_max before the hypotheses divide by p."""
+    coeffs = ask_series(m, p, n_max, budget=budget).coefficients()
+    for msg in alg.identity_hypothesis_warnings(p):
+        warnings.warn(f"identity hypothesis violated: {msg}", stacklevel=3)
+    return coeffs
+
+
 def cc_via_ask(
     alg: NilpotentAlgebra, p: int, n_max: int, budget: int = DEFAULT_BUDGET
 ) -> list[Fraction]:
     """Conjugacy class counts through the adjoint module's kernel averages."""
-    for msg in alg.identity_hypothesis_warnings(p):
-        warnings.warn(f"identity hypothesis violated: {msg}", stacklevel=2)
-    return ask_series(alg.ad, p, n_max, budget=budget).coefficients()
+    return _via_ask(alg, alg.ad, p, n_max, budget)
 
 
 def oc_via_ask(
@@ -374,9 +383,7 @@ def oc_via_ask(
 ) -> list[Fraction]:
     """Orbit counts of the exponential group through kernel averages of the
     algebra itself."""
-    for msg in alg.identity_hypothesis_warnings(p):
-        warnings.warn(f"identity hypothesis violated: {msg}", stacklevel=2)
-    return ask_series(alg.module, p, n_max, budget=budget).coefficients()
+    return _via_ask(alg, alg.module, p, n_max, budget)
 
 
 def semidirect_embed(m: MatrixModule) -> GroupGenSet:

@@ -371,6 +371,73 @@ class TestExitCodes:
         assert main(["ask", "--catalog", "n(2)", "--p", "3;5"]) == EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("primes", ["4", "1", "0", "-3", ","])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ask", "--catalog", "so(3)"],
+            ["verify", "--catalog", "so(3)"],
+            ["cc", "--algebra", "L_{3,2}", "--skip-direct"],
+            ["oc", "--gl", "2"],
+        ],
+    )
+    def test_p_must_list_primes(self, capsys, argv, primes):
+        # Z/p^n is a quotient of a discrete valuation ring only for a prime p
+        assert main([*argv, "--p", primes, "--n-max", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --p:" in captured.err
+
+    def test_brenti_order_is_a_level(self, capsys):
+        assert main(["brenti", "--n", "3", "--order", "-5"]) == EXIT_INPUT
+        assert "argument --order:" in capsys.readouterr().err
+
+    def test_brenti_order_is_bounded(self, capsys):
+        start = time.perf_counter()
+        assert main(["brenti", "--n", "1", "--order", "100000000"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err.startswith("budget exceeded:")
+        assert main(["brenti", "--n", "6", "--order", "1000"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["identity_holds"] is True
+
+
+ONE_PER_COMMAND = [
+    ["ask", "--catalog", "n(2)", "--n-max", "1"],
+    ["verify", "--catalog", "n(2)", "--n-max", "1"],
+    ["structure", "--catalog", "n(2)"],
+    ["cc", "--algebra", "n(2)", "--n-max", "1"],
+    ["oc", "--swap", "--n-max", "1"],
+    ["feqn", "--form", "1/(1-T)", "--d", "1"],
+    ["catalog", "--key", "n(2)"],
+    ["brenti", "--n", "2"],
+]
+
+
+class TestReportStep:
+    """One step stamps and writes every subcommand's report."""
+
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda argv: argv[0])
+    def test_schema_and_command(self, capsys, argv):
+        assert main(argv) in (EXIT_OK, EXIT_MISMATCH)
+        report = json.loads(capsys.readouterr().out)
+        assert report["schema"] == "askzeta/1"
+        assert report["command"] == argv[0]
+        assert isinstance(report["results"], list)
+        assert main([*argv, "--format", "text"]) in (EXIT_OK, EXIT_MISMATCH)
+        assert capsys.readouterr().out.startswith(f"command: {argv[0]}\n")
+
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda argv: argv[0])
+    def test_csv_only_for_streams(self, capsys, argv):
+        code = main([*argv, "--format", "csv"])
+        captured = capsys.readouterr()
+        if argv[0] in ("ask", "cc", "oc"):
+            assert code == EXIT_OK
+            assert captured.out.splitlines()[1:] != []
+        else:
+            assert code == EXIT_INPUT
+            assert captured.out == ""
+            assert "argument --format: invalid choice: 'csv'" in captured.err
+
 
 class TestCommands:
     def test_deep_ask(self, tmp_path):

@@ -171,6 +171,23 @@ class TestBrenti:
         assert brenti_identity_check(3, 6)
         assert brenti_identity_check(4, 6)
 
+    def test_identity_order_is_bounded(self):
+        # refused before any work, as brenti_polynomial refuses n > 8
+        import askzeta.closed_forms as cf
+
+        cf_globals = cf.brenti_identity_check.__globals__
+        original = cf_globals["brenti_polynomial"]
+        cf_globals["brenti_polynomial"] = None
+        try:
+            with pytest.raises(BudgetExceededError) as info:
+                cf.brenti_identity_check(1, 10**8)
+            with pytest.raises(InputError):
+                cf.brenti_identity_check(3, -5)
+        finally:
+            cf_globals["brenti_polynomial"] = original
+        assert (info.value.needed, info.value.budget) == (10**8, cf.BRENTI_MAX_ORDER)
+        assert brenti_identity_check(2, cf.BRENTI_MAX_ORDER)
+
     def test_identity_negative_control(self):
         import askzeta.closed_forms as cf
 

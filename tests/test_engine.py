@@ -24,7 +24,7 @@ from askzeta import (
     transpose_module,
 )
 from askzeta import engine, module
-from askzeta.engine import AskValue, ask_view
+from askzeta.engine import AskValue
 from conftest import brute_ask, brute_image_size, random_module
 
 
@@ -70,7 +70,7 @@ class TestEngineAgreement:
                     ring = RingSpec(p, n)
                     assert ask_average(m, ring) == want
                     assert ask_orbit(m, ring) == want
-                    assert ask_view(m, ring, "transpose") == want
+                    assert ask_series(m, p, n, "transpose").coefficients()[n] == want
 
     def test_randomized_agreement(self):
         rng = random.Random(12345)
@@ -81,7 +81,7 @@ class TestEngineAgreement:
                     ring = RingSpec(p, n)
                     want = ask_orbit(m, ring)
                     assert ask_average(m, ring) == want
-                    assert ask_view(m, ring, "transpose") == want
+                    assert ask_series(m, p, n, "transpose").coefficients()[n] == want
 
 
 class TestAskSeries:
@@ -100,6 +100,25 @@ class TestAskSeries:
     def test_method_validation(self):
         with pytest.raises(InputError):
             ask_series(catalog_module("mat(1,1)"), 3, 1, "guess")
+
+    @pytest.mark.parametrize("p, n_max", [(4, 1), (1, 1), (0, 1), (-3, 1), (9, 0), (3, -1)])
+    def test_ring_validation(self, p, n_max):
+        # Z/p^n needs a prime p and a level n >= 0, whatever the view
+        for method in ("auto", "both", "orbit", "average", "transpose"):
+            with pytest.raises(InputError):
+                ask_series(catalog_module("so(3)"), p, n_max, method)
+
+    def test_transpose_view_is_the_scaled_orbit_sum_of_the_transpose(self, rng):
+        # ask(M) = p^(n(d - e)) ask(M^T), and the transpose view runs M's own basis
+        for _ in range(8):
+            m = random_module(rng, dmax=3, emax=3, lmax=3, bound=5)
+            t = transpose_module(m)
+            for p in (2, 3):
+                got = ask_series(m, p, 2, "transpose")
+                assert [v.method for v in got.values[1:]] == ["transpose", "transpose"]
+                for n, value in enumerate(got.coefficients()):
+                    scale = Fraction(p) ** (n * (m.d - m.e))
+                    assert value == scale * ask_orbit(t, RingSpec(p, n))
 
     @pytest.mark.parametrize("key", ["mat(2,1)", "mat(3,1)", "mat(3,2)"])
     def test_auto_takes_the_transpose_view(self, key):
@@ -267,7 +286,8 @@ class TestParallelPartition:
             ring = RingSpec(3, 2)
             assert ask_orbit(m, ring, jobs=3) == ask_orbit(m, ring)
             assert ask_average(m, ring, jobs=3) == ask_average(m, ring)
-            assert ask_view(m, ring, "transpose", jobs=3) == ask_view(m, ring, "transpose")
+            transpose = ask_series(m, 3, 2, "transpose", jobs=3).coefficients()
+            assert transpose == ask_series(m, 3, 2, "transpose").coefficients()
 
     def test_series_with_jobs(self):
         m = catalog_module("so(3)")

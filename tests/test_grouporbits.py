@@ -276,6 +276,15 @@ class TestExpGroup:
             assert quiet(cc_via_ask, alg, p, 1)[1] == 2 * p * p - 1
         assert calls == []
 
+    @pytest.mark.parametrize("p", [4, 1, 0, -3])
+    @pytest.mark.parametrize("route", [cc_via_ask, oc_via_ask])
+    def test_bridge_checks_the_ring_first(self, route, p):
+        # the hypotheses divide by p, so the ring check must come before them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                route(catalog_algebra("L_{3,2}"), p, 1)
+
 
 class TestSemidirect:
     def test_one_by_one(self):
