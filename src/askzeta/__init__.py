@@ -58,8 +58,8 @@ from .module import (
     rescale,
     transpose_module,
 )
+from .poly import Poly
 from .ratfun import (
-    LPoly,
     QTRational,
     RationalFit,
     SeriesQ,

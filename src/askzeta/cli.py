@@ -477,7 +477,10 @@ def cmd_brenti(args) -> tuple[dict, int]:
     return report, EXIT_OK if holds else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse fills a
+    fresh namespace, so a later call sees none of an earlier one's values."""
     parser = argparse.ArgumentParser(
         prog="askzeta",
         description="Exact kernel-average zeta coefficients over Z/p^n",

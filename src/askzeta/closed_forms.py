@@ -22,12 +22,12 @@ all the evidence recorded for entries whose validity threshold is unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 from math import comb, factorial
 
 from .catalog import _family, _parse_key
 from .errors import BudgetExceededError, InputError
-from .ratfun import LPoly, QTRational, parse_rational
+from .poly import Poly
+from .ratfun import QTRational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,12 @@ def constant_rank_form(d: int, ell: int, r: int) -> QTRational:
     """(1 - q^(d-ell-r) T) / ((1 - q^(d-ell) T)(1 - q^(d-r) T))."""
     if ell < 0 or r < 0:
         raise InputError("dimensions must be >= 0")
-    num = LPoly.const(1) - LPoly.monomial(1, d - ell - r, 1)
+    num = Poly(2, {(0, 0): 1, (d - ell - r, 1): -1})
     return QTRational.from_factors(num, [(d - ell, 1), (d - r, 1)])
 
 
 def mat_form(d: int, e: int) -> QTRational:
-    num = LPoly.const(1) - LPoly.monomial(1, -e, 1)
+    num = Poly(2, {(0, 0): 1, (-e, 1): -1})
     return QTRational.from_factors(num, [(0, 1), (d - e, 1)])
 
 
@@ -61,25 +61,29 @@ def brenti_polynomial(n: int) -> dict[tuple[int, int], int]:
     """Joint distribution over signed permutations of (negative entries, descents).
 
     Returns {(i, j): count} for the polynomial sum X^i Y^j; the descent count
-    uses position 0 pinned to the value 0.
+    uses position 0 pinned to the value 0.  The count runs by insertion: a
+    signed permutation of [k] is one of [k-1] with +k or -k put into one of
+    its k slots.  +k keeps the descents in the j slots after a descent and at
+    the end, and adds one in the other k-1-j; -k adds a negative entry, keeps
+    the descents in the j slots after a descent and adds one in the other k-j.
     """
     if n < 0:
         raise InputError("n must be >= 0")
     if n > 8:
         raise BudgetExceededError(2**n * factorial(n), 2**8 * factorial(8))
-    out: dict[tuple[int, int], int] = {}
-    for perm in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            sigma = tuple(s * v for s, v in zip(signs, perm))
-            neg = sum(1 for v in sigma if v < 0)
-            prev = 0
-            des = 0
-            for v in sigma:
-                if prev > v:
-                    des += 1
-                prev = v
-            key = (neg, des)
-            out[key] = out.get(key, 0) + 1
+    out = {(0, 0): 1}
+    for k in range(1, n + 1):
+        nxt: dict[tuple[int, int], int] = {}
+        for (i, j), c in out.items():
+            for key, ways in (
+                ((i, j), j + 1),
+                ((i, j + 1), k - 1 - j),
+                ((i + 1, j), j),
+                ((i + 1, j + 1), k - j),
+            ):
+                if ways:
+                    nxt[key] = nxt.get(key, 0) + ways * c
+        out = nxt
     return out
 
 
@@ -116,13 +120,13 @@ def brenti_identity_check(n: int, order: int) -> bool:
     return True
 
 
-def _brenti_numerator(d: int) -> LPoly:
-    """B_d(-1/q, T) as a Laurent polynomial."""
+def _brenti_numerator(d: int) -> Poly:
+    """B_d(-1/q, T) as a polynomial in (q, T) with negative q exponents."""
     terms: dict[tuple[int, int], int] = {}
     for (i, j), c in brenti_polynomial(d).items():
         key = (-i, j)
         terms[key] = terms.get(key, 0) + c * (-1) ** i
-    return LPoly(terms)
+    return Poly(2, terms)
 
 
 def diag_form(d: int) -> QTRational:
@@ -152,7 +156,8 @@ def ex_elliptic_formula(c: int) -> QTRational:
     Calibrated against both enumeration engines at q in {5, 7, 11, 13, 17},
     levels n <= 2.
     """
-    num = LPoly(
+    num = Poly(
+        2,
         {
             (0, 0): 1,
             (0, 1): -1,
@@ -289,9 +294,9 @@ _BIG_P = "p sufficiently large, threshold unknown"
 _DOUBLED = f"p != 2 (doubled generators); {_BIG_P}"
 
 
-def _power_form(factor: LPoly, power: int, denominator) -> QTRational:
+def _power_form(factor: Poly, power: int, denominator) -> QTRational:
     """factor^power / prod (1 - q^a T^b) for (a, b) in denominator."""
-    num = LPoly.const(1)
+    num = Poly.const(2, 1)
     for _ in range(power):
         num = num * factor
     return QTRational.from_factors(num, denominator)
@@ -307,14 +312,14 @@ _FAMILY_FORMS = {
     "sp": lambda size: mat_form(size, size),
     "sym": lambda d: mat_form(d, d),
     "n": lambda d: _power_form(
-        LPoly.const(1) - LPoly.monomial(1, 0, 1), d - 1, [(1, 1)] * d
+        Poly(2, {(0, 0): 1, (0, 1): -1}), d - 1, [(1, 1)] * d
     ),
     "tr": lambda d: _power_form(
-        LPoly.const(1) - LPoly.monomial(1, -1, 1), d, [(0, 1)] * (d + 1)
+        Poly(2, {(0, 0): 1, (-1, 1): -1}), d, [(0, 1)] * (d + 1)
     ),
     "diag": diag_form,
     "band": lambda r: constant_rank_form(2 * r - 1, r, r),
-    "zero": lambda d, e: QTRational.from_factors(LPoly.const(1), [(d, 1)]),
+    "zero": lambda d, e: QTRational.from_factors(Poly.const(2, 1), [(d, 1)]),
 }
 
 # fixed ask key -> (formula text or None, validity, notes); every one was

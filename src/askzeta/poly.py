@@ -1,15 +1,20 @@
 """Sparse multivariate polynomials over Z and fraction-free elimination.
 
-Small and deliberately plain: exponent tuples to integer coefficients.  Used
-for linear-form matrices, their minors, symbolic ranks, and characteristic
-polynomials, all at desk scale.
+Small and deliberately plain: exponent tuples to integer coefficients.  This
+is the package's one polynomial type.  It is used for linear-form matrices,
+their minors, symbolic ranks and characteristic polynomials, all at desk
+scale, and, with negative exponents allowed, for the numerators and
+denominators of the (q, T) rational functions in `ratfun`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 from .errors import InputError, InternalConsistencyError
+from .linalg import frac_rank
 
 
 class Poly:
@@ -55,13 +60,16 @@ class Poly:
         return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        t = dict(self.terms)
+        for e, c in other.terms.items():
+            t[e] = t.get(e, 0) - c
+        return Poly(self.nvars, t)
 
     def __mul__(self, other: "Poly") -> "Poly":
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 t[e] = t.get(e, 0) + c1 * c2
         return Poly(self.nvars, t)
 
@@ -111,8 +119,6 @@ class Poly:
         return total
 
     def content_and_sign(self):
-        from math import gcd
-
         g = 0
         for c in self.terms.values():
             g = gcd(g, c)
@@ -201,8 +207,6 @@ def symbolic_rank(rows) -> int:
 
 def evaluated_rank(rows, point) -> int:
     """Rank over Q of the matrix obtained by evaluating every entry at `point`."""
-    from .linalg import frac_rank
-
     ints = [[Fraction(p.eval_int(point)) for p in row] for row in rows]
     return frac_rank(ints)
 

@@ -1,9 +1,10 @@
 """Exact rational functions in (q, T) and truncated series at a fixed q.
 
-QTRational stores numerator and denominator as Laurent polynomials in q and T
-with integer coefficients.  Equality is decided by cross multiplication, so
-no multivariate gcd is ever needed; normalization cancels common monomial
-factors and integer content and fixes the denominator sign.
+QTRational stores numerator and denominator as `poly.Poly` in the two
+variables (q, T), with negative exponents allowed.  Equality is decided by
+cross multiplication, so no multivariate gcd is ever needed; normalization
+cancels common monomial factors and integer content and fixes the
+denominator sign.
 
 The text grammar (round-trip stable) is:
 
@@ -28,6 +29,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, NotExpandableError
+from .linalg import frac_solve
+from .poly import Poly
 
 # Largest |k| accepted in `x^k` by the text grammar.
 MAX_EXPONENT = 1000
@@ -37,85 +40,10 @@ MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 4096
 
 
-class LPoly:
-    """Laurent polynomial in q and T over Z: dict (q_exp, t_exp) -> coeff."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    @classmethod
-    def const(cls, c: int) -> "LPoly":
-        return cls({(0, 0): int(c)})
-
-    @classmethod
-    def monomial(cls, c: int, qe: int, te: int) -> "LPoly":
-        return cls({(qe, te): int(c)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, LPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "LPoly") -> "LPoly":
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, 0) + c
-        return LPoly(t)
-
-    def __neg__(self) -> "LPoly":
-        return LPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LPoly") -> "LPoly":
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, 0) - c
-        return LPoly(t)
-
-    def __mul__(self, other: "LPoly") -> "LPoly":
-        t = {}
-        for (q1, t1), c1 in self.terms.items():
-            for (q2, t2), c2 in other.terms.items():
-                e = (q1 + q2, t1 + t2)
-                t[e] = t.get(e, 0) + c1 * c2
-        return LPoly(t)
-
-    def invert_vars(self) -> "LPoly":
-        """Substitute q -> 1/q and T -> 1/T (negate all exponents)."""
-        return LPoly({(-qe, -te): c for (qe, te), c in self.terms.items()})
-
-    def box(self):
-        """(min, max) exponent of q, then of T: (q_lo, q_hi, t_lo, t_hi); None
-        for zero."""
-        if not self.terms:
-            return None
-        qs, ts = zip(*self.terms)
-        return min(qs), max(qs), min(ts), max(ts)
-
-    def shift(self, dq: int, dt: int) -> "LPoly":
-        return LPoly({(qe + dq, te + dt): c for (qe, te), c in self.terms.items()})
-
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
-
-    def t_coefficients(self, q_value: Fraction):
-        """Evaluate q; returns dict t_exp -> Fraction."""
-        out: dict[int, Fraction] = {}
-        qv = Fraction(q_value)
-        for (qe, te), c in self.terms.items():
-            out[te] = out.get(te, Fraction(0)) + c * qv**qe
-        return {te: v for te, v in out.items() if v}
-
-    def __repr__(self):
-        return f"LPoly({self.terms!r})"
+def _box(p: Poly):
+    """(min, max) exponent of q, then of T: (q_lo, q_hi, t_lo, t_hi)."""
+    qs, ts = zip(*p.terms)
+    return min(qs), max(qs), min(ts), max(ts)
 
 
 def _box_mul(a, b):
@@ -141,7 +69,7 @@ def _check_size(boxes) -> None:
         )
 
 
-def _format_poly(p: LPoly) -> str:
+def _format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
@@ -165,8 +93,16 @@ def _format_poly(p: LPoly) -> str:
     return " ".join(parts)
 
 
+def _factor_product(factors, qpow: int) -> Poly:
+    """q^qpow * prod (1 - q^a T^b) for (a, b) in factors."""
+    out = Poly(2, {(qpow, 0): 1})
+    for a, b in factors:
+        out = out * (Poly.const(2, 1) - Poly(2, {(a, b): 1}))
+    return out
+
+
 class QTRational:
-    """Quotient of two Laurent polynomials in (q, T), normalized but not reduced.
+    """Quotient of two polynomials in (q, T), normalized but not reduced.
 
     Equality compares cross products, which is a complete test without any
     polynomial gcd; stored catalog formulas are already in lowest terms.
@@ -174,31 +110,34 @@ class QTRational:
 
     __slots__ = ("num", "den", "factors", "qpow", "boxes")
 
-    def __init__(self, num: LPoly, den: LPoly):
+    def __init__(self, num: Poly, den: Poly):
         # optional factored view of the denominator, kept by from_factors
         self.factors = None
         self.qpow = 0
         if den.is_zero():
             raise InputError("zero denominator")
         if num.is_zero():
-            self.num = LPoly()
-            self.den = LPoly.const(1)
+            self.num = Poly(2)
+            self.den = Poly.const(2, 1)
             self.boxes = (None, (0, 0, 0, 0))
             return
         # cancel the common monomial factor q^a T^b
-        nb, db = num.box(), den.box()
+        nb, db = _box(num), _box(den)
         cq, ct = min(nb[0], db[0]), min(nb[2], db[2])
         if cq or ct:
-            num = num.shift(-cq, -ct)
-            den = den.shift(-cq, -ct)
+            num, den = (
+                Poly(2, {(qe - cq, te - ct): c for (qe, te), c in p.terms.items()})
+                for p in (num, den)
+            )
             nb, db = (_box_mul(b, (-cq, -cq, -ct, -ct)) for b in (nb, db))
         # exponent boxes of num and den, which the size checks read
         self.boxes = (nb, db)
         # integer content common to both
-        g = gcd(num.content(), den.content())
+        g = gcd(*num.terms.values(), *den.terms.values())
         if g > 1:
-            num = LPoly({e: c // g for e, c in num.terms.items()})
-            den = LPoly({e: c // g for e, c in den.terms.items()})
+            num, den = (
+                Poly(2, {e: c // g for e, c in p.terms.items()}) for p in (num, den)
+            )
         # sign: lowest (T, q) term of the denominator positive
         key = min(den.terms, key=lambda e: (e[1], e[0]))
         if den.terms[key] < 0:
@@ -208,15 +147,12 @@ class QTRational:
 
     @classmethod
     def const(cls, c: int) -> "QTRational":
-        return cls(LPoly.const(c), LPoly.const(1))
+        return cls(Poly.const(2, c), Poly.const(2, 1))
 
     @classmethod
-    def from_factors(cls, numerator: LPoly, factors, qpow: int = 0) -> "QTRational":
+    def from_factors(cls, numerator: Poly, factors, qpow: int = 0) -> "QTRational":
         """numerator / (q^qpow * prod (1 - q^a T^b)) for (a, b) in factors."""
-        den = LPoly.monomial(1, qpow, 0)
-        for a, b in factors:
-            den = den * (LPoly.const(1) - LPoly.monomial(1, a, b))
-        out = cls(numerator, den)
+        out = cls(numerator, _factor_product(factors, qpow))
         out.factors = tuple((int(a), int(b)) for a, b in factors)
         out.qpow = qpow
         return out
@@ -267,7 +203,7 @@ class QTRational:
 
     def __str__(self):
         num_s = _format_poly(self.num)
-        if self.den == LPoly.const(1):
+        if self.den == Poly.const(2, 1):
             return num_s
         den_s = _format_poly(self.den)
         if len(self.num.terms) > 1:
@@ -382,10 +318,10 @@ class _Parser:
             return v
         if ch == "q":
             self.pos += 1
-            return QTRational(LPoly.monomial(1, 1, 0), LPoly.const(1))
+            return QTRational(Poly(2, {(1, 0): 1}), Poly.const(2, 1))
         if ch == "T":
             self.pos += 1
-            return QTRational(LPoly.monomial(1, 0, 1), LPoly.const(1))
+            return QTRational(Poly(2, {(0, 1): 1}), Poly.const(2, 1))
         if ch.isdigit():
             return QTRational.const(self.digits())
         self.error("expected atom")
@@ -437,8 +373,8 @@ def expand(w: QTRational, q_value, order: int) -> SeriesQ:
     qv = Fraction(q_value)
     if qv == 0:
         raise InputError("q must be nonzero")
-    num = w.num.t_coefficients(qv)
-    den = w.den.t_coefficients(qv)
+    num = _t_coefficients(w.num, qv)
+    den = _t_coefficients(w.den, qv)
     if not den:
         raise InputError("zero denominator after substitution")
     dmin = min(den)
@@ -449,6 +385,15 @@ def expand(w: QTRational, q_value, order: int) -> SeriesQ:
     den = {te - dmin: v for te, v in den.items()}
     num = {te - dmin: v for te, v in num.items()}
     return SeriesQ(qv, _quotient_coeffs(num, den, order))
+
+
+def _t_coefficients(p: Poly, q_value) -> dict[int, Fraction]:
+    """p at the given q, as {power of T: nonzero coefficient}."""
+    qv = Fraction(q_value)
+    out: dict[int, Fraction] = {}
+    for (qe, te), c in p.terms.items():
+        out[te] = out.get(te, Fraction(0)) + c * qv**qe
+    return {te: v for te, v in out.items() if v}
 
 
 def _quotient_coeffs(num: dict, den: dict, order: int) -> tuple[Fraction, ...]:
@@ -479,9 +424,11 @@ def hadamard(a: SeriesQ, b: SeriesQ) -> SeriesQ:
 
 def functional_equation_check(w: QTRational, d: int) -> bool:
     """Whether W(1/q, 1/T) = (-q^d T) * W(q, T) holds identically."""
-    lhs_num = w.num.invert_vars()
-    lhs_den = w.den.invert_vars()
-    factor = LPoly.monomial(-1, d, 1)
+    lhs_num, lhs_den = (
+        Poly(2, {(-qe, -te): c for (qe, te), c in p.terms.items()})
+        for p in (w.num, w.den)
+    )
+    factor = Poly(2, {(d, 1): -1})
     return lhs_num * w.den == factor * w.num * lhs_den
 
 
@@ -498,21 +445,22 @@ class RationalFit:
     qpow: int
 
     def expand(self, order: int) -> SeriesQ:
-        den = dict(enumerate(_den_coeffs(self.q_value, self.factors, self.qpow)))
+        den = _t_coefficients(_factor_product(self.factors, self.qpow), self.q_value)
         num = dict(enumerate(self.num_coeffs))
         return SeriesQ(self.q_value, _quotient_coeffs(num, den, order))
 
 
-def _den_coeffs(q_value, factors, qpow):
-    qv = Fraction(q_value)
-    coeffs = [qv**qpow]
-    for a, b in factors:
-        scale = qv**a
-        new = coeffs + [Fraction(0)] * b
-        for i, c in enumerate(coeffs):
-            new[i + b] -= c * scale
-        coeffs = new
-    return coeffs
+def _numerator(den: dict, coeffs, num_degree: int):
+    """The coefficients up to T^num_degree of den * series, where den is
+    {power of T: coefficient} and the series has the given coefficients;
+    None when any later coefficient the series determines is nonzero."""
+    prod = [
+        sum((dj * coeffs[k - j] for j, dj in den.items() if j <= k), Fraction(0))
+        for k in range(len(coeffs))
+    ]
+    if any(prod[num_degree + 1 :]):
+        return None
+    return tuple(prod[: num_degree + 1])
 
 
 def fit_rational(
@@ -538,19 +486,13 @@ def fit_rational(
         raise InputError(
             f"series order {series.order} too small: need > {num_degree + margin}"
         )
-    den = _den_coeffs(series.q_value, factors, qpow)
-    prod = []
-    for k in range(series.order):
-        acc = Fraction(0)
-        for j, dj in enumerate(den):
-            if j <= k and dj:
-                acc += dj * series.coeffs[k - j]
-        prod.append(acc)
-    if any(prod[k] for k in range(num_degree + 1, series.order)):
+    den = _t_coefficients(_factor_product(factors, qpow), series.q_value)
+    if 0 not in den or min(den) < 0:
+        raise InputError("the denominator hypothesis needs a nonzero constant term in T")
+    num = _numerator(den, series.coeffs, num_degree)
+    if num is None:
         return None
-    return RationalFit(
-        series.q_value, tuple(prod[: num_degree + 1]), factors, qpow
-    )
+    return RationalFit(series.q_value, num, factors, qpow)
 
 
 def fit_pade(series: SeriesQ, num_degree: int, den_degree: int):
@@ -561,8 +503,6 @@ def fit_pade(series: SeriesQ, num_degree: int, den_degree: int):
     tuples or None.  Blind fitting is easily fooled at low order, so prefer
     fit_rational with an explicit hypothesis.
     """
-    from .linalg import frac_solve
-
     need = num_degree + den_degree + 1
     if series.order < need + 1:
         raise InputError(f"series order {series.order} too small: need > {need}")
@@ -577,19 +517,5 @@ def fit_pade(series: SeriesQ, num_degree: int, den_degree: int):
     if sol is None:
         return None
     den = (Fraction(1),) + tuple(sol)
-    num = []
-    for k in range(num_degree + 1):
-        acc = Fraction(0)
-        for j, dj in enumerate(den):
-            if j <= k:
-                acc += dj * c[k - j]
-        num.append(acc)
-    # verify every coefficient we own
-    for k in range(num_degree + 1, series.order):
-        acc = Fraction(0)
-        for j, dj in enumerate(den):
-            if j <= k:
-                acc += dj * c[k - j]
-        if acc:
-            return None
-    return tuple(num), den
+    num = _numerator(dict(enumerate(den)), c, num_degree)
+    return None if num is None else (num, den)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .errors import InputError, InternalConsistencyError
 from .linalg import frac_solve_multi
 from .module import MatrixModule
-from .poly import bareiss_det
+from .poly import bareiss_det, evaluated_rank
 from .primes import factorize, is_prime
 from .ratfun import QTRational
 from .closed_forms import constant_rank_form, mat_form
@@ -101,7 +101,10 @@ def _monomial_span_test(rows, generic_rank, nvars, budget):
                     "minor of a linear-form matrix is not homogeneous"
                 )
         # monomial basis of degree i
-        monos = sorted(_monomials(nvars, i))
+        monos = sorted(
+            tuple(c.count(j) for j in range(nvars))
+            for c in combinations_with_replacement(range(nvars), i)
+        )
         index = {m: k for k, m in enumerate(monos)}
         # columns are minors, rows are monomials; solve A c = e(X_j^i)
         a_rows = [[0] * len(minors) for _ in monos]
@@ -126,28 +129,11 @@ def _monomial_span_test(rows, generic_rank, nvars, budget):
     return (True, combos), tuple(sorted(primes))
 
 
-def _monomials(nvars, degree):
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for k in range(degree + 1):
-        for rest in _monomials(nvars - 1, degree - k):
-            out.append((k,) + rest)
-    return out
-
-
 def _search_degenerate_point(rows, nvars, generic_rank, trials, seed):
     """A rational point where the matrix rank drops below generic_rank, or None.
 
     Unit vectors and small patterned points are tried before random ones.
     """
-    from .poly import evaluated_rank
-
-    def rank_at(point):
-        return evaluated_rank(rows, point)
-
     candidates = []
     for j in range(nvars):
         candidates.append(tuple(int(t == j) for t in range(nvars)))
@@ -162,7 +148,7 @@ def _search_degenerate_point(rows, nvars, generic_rank, trials, seed):
             point = tuple(rng.randint(-bound, bound) for _ in range(nvars))
             if not any(point):
                 continue
-        r = rank_at(point)
+        r = evaluated_rank(rows, point)
         if r < generic_rank:
             return point, r
     return None, None

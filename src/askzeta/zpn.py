@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from .errors import InputError
 from .intmat import IntMatrix
@@ -312,8 +313,6 @@ def kernel_size_mod(a: IntMatrix, modulus: int) -> int:
         raise InputError("modulus must be >= 1")
     if modulus == 1:
         return 1
-    from math import gcd
-
     divs = smith_diagonal(a)
     size = modulus ** (a.rows - len(divs))
     for s in divs:

@@ -106,6 +106,18 @@ def minor_rank(rows, nvars: int) -> int:
     return 0
 
 
+def brute_brenti(n: int) -> dict[tuple[int, int], int]:
+    """(negative entries, descents) of every signed permutation of [n], with
+    the value 0 pinned in front, counted by enumeration."""
+    out: dict[tuple[int, int], int] = {}
+    for perm in permutations(range(1, n + 1)):
+        for signs in product((1, -1), repeat=n):
+            sigma = (0,) + tuple(s * v for s, v in zip(signs, perm))
+            key = (signs.count(-1), sum(a > b for a, b in zip(sigma, sigma[1:])))
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
 def random_poly(rng: random.Random, nvars: int, bound=4) -> Poly:
     """A Poly with up to three terms of degree <= 2 per variable; zero a quarter of the time."""
     if rng.random() < 0.25:

@@ -3,6 +3,7 @@
 import argparse
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -399,6 +400,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("budget exceeded:")
         assert main(["brenti", "--n", "6", "--order", "1000"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["identity_holds"] is True
+
+    def test_brenti_at_the_largest_n(self, capsys):
+        # 2^8 * 8! signed permutations, counted by insertion, not one by one
+        start = time.perf_counter()
+        assert main(["brenti", "--n", "8"]) == EXIT_OK
+        assert time.perf_counter() - start < 2
+        counts = json.loads(capsys.readouterr().out)["polynomial"].values()
+        assert sum(counts) == 2**8 * math.factorial(8)
 
 
 ONE_PER_COMMAND = [

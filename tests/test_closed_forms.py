@@ -26,6 +26,7 @@ from askzeta import (
     hadamard,
     parse_rational,
 )
+from conftest import brute_brenti
 
 # entries verified at reduced depth here because their point counts explode;
 # the acceptance suite pushes them as far as the budget allows
@@ -154,6 +155,10 @@ class TestBrenti:
         got = closed_form("diag(2)").formula
         ref = parse_rational("(1 + T - 4*q^-1*T + q^-2*T^2 + q^-2*T)/(1 - T)^3")
         assert got == ref
+
+    def test_insertion_against_enumeration(self):
+        for n in range(7):
+            assert brenti_polynomial(n) == brute_brenti(n), n
 
     def test_total_count(self):
         for n in range(1, 6):

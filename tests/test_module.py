@@ -16,7 +16,13 @@ from askzeta import (
     transpose_module,
 )
 from askzeta.poly import Poly, bareiss_det, evaluated_rank, symbolic_rank
-from conftest import leibniz_det, minor_rank, random_module, random_poly_matrix
+from conftest import (
+    leibniz_det,
+    minor_rank,
+    random_module,
+    random_poly,
+    random_poly_matrix,
+)
 
 
 class TestCanonicalBasis:
@@ -146,6 +152,17 @@ class TestViews:
         assert m.generic_rank("average", exact=True) is None
         assert m.generic_rank("average") == 1
         assert m.generic_rank("orbit", exact=True) is None
+
+
+class TestPoly:
+    def test_laurent_exponents(self):
+        assert Poly(2, {(-1, 0): 1}) * Poly(2, {(1, 1): 1}) == Poly(2, {(0, 1): 1})
+
+    def test_difference_is_sum_with_negation(self, rng):
+        for _ in range(60):
+            nvars = rng.randint(1, 3)
+            a, b = random_poly(rng, nvars), random_poly(rng, nvars)
+            assert a - b == a + (-b)
 
 
 class TestFractionFree:

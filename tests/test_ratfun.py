@@ -61,6 +61,19 @@ class TestQTRational:
         w = parse_rational("(1 - q*T)")
         assert w**-2 == parse_rational("1/(1 - q*T)^2")
 
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("q^2*T/(q*T - q^3*T^2)", "q/(1 - q^2*T)"),  # monomial cancellation
+            ("(2 - 4*T)/(6 - 6*q*T)", "(1 - 2*T)/(3 - 3*q*T)"),  # integer content
+            ("(1 + T)/(T - 1)", "(-1 - T)/(1 - T)"),  # negative lowest term
+            ("(1 - q^-2*T)/(1 - T)^2", "(q^2 - T)/(q^2 - 2*q^2*T + q^2*T^2)"),
+            ("T/q - q^-1*T", "0"),
+        ],
+    )
+    def test_printed_form(self, text, printed):
+        assert str(parse_rational(text)) == printed
+
     def test_normalization_sign(self):
         w = parse_rational("(T - 1)/(q*T - 1)")
         assert w == parse_rational("(1 - T)/(1 - q*T)")
@@ -169,6 +182,13 @@ class TestFitting:
         s = series_from(3, [1, 1, 1])
         with pytest.raises(InputError):
             fit_rational(s, [(1, 1), (1, 1)])
+
+    def test_denominator_must_start_at_t0(self):
+        # a hypothesis whose denominator vanishes at T = 0, or has negative
+        # powers of T, defines no power series to compare with
+        for q, factors in ((3, [(0, 0), (0, 1)]), (1, [(1, 0)]), (3, [(0, -1)])):
+            with pytest.raises(InputError):
+                fit_rational(series_from(q, [1] * 8), factors)
 
     def test_wrong_hypothesis_rejected(self):
         s = expand(parse_rational("1/((1 - q*T)*(1 - q^2*T))"), 3, 10)
