@@ -2,7 +2,9 @@
 closed-form catalog verification, structural certificates, and orbit or
 conjugacy-class counting for the associated unipotent groups."""
 
-from .catalog import algebra_keys, catalog_module
+from types import ModuleType as _ModuleType
+
+from .catalog import catalog_module
 from .closed_forms import (
     CatalogEntry,
     brenti_identity_check,
@@ -19,10 +21,8 @@ from .engine import (
     CoeffSeq,
     DEFAULT_BUDGET,
     ask_average,
-    ask_mod_composite,
     ask_orbit,
     ask_series,
-    rank_distribution,
 )
 from .errors import (
     AskZetaError,
@@ -43,21 +43,11 @@ from .grouporbits import (
     exp_nilpotent,
     gl_generators,
     group_closure,
-    log_unipotent,
     oc_coefficients,
     oc_via_ask,
-    semidirect_embed,
 )
 from .intmat import IntMatrix
-from .module import (
-    MatrixModule,
-    ad_representation,
-    add_zero_col,
-    add_zero_row,
-    direct_sum,
-    rescale,
-    transpose_module,
-)
+from .module import MatrixModule, ad_representation, transpose_module
 from .poly import Poly
 from .ratfun import (
     QTRational,
@@ -67,34 +57,23 @@ from .ratfun import (
     fit_pade,
     fit_rational,
     functional_equation_check,
-    hadamard,
     parse_rational,
-    series_from,
 )
 from .structural import (
     Certificate,
     StructureReport,
-    check_constant_rank_fq,
     check_k_minimal,
     check_o_maximal,
     structure_report,
 )
-from .zpn import (
-    INFINITY,
-    RingSpec,
-    equivalence_type,
-    equivalence_type_minors,
-    image_size,
-    image_size_exp,
-    kernel_size,
-    kernel_size_exp,
-    kernel_size_mod,
-    pval,
-    smith_diagonal,
-    span_size,
-    span_size_exp,
-)
+from .zpn import RingSpec, smith_diagonal
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; each import also binds its submodule here, and
+# `from askzeta import *` must not shadow a caller's `module` or `poly`
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -238,8 +238,3 @@ def catalog_module(name: str, *params: int) -> MatrixModule:
     if builder is not None:
         return builder(*params)
     raise InputError(f"unknown catalog name {name!r}")
-
-
-def algebra_keys() -> tuple[str, ...]:
-    """The nilpotent Lie algebra models L_{d,i}, sorted."""
-    return tuple(sorted(k for k in _FIXED if k.startswith("L_{")))

@@ -396,11 +396,12 @@ def cmd_cc(args) -> tuple[dict, int]:
 
 
 def _group_source(args):
-    """The given source's group at a prime, and its algebra (None if not exp)."""
+    """The source's matrix size, its group at a prime, and its algebra (None if
+    not exp)."""
     if args.gl is not None:
         if args.gl < 1:
             raise InputError(f"--gl must be >= 1, got {args.gl}")
-        return (lambda p: gl_generators(args.gl, p, max(args.n_max, 1))), None
+        return args.gl, (lambda p: gl_generators(args.gl, p, max(args.n_max, 1))), None
     if args.neg1:
         group = GroupGenSet(1, (IntMatrix([[-1]]),), "neg1")
     elif args.swap:
@@ -411,17 +412,22 @@ def _group_source(args):
         group = GroupGenSet(d, tuple(gens), str(data.get("label", "")))
     elif args.algebra:
         alg = catalog_algebra(args.algebra)
-        return (lambda p: exp_group(alg, p, args.n_max)), alg
+        return alg.d, (lambda p: exp_group(alg, p, args.n_max)), alg
     else:
         raise InputError("provide a group source (--group/--gl/--neg1/--swap/--algebra)")
-    return (lambda p: group), None
+    return group.d, (lambda p: group), None
 
 
 def cmd_oc(args) -> tuple[dict, int]:
-    group_at, alg = _group_source(args)
+    d, group_at, alg = _group_source(args)
     results = []
     internal_problem = False
     for p in args.p:
+        # the point count rises with n, so the deepest level decides, before
+        # any generator is built or the kernel-average route runs
+        points = p ** (d * args.n_max)
+        if args.n_max and points > args.budget:
+            raise BudgetExceededError(points, args.budget)
 
         def orbits():
             group = group_at(p)

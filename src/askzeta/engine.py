@@ -64,9 +64,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
-from .intmat import IntMatrix
 from .module import VIEWS, MatrixModule
-from .zpn import RingSpec, kernel_size_mod, lambdas_mod
+from .zpn import RingSpec, lambdas_mod
 
 DEFAULT_BUDGET = 10**8
 
@@ -274,32 +273,3 @@ def ask_orbit(
     Equals ask_average exactly, over p^(d*n) points.
     """
     return ask_series(m, ring.p, ring.n, "orbit", budget, jobs).values[-1].value
-
-
-def ask_mod_composite(
-    m: MatrixModule, modulus: int, budget: int = DEFAULT_BUDGET
-) -> Fraction:
-    """Average kernel size of M over Z/N for an arbitrary modulus N >= 1."""
-    if modulus < 1:
-        raise InputError("modulus must be >= 1")
-    if modulus == 1:
-        return Fraction(1)
-    points = modulus**m.dim
-    if points > budget:
-        raise BudgetExceededError(points, budget)
-    total = 0
-    for c in product(range(modulus), repeat=m.dim):
-        total += kernel_size_mod(IntMatrix(m.element_rows(c)), modulus)
-    return Fraction(total, points)
-
-
-def rank_distribution(d: int, e: int, r: int, q: int) -> int:
-    """Number of d x e matrices of rank r over the field with q elements."""
-    if not 0 <= r <= min(d, e):
-        raise InputError(f"rank {r} out of range for {d} x {e}")
-    value = Fraction(1)
-    for i in range(r):
-        value *= Fraction((q**e - q**i) * (q ** (d - i) - 1), q ** (i + 1) - 1)
-    if value.denominator != 1:
-        raise InternalConsistencyError("rank count is not an integer")
-    return int(value)

@@ -129,7 +129,7 @@ def catalog_algebra(key: str) -> NilpotentAlgebra:
     return NilpotentAlgebra(catalog_module(key))
 
 
-# -- exponential and logarithm ---------------------------------------------
+# -- exponential ------------------------------------------------------------
 
 
 def exp_nilpotent(a: IntMatrix, ring: RingSpec) -> IntMatrix:
@@ -156,32 +156,6 @@ def exp_nilpotent(a: IntMatrix, ring: RingSpec) -> IntMatrix:
         term = term @ a
         inv = pow(factorial(i), -1, m)
         result = result + inv * term
-    return result.mod(m)
-
-
-def log_unipotent(u: IntMatrix, ring: RingSpec) -> IntMatrix:
-    """log(u) mod p^n for u = 1 + nilpotent; inverse of exp_nilpotent."""
-    if u.rows != u.cols:
-        raise InputError("log of a non-square matrix")
-    d = u.rows
-    nil = u - IntMatrix.identity(d)
-    if ring.n and not nil.matpow(d).mod(ring.modulus).is_zero():
-        raise InputError("matrix is not unipotent")
-    if ring.p < d:
-        raise InputError(
-            f"log undefined: integer denominators not invertible for p < {d}"
-        )
-    if ring.n == 0:
-        return IntMatrix.zeros(d, d)
-    m = ring.modulus
-    result = IntMatrix.zeros(d, d)
-    term = IntMatrix.identity(d)
-    for i in range(1, d):
-        term = term @ nil
-        coeff = pow(i, -1, m)
-        if i % 2 == 0:
-            coeff = -coeff
-        result = result + coeff * term
     return result.mod(m)
 
 
@@ -384,29 +358,6 @@ def oc_via_ask(
     """Orbit counts of the exponential group through kernel averages of the
     algebra itself."""
     return _via_ask(alg, alg.module, p, n_max, budget)
-
-
-def semidirect_embed(m: MatrixModule) -> GroupGenSet:
-    """Block unipotent group [[1, b], [0, 1]] from the module's basis.
-
-    Its orbit count on (Z/p^n)^(d+e) equals p^(e*n) times the average kernel
-    size of the module at level n.
-    """
-    d, e = m.d, m.e
-    size = d + e
-    gens = []
-    for b in m.basis:
-        rows = [[0] * size for _ in range(size)]
-        for i in range(size):
-            rows[i][i] = 1
-        for i in range(d):
-            for j in range(e):
-                rows[i][d + j] = b.entries[i][j]
-        gens.append(IntMatrix(rows))
-    if not gens:
-        gens = [IntMatrix.identity(size)]
-    label = f"{m.label}*" if m.label else "semidirect"
-    return GroupGenSet(size, tuple(gens), label)
 
 
 def gl_generators(d: int, p: int, n: int) -> GroupGenSet:

@@ -1,4 +1,5 @@
-"""Modules of integer matrices: canonical bases, views, generic ranks, transforms."""
+"""Modules of integer matrices: canonical bases, views, generic ranks, the transpose
+and the adjoint representation."""
 
 from __future__ import annotations
 
@@ -93,19 +94,6 @@ class MatrixModule:
     def is_isolated_at(self, p: int) -> bool:
         return all(s % p for s in self.elementary_divisors())
 
-    # -- linear combinations -------------------------------------------
-
-    def element_rows(self, coeffs) -> list[list[int]]:
-        """Sum c_i * b_i over the canonical basis, as fresh mutable rows."""
-        a = [[0] * self.e for _ in range(self.d)]
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                for i, row in enumerate(b.entries):
-                    for j, v in enumerate(row):
-                        if v:
-                            a[i][j] += c * v
-        return a
-
     # -- views of the basis tensor ----------------------------------------
 
     def view_shape(self, view: str) -> tuple[int, int, int]:
@@ -188,65 +176,12 @@ def _generic_rank_of(rows, nvars: int, symbolic: bool) -> int:
     return exact
 
 
-# -- structural transforms ----------------------------------------------
+# -- transpose -----------------------------------------------------------
 
 
 def transpose_module(m: MatrixModule) -> MatrixModule:
     label = f"{m.label}^T" if m.label else ""
     return MatrixModule(m.e, m.d, [b.transpose() for b in m.basis], label)
-
-
-def direct_sum(m1: MatrixModule, m2: MatrixModule) -> MatrixModule:
-    """Block-diagonal sum inside Mat_{(d1+d2) x (e1+e2)}."""
-    d, e = m1.d + m2.d, m1.e + m2.e
-    basis = []
-    for b in m1.basis:
-        big = [[0] * e for _ in range(d)]
-        for i in range(m1.d):
-            for j in range(m1.e):
-                big[i][j] = b.entries[i][j]
-        basis.append(big)
-    for b in m2.basis:
-        big = [[0] * e for _ in range(d)]
-        for i in range(m2.d):
-            for j in range(m2.e):
-                big[m1.d + i][m1.e + j] = b.entries[i][j]
-        basis.append(big)
-    label = f"{m1.label}(+){m2.label}" if m1.label and m2.label else ""
-    return MatrixModule(d, e, basis, label)
-
-
-def add_zero_row(m: MatrixModule, position: int) -> MatrixModule:
-    if not 0 <= position <= m.d:
-        raise InputError(f"row position {position} out of range 0..{m.d}")
-    basis = []
-    for b in m.basis:
-        rows = [list(r) for r in b.entries]
-        rows.insert(position, [0] * m.e)
-        basis.append(rows)
-    return MatrixModule(m.d + 1, m.e, basis, m.label)
-
-
-def add_zero_col(m: MatrixModule, position: int) -> MatrixModule:
-    if not 0 <= position <= m.e:
-        raise InputError(f"column position {position} out of range 0..{m.e}")
-    basis = []
-    for b in m.basis:
-        rows = []
-        for r in b.entries:
-            row = list(r)
-            row.insert(position, 0)
-            rows.append(row)
-        basis.append(rows)
-    return MatrixModule(m.d, m.e + 1, basis, m.label)
-
-
-def rescale(m: MatrixModule, scale_exp: int, p: int) -> MatrixModule:
-    """Multiply the module by p^scale_exp (a strictly smaller lattice for m > 0)."""
-    if scale_exp < 0:
-        raise InputError("rescaling exponent must be >= 0")
-    f = p**scale_exp
-    return MatrixModule(m.d, m.e, [f * b for b in m.basis], m.label)
 
 
 # -- adjoint representation ----------------------------------------------

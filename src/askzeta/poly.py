@@ -31,12 +31,6 @@ class Poly:
     def const(cls, nvars: int, c: int) -> "Poly":
         return cls(nvars, {(0,) * nvars: int(c)} if c else {})
 
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> "Poly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -72,9 +66,6 @@ class Poly:
                 e = tuple(map(add, e1, e2))
                 t[e] = t.get(e, 0) + c1 * c2
         return Poly(self.nvars, t)
-
-    def scale(self, c: int) -> "Poly":
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def is_homogeneous(self, deg: int) -> bool:
         return all(sum(e) == deg for e in self.terms)

@@ -364,10 +364,6 @@ class SeriesQ:
         return self.coeffs[i]
 
 
-def series_from(q_value, values) -> SeriesQ:
-    return SeriesQ(Fraction(q_value), tuple(Fraction(v) for v in values))
-
-
 def expand(w: QTRational, q_value, order: int) -> SeriesQ:
     """First `order` Taylor coefficients of W at T = 0 for the given q."""
     qv = Fraction(q_value)
@@ -411,15 +407,6 @@ def _quotient_coeffs(num: dict, den: dict, order: int) -> tuple[Fraction, ...]:
                 acc -= dj * coeffs[k - j]
         coeffs.append(acc / d0)
     return tuple(coeffs)
-
-
-def hadamard(a: SeriesQ, b: SeriesQ) -> SeriesQ:
-    """Coefficientwise product of two series with matching q and order."""
-    if a.q_value != b.q_value:
-        raise InputError("Hadamard product needs equal q values")
-    if a.order != b.order:
-        raise InputError("Hadamard product needs equal orders")
-    return SeriesQ(a.q_value, tuple(x * y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def functional_equation_check(w: QTRational, d: int) -> bool:

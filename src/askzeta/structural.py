@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .errors import InputError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .linalg import frac_solve_multi
 from .module import MatrixModule
 from .poly import bareiss_det, evaluated_rank
-from .primes import factorize, is_prime
+from .primes import factorize
 from .ratfun import QTRational
 from .closed_forms import constant_rank_form, mat_form
-from .zpn import lambdas_mod
 
 DEFAULT_MINOR_BUDGET = 10**6
 DEFAULT_WITNESS_TRIALS = 10**4
@@ -216,33 +215,6 @@ def check_k_minimal(
     """
     divisor_primes = {p for s in m.elementary_divisors() for p in factorize(s)}
     return _certify(m, "average", divisor_primes, budget, trials, seed)
-
-
-def check_constant_rank_fq(m: MatrixModule, q: int, budget: int = 10**7):
-    """Brute-force test over F_q: do all nonzero elements share one rank?
-
-    Returns (flag, rank); the zero module reports (True, 0).  Enumerates
-    projective representatives, so the cost is (q^dim - 1)/(q - 1) points.
-    q must be prime: the rank over F_q is the number of unit elementary
-    divisors mod q.
-    """
-    if not is_prime(q):
-        raise InputError(f"q = {q} is not prime")
-    ell = m.dim
-    if q**ell > budget:
-        raise InputError(f"q^dim = {q ** ell} exceeds budget {budget}")
-    if ell == 0:
-        return True, 0
-    ranks = set()
-    # projective representatives: first nonzero coordinate equal to 1
-    for j in range(ell):
-        for tail in product(range(q), repeat=ell - 1 - j):
-            coeffs = (0,) * j + (1,) + tail
-            ranks.add(len(lambdas_mod(m.element_rows(coeffs), q, 1)))
-            if len(ranks) > 1:
-                return False, None
-    rank = ranks.pop()
-    return True, rank
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,29 @@
-"""Shared brute-force oracles and random generators for the test suite.
+"""Shared brute-force oracles, fixtures and random generators for the test suite.
 
-The oracles enumerate vector spaces directly and never touch the reduction
-code they are checking.
+The oracles enumerate vectors, module elements, minors or group elements
+directly and never touch the reduction code they are checking: neither
+`zpn.lambdas_mod` nor the engine's walk.  The composite-modulus route
+(`kernel_size_mod`, `ask_mod_composite`) reads the Smith form over Z,
+`zpn.smith_diagonal`, which the package keeps for the integer elementary
+divisors of a lattice.
+
+The fixtures build the modules and groups of the paper's identities (direct
+sums, zero rows and columns, rescaling, the semidirect embedding) through
+the public constructors.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from askzeta import IntMatrix, MatrixModule
+from askzeta import GroupGenSet, InputError, IntMatrix, MatrixModule, SeriesQ, smith_diagonal
+from askzeta.catalog import _FIXED
 from askzeta.poly import Poly
+from askzeta.primes import is_prime
 
 # Property tests draw the same examples on every run, so the suite stays
 # reproducible; examples are not stored between runs.
@@ -27,17 +38,21 @@ settings.register_profile(
 settings.load_profile("askzeta")
 
 
-def brute_kernel_size(a: IntMatrix, p: int, n: int) -> int:
-    """Count x in (Z/p^n)^d with x*a = 0 mod p^n by full enumeration."""
-    m = p**n
+def brute_kernel_size_mod(a: IntMatrix, modulus: int) -> int:
+    """Count x in (Z/N)^d with x*a = 0 mod N by full enumeration."""
     d, e = a.shape
     count = 0
-    for x in product(range(m), repeat=d):
+    for x in product(range(modulus), repeat=d):
         if all(
-            sum(x[k] * a.entries[k][j] for k in range(d)) % m == 0 for j in range(e)
+            sum(x[k] * a.entries[k][j] for k in range(d)) % modulus == 0
+            for j in range(e)
         ):
             count += 1
     return count
+
+
+def brute_kernel_size(a: IntMatrix, p: int, n: int) -> int:
+    return brute_kernel_size_mod(a, p**n)
 
 
 def brute_image_size(a: IntMatrix, p: int, n: int) -> int:
@@ -51,34 +66,127 @@ def brute_image_size(a: IntMatrix, p: int, n: int) -> int:
     return len(seen)
 
 
+def element_rows(mod: MatrixModule, coeffs) -> list[list[int]]:
+    """The module element sum c_i b_i over its canonical basis, as integer rows."""
+    a = [[0] * mod.e for _ in range(mod.d)]
+    for c, b in zip(coeffs, mod.basis):
+        for i, row in enumerate(b.entries):
+            for j, v in enumerate(row):
+                a[i][j] += c * v
+    return a
+
+
 def brute_ask(mod: MatrixModule, p: int, n: int) -> Fraction:
     """Average kernel size by enumerating coefficient tuples and vectors."""
     if n == 0:
         return Fraction(1)
-    m = p**n
     total = 0
     count = 0
-    for coeffs in product(range(m), repeat=mod.dim):
-        a = [[0] * mod.e for _ in range(mod.d)]
-        for c, b in zip(coeffs, mod.basis):
-            for i, row in enumerate(b.entries):
-                for j, v in enumerate(row):
-                    a[i][j] += c * v
-        total += brute_kernel_size(IntMatrix(a), p, n)
+    for coeffs in product(range(p**n), repeat=mod.dim):
+        total += brute_kernel_size(IntMatrix(element_rows(mod, coeffs)), p, n)
         count += 1
     return Fraction(total, count)
 
 
-def brute_kernel_size_mod(a: IntMatrix, modulus: int) -> int:
+def kernel_size_mod(a: IntMatrix, modulus: int) -> int:
+    """|Ker(a mod N)| for any modulus N >= 1: each Smith divisor s of a
+    contributes gcd(s, N), each missing one N."""
+    divs = smith_diagonal(a)
+    size = modulus ** (a.rows - len(divs))
+    for s in divs:
+        size *= gcd(s, modulus)
+    return size
+
+
+def ask_mod_composite(mod: MatrixModule, modulus: int) -> Fraction:
+    """Average kernel size of M over Z/N for any modulus N >= 1, element by element."""
+    if modulus < 1:
+        raise InputError("modulus must be >= 1")
+    total = sum(
+        kernel_size_mod(IntMatrix(element_rows(mod, c)), modulus)
+        for c in product(range(modulus), repeat=mod.dim)
+    )
+    return Fraction(total, modulus**mod.dim)
+
+
+def _int_det(rows) -> int:
+    """Fraction-free (Bareiss) determinant of a small square integer matrix."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def _valuation(x: int, p: int) -> int:
+    """The exponent of p in a nonzero integer x."""
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def equivalence_type_minors(a: IntMatrix, p: int) -> tuple[int, ...]:
+    """Elementary divisor valuations (lam_1, ..., lam_r) of a at p, from minors:
+    lam_1 + ... + lam_i is the least valuation of a nonzero i x i minor."""
     d, e = a.shape
-    count = 0
-    for x in product(range(modulus), repeat=d):
-        if all(
-            sum(x[k] * a.entries[k][j] for k in range(d)) % modulus == 0
-            for j in range(e)
-        ):
-            count += 1
-    return count
+    sums = [0]
+    for i in range(1, min(d, e) + 1):
+        vals = [
+            _valuation(m, p)
+            for rsel in combinations(range(d), i)
+            for csel in combinations(range(e), i)
+            if (m := _int_det([[a.entries[r][c] for c in csel] for r in rsel]))
+        ]
+        if not vals:
+            break
+        sums.append(min(vals))
+    return tuple(sums[i] - sums[i - 1] for i in range(1, len(sums)))
+
+
+def rank_distribution(d: int, e: int, r: int, q: int) -> int:
+    """Number of d x e matrices of rank r over the field with q elements."""
+    if not 0 <= r <= min(d, e):
+        raise InputError(f"rank {r} out of range for {d} x {e}")
+    value = Fraction(1)
+    for i in range(r):
+        value *= Fraction((q**e - q**i) * (q ** (d - i) - 1), q ** (i + 1) - 1)
+    assert value.denominator == 1
+    return int(value)
+
+
+def check_constant_rank_fq(mod: MatrixModule, q: int, budget: int = 10**7):
+    """(True, rank) when every nonzero element of M mod q has one rank over
+    F_q, else (False, None); the zero module gives (True, 0).  Enumerates the
+    (q^dim - 1)/(q - 1) projective points; the rank over F_q is the number of
+    unit elementary divisors, read off the minors."""
+    if not is_prime(q):
+        raise InputError(f"q = {q} is not prime")
+    if q**mod.dim > budget:
+        raise InputError(f"q^dim = {q ** mod.dim} exceeds budget {budget}")
+    ranks = set()
+    # projective representatives: first nonzero coordinate equal to 1
+    for j in range(mod.dim):
+        for tail in product(range(q), repeat=mod.dim - 1 - j):
+            rows = element_rows(mod, (0,) * j + (1,) + tail)
+            ranks.add(equivalence_type_minors(IntMatrix(rows), q).count(0))
+            if len(ranks) > 1:
+                return False, None
+    return True, ranks.pop() if ranks else 0
 
 
 def leibniz_det(rows, nvars: int) -> Poly:
@@ -234,6 +342,89 @@ def brute_class_count(group, m: int) -> int:
             classes += 1
             seen.update((inv @ z @ h).mod(m) for inv, h in pairs)
     return classes
+
+
+# -- fixtures for the paper's identities ------------------------------------
+
+
+def direct_sum(m1: MatrixModule, m2: MatrixModule) -> MatrixModule:
+    """Block-diagonal sum inside Mat_{(d1+d2) x (e1+e2)}."""
+    e = m1.e + m2.e
+    basis = [
+        [list(r) + [0] * m2.e for r in b.entries] + [[0] * e for _ in range(m2.d)]
+        for b in m1.basis
+    ]
+    basis += [
+        [[0] * e for _ in range(m1.d)] + [[0] * m1.e + list(r) for r in b.entries]
+        for b in m2.basis
+    ]
+    return MatrixModule(m1.d + m2.d, e, basis)
+
+
+def add_zero_row(m: MatrixModule, position: int) -> MatrixModule:
+    if not 0 <= position <= m.d:
+        raise InputError(f"row position {position} out of range 0..{m.d}")
+    basis = [list(b.entries) for b in m.basis]
+    for rows in basis:
+        rows.insert(position, [0] * m.e)
+    return MatrixModule(m.d + 1, m.e, basis, m.label)
+
+
+def add_zero_col(m: MatrixModule, position: int) -> MatrixModule:
+    if not 0 <= position <= m.e:
+        raise InputError(f"column position {position} out of range 0..{m.e}")
+    basis = [[r[:position] + (0,) + r[position:] for r in b.entries] for b in m.basis]
+    return MatrixModule(m.d, m.e + 1, basis, m.label)
+
+
+def rescale(m: MatrixModule, scale_exp: int, p: int) -> MatrixModule:
+    """The module times p^scale_exp (a strictly smaller lattice for scale_exp > 0)."""
+    if scale_exp < 0:
+        raise InputError("rescaling exponent must be >= 0")
+    return MatrixModule(m.d, m.e, [p**scale_exp * b for b in m.basis], m.label)
+
+
+def semidirect_embed(m: MatrixModule) -> GroupGenSet:
+    """The block unipotent group [[1, b], [0, 1]] over the module's basis.
+
+    Its orbit count on (Z/p^n)^(d+e) is p^(e*n) times ask(M, Z/p^n).
+    """
+    size = m.d + m.e
+    gens = []
+    for b in m.basis:
+        rows = [[int(i == j) for j in range(size)] for i in range(size)]
+        for i, row in enumerate(b.entries):
+            rows[i][m.d :] = row
+        gens.append(IntMatrix(rows))
+    return GroupGenSet(size, tuple(gens) or (IntMatrix.identity(size),))
+
+
+def log_unipotent(u: IntMatrix, ring) -> IntMatrix:
+    """log(u) mod p^n for u = 1 + N with N nilpotent and p >= d, the inverse
+    of exp_nilpotent: the sum of (-1)^(i+1) N^i / i for i < d."""
+    d, m = u.rows, ring.modulus
+    nil = u - IntMatrix.identity(d)
+    result = IntMatrix.zeros(d, d)
+    term = IntMatrix.identity(d)
+    for i in range(1, d):
+        term = term @ nil
+        result = result + (-1) ** (i + 1) * pow(i, -1, m) * term
+    return result.mod(m)
+
+
+# -- helpers shared by several test files ----------------------------------
+
+
+def hadamard(a: SeriesQ, b: SeriesQ) -> SeriesQ:
+    """Coefficientwise product of two series with matching q and order."""
+    if a.q_value != b.q_value or a.order != b.order:
+        raise InputError("Hadamard product needs equal q values and orders")
+    return SeriesQ(a.q_value, tuple(x * y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def algebra_keys() -> tuple[str, ...]:
+    """The catalog's nilpotent Lie algebra models L_{d,i}, sorted."""
+    return tuple(sorted(k for k in _FIXED if k.startswith("L_{")))
 
 
 @pytest.fixture

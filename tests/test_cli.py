@@ -540,6 +540,25 @@ class TestCommands:
         assert main(["oc", "--gl", size, "--p", "3"]) == EXIT_INPUT
         assert "--gl must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, spied",
+        [
+            # GL(30) has 871 generators of 900 entries; 3^30 points
+            (["--gl", "30", "--p", "3", "--n-max", "1"], "gl_generators"),
+            # the direct count needs 7^12 points, the kernel average 7^10
+            (["--algebra", "L_{5,9}", "--p", "7", "--n-max", "2", "--budget", "1000000000"],
+             "oc_via_ask"),
+        ],
+    )
+    def test_oc_budget_comes_before_any_work(self, capsys, monkeypatch, source, spied):
+        from askzeta import cli
+
+        calls = []
+        monkeypatch.setattr(cli, spied, lambda *args: calls.append(args))
+        assert main(["oc", *source]) == EXIT_BUDGET
+        assert capsys.readouterr().err.startswith("budget exceeded:")
+        assert calls == []
+
     def test_oc_algebra_bridge(self, capsys):
         assert main(["oc", "--algebra", "n(2)", "--p", "3", "--n-max", "2"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)

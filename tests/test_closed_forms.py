@@ -11,7 +11,6 @@ from askzeta import (
     InputError,
     NilpotentAlgebra,
     RingSpec,
-    algebra_keys,
     ask_orbit,
     ask_series,
     brenti_identity_check,
@@ -23,10 +22,9 @@ from askzeta import (
     elliptic_point_count,
     ex_elliptic_formula,
     expand,
-    hadamard,
     parse_rational,
 )
-from conftest import brute_brenti
+from conftest import algebra_keys, brute_brenti, direct_sum, hadamard
 
 # entries verified at reduced depth here because their point counts explode;
 # the acceptance suite pushes them as far as the budget allows
@@ -107,14 +105,10 @@ class TestConjugacyEntries:
 
 class TestDirectSumHadamard:
     def test_diagonal_is_sum_of_lines(self):
-        from askzeta import direct_sum
-
         one = catalog_module("gl(1)")
         assert direct_sum(one, one) == catalog_module("diag(2)")
 
     def test_block_sum_series_is_hadamard(self):
-        from askzeta import direct_sum
-
         pairs = [("gl(1)", "n(2)"), ("so(3)", "gl(1)"), ("n(2)", "n(2)")]
         for ka, kb in pairs:
             a, b = catalog_module(ka), catalog_module(kb)

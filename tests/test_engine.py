@@ -14,18 +14,22 @@ from askzeta import (
     MatrixModule,
     RingSpec,
     ask_average,
-    ask_mod_composite,
     ask_orbit,
     ask_series,
     catalog_module,
     closed_form,
     expand,
-    rank_distribution,
     transpose_module,
 )
 from askzeta import engine, module
 from askzeta.engine import AskValue
-from conftest import brute_ask, brute_image_size, random_module
+from conftest import (
+    ask_mod_composite,
+    brute_ask,
+    brute_image_size,
+    random_module,
+    rank_distribution,
+)
 
 
 class TestAskAverage:

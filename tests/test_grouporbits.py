@@ -22,13 +22,11 @@ from askzeta import (
     exp_nilpotent,
     expand,
     gl_generators,
-    log_unipotent,
     oc_coefficients,
     oc_via_ask,
-    semidirect_embed,
 )
 from askzeta import grouporbits
-from askzeta.catalog import algebra_keys
+from conftest import algebra_keys, log_unipotent, rescale, semidirect_embed
 
 
 def quiet(fn, *args, **kwargs):
@@ -133,8 +131,6 @@ class TestNilpotentAlgebra:
         assert not alg.identity_hypothesis_warnings(7)
 
     def test_non_isolated_warning(self):
-        from askzeta import rescale
-
         m = rescale(catalog_module("n(2)"), 1, 3)
         alg = NilpotentAlgebra(m)
         assert alg.identity_hypothesis_warnings(3)
@@ -172,8 +168,6 @@ class TestNilpotentAlgebra:
     def test_non_isolated_discrepancy_is_observable(self):
         # when the lattice is not isolated at p the two conjugacy counts may
         # differ; both are reported instead of raising
-        from askzeta import rescale
-
         alg = NilpotentAlgebra(rescale(catalog_module("n(2)"), 1, 5))
         assert alg.identity_hypothesis_warnings(5)
         via = quiet(cc_via_ask, alg, 5, 2)

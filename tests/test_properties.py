@@ -15,20 +15,24 @@ from askzeta import (
     IntMatrix,
     MatrixModule,
     RingSpec,
-    add_zero_row,
     ask_average,
-    ask_mod_composite,
     ask_orbit,
     catalog_algebra,
     cc_via_ask,
-    direct_sum,
     exp_nilpotent,
-    log_unipotent,
     oc_via_ask,
-    rescale,
     transpose_module,
 )
-from conftest import random_module, random_nilpotent, random_unimodular
+from conftest import (
+    add_zero_row,
+    ask_mod_composite,
+    direct_sum,
+    log_unipotent,
+    random_module,
+    random_nilpotent,
+    random_unimodular,
+    rescale,
+)
 
 
 def _rng():

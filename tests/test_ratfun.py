@@ -8,14 +8,18 @@ import pytest
 from askzeta import (
     InputError,
     NotExpandableError,
+    SeriesQ,
     expand,
     fit_pade,
     fit_rational,
     functional_equation_check,
-    hadamard,
     parse_rational,
-    series_from,
 )
+from conftest import hadamard
+
+
+def series_from(q_value, values) -> SeriesQ:
+    return SeriesQ(Fraction(q_value), tuple(Fraction(v) for v in values))
 
 
 class TestParser:

@@ -4,16 +4,15 @@ import pytest
 
 from askzeta import (
     InputError,
-    add_zero_col,
     ask_series,
     catalog_module,
-    check_constant_rank_fq,
     check_k_minimal,
     check_o_maximal,
     expand,
     structure_report,
 )
 from askzeta.poly import bareiss_det
+from conftest import add_zero_col, check_constant_rank_fq, rescale
 
 
 class TestOrbitMaximal:
@@ -59,8 +58,6 @@ class TestKernelMinimal:
         assert rep.template == structure_report(catalog_module("band(2)")).template
 
     def test_non_isolated_lattice_excludes_primes(self):
-        from askzeta import rescale
-
         m = rescale(catalog_module("band(2)"), 1, 3)
         cert = check_k_minimal(m)
         assert cert.certified

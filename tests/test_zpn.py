@@ -1,43 +1,48 @@
-"""Valuations, elementary divisors, and the kernel/image size formulas."""
+"""The ring Z/p^n, the mod-p^cap reduction lambdas_mod and what it gives
+(elementary divisor valuations, kernel and image sizes), and the Smith form."""
 
 import pytest
 
-from askzeta import (
-    INFINITY,
-    InputError,
-    IntMatrix,
-    RingSpec,
-    equivalence_type,
-    equivalence_type_minors,
-    image_size,
-    kernel_size,
-    kernel_size_mod,
-    pval,
-    smith_diagonal,
-    span_size,
-)
+from askzeta import InputError, IntMatrix, RingSpec, smith_diagonal
+from askzeta.zpn import lambdas_mod
 from conftest import (
     brute_image_size,
     brute_kernel_size,
     brute_kernel_size_mod,
+    equivalence_type_minors,
+    kernel_size_mod,
     random_int_matrix,
     random_unimodular,
 )
 
 
-class TestPval:
-    def test_examples(self):
-        assert pval(18, 3) == 2
-        assert pval(1, 3) == 0
-        assert pval(-250, 5) == 3
+def equivalence_type(a: IntMatrix, p: int) -> tuple[int, ...]:
+    """Valuations (lam_1, ..., lam_r) of the elementary divisors of `a` at p.
 
-    def test_zero_is_distinguished(self):
-        v = pval(0, 7)
-        assert v is INFINITY
-        assert v > 10**100
-        assert min(v, 4) == 4
-        assert not v < 5
-        assert v >= INFINITY
+    r is the rank of `a` over the rationals; the zero matrix gives ().
+    lambdas_mod at the least cap with p^cap > B, where B is the product over
+    the rows of max(1, sum_j |a_ij|), is exact: every r x r minor D is at
+    most B in absolute value, lam_1 + ... + lam_r is the least valuation of
+    a nonzero r x r minor, and so each lam_i <= v_p(D) < cap.
+    """
+    bound = 1
+    for row in a.entries:
+        bound *= max(1, sum(abs(v) for v in row))
+    cap, pw = 1, p
+    while pw <= bound:
+        cap, pw = cap + 1, pw * p
+    return tuple(lambdas_mod(a.entries, p, cap))
+
+
+def kernel_size(a: IntMatrix, ring: RingSpec) -> int:
+    """|Ker(x -> x a)| on (Z/p^n)^d: p^(sum_i lam_i + (d - r) n) over lam_i < n."""
+    lams = lambdas_mod(a.entries, ring.p, ring.n)
+    return ring.p ** (sum(lams) + (a.rows - len(lams)) * ring.n)
+
+
+def image_size(a: IntMatrix, ring: RingSpec) -> int:
+    """|Row span of a in (Z/p^n)^e|: p^(sum_i (n - lam_i)) over lam_i < n."""
+    return ring.p ** sum(ring.n - lam for lam in lambdas_mod(a.entries, ring.p, ring.n))
 
 
 class TestRingSpec:
@@ -83,8 +88,6 @@ class TestEquivalenceType:
 
     def test_every_cap_against_minor_oracle(self, rng):
         # lambdas_mod at cap c reports exactly the exact valuations below c
-        from askzeta.zpn import lambdas_mod
-
         for _ in range(150):
             d, e = rng.randint(1, 4), rng.randint(1, 4)
             p = rng.choice([2, 3, 5, 7])
@@ -181,14 +184,14 @@ class TestSizes:
         a = IntMatrix([[1, 2], [3, 4]])
         assert kernel_size(a, ring) == 1
         assert image_size(a, ring) == 1
-        assert span_size([(1, 2)], ring) == 1
+        assert image_size(IntMatrix([(1, 2)]), ring) == 1
 
 
 class TestSpanSize:
     def test_examples(self):
-        assert span_size([(1, 0)], RingSpec(3, 2)) == 9
-        assert span_size([(3, 0), (0, 3)], RingSpec(3, 2)) == 9
-        assert span_size([], RingSpec(7, 5)) == 1
+        assert image_size(IntMatrix([(1, 0)]), RingSpec(3, 2)) == 9
+        assert image_size(IntMatrix([(3, 0), (0, 3)]), RingSpec(3, 2)) == 9
+        assert image_size(IntMatrix([]), RingSpec(7, 5)) == 1
 
     def test_brute(self, rng):
         # direct enumeration of generated subgroups of (Z/p^n)^e
@@ -210,7 +213,7 @@ class TestSpanSize:
                         for j in range(e)
                     )
                 )
-            assert span_size(rows, RingSpec(p, n)) == len(generated)
+            assert image_size(IntMatrix(rows), RingSpec(p, n)) == len(generated)
 
 
 class TestSmith:
