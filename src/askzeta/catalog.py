@@ -1,15 +1,18 @@
-"""The module catalog: every key is a row of data.
+"""The module catalog: every key is a row of generator entries.
 
 Names accepted by `catalog_module` (either as "so(3)" or ("so", 3)):
 
     mat(d,e) gl(d) sl(d) so(d) sp(2m) sym(d) n(d) tr(d) diag(d) band(r)
     zero(d,e) ex_unbounded ex_elliptic ex_non_lie L_{d,i}
 
-A family key is a row of `_FAMILIES`: its builder, its arity and the
-condition on its parameters.  `_family` is the one check of family keys;
-`closed_forms` calls it too, so a key with no module has no closed form.
 A fixed key is a row of `_FIXED`: the matrix size and the entries of each
-generator, so a new algebra is one row.
+generator, so a new algebra is one row.  A family key is a row of
+`_FAMILIES`: a function giving the same (d, e, generators) from the
+parameters, its arity and their condition.  `_family` is the one check of
+family keys; `closed_forms` calls it too, so a key with no module has no
+closed form.  `catalog_module` builds every key from its `catalog_row`, whose
+sizes (len(generators), d, e) fix every view's point count before any
+matrix exists.
 
 The L_{d,i} rows are the nilpotent Lie algebras of dimension <= 5 in
 de Graaf's numbering, realized as explicit integer matrix algebras.  Two
@@ -26,107 +29,18 @@ from .intmat import IntMatrix
 from .module import MatrixModule
 
 
-def _unit(d, e, i, j, v=1):
-    return IntMatrix.unit(d, e, i, j, v)
-
-
-def _sum_units(d, e, positions):
+def _sum_units(d, e, entries):
     m = [[0] * e for _ in range(d)]
-    for entry in positions:
-        i, j, *rest = entry
-        m[i][j] += rest[0] if rest else 1
+    for i, j, *v in entries:
+        m[i][j] += v[0] if v else 1
     return IntMatrix(m)
-
-
-def mat_module(d: int, e: int) -> MatrixModule:
-    basis = [_unit(d, e, i, j) for i in range(d) for j in range(e)]
-    return MatrixModule(d, e, basis, f"mat({d},{e})")
-
-
-def gl_module(d: int) -> MatrixModule:
-    basis = [_unit(d, d, i, j) for i in range(d) for j in range(d)]
-    return MatrixModule(d, d, basis, f"gl({d})")
-
-
-def sl_module(d: int) -> MatrixModule:
-    basis = [_unit(d, d, i, j) for i in range(d) for j in range(d) if i != j]
-    basis += [
-        _sum_units(d, d, [(i, i, 1), (i + 1, i + 1, -1)]) for i in range(d - 1)
-    ]
-    return MatrixModule(d, d, basis, f"sl({d})")
-
-
-def so_module(d: int) -> MatrixModule:
-    basis = [
-        _sum_units(d, d, [(i, j, 1), (j, i, -1)])
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    return MatrixModule(d, d, basis, f"so({d})")
-
-
-def sym_module(d: int) -> MatrixModule:
-    basis = [_unit(d, d, i, i) for i in range(d)]
-    basis += [
-        _sum_units(d, d, [(i, j, 1), (j, i, 1)])
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
-    return MatrixModule(d, d, basis, f"sym({d})")
-
-
-def sp_module(size: int) -> MatrixModule:
-    """Symplectic algebra in the 2m x 2m block form [[a, b], [c, -a^T]]."""
-    m = size // 2
-    basis = []
-    for i in range(m):
-        for j in range(m):
-            basis.append(_sum_units(size, size, [(i, j, 1), (m + j, m + i, -1)]))
-    for i in range(m):
-        basis.append(_unit(size, size, i, m + i))
-        basis.append(_unit(size, size, m + i, i))
-    for i in range(m):
-        for j in range(i + 1, m):
-            basis.append(_sum_units(size, size, [(i, m + j, 1), (j, m + i, 1)]))
-            basis.append(_sum_units(size, size, [(m + i, j, 1), (m + j, i, 1)]))
-    return MatrixModule(size, size, basis, f"sp({size})")
-
-
-def n_module(d: int) -> MatrixModule:
-    basis = [_unit(d, d, i, j) for i in range(d) for j in range(i + 1, d)]
-    return MatrixModule(d, d, basis, f"n({d})")
-
-
-def tr_module(d: int) -> MatrixModule:
-    basis = [_unit(d, d, i, j) for i in range(d) for j in range(i, d)]
-    return MatrixModule(d, d, basis, f"tr({d})")
-
-
-def diag_module(d: int) -> MatrixModule:
-    basis = [_unit(d, d, i, i) for i in range(d)]
-    return MatrixModule(d, d, basis, f"diag({d})")
-
-
-def band_module(r: int) -> MatrixModule:
-    """Constant-rank band module in Mat_{(2r-1) x r}: column j carries x_1..x_r
-    shifted down by j."""
-    d, e = 2 * r - 1, r
-    basis = []
-    for k in range(r):
-        basis.append(_sum_units(d, e, [(k + j, j, 1) for j in range(r)]))
-    return MatrixModule(d, e, basis, f"band({r})")
-
-
-def zero_module(d: int, e: int) -> MatrixModule:
-    return MatrixModule(d, e, [], f"zero({d},{e})")
 
 
 # -- fixed modules -----------------------------------------------------------
 #
 # key -> (d, e, generators): the module of d x e matrices spanned by one
 # matrix per generator, each given as its entries (i, j[, v]) (v = 1 when
-# omitted; entries at the same position add up).  The L_{d,i} rows are the
-# nilpotent Lie algebras of dimension d <= 5 in de Graaf's numbering.
+# omitted; entries at the same position add up).
 
 _FIXED = {
     # [[a,b,a],[b,c,d],[a,d,c]]
@@ -191,50 +105,87 @@ def _parse_key(name):
     return name, ()
 
 
-# head -> (builder, arity[, condition on the parameters beyond non-negative,
-# the error message when it fails])
+def _units(d, e, keep=lambda i, j: True):
+    """One generator per matrix unit e_{ij} of Mat_{d x e} with keep(i, j)."""
+    return [[(i, j)] for i in range(d) for j in range(e) if keep(i, j)]
+
+
+def _pairs(d):
+    return [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def _sp(size):
+    """The symplectic algebra in the 2m x 2m block form [[a, b], [c, -a^T]]."""
+    m = size // 2
+    return size, size, (
+        [[(i, j), (m + j, m + i, -1)] for i in range(m) for j in range(m)]
+        + [[(i, m + i)] for i in range(m)]
+        + [[(m + i, i)] for i in range(m)]
+        + [[(i, m + j), (j, m + i)] for i, j in _pairs(m)]
+        + [[(m + i, j), (m + j, i)] for i, j in _pairs(m)]
+    )
+
+
+# head -> (rows, arity[, condition on the parameters beyond non-negative, the
+# error message when it fails]); rows(*params) gives the key's (d, e,
+# generators) in the entry format of _FIXED
 _FAMILIES = {
-    "mat": (mat_module, 2),
-    "gl": (gl_module, 1),
-    "sl": (sl_module, 1),
-    "so": (so_module, 1),
-    "sp": (sp_module, 1, lambda size: size > 0 and size % 2 == 0,
-           "sp requires a positive even size"),
-    "sym": (sym_module, 1),
-    "n": (n_module, 1),
-    "tr": (tr_module, 1),
-    "diag": (diag_module, 1),
-    "band": (band_module, 1, lambda r: r >= 1, "band parameter must be >= 1"),
-    "zero": (zero_module, 2),
+    "mat": (lambda d, e: (d, e, _units(d, e)), 2),
+    "gl": (lambda d: (d, d, _units(d, d)), 1),
+    "sl": (lambda d: (d, d, _units(d, d, lambda i, j: i != j)
+                      + [[(i, i), (i + 1, i + 1, -1)] for i in range(d - 1)]), 1),
+    "so": (lambda d: (d, d, [[(i, j), (j, i, -1)] for i, j in _pairs(d)]), 1),
+    "sp": (_sp, 1, lambda size: size > 0 and size % 2 == 0, "sp requires a positive even size"),
+    "sym": (lambda d: (d, d, _units(d, d, lambda i, j: i == j)
+                       + [[(i, j), (j, i)] for i, j in _pairs(d)]), 1),
+    "n": (lambda d: (d, d, _units(d, d, lambda i, j: i < j)), 1),
+    "tr": (lambda d: (d, d, _units(d, d, lambda i, j: i <= j)), 1),
+    "diag": (lambda d: (d, d, _units(d, d, lambda i, j: i == j)), 1),
+    # constant rank in Mat_{(2r-1) x r}: column j carries x_1..x_r shifted down by j
+    "band": (lambda r: (2 * r - 1, r, [[(k + j, j) for j in range(r)] for k in range(r)]), 1,
+             lambda r: r >= 1, "band parameter must be >= 1"),
+    "zero": (lambda d, e: (d, e, []), 2),
 }
 
 
+def _canonical_key(head: str, params: tuple[int, ...]) -> str:
+    """The key as the catalog writes it: "so(3)", "mat(2,3)", "L_{3,2}"."""
+    return f"{head}({','.join(map(str, params))})" if params else head
+
+
 def _family(name: str, params: tuple[int, ...]):
-    """The builder of family `name` once its parameters are checked; None for
-    a name that is not a family.  The one check of family keys, for the
+    """The rows of family `name` once its parameters are checked; None for a
+    name that is not a family.  The one check of family keys, for the
     modules and the closed forms alike."""
     if name not in _FAMILIES:
         return None
-    builder, arity, *condition = _FAMILIES[name]
+    rows, arity, *condition = _FAMILIES[name]
     if len(params) != arity:
         raise InputError(f"{name} expects {arity} parameter(s), got {len(params)}")
     if any(v < 0 for v in params):
         raise InputError(f"negative parameter for {name}")
     if condition and not condition[0](*params):
         raise InputError(condition[1])
-    return builder
+    return rows
+
+
+def catalog_row(name: str, *params: int) -> tuple[str, int, int, list]:
+    """(label, d, e, generators) of a key, each generator the list of its
+    entries (i, j[, v]); no matrix is built."""
+    if not params:
+        name, params = _parse_key(name)
+    label = _canonical_key(name, params)
+    if name in _FIXED:
+        if params:
+            raise InputError(f"{name} takes no parameters")
+        return (label, *_FIXED[name])
+    rows = _family(name, params)
+    if rows is None:
+        raise InputError(f"unknown catalog name {name!r}")
+    return (label, *rows(*params))
 
 
 def catalog_module(name: str, *params: int) -> MatrixModule:
     """Build a named module, e.g. catalog_module("so", 3) or catalog_module("so(3)")."""
-    if not params:
-        name, params = _parse_key(name)
-    if name in _FIXED:
-        if params:
-            raise InputError(f"{name} takes no parameters")
-        d, e, generators = _FIXED[name]
-        return MatrixModule(d, e, [_sum_units(d, e, g) for g in generators], name)
-    builder = _family(name, params)
-    if builder is not None:
-        return builder(*params)
-    raise InputError(f"unknown catalog name {name!r}")
+    label, d, e, generators = catalog_row(name, *params)
+    return MatrixModule(d, e, [_sum_units(d, e, g) for g in generators], label)

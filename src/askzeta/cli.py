@@ -15,7 +15,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-from .catalog import catalog_module
+from .catalog import catalog_module, catalog_row
 from .closed_forms import (
     catalog_keys,
     closed_form,
@@ -24,7 +24,7 @@ from .closed_forms import (
     elliptic_point_count,
     ex_elliptic_formula,
 )
-from .engine import DEFAULT_BUDGET, _run_partials, ask_series, points_needed
+from .engine import DEFAULT_BUDGET, _run_partials, ask_series, check_budget, points_needed
 from .errors import (
     AskZetaError,
     BudgetExceededError,
@@ -43,7 +43,7 @@ from .grouporbits import (
     oc_via_ask,
 )
 from .intmat import IntMatrix
-from .module import MatrixModule
+from .module import VIEWS, MatrixModule
 from .primes import is_prime
 from .ratfun import expand, functional_equation_check, parse_rational
 from .structural import structure_report
@@ -204,8 +204,15 @@ def _to_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _get_module(args) -> MatrixModule:
+def _get_module(args, method=None) -> MatrixModule:
+    """The module of --catalog or --module.  A catalog key's sizes meet the budget
+    of method(sizes, p) at each listed prime, in order, before it is built."""
     if args.catalog:
+        if method is not None:
+            _, d, e, generators = catalog_row(args.catalog)
+            sizes = (len(generators), d, e)
+            for p in args.p:
+                check_budget(sizes, p, args.n_max, method(sizes, p), args.budget)
         return catalog_module(args.catalog)
     if args.module:
         return module_from_json(_read_json(args.module))
@@ -228,7 +235,7 @@ def _run_series(m, primes, n_max, method, budget, jobs):
 
 
 def cmd_ask(args) -> tuple[dict, int]:
-    m = _get_module(args)
+    m = _get_module(args, lambda sizes, p: args.method)
     results = _run_series(m, args.p, args.n_max, args.method, args.budget, args.jobs)
     report = {
         "input": args.catalog or args.module,
@@ -257,8 +264,14 @@ def _verify_formula(args):
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    m = _get_module(args)
     formula = _verify_formula(args)
+
+    # cross-check the routes when both enumerations fit the budget;
+    # otherwise the affordable view alone carries the comparison
+    def method(sizes, p):
+        return "both" if points_needed(sizes, p, args.n_max, "both") <= args.budget else "auto"
+
+    m = _get_module(args, method)
     results = []
     first_mismatch = None
     for p in args.p:
@@ -266,11 +279,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         if w is None:  # elliptic entry: formula depends on a curve point count
             w = ex_elliptic_formula(elliptic_point_count(p))
         expected = expand(w, p, args.n_max + 1).coeffs
-        # cross-check the routes when both enumerations fit the budget;
-        # otherwise the affordable view alone carries the comparison
-        both_ok = points_needed(m, p, args.n_max, "both") <= args.budget
-        method = "both" if both_ok else "auto"
-        got = ask_series(m, p, args.n_max, method, args.budget).coefficients()
+        got = ask_series(m, p, args.n_max, method(m.sizes, p), args.budget).coefficients()
         per_n = []
         for n in range(args.n_max + 1):
             ok = expected[n] == got[n]
@@ -320,8 +329,8 @@ def cmd_structure(args) -> tuple[dict, int]:
         "gor": rep.gor,
         "o_maximal": cert_json(rep.o_maximal),
         "k_minimal": cert_json(rep.k_minimal),
-        "constant_rank": rep.constant_rank,
-        "constant_orbit_dim": rep.constant_orbit_dim,
+        "constant_rank": rep.k_minimal.status,
+        "constant_orbit_dim": rep.o_maximal.status,
         "template_key": rep.template_key,
         "template": str(rep.template) if rep.template is not None else None,
     }
@@ -509,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ask", help="coefficient stream of a module")
     sp.add_argument("--catalog", type=str)
     sp.add_argument("--module", type=str)
-    sp.add_argument("--method", choices=("auto", "average", "orbit", "both"), default="auto")
+    sp.add_argument("--method", choices=("auto", "both", *VIEWS), default="auto")
     sp.add_argument("--jobs", type=int, default=1)
     common(sp, cmd_ask, csv=True)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .catalog import _family, _parse_key
+from .catalog import _canonical_key, _family, _parse_key
 from .errors import BudgetExceededError, InputError
 from .poly import Poly
 from .ratfun import QTRational, parse_rational
@@ -378,7 +378,7 @@ def closed_form(key: str) -> CatalogEntry:
         text, validity, tested_at, _ = row
         return CatalogEntry(key, "oc", parse_rational(text), None, validity, tested_at)
     head, params = _parse_key(key)
-    key = f"{head}({','.join(map(str, params))})" if params else head
+    key = _canonical_key(head, params)
     if _family(head, params) is not None:
         return CatalogEntry(key, "ask", _FAMILY_FORMS[head](*params), key, "all p")
     row = _ASK_FIXED.get(key)

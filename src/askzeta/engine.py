@@ -24,9 +24,9 @@ the sum.
 
 ask_series is the one entry: it runs one view by name, or "auto", the view
 with the fewest points p^(kn), or "both", which compares the average and
-orbit routes, i.e. the definition with the orbit formula.  The budget bounds
-p^(kn) at every level of every view a call runs, and is checked once before
-any walk starts.
+orbit routes, i.e. the definition with the orbit formula.  One rule,
+check_budget, bounds p^(kn) at every level of every view a call runs, from
+the axis sizes (dim, d, e) alone: before any walk, or any catalog build.
 
 Spans are invariant under multiplying the point by a unit, and a nonzero x
 is p^w times a primitive vector y mod p^(n-w), whose unit class has
@@ -162,15 +162,6 @@ def _orbit_sums(generators, k, e, p, top, rank, jobs=1) -> list[Fraction]:
     return out
 
 
-def _check_budget(m: MatrixModule, p: int, top: int, views, budget: int) -> None:
-    """Every level up to top of every view within the budget, before any walk."""
-    for n in range(1, top + 1):
-        for view in views:
-            points = p ** (m.view_shape(view)[0] * n)
-            if points > budget:
-                raise BudgetExceededError(points, budget, view=view, level=n)
-
-
 def _view_series(m: MatrixModule, p: int, top: int, view: str, jobs: int) -> list[Fraction]:
     """ask(M, Z/p^n) for n = 0..top through one view, from one walk.
 
@@ -183,19 +174,31 @@ def _view_series(m: MatrixModule, p: int, top: int, view: str, jobs: int) -> lis
     return [s * Fraction(p) ** (n * (m.d - k)) for n, s in enumerate(sums)]
 
 
-def _method_views(m: MatrixModule, method: str) -> tuple[str, ...]:
+def _method_views(sizes, method: str) -> tuple[str, ...]:
     if method == "both":
         return ("average", "orbit")
     if method == "auto":
-        return (min(VIEWS, key=lambda view: m.view_shape(view)[0]),)
+        return (min(VIEWS, key=lambda view: sizes[VIEWS[view][0]]),)
     if method in VIEWS:
         return (method,)
     raise InputError(f"unknown method {method!r}")
 
 
-def points_needed(m: MatrixModule, p: int, n: int, method: str) -> int:
+def points_needed(sizes, p: int, n: int, method: str) -> int:
     """Points the largest view that `method` runs enumerates at level n."""
-    return max(p ** (m.view_shape(view)[0] * n) for view in _method_views(m, method))
+    return max(p ** (sizes[VIEWS[view][0]] * n) for view in _method_views(sizes, method))
+
+
+def check_budget(sizes, p: int, top: int, method: str, budget: int) -> tuple[str, ...]:
+    """The views `method` runs, once every level up to top of each is within
+    the budget; sizes are (dim, d, e), so no module need exist yet."""
+    views = _method_views(sizes, method)
+    for n in range(1, top + 1):
+        for view in views:
+            points = points_needed(sizes, p, n, view)
+            if points > budget:
+                raise BudgetExceededError(points, budget, view=view, level=n)
+    return views
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,8 @@ def ask_series(
     walk by pivot across processes; the result does not depend on the split.
     """
     RingSpec(p, n_max)
-    views = _method_views(m, method)
+    views = check_budget(m.sizes, p, n_max, method, budget)
     label = method if method == "both" else views[0]
-    _check_budget(m, p, n_max, views, budget)
     found = [_view_series(m, p, n_max, view, jobs) for view in views]
     values = []
     for n in range(n_max + 1):

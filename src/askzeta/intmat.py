@@ -42,15 +42,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def unit(cls, rows: int, cols: int, i: int, j: int, value: int = 1) -> "IntMatrix":
-        """Matrix with a single entry `value` in position (i, j), zero elsewhere."""
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise InputError("unit position out of range")
-        ent = [[0] * cols for _ in range(rows)]
-        ent[i][j] = value
-        return cls(ent)
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
 

@@ -63,6 +63,11 @@ class MatrixModule:
         """Rank of the module over Q (= size of the canonical basis)."""
         return len(self.basis)
 
+    @property
+    def sizes(self) -> tuple[int, int, int]:
+        """(dim, d, e): the lengths of the basis tensor's axes, as VIEWS numbers them."""
+        return (self.dim, self.d, self.e)
+
     def __eq__(self, other):
         return (
             isinstance(other, MatrixModule)
@@ -103,8 +108,7 @@ class MatrixModule:
         """
         if view not in VIEWS:
             raise InputError(f"unknown view {view!r}")
-        size = (self.dim, self.d, self.e)
-        return tuple(size[axis] for axis in VIEWS[view])
+        return tuple(self.sizes[axis] for axis in VIEWS[view])
 
     def view_generators(self, view: str) -> tuple:
         """One k x w integer slice of the basis tensor per generator index.

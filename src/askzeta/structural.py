@@ -223,8 +223,6 @@ class StructureReport:
     gor: int
     o_maximal: Certificate
     k_minimal: Certificate
-    constant_orbit_dim: str
-    constant_rank: str
     template_key: str | None
     template: QTRational | None
 
@@ -264,8 +262,6 @@ def structure_report(
         gor=gor,
         o_maximal=o_cert,
         k_minimal=k_cert,
-        constant_orbit_dim=o_cert.status,
-        constant_rank=k_cert.status,
         template_key=template_key,
         template=template,
     )

@@ -18,8 +18,22 @@ from askzeta.cli import (
     module_from_json,
     module_to_json,
 )
-from askzeta import catalog_keys, catalog_module, closed_form, expand, parse_rational
+from askzeta import catalog, catalog_keys, catalog_module, closed_form, expand, parse_rational
 from askzeta.catalog import _FAMILIES
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Labels of the catalog modules built while the test runs."""
+    built = []
+    real = catalog.MatrixModule
+
+    def spy(d, e, basis, label=""):
+        built.append(label)
+        return real(d, e, basis, label)
+
+    monkeypatch.setattr(catalog, "MatrixModule", spy)
+    return built
 
 
 @pytest.fixture
@@ -269,6 +283,45 @@ class TestExitCodes:
         assert err.startswith("budget exceeded:")
         assert f"in the {view} view at level n = {level}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["ask", "--catalog", "mat(100,100)"],
+        ["ask", "--catalog", "sym(80)"],
+        ["ask", "--catalog", "band(300)"],
+        ["verify", "--catalog", "sym(80)"],
+    ])
+    def test_budget_fires_before_the_build(self, capsys, builds, argv):
+        assert main([*argv, "--p", "3", "--n-max", "1"]) == EXIT_BUDGET
+        assert capsys.readouterr().err.startswith("budget exceeded:")
+        assert builds == []
+
+    @pytest.mark.parametrize("command", [["ask"], ["verify", "--formula", "1/(1-T)"]])
+    def test_budget_before_the_build_is_the_engine_budget(
+        self, capsys, builds, tmp_path, command
+    ):
+        # p = 3 fits and p = 5 does not: the check before the build runs the
+        # primes in order, as the engine does after building the module file
+        path = tmp_path / "sym3.json"
+        path.write_text(json.dumps(module_to_json(catalog_module("sym(3)"))))
+        builds.clear()
+        argv = [*command, "--p", "3,5", "--n-max", "1", "--budget", "100"]
+        assert main([*argv, "--catalog", "sym(3)"]) == EXIT_BUDGET
+        assert builds == []
+        before = capsys.readouterr().err
+        assert main([*argv, "--module", str(path)]) == EXIT_BUDGET
+        assert capsys.readouterr().err == before
+        assert "125 points" in before and "orbit view at level n = 1" in before
+
+    def test_verify_reads_the_formula_before_the_budget(self, capsys, builds):
+        argv = ["--catalog", "sym(30)", "--formula", "(", "--p", "3", "--n-max", "1"]
+        assert main(["verify", *argv]) == EXIT_INPUT
+        assert builds == []
+
+    def test_verify_budget_falls_back_to_auto(self, capsys, builds):
+        # both needs 3^4 points for the average view of mat(2,2); auto needs 3^2
+        argv = ["--catalog", "mat(2,2)", "--p", "3", "--n-max", "1", "--budget", "50"]
+        assert main(["verify", *argv]) == EXIT_OK
+        assert builds == ["mat(2,2)"]
+
     def test_nested_power_is_an_input_error(self, capsys):
         start = time.perf_counter()
         assert main(["feqn", "--form", "((1+q+T)^40)^40", "--d", "1"]) == EXIT_INPUT
@@ -460,6 +513,16 @@ class TestCommands:
         got = json.loads(out.read_text())["results"][0]["coefficients"]
         want = expand(closed_form("diag(2)").formula, 2, 1201).coeffs
         assert got == [{"num": str(c.numerator), "den": str(c.denominator)} for c in want]
+
+    def test_every_view_is_a_method(self, capsys):
+        # auto runs the transpose view of mat(2,1); naming it gives the same report
+        reports = {}
+        for method in ("auto", "transpose", "orbit", "average", "both"):
+            argv = ["ask", "--catalog", "mat(2,1)", "--p", "3", "--n-max", "2"]
+            assert main([*argv, "--method", method]) == EXIT_OK
+            reports[method] = json.loads(capsys.readouterr().out)["results"]
+        assert all(results == reports["auto"] for results in reports.values())
+        assert reports["auto"][0]["coefficients"][1] == {"num": "11", "den": "3"}
 
     def test_structure(self, capsys):
         assert main(["structure", "--catalog", "band(2)"]) == EXIT_OK

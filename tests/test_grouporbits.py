@@ -35,6 +35,13 @@ def quiet(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
+def identity_plus(d, i, j, value):
+    """The d x d identity with `value` added at (i, j)."""
+    m = [[int(r == c) for c in range(d)] for r in range(d)]
+    m[i][j] += value
+    return IntMatrix(m)
+
+
 class TestExpLog:
     def test_single_unit(self):
         a = IntMatrix([[0, 1], [0, 0]])
@@ -355,16 +362,16 @@ class TestDenseOracles:
         if kind in ("dense", "diagonal"):
             i = rng.randrange(d)
             unit = rng.choice([u for u in range(2, m) if u % p] or [1])
-            diag = IntMatrix.identity(d) + IntMatrix.unit(d, d, i, i, unit - 1)
+            diag = identity_plus(d, i, i, unit - 1)
             # a unimodular factor moves every column in most draws
             return random_unimodular(rng, d) @ diag if kind == "dense" else diag
         if kind == "identity":
             # the identity, or a matrix congruent to it mod m
             i, j = rng.randrange(d), rng.randrange(d)
-            return IntMatrix.identity(d) + IntMatrix.unit(d, d, i, j, m * rng.randint(0, 2))
+            return identity_plus(d, i, j, m * rng.randint(0, 2))
         if kind == "transvection":
             i, j = rng.sample(range(d), 2)
-            return IntMatrix.identity(d) + IntMatrix.unit(d, d, i, j, rng.randint(1, m - 1))
+            return identity_plus(d, i, j, rng.randint(1, m - 1))
         return exp_nilpotent(random_nilpotent(rng, d), RingSpec(p, n))
 
     def draw(self, rng, d, p, n, seen):

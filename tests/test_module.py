@@ -1,5 +1,7 @@
 """MatrixModule construction, generic ranks, transforms, adjoint."""
 
+import itertools
+
 import pytest
 
 from askzeta import (
@@ -8,9 +10,12 @@ from askzeta import (
     NonIntegralStructureConstantsError,
     NotLieAlgebraError,
     ad_representation,
+    catalog_keys,
     catalog_module,
+    closed_form,
     transpose_module,
 )
+from askzeta.catalog import _FAMILIES, _FIXED, catalog_row
 from askzeta.poly import Poly, bareiss_det, evaluated_rank, symbolic_rank
 from conftest import (
     add_zero_col,
@@ -316,6 +321,34 @@ class TestCatalog:
             m = catalog_module(key)
             assert all(isinstance(v, int) for b in m.basis for r in b.entries for v in r)
         assert catalog_module("L_{5,6}").is_isolated_at(5)
+
+    def test_every_row_spans_as_many_dimensions_as_it_has_generators(self):
+        # dim == len(generators) lets a budget read the sizes off the row: the
+        # CLI's check before the build refuses exactly what ask_series would
+        keys = list(_FIXED)
+        for head, (_, arity, *_) in _FAMILIES.items():
+            top = 5 if arity == 2 else 8
+            keys += [
+                f"{head}({','.join(map(str, params))})"
+                for params in itertools.product(range(top + 1), repeat=arity)
+            ]
+        swept = []
+        for key in keys:
+            try:
+                label, d, e, generators = catalog_row(key)
+            except InputError:  # a parameter its family's condition refuses
+                continue
+            m = catalog_module(key)
+            assert (m.label, m.d, m.e, m.dim) == (label, d, e, len(generators)), key
+            swept.append(key)
+        refused = ["band(0)", "sp(0)", "sp(1)", "sp(3)", "sp(5)", "sp(7)"]
+        assert sorted(set(keys) - set(swept)) == refused
+
+    @pytest.mark.parametrize(
+        "key", [k for k in catalog_keys() if closed_form(k).kind == "ask"] + ["so( 3 )"]
+    )
+    def test_label_is_the_closed_form_key(self, key):
+        assert catalog_module(key).label == closed_form(key).key
 
     def test_ex_non_lie_is_not_lie(self):
         with pytest.raises(NotLieAlgebraError):

@@ -167,4 +167,4 @@ class TestStructureReport:
     def test_grading_fields(self):
         rep = structure_report(catalog_module("n(3)"))
         assert rep.gor == 2 and rep.grk == 2
-        assert rep.constant_orbit_dim == "refuted"
+        assert rep.o_maximal.status == "refuted"
