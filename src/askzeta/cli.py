@@ -206,13 +206,14 @@ def _to_text(report: dict) -> str:
 
 def _get_module(args, method=None) -> MatrixModule:
     """The module of --catalog or --module.  A catalog key's sizes meet the budget
-    of method(sizes, p) at each listed prime, in order, before it is built."""
+    of method(sizes, p) at each listed prime, in order, before it is built; the
+    build is level-1 work, so the check reads level 1 even at --n-max 0."""
     if args.catalog:
         if method is not None:
             _, d, e, generators = catalog_row(args.catalog)
             sizes = (len(generators), d, e)
             for p in args.p:
-                check_budget(sizes, p, args.n_max, method(sizes, p), args.budget)
+                check_budget(sizes, p, max(args.n_max, 1), method(sizes, p), args.budget)
         return catalog_module(args.catalog)
     if args.module:
         return module_from_json(_read_json(args.module))
@@ -269,7 +270,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     # cross-check the routes when both enumerations fit the budget;
     # otherwise the affordable view alone carries the comparison
     def method(sizes, p):
-        return "both" if points_needed(sizes, p, args.n_max, "both") <= args.budget else "auto"
+        top = max(args.n_max, 1)
+        return "both" if points_needed(sizes, p, top, "both") <= args.budget else "auto"
 
     m = _get_module(args, method)
     results = []
@@ -433,9 +435,10 @@ def cmd_oc(args) -> tuple[dict, int]:
     internal_problem = False
     for p in args.p:
         # the point count rises with n, so the deepest level decides, before
-        # any generator is built or the kernel-average route runs
-        points = p ** (d * args.n_max)
-        if args.n_max and points > args.budget:
+        # any generator is built or the kernel-average route runs; building
+        # the generators is level-1 work, so level 1 is read even at n_max 0
+        points = p ** (d * max(args.n_max, 1))
+        if points > args.budget:
             raise BudgetExceededError(points, args.budget)
 
         def orbits():

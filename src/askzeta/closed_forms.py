@@ -322,15 +322,14 @@ _FAMILY_FORMS = {
     "zero": lambda d, e: QTRational.from_factors(Poly.const(2, 1), [(d, 1)]),
 }
 
-# fixed ask key -> (formula text or None, validity, notes); every one was
-# tested at p = 5, 7
+# fixed ask key -> (formula text or None, validity, tested_at, notes)
 _ASK_FIXED = {
-    "ex_unbounded": (_EX_UNBOUNDED, _BIG_P, ""),
-    "ex_non_lie": (_EX_NON_LIE, _DOUBLED, ""),
+    "ex_unbounded": (_EX_UNBOUNDED, _BIG_P, (5, 7), ""),
+    "ex_non_lie": (_EX_NON_LIE, _DOUBLED, (3, 5, 7), ""),
     "ex_elliptic": (
-        None, _BIG_P, "T-coefficient needs the curve count c(q); see ex_elliptic_formula"
+        None, _BIG_P, (5, 7), "T-coefficient needs the curve count c(q); see ex_elliptic_formula"
     ),
-    "L_{5,6}": (_L56_ASK, _DOUBLED, ""),
+    "L_{5,6}": (_L56_ASK, _DOUBLED, (3, 5, 7), ""),
 }
 
 # algebra name -> (formula text, module key, validity, tested_at, notes)
@@ -384,9 +383,9 @@ def closed_form(key: str) -> CatalogEntry:
     row = _ASK_FIXED.get(key)
     if row is None:
         raise InputError(f"unknown catalog key {key!r}")
-    text, validity, notes = row
+    text, validity, tested_at, notes = row
     formula = parse_rational(text) if text is not None else None
-    return CatalogEntry(key, "ask", formula, key, validity, (5, 7), notes)
+    return CatalogEntry(key, "ask", formula, key, validity, tested_at, notes)
 
 
 def catalog_keys() -> list[str]:

@@ -22,11 +22,22 @@ the sum.
     p^(n(e-d)) ask(M) (k = e).  Spans depend only on the lattice, so M's
     own basis serves.
 
+The walk runs on the view's generators with their saturated common left
+kernel removed (_strip_kernel): the rows at x + v are those at x whenever
+v G = 0 for every generator G.  When these v form a saturated lattice of
+rank z, a unimodular change of the point coordinates turns it into z
+coordinates that contribute p^(nz), and the walk runs over the other k - z.
+From here on k is that reduced size, and the scale is p^(n(d-k)).  The
+average view's point axis indexes an independent basis, so its kernel
+is zero and its walk is unchanged.
+
 ask_series is the one entry: it runs one view by name, or "auto", the view
 with the fewest points p^(kn), or "both", which compares the average and
 orbit routes, i.e. the definition with the orbit formula.  One rule,
 check_budget, bounds p^(kn) at every level of every view a call runs, from
 the axis sizes (dim, d, e) alone: before any walk, or any catalog build.
+Budget and "auto" read the unreduced k, so the budget is an upper bound on
+the points the walk covers.
 
 Spans are invariant under multiplying the point by a unit, and a nonzero x
 is p^w times a primitive vector y mod p^(n-w), whose unit class has
@@ -64,6 +75,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
+from .linalg import hermite_form
 from .module import VIEWS, MatrixModule
 from .zpn import RingSpec, lambdas_mod
 
@@ -162,15 +174,44 @@ def _orbit_sums(generators, k, e, p, top, rank, jobs=1) -> list[Fraction]:
     return out
 
 
+def _strip_kernel(generators, k: int, w: int) -> tuple[tuple, int]:
+    """The k x w generators with their saturated common left kernel removed.
+
+    Row a of S holds row a of every generator side by side, so v S = 0 exactly
+    when v G = 0 for every generator G.  The Hermite form of [S | I_k] is
+    [U S | U] with U unimodular, and the U parts of its z rows whose S part is
+    zero are a basis of that kernel.  Under the bijection x = y U the rows at
+    x are y U G, which never read the last z coordinates of y: the walk runs
+    on the other k - z rows of U G, and each of the z coordinates adds a
+    factor p^n.  Without a kernel the generators come back unchanged.
+    """
+    width = len(generators) * w
+    stacked = [
+        [v for g in generators for v in g[a]] + [int(a == b) for b in range(k)]
+        for a in range(k)
+    ]
+    kept = [row[:width] for row in hermite_form(stacked) if any(row[:width])]
+    if len(kept) == k:
+        return generators, k
+    reduced = tuple(
+        tuple(row[g * w : (g + 1) * w] for row in kept) for g in range(len(generators))
+    )
+    return reduced, len(kept)
+
+
 def _view_series(m: MatrixModule, p: int, top: int, view: str, jobs: int) -> list[Fraction]:
     """ask(M, Z/p^n) for n = 0..top through one view, from one walk.
 
-    The generic rank that resolves nodes is asked for only when the walk goes
-    deeper than level 1, where every node is a leaf anyway.
+    The walk runs on the view's generators with their common kernel along the
+    point axis stripped; a unimodular change of the point coordinates keeps
+    the generic rank of the view.  The rank that resolves nodes is asked for
+    only when the walk goes deeper than level 1, where every node is a leaf
+    anyway.
     """
     k, _, w = m.view_shape(view)
+    generators, k = _strip_kernel(m.view_generators(view), k, w)
     rank = m.generic_rank(view, exact=True) if top > 1 else None
-    sums = _orbit_sums(m.view_generators(view), k, w, p, top, rank, jobs)
+    sums = _orbit_sums(generators, k, w, p, top, rank, jobs)
     return [s * Fraction(p) ** (n * (m.d - k)) for n, s in enumerate(sums)]
 
 

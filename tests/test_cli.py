@@ -294,6 +294,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("budget exceeded:")
         assert builds == []
 
+    @pytest.mark.parametrize("argv", [
+        ["ask", "--catalog", "mat(100,100)"],
+        ["ask", "--catalog", "sym(40)"],
+        ["verify", "--catalog", "sym(80)"],
+    ])
+    def test_budget_fires_before_the_build_at_level_zero(self, capsys, builds, argv):
+        # building the module is level-1 work, so --n-max 0 checks level 1
+        start = time.perf_counter()
+        assert main([*argv, "--p", "3", "--n-max", "0"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1
+        assert "at level n = 1" in capsys.readouterr().err
+        assert builds == []
+
+    @pytest.mark.parametrize("command", ["ask", "verify"])
+    def test_level_zero_within_the_budget_builds(self, capsys, builds, command):
+        assert main([command, "--catalog", "mat(2,2)", "--p", "3", "--n-max", "0"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        if command == "ask":
+            assert report["results"][0]["coefficients"] == [{"num": "1", "den": "1"}]
+        else:
+            assert report["status"] == "match"
+        assert builds == ["mat(2,2)"]
+
     @pytest.mark.parametrize("command", [["ask"], ["verify", "--formula", "1/(1-T)"]])
     def test_budget_before_the_build_is_the_engine_budget(
         self, capsys, builds, tmp_path, command
@@ -317,10 +340,13 @@ class TestExitCodes:
         assert builds == []
 
     def test_verify_budget_falls_back_to_auto(self, capsys, builds):
-        # both needs 3^4 points for the average view of mat(2,2); auto needs 3^2
-        argv = ["--catalog", "mat(2,2)", "--p", "3", "--n-max", "1", "--budget", "50"]
-        assert main(["verify", *argv]) == EXIT_OK
-        assert builds == ["mat(2,2)"]
+        # both needs 3^4 points for the average view of mat(2,2); auto needs 3^2,
+        # and --n-max 0 reads level 1 as well
+        for n_max in ("1", "0"):
+            builds.clear()
+            argv = ["--catalog", "mat(2,2)", "--p", "3", "--n-max", n_max, "--budget", "50"]
+            assert main(["verify", *argv]) == EXIT_OK
+            assert builds == ["mat(2,2)"]
 
     def test_nested_power_is_an_input_error(self, capsys):
         start = time.perf_counter()
@@ -611,6 +637,8 @@ class TestCommands:
             # the direct count needs 7^12 points, the kernel average 7^10
             (["--algebra", "L_{5,9}", "--p", "7", "--n-max", "2", "--budget", "1000000000"],
              "oc_via_ask"),
+            # the generators are built at level 1 even for --n-max 0
+            (["--gl", "50", "--p", "3", "--n-max", "0"], "gl_generators"),
         ],
     )
     def test_oc_budget_comes_before_any_work(self, capsys, monkeypatch, source, spied):
@@ -618,9 +646,15 @@ class TestCommands:
 
         calls = []
         monkeypatch.setattr(cli, spied, lambda *args: calls.append(args))
+        start = time.perf_counter()
         assert main(["oc", *source]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.startswith("budget exceeded:")
         assert calls == []
+
+    def test_oc_level_zero_within_the_budget(self, capsys):
+        assert main(["oc", "--gl", "2", "--p", "3", "--n-max", "0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"][0]["orbits"] == [1]
 
     def test_oc_algebra_bridge(self, capsys):
         assert main(["oc", "--algebra", "n(2)", "--p", "3", "--n-max", "2"]) == EXIT_OK

@@ -250,6 +250,25 @@ class TestEllipticExample:
             assert ask_orbit(m, RingSpec(p, 1)) == a1
 
 
+class TestDeepLevels:
+    """Orbit walks that the kernel strip makes cheap, against the stored forms."""
+
+    @pytest.mark.parametrize(
+        "key, p, n_max, budget",
+        [
+            ("L_{5,6}", 3, 3, 10**8),
+            ("n(4)", 3, 4, 10**8),
+            # 3^18 unreduced points: over the default budget, which reads them
+            ("ex_non_lie", 3, 3, 10**9),
+        ],
+    )
+    def test_orbit_view_matches_closed_form(self, key, p, n_max, budget):
+        entry = closed_form(key)
+        got = ask_series(catalog_module(key), p, n_max, "orbit", budget).coefficients()
+        assert got == list(expand(entry.formula, p, n_max + 1).coeffs)
+        assert entry.validity == "all p" or p in entry.tested_at
+
+
 class TestNonLieExample:
     def test_displayed_t_coefficient(self):
         w = closed_form("ex_non_lie").formula

@@ -24,10 +24,13 @@ from askzeta import (
 from askzeta import engine, module
 from askzeta.engine import AskValue
 from conftest import (
+    add_zero_col,
+    add_zero_row,
     ask_mod_composite,
     brute_ask,
     brute_image_size,
     random_module,
+    random_unimodular,
     rank_distribution,
 )
 
@@ -281,6 +284,70 @@ class TestTreeWalk:
             ask_orbit(catalog_module("so(3)"), RingSpec(3, 3), budget=1000)
         assert (info.value.view, info.value.level, info.value.needed) == ("orbit", 3, 3**9)
         assert "in the orbit view at level n = 3" in str(info.value)
+
+
+def _planted(rng, side):
+    """A random module with a kernel planted along the rows or the columns:
+    zero rows then b_i -> P b_i, or zero columns then b_i -> b_i Q, for a
+    random unimodular P or Q, so the kernel is not aligned with the axes."""
+    m = random_module(rng, dmax=2, emax=2, lmax=2, bound=3)
+    if side == "row":
+        m = add_zero_row(m, rng.randint(0, m.d))
+        change = random_unimodular(rng, m.d)
+        return MatrixModule(m.d, m.e, [change @ b for b in m.basis])
+    m = add_zero_col(m, rng.randint(0, m.e))
+    change = random_unimodular(rng, m.e)
+    return MatrixModule(m.d, m.e, [b @ change for b in m.basis])
+
+
+class TestKernelStrip:
+    """The walk drops the common kernel along the view's point axis."""
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_planted_kernels_match_brute_force(self, rng, side):
+        for _ in range(6):
+            m = _planted(rng, side)
+            # brute force enumerates (p^n)^(d + dim) pairs
+            for p, top in ((2, 2), (3, 2 if m.d + m.dim <= 4 else 1)):
+                want = [brute_ask(m, p, n) for n in range(top + 1)]
+                for view in ("orbit", "average", "transpose"):
+                    assert ask_series(m, p, top, view).coefficients() == want, (m, p, view)
+
+    @pytest.mark.parametrize("side, view", [("row", "orbit"), ("column", "transpose")])
+    def test_the_walk_runs_on_the_rank_of_the_stacked_generators(self, rng, side, view):
+        from askzeta.linalg import frac_rank
+
+        for _ in range(6):
+            m = _planted(rng, side)
+            k, _, w = m.view_shape(view)
+            generators = m.view_generators(view)
+            stacked = [[v for g in generators for v in g[a]] for a in range(k)]
+            reduced, kept = engine._strip_kernel(generators, k, w)
+            assert kept == frac_rank(stacked) < k
+            assert [len(g) for g in reduced] == [kept] * len(generators)
+
+    def test_kernel_free_generators_come_back_unchanged(self):
+        m = catalog_module("so(3)")
+        for view in ("orbit", "average", "transpose"):
+            k, _, w = m.view_shape(view)
+            generators = m.view_generators(view)
+            assert engine._strip_kernel(generators, k, w) == (generators, k)
+
+    def test_the_strip_runs_in_the_walk(self, monkeypatch):
+        # L_{5,6} has a one-dimensional kernel along the rows, so the orbit
+        # walk at n = 1 visits the (11^4 - 1)/10 unit classes of a 4-space,
+        # not the (11^5 - 1)/10 = 16,105 of the unreduced one
+        calls = []
+
+        def counting(rows, p, cap):
+            calls.append(cap)
+            return lambdas_mod(rows, p, cap)
+
+        lambdas_mod = engine.lambdas_mod
+        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        got = ask_series(catalog_module("L_{5,6}"), 11, 1, "orbit").coefficients()
+        assert got == _closed_form("L_{5,6}", 11, 1)
+        assert len(calls) == (11**4 - 1) // 10 == 1464
 
 
 class TestParallelPartition:

@@ -17,13 +17,16 @@ from askzeta import (
     RingSpec,
     ask_average,
     ask_orbit,
+    ask_series,
     catalog_algebra,
     cc_via_ask,
     exp_nilpotent,
     oc_via_ask,
     transpose_module,
 )
+from askzeta.module import VIEWS
 from conftest import (
+    add_zero_col,
     add_zero_row,
     ask_mod_composite,
     direct_sum,
@@ -69,15 +72,34 @@ class TestTranspose:
 
 
 class TestZeroRow:
+    """z zero rows scale ask by p^(nz) and zero columns leave it unchanged, in
+    every view; the orbit and transpose walks strip them before they start."""
+
     def test_row_padding_scales(self):
         rng = _rng()
         for _ in range(8):
             m = random_module(rng, dmax=2, emax=3, lmax=3, bound=4)
-            padded = add_zero_row(m, rng.randint(0, m.d))
+            z = rng.randint(1, 2)
+            padded = m
+            for _ in range(z):
+                padded = add_zero_row(padded, rng.randint(0, padded.d))
             for p in (2, 3):
-                for n in (1, 2):
-                    ring = RingSpec(p, n)
-                    assert ask_average(padded, ring) == p**n * ask_average(m, ring)
+                want = ask_series(m, p, 2, "average").coefficients()
+                for view in VIEWS:
+                    got = ask_series(padded, p, 2, view).coefficients()
+                    assert got == [p ** (n * z) * w for n, w in enumerate(want)], view
+
+    def test_column_padding_changes_nothing(self):
+        rng = _rng()
+        for _ in range(8):
+            m = random_module(rng, dmax=2, emax=3, lmax=3, bound=4)
+            padded = m
+            for _ in range(rng.randint(1, 2)):
+                padded = add_zero_col(padded, rng.randint(0, padded.e))
+            for p in (2, 3):
+                want = ask_series(m, p, 2, "average").coefficients()
+                for view in VIEWS:
+                    assert ask_series(padded, p, 2, view).coefficients() == want, view
 
 
 class TestRescaling:
