@@ -406,9 +406,22 @@ def cmd_cc(args) -> tuple[dict, int]:
     return report, EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 
+def _oc_budget(d: int, args) -> None:
+    """The point count p^(d * max(n_max, 1)) of every prime against the budget.
+
+    The count rises with n, so the deepest level decides; building the
+    generators is level-1 work, so level 1 is read even at n_max 0.
+    """
+    for p in args.p:
+        points = p ** (d * max(args.n_max, 1))
+        if points > args.budget:
+            raise BudgetExceededError(points, args.budget)
+
+
 def _group_source(args):
     """The source's matrix size, its group at a prime, and its algebra (None if
-    not exp)."""
+    not exp).  A catalog algebra's size is read off its row and meets the
+    budget before the algebra and its adjoint module are built."""
     if args.gl is not None:
         if args.gl < 1:
             raise InputError(f"--gl must be >= 1, got {args.gl}")
@@ -422,6 +435,7 @@ def _group_source(args):
         d, gens = _document(data, "group", "d", "generators")
         group = GroupGenSet(d, tuple(gens), str(data.get("label", "")))
     elif args.algebra:
+        _oc_budget(catalog_row(args.algebra)[1], args)
         alg = catalog_algebra(args.algebra)
         return alg.d, (lambda p: exp_group(alg, p, args.n_max)), alg
     else:
@@ -431,16 +445,11 @@ def _group_source(args):
 
 def cmd_oc(args) -> tuple[dict, int]:
     d, group_at, alg = _group_source(args)
+    # before any generator is built or the kernel-average route runs
+    _oc_budget(d, args)
     results = []
     internal_problem = False
     for p in args.p:
-        # the point count rises with n, so the deepest level decides, before
-        # any generator is built or the kernel-average route runs; building
-        # the generators is level-1 work, so level 1 is read even at n_max 0
-        points = p ** (d * max(args.n_max, 1))
-        if points > args.budget:
-            raise BudgetExceededError(points, args.budget)
-
         def orbits():
             group = group_at(p)
             counts = oc_coefficients(group, p, args.n_max, args.budget)

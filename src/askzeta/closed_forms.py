@@ -154,7 +154,8 @@ def ex_elliptic_formula(c: int) -> QTRational:
     is known: (1 + (c q^-1 - 1 - 2c q^-2 + (c-1) q^-3) T + q^-3 T^2)/(1-T)^3.
 
     Calibrated against both enumeration engines at q in {5, 7, 11, 13, 17},
-    levels n <= 2.
+    levels n <= 2; the orbit walk matches it at q = 5 to n = 6, q = 7 to
+    n = 4 and q = 11 to n = 3.
     """
     num = Poly(
         2,
@@ -327,7 +328,10 @@ _ASK_FIXED = {
     "ex_unbounded": (_EX_UNBOUNDED, _BIG_P, (5, 7), ""),
     "ex_non_lie": (_EX_NON_LIE, _DOUBLED, (3, 5, 7), ""),
     "ex_elliptic": (
-        None, _BIG_P, (5, 7), "T-coefficient needs the curve count c(q); see ex_elliptic_formula"
+        None,
+        _BIG_P,
+        (5, 7, 11),
+        "T-coefficient needs the curve count c(q); see ex_elliptic_formula",
     ),
     "L_{5,6}": (_L56_ASK, _DOUBLED, (3, 5, 7), ""),
 }

@@ -50,8 +50,13 @@ where p^spanexp_m(y) is the size of the span of the rows at y mod p^m.  A
 unit class mod p^m has a representative with pivot coordinate 1 and the
 coordinates before it divisible by p; its lifts mod p^(m+1) are the p^(k-1)
 classes y + p^m t with t_pivot = 0.  These classes form a tree, and one
-depth-first walk of it gives S(m) for every m <= n_max: each node runs
-lambdas_mod on the rows at cap m and adds to S(m).
+depth-first walk of it gives S(m) for every m <= n_max: each node adds
+p^-spanexp_m to S(m).  A node mod p reduces its rows at cap 1.  A node (y, m)
+that the walk expands reduces its rows once more, into its residual pencil
+(zpn.residual_pencil): the s pivots of valuation below m are constant on the
+ball y + p^m t, and mod p^(m+1) the block they leave is p^m (R2 + sum_a t_a
+E_a), linear in t.  So each child has the node's s divisors and m repeated
+rank_p(R2 + sum_a t_a E_a) times, one rank over F_p per child.
 
 The walk stops at a resolved node: one with r divisors below m, where r is
 the generic rank of the rows (the rank over Q(X) of the view's matrix of
@@ -59,13 +64,19 @@ linear forms).  The rows at any lift of y agree with those at y mod p^m, and
 the divisors below m are fixed by the matrix mod p^m; no lift has more than
 r divisors, because every (r+1)-minor vanishes identically.  So every lift
 to level m' > m has the same divisors, spanexp_m' = r m' - sum(lambda), and
-the p^((k-1)(m'-m)) classes below the node add in closed form.  The walk
-trusts r only when the module computed it by exact symbolic elimination
-(MatrixModule.generic_rank with `exact`); otherwise it walks every node,
-which is still exact.  A node with more than r divisors is an internal
-inconsistency.  Without resolution the nodes at depth m are exactly the unit
-classes mod p^m, so the walk never reduces more matrices than enumerating
-each level.
+the p^((k-1)(m'-m)) classes below the node add in closed form.  Below a
+node one divisor short of r (s = r - 1) no child has a residual of rank
+above 1, and the rank is 0 exactly on the solutions of the affine system
+R2 + sum_a t_a E_a = 0 over F_p.  Two ranks (of the E_a, and of the E_a with
+R2) give the number z of solutions: the other p^(k-1) - z children gain the
+divisor m and are resolved, and they are counted without being visited.  The
+walk trusts r only when the module computed it by exact symbolic elimination
+(MatrixModule.generic_rank with `exact`); otherwise it resolves nothing, has
+no closed form and walks every node, which is still exact.  A visited node
+with more than r divisors is an internal inconsistency.  Without resolution
+the nodes at depth m are exactly the unit classes mod p^m, each of them
+costs one rank over F_p, and each node the walk expands one residual pencil
+besides: a 1/p^(k-1) share of the nodes below it.
 """
 
 from __future__ import annotations
@@ -73,11 +84,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
 from .linalg import hermite_form
 from .module import VIEWS, MatrixModule
-from .zpn import RingSpec, lambdas_mod
+from .zpn import RingSpec, lambdas_mod, residual_pencil
 
 DEFAULT_BUDGET = 10**8
 
@@ -86,30 +98,30 @@ def _walk_partial(payload):
     """Visited unit classes and resolved nodes under one pivot; pure, for any scheduler.
 
     Walks the tree of unit-class representatives whose first unit coordinate
-    is `pivot`, depth first and lazily, down to level `top`.  A node with
+    is `pivot`, depth first and lazily, down to level `top`.  A level-1 node
+    reduces its rows at cap 1; a node (y, m) it expands reduces its rows
+    once, into its residual pencil, and each child y + p^m t has the node's
+    divisors and m repeated rank_p(R2 + sum_a t_a E_a) times.  A node with
     `rank` divisors below its level is resolved: _orbit_sums counts its
-    descendants in closed form.  `rank` None resolves nothing.
+    descendants in closed form.  Below a node one divisor short of `rank`
+    the residual has rank at most 1, and it is 0 exactly on the solutions of
+    the affine system R2 + sum_a t_a E_a = 0, so two ranks over F_p count
+    its children: only the solutions are visited, and only when the walk
+    goes on below them.  `rank` None resolves nothing and visits every child.
     """
     triples, p, top, pivot, k, e, rank = payload
     counts: dict[tuple[int, int], int] = {}  # (level, span exponent) -> classes
     resolved: dict[tuple[int, int], int] = {}  # (level, sum of divisors) -> nodes
     free = [a for a in range(k) if a != pivot]
+    lifts = p ** (k - 1)  # children of a node
+    # moving y[a] by p^m moves row g of the rows by p^m times row a of generator g
+    moves = [[[0] * e for _ in triples] for _ in range(k)]
+    for g, trip in enumerate(triples):
+        for a, j, v in trip:
+            moves[a][g][j] = v
+    deltas = [moves[a] for a in free]
 
-    def children(y, m):
-        child = list(y)
-        for t in product(range(0, p ** (m + 1), p**m), repeat=k - 1):
-            for a, s in zip(free, t):
-                child[a] = y[a] + s
-            yield tuple(child)
-
-    # the unvisited siblings at each depth m = 1, 2, ...: memory stays O(depth)
-    stack = [((0,) * pivot + (1,) + hi for hi in product(range(p), repeat=k - 1 - pivot))]
-    while stack:
-        y = next(stack[-1], None)
-        if y is None:
-            stack.pop()
-            continue
-        m = len(stack)
+    def rows_at(y):
         rows = []
         for trip in triples:
             row = [0] * e
@@ -118,18 +130,74 @@ def _walk_partial(payload):
                 if ya:
                     row[j] += ya * v
             rows.append(row)
-        lams = lambdas_mod(rows, p, m)
+        return rows
+
+    def count(m, lams, nodes=1):
+        """Count `nodes` classes at level m with divisors `lams`; walk below them?"""
         low = sum(lams)
         key = (m, m * len(lams) - low)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + nodes
         if rank is not None and len(lams) >= rank:
             if len(lams) > rank:
                 raise InternalConsistencyError(
                     f"{len(lams)} divisors below {m} exceed the generic rank {rank}"
                 )
-            resolved[(m, low)] = resolved.get((m, low), 0) + 1
-        elif m < top:
-            stack.append(children(y, m))
+            resolved[(m, low)] = resolved.get((m, low), 0) + nodes
+            return False
+        return m < top
+
+    def child(y, m, t):
+        c = list(y)
+        for a, s in zip(free, t):
+            c[a] += s * p**m
+        return tuple(c)
+
+    def roots():
+        for hi in product(range(p), repeat=k - 1 - pivot):
+            y = (0,) * pivot + (1,) + hi
+            lams = lambdas_mod(rows_at(y), p, 1)
+            if count(1, lams):
+                yield y, lams
+
+    def children(y, lams, m):
+        r2, pencil = residual_pencil(rows_at(y), deltas, p, m)
+        # each entry of the residual as its constant and its t-coefficients
+        grid = [
+            [(r, tuple(ea[i][j] for ea in pencil)) for j, r in enumerate(row)]
+            for i, row in enumerate(r2)
+        ]
+        # a row that is zero at every t adds nothing to any rank
+        grid = [row for row in grid if any(r or any(c) for r, c in row)]
+        eqs = [eq for row in grid for eq in row]
+        if rank is not None and rank - len(lams) == 1:
+            # the residual has rank 1, or 0 on the z solutions of R2 + E t = 0
+            system = [[c[a] for _, c in eqs] for a in range(k - 1)]
+            rank_e = len(lambdas_mod(system, p, 1))
+            consistent = rank_e == len(lambdas_mod(system + [[r for r, _ in eqs]], p, 1))
+            z = p ** (k - 1 - rank_e) if consistent else 0
+            if z < lifts:
+                count(m + 1, lams + [m], lifts - z)
+            if z and count(m + 1, lams, z):
+                # consistent, so an equation free of t reads 0 = 0
+                eqs = [eq for eq in eqs if any(eq[1])]
+                for t in product(range(p), repeat=k - 1):
+                    if all((r + sum(map(mul, t, c))) % p == 0 for r, c in eqs):
+                        yield child(y, m, t), lams
+            return
+        for t in product(range(p), repeat=k - 1):
+            res = [[(r + sum(map(mul, t, c))) % p for r, c in row] for row in grid]
+            below = lams + [m] * len(lambdas_mod(res, p, 1))
+            if count(m + 1, below):
+                yield child(y, m, t), below
+
+    # the unexpanded nodes at each depth m = 1, 2, ...: memory stays O(depth)
+    stack = [roots()]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        else:
+            stack.append(children(*node, len(stack)))
     return counts, resolved
 
 

@@ -8,8 +8,12 @@ localized at p).  Over Z/p^n the row span of `a` has
 
 elements.  This involves only the valuations below n, which is what the one
 mod-p^cap reduction in this module, lambdas_mod, computes; at cap 1 it gives
-the rank over F_p.  The Smith form over Z (smith_diagonal) gives the integer
-elementary divisors of a module's lattice.
+the rank over F_p.  residual_pencil runs the same reduction mod p^(m+1) on
+the pivots of valuation below m only, and carries its operations over to a
+pencil of perturbations p^m sum_a t_a G_a, so the divisors of every matrix
+of the pencil follow from one rank over F_p.  The Smith form over Z
+(smith_diagonal) gives the integer elementary divisors of a module's
+lattice.
 """
 
 from __future__ import annotations
@@ -105,6 +109,78 @@ def lambdas_mod(entries, p: int, cap: int) -> list[int]:
         cols.remove(j0)
     lams.sort()
     return lams
+
+
+def residual_pencil(rows, deltas, p: int, m: int):
+    """The block of rows + p^m (sum_a t_a deltas[a]) mod p^(m+1) left by the
+    pivots of `rows` of valuation below m, as R2 + sum_a t_a E_a mod p.
+
+    `rows` is reduced mod p^(m+1) with the row operations of lambdas_mod,
+    pivoting only on valuations v < m; what remains is p^m R2.  Every delta
+    (an integer matrix of the shape of `rows`) takes the same row operations
+    mod p, and also the column operations col_j -= (a_0j / p^v) u^-1 col_j0
+    that clear the pivot row a_0 = p^v (u, ...) of `rows`.  On `rows` these
+    change only the pivot row, which is dropped, so they are not carried out.
+
+    Over any ball y + p^m t the pivots keep their valuations, since a pivot
+    unit changes by a multiple of p^(m-v) only; eliminating them moves the
+    rest of the block by p^m times the delta block after these row and column
+    operations, plus cross terms O(p^(2m-v)) that vanish mod p^(m+1).  So the
+    rows at y + p^m t have the divisors of `rows` below m and, in addition,
+    m repeated rank_p(R2 + sum_a t_a E_a) times.  Returns R2 and the list of
+    the E_a, each as rows mod p.
+    """
+    pm = p ** (m + 1)
+    a = [[v % pm for v in row] for row in rows]
+    ds = [[[v % p for v in row] for row in d] for d in deltas]
+    live = list(range(len(a)))
+    cols = list(range(len(a[0]) if a else 0))
+    while live and cols:
+        best = None
+        best_v = m
+        for i in live:
+            ai = a[i]
+            for j in cols:
+                x = ai[j]
+                if x:
+                    v = _val_below(x, p)
+                    if v < best_v:
+                        best_v = v
+                        best = (i, j)
+                        if v == 0:
+                            break
+            if best_v == 0:
+                break
+        if best is None:
+            break
+        i0, j0 = best
+        pv = p**best_v
+        row0 = a[i0]
+        u = row0[j0] // pv
+        live.remove(i0)
+        cols.remove(j0)
+        back = pow(u, -1, p)
+        shear = [(j, c) for j in cols if (c := row0[j] // pv * back % p)]
+        for i in live:
+            ai = a[i]
+            f = ai[j0] // pv
+            if f:
+                for j in cols:
+                    ai[j] = (u * ai[j] - f * row0[j]) % pm
+            for d in ds:
+                di = d[i]
+                if f:
+                    d0 = d[i0]
+                    di[j0] = (u * di[j0] - f * d0[j0]) % p
+                    for j in cols:
+                        di[j] = (u * di[j] - f * d0[j]) % p
+                x = di[j0]
+                if x:
+                    for j, c in shear:
+                        di[j] = (di[j] - c * x) % p
+    # every entry left has valuation >= m
+    r2 = [[a[i][j] // p**m for j in cols] for i in live]
+    return r2, [[[d[i][j] for j in cols] for i in live] for d in ds]
 
 
 def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:

@@ -639,6 +639,10 @@ class TestCommands:
              "oc_via_ask"),
             # the generators are built at level 1 even for --n-max 0
             (["--gl", "50", "--p", "3", "--n-max", "0"], "gl_generators"),
+            # 11^8 points; building the algebra and its adjoint took 6 s
+            (["--algebra", "n(8)", "--p", "11", "--n-max", "1"], "catalog_algebra"),
+            # every prime is checked before the one build
+            (["--algebra", "n(8)", "--p", "3,11", "--n-max", "1"], "catalog_algebra"),
         ],
     )
     def test_oc_budget_comes_before_any_work(self, capsys, monkeypatch, source, spied):

@@ -251,7 +251,8 @@ class TestEllipticExample:
 
 
 class TestDeepLevels:
-    """Orbit walks that the kernel strip makes cheap, against the stored forms."""
+    """Walks that the kernel strip and the residual pencil make cheap, against
+    the stored forms."""
 
     @pytest.mark.parametrize(
         "key, p, n_max, budget",
@@ -267,6 +268,29 @@ class TestDeepLevels:
         got = ask_series(catalog_module(key), p, n_max, "orbit", budget).coefficients()
         assert got == list(expand(entry.formula, p, n_max + 1).coeffs)
         assert entry.validity == "all p" or p in entry.tested_at
+
+    @pytest.mark.parametrize(
+        "key, view, p, n_max, budget",
+        [
+            # 5^15 and 3^27 points: over the default budget, which reads them
+            ("diag(3)", "orbit", 5, 5, 5**15),
+            ("mat(2,2)", "average", 3, 4, 10**8),
+            ("tr(3)", "orbit", 3, 9, 3**27),
+        ],
+    )
+    def test_nodes_one_divisor_short_match_closed_form(self, key, view, p, n_max, budget):
+        # the rank drops on a hypersurface, so most deep nodes are one divisor
+        # short of the generic rank and count their children in closed form
+        got = ask_series(catalog_module(key), p, n_max, view, budget).coefficients()
+        assert got == list(expand(closed_form(key).formula, p, n_max + 1).coeffs)
+
+    @pytest.mark.parametrize("p, n_max", [(5, 6), (7, 4), (11, 3)])
+    def test_elliptic_example_matches_its_curve_count(self, p, n_max):
+        formula = ex_elliptic_formula(elliptic_point_count(p))
+        m = catalog_module("ex_elliptic")
+        got = ask_series(m, p, n_max, "orbit", p ** (3 * n_max)).coefficients()
+        assert got == list(expand(formula, p, n_max + 1).coeffs)
+        assert p in closed_form("ex_elliptic").tested_at
 
 
 class TestNonLieExample:

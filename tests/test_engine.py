@@ -199,18 +199,30 @@ class TestTreeWalk:
         m = MatrixModule(d, e, basis)
         assert m.d * m.e > module._SYMBOLIC_RANK_CAP
         assert m.generic_rank("average", exact=True) is None
-        caps = []
+        caps, walks = [], []
 
         def counting(rows, p, cap):
             caps.append(cap)
             return lambdas_mod(rows, p, cap)
 
-        lambdas_mod = engine.lambdas_mod
+        def walking(payload):
+            walks.append(walk_partial(payload))
+            return walks[-1]
+
+        lambdas_mod, walk_partial = engine.lambdas_mod, engine._walk_partial
         monkeypatch.setattr(engine, "lambdas_mod", counting)
+        monkeypatch.setattr(engine, "_walk_partial", walking)
         p, top = 3, 3
         got = _levels(m, p, top, "average")
-        # every unit class mod p^m is visited: (p + 1) p^(m-1) of them for k = 2
-        assert [caps.count(c) for c in range(1, top + 1)] == [4, 12, 36]
+        # every unit class mod p^m is visited: (p + 1) p^(m-1) of them for k = 2,
+        # each reduced once at cap 1, level 1 on its rows and deeper ones on the
+        # residual pencil of their parent
+        visited = [
+            sum(n for counts, _ in walks for (level, _), n in counts.items() if level == c)
+            for c in range(1, top + 1)
+        ]
+        assert visited == [4, 12, 36]
+        assert caps == [1] * sum(visited)
         monkeypatch.setattr(engine, "lambdas_mod", lambdas_mod)
         assert got == _levels(m, p, top, "orbit")
         # with the exact rank the same sums come from fewer nodes
@@ -218,6 +230,27 @@ class TestTreeWalk:
         rank = m.generic_rank("average")
         sums = engine._orbit_sums(dual, m.dim, m.e, p, top, rank)
         assert [s * Fraction(p) ** (n * (m.d - m.dim)) for n, s in enumerate(sums)] == got
+
+    @pytest.mark.parametrize(
+        "key, view, p, top, reductions",
+        # reducing every child's own rows took 13,756 and 4,360
+        [("diag(3)", "orbit", 5, 4, 1336), ("mat(2,2)", "average", 3, 3, 360)],
+    )
+    def test_children_come_from_the_parents_pencil(
+        self, monkeypatch, key, view, p, top, reductions
+    ):
+        # a node one divisor short of the generic rank counts its children from
+        # two ranks over F_p, and visits only those that keep its divisors
+        calls = []
+
+        def counting(rows, p, cap):
+            calls.append(cap)
+            return lambdas_mod(rows, p, cap)
+
+        lambdas_mod = engine.lambdas_mod
+        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        assert _levels(catalog_module(key), p, top, view) == _closed_form(key, p, top)
+        assert calls == [1] * reductions
 
     def test_transpose_view_is_the_orbit_view_of_the_transpose(self, rng, monkeypatch):
         # the same spans from m's basis transposed and from M^T's own basis

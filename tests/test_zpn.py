@@ -1,10 +1,12 @@
 """The ring Z/p^n, the mod-p^cap reduction lambdas_mod and what it gives
 (elementary divisor valuations, kernel and image sizes), and the Smith form."""
 
+from itertools import product
+
 import pytest
 
 from askzeta import InputError, IntMatrix, RingSpec, smith_diagonal
-from askzeta.zpn import lambdas_mod
+from askzeta.zpn import lambdas_mod, residual_pencil
 from conftest import (
     brute_image_size,
     brute_kernel_size,
@@ -131,6 +133,47 @@ class TestEquivalenceType:
                     ]
                 )
                 assert equivalence_type(u @ scale @ a, p) == equivalence_type(a, p)
+
+
+def _pencil_at(rows, deltas, t, scale):
+    """rows + scale * sum_a t_a deltas[a]."""
+    return [
+        [v + scale * sum(c * g[i][j] for c, g in zip(t, deltas)) for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+class TestResidualPencil:
+    def test_children_against_minor_oracle(self, rng):
+        # the rows at R + p^m sum_a t_a G_a have the divisors of R below m and m
+        # repeated rank_p(R2 + sum_a t_a E_a) times, for every t mod p
+        for _ in range(120):
+            d, e, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)
+            p, m = rng.choice([2, 3, 5]), rng.choice([1, 2, 3])
+            rows = [
+                [rng.randint(-9, 9) * p ** rng.choice([0, 0, 1, 2, 3]) for _ in range(e)]
+                for _ in range(d)
+            ]
+            if d > 1 and rng.random() < 0.3:
+                rows[-1] = [p ** rng.randint(0, 2) * v for v in rows[0]]
+            deltas = [
+                [[rng.randint(-4, 4) for _ in range(e)] for _ in range(d)] for _ in range(k)
+            ]
+            r2, pencil = residual_pencil(rows, deltas, p, m)
+            below = lambdas_mod(rows, p, m)
+            assert len(pencil) == k
+            assert len(r2) == d - len(below)
+            for t in product(range(p), repeat=k):
+                child = _pencil_at(rows, deltas, t, p**m)
+                exact = [v for v in equivalence_type_minors(IntMatrix(child), p) if v <= m]
+                rank = len(lambdas_mod(_pencil_at(r2, pencil, t, 1), p, 1))
+                assert exact == below + [m] * rank, (rows, deltas, p, m, t)
+
+    def test_the_pivot_row_shears_the_deltas(self):
+        # at p = 3, m = 1 the rows [[1, 2], [3t, 3]] have determinant 3 (1 - 2t):
+        # clearing the pivot row moves t into the residual, 1 + t mod 3
+        r2, pencil = residual_pencil([[1, 2], [0, 3]], [[[0, 0], [1, 0]]], 3, 1)
+        assert (r2, pencil) == ([[1]], [[[1]]])
 
 
 class TestSizes:
