@@ -69,14 +69,13 @@ node one divisor short of r (s = r - 1) no child has a residual of rank
 above 1, and the rank is 0 exactly on the solutions of the affine system
 R2 + sum_a t_a E_a = 0 over F_p.  Two ranks (of the E_a, and of the E_a with
 R2) give the number z of solutions: the other p^(k-1) - z children gain the
-divisor m and are resolved, and they are counted without being visited.  The
-walk trusts r only when the module computed it by exact symbolic elimination
-(MatrixModule.generic_rank with `exact`); otherwise it resolves nothing, has
-no closed form and walks every node, which is still exact.  A visited node
-with more than r divisors is an internal inconsistency.  Without resolution
-the nodes at depth m are exactly the unit classes mod p^m, each of them
-costs one rank over F_p, and each node the walk expands one residual pencil
-besides: a 1/p^(k-1) share of the nodes below it.
+divisor m and are resolved, and they are counted without being visited.
+MatrixModule.generic_rank gives r exactly for every view; a visited node with
+more than r divisors is an internal inconsistency.  A walk without r (level
+1, where every node is a leaf) resolves nothing: the nodes at depth m are
+then exactly the unit classes mod p^m, each of them costs one rank over F_p,
+and each node the walk expands one residual pencil besides: a 1/p^(k-1)
+share of the nodes below it.
 """
 
 from __future__ import annotations
@@ -278,7 +277,7 @@ def _view_series(m: MatrixModule, p: int, top: int, view: str, jobs: int) -> lis
     """
     k, _, w = m.view_shape(view)
     generators, k = _strip_kernel(m.view_generators(view), k, w)
-    rank = m.generic_rank(view, exact=True) if top > 1 else None
+    rank = m.generic_rank(view) if top > 1 else None
     sums = _orbit_sums(generators, k, w, p, top, rank, jobs)
     return [s * Fraction(p) ** (n * (m.d - k)) for n, s in enumerate(sums)]
 

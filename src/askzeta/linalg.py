@@ -81,70 +81,39 @@ def frac_solve(rows, rhs):
 def hermite_form(rows) -> list[tuple[int, ...]]:
     """Row-style Hermite normal form of the lattice generated by integer rows.
 
-    Returns a canonical basis: pivots positive, entries above each pivot
-    reduced into [0, pivot), zero rows dropped.  The lattice (not just the
-    rational span) is preserved.
+    Returns the canonical basis: pivots positive, entries above each pivot
+    reduced into [0, pivot), zero rows dropped, so equal lattices give equal
+    bases.  The lattice (not just the rational span) is preserved.
     """
     a = [list(map(int, row)) for row in rows if any(row)]
-    if not a:
-        return []
-    ncols = len(a[0])
     basis = []
-    r = 0
-    for c in range(ncols):
-        # clear column c below row r by gcd steps
-        while True:
-            nz = [i for i in range(r + 1, len(a)) if a[i][c]]
-            if a[r:] and a[r][c] == 0:
-                if nz:
-                    a[r], a[nz[0]] = a[nz[0]], a[r]
-                    continue
-                break
-            if not nz:
-                break
-            for i in nz:
-                x, y = a[r][c], a[i][c]
-                if y % x == 0:
-                    q = y // x
-                    a[i] = [v - q * w for v, w in zip(a[i], a[r])]
-                else:
-                    g, s, t = _xgcd(x, y)
-                    u, v = x // g, y // g
-                    row_r = [s * w + t * z for w, z in zip(a[r], a[i])]
-                    row_i = [-v * w + u * z for w, z in zip(a[r], a[i])]
-                    a[r], a[i] = row_r, row_i
-        if r < len(a) and a[r][c]:
-            if a[r][c] < 0:
-                a[r] = [-v for v in a[r]]
-            basis.append(r)
-            r += 1
-            if r == len(a):
-                break
-    rows_out = [a[i] for i in basis]
-    # reduce entries above each pivot
-    for k in range(len(rows_out) - 1, -1, -1):
-        c = next(j for j, v in enumerate(rows_out[k]) if v)
-        piv = rows_out[k][c]
+    for c in range(len(a[0]) if a else 0):
+        # Euclid's algorithm across the rows nonzero at c; reducing by the
+        # smallest entry keeps the multipliers, and so the entries, small
+        live = [row for row in a if row[c]]
+        a = [row for row in a if not row[c]]
+        while len(live) > 1:
+            live.sort(key=lambda row: abs(row[c]))
+            piv, rest = live[0], []
+            for row in live[1:]:
+                q = row[c] // piv[c]
+                row = [x - q * y for x, y in zip(row, piv)]
+                if row[c]:
+                    rest.append(row)
+                elif any(row):
+                    a.append(row)
+            live = [piv] + rest
+        if live:
+            basis.append(live[0] if live[0][c] > 0 else [-v for v in live[0]])
+    # reduce entries above each pivot, first pivot first: subtracting row k
+    # changes only the columns after pivot k, which later pivots reduce
+    for k, row_k in enumerate(basis):
+        c = next(j for j, v in enumerate(row_k) if v)
         for i in range(k):
-            q = rows_out[i][c] // piv
+            q = basis[i][c] // row_k[c]
             if q:
-                rows_out[i] = [x - q * y for x, y in zip(rows_out[i], rows_out[k])]
-    return [tuple(r) for r in rows_out]
-
-
-def _xgcd(a: int, b: int):
-    """g, s, t with s*a + t*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+                basis[i] = [x - q * y for x, y in zip(basis[i], row_k)]
+    return [tuple(r) for r in basis]
 
 
 def matrix_inverse_mod(entries, p: int, n: int):

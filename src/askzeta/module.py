@@ -16,10 +16,6 @@ from .linalg import frac_solve, hermite_form
 from .poly import Poly, evaluated_rank, symbolic_rank
 from .zpn import smith_diagonal
 
-# Above this many symbolic entries the ground-truth elimination is skipped
-# and only randomized evaluation is used.
-_SYMBOLIC_RANK_CAP = 400
-
 # A view reads the basis tensor B[i][r][c] (axis 0: basis element i, 1: row
 # r, 2: column c) as (point, generator, column) axes: its points x run over
 # the point axis, and each index of the generator axis gives one matrix
@@ -144,36 +140,32 @@ class MatrixModule:
             for gen in self.view_generators(view)
         ]
 
-    def generic_rank(self, view: str, exact: bool = False) -> int | None:
+    def generic_rank(self, view: str) -> int:
         """Rank over Q(X) of the view's linear forms, cached per view.
 
-        Randomized evaluation can only underestimate the rank, so the exact
-        fraction-free elimination is the authority whenever the forms have at
-        most _SYMBOLIC_RANK_CAP entries; a disagreement in the other
-        direction is a bug.  Above the cap only evaluation is used, and
-        `exact` returns None there instead of a rank.
+        Specialising X never raises the rank, and no rank exceeds
+        min(rows, columns), so a random point whose evaluated rank reaches
+        that minimum proves it.  Otherwise the fraction-free elimination
+        decides, and an evaluated rank above its answer is a bug.
         """
-        k, count, w = self.view_shape(view)
-        symbolic = count * w <= _SYMBOLIC_RANK_CAP
-        if exact and not symbolic:
-            return None
         if view not in self._cache:
-            self._cache[view] = _generic_rank_of(self.linear_forms(view), k, symbolic)
+            k = self.view_shape(view)[0]
+            self._cache[view] = _generic_rank_of(self.linear_forms(view), k)
         return self._cache[view]
 
 
-def _generic_rank_of(rows, nvars: int, symbolic: bool) -> int:
+def _generic_rank_of(rows, nvars: int) -> int:
     """Rank over the rational function field, by evaluation and elimination."""
     if not rows or not rows[0]:
         return 0
+    full = min(len(rows), len(rows[0]))
     rng = random.Random(0)
     best = 0
-    # without the elimination, evaluate more often until the rank is stable
-    for _ in range(8 if symbolic else 50):
+    for _ in range(8):
         point = [rng.randint(-(10**6), 10**6) for _ in range(nvars)]
         best = max(best, evaluated_rank(rows, point))
-    if not symbolic:
-        return best
+        if best == full:
+            return full
     exact = symbolic_rank(rows)
     if best > exact:
         raise InternalConsistencyError(f"randomized rank {best} exceeds symbolic rank {exact}")

@@ -1,10 +1,16 @@
 """Deterministic primality and primitive roots for desk-scale moduli."""
 
-from .errors import InputError
+from math import isqrt
+
+from .errors import BudgetExceededError, InputError
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# Trial division stops at this divisor; a cofactor left without a smaller
+# factor must then pass the primality test.
+_TRIAL_LIMIT = 10**5
 
 
 def is_prime(n: int) -> bool:
@@ -35,10 +41,20 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> list[int]:
-    """Distinct prime factors by trial division (small arguments only)."""
+    """Distinct prime factors of n >= 1 by trial division below _TRIAL_LIMIT.
+
+    A cofactor left with no factor below the limit is kept when it is prime;
+    a composite one, or one too large to test, raises BudgetExceededError.
+    """
     out = []
     d = 2
     while d * d <= n:
+        if d >= _TRIAL_LIMIT:
+            if n >= _MR_LIMIT or not is_prime(n):
+                raise BudgetExceededError(
+                    isqrt(n), _TRIAL_LIMIT, advice=f"trial divisors to factor {n}"
+                )
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:

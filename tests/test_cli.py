@@ -393,6 +393,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:") and "15850 bits" in err
 
+    def test_structure_of_a_hard_composite_is_over_budget(self, tmp_path, capsys):
+        # 1000000007 * 1000000009: no factor below the trial-division limit
+        path = tmp_path / "composite.json"
+        doc = {**MODULE_DOC, "basis": [[[1000000016000000063]]]}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["structure", "--module", str(path)]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("budget exceeded:")
+
     @pytest.mark.parametrize("key", ["so(3)", "so (3)", " so( 3 ) "])
     def test_catalog_key_whitespace(self, capsys, key):
         assert main(["ask", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_OK

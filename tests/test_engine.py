@@ -21,7 +21,7 @@ from askzeta import (
     expand,
     transpose_module,
 )
-from askzeta import engine, module
+from askzeta import engine
 from askzeta.engine import AskValue
 from conftest import (
     add_zero_col,
@@ -191,14 +191,12 @@ class TestTreeWalk:
         assert _levels(catalog_module("so(3)"), 3, 5, "orbit") == _closed_form("so(3)", 3, 5)
         assert reductions == [1] * 13
 
-    def test_unresolved_walk_above_the_symbolic_cap(self, rng, monkeypatch):
-        # 2 x 201 matrices: the dual has d*e = 402 > 400 symbolic entries, so
-        # its generic rank is only randomized and no node may resolve
+    def test_unresolved_walk_visits_every_unit_class(self, rng, monkeypatch):
+        # without a rank no node resolves, as in a level-1 walk
         d, e = 2, 201
         basis = [[[rng.randint(-2, 2) for _ in range(e)] for _ in range(d)] for _ in range(2)]
         m = MatrixModule(d, e, basis)
-        assert m.d * m.e > module._SYMBOLIC_RANK_CAP
-        assert m.generic_rank("average", exact=True) is None
+        dual = list(zip(*(b.entries for b in m.basis)))
         caps, walks = [], []
 
         def counting(rows, p, cap):
@@ -213,7 +211,8 @@ class TestTreeWalk:
         monkeypatch.setattr(engine, "lambdas_mod", counting)
         monkeypatch.setattr(engine, "_walk_partial", walking)
         p, top = 3, 3
-        got = _levels(m, p, top, "average")
+        sums = engine._orbit_sums(dual, m.dim, m.e, p, top, None)
+        got = [s * Fraction(p) ** (n * (m.d - m.dim)) for n, s in enumerate(sums)]
         # every unit class mod p^m is visited: (p + 1) p^(m-1) of them for k = 2,
         # each reduced once at cap 1, level 1 on its rows and deeper ones on the
         # residual pencil of their parent
@@ -223,13 +222,26 @@ class TestTreeWalk:
         ]
         assert visited == [4, 12, 36]
         assert caps == [1] * sum(visited)
+        # with the exact rank the same sums come from fewer nodes
+        caps.clear()
+        assert got == _levels(m, p, top, "average")
+        assert 0 < len(caps) < sum(visited)
         monkeypatch.setattr(engine, "lambdas_mod", lambdas_mod)
         assert got == _levels(m, p, top, "orbit")
-        # with the exact rank the same sums come from fewer nodes
-        dual = list(zip(*(b.entries for b in m.basis)))
-        rank = m.generic_rank("average")
-        sums = engine._orbit_sums(dual, m.dim, m.e, p, top, rank)
-        assert [s * Fraction(p) ** (n * (m.d - m.dim)) for n, s in enumerate(sums)] == got
+
+    def test_every_view_resolves(self, monkeypatch):
+        # gl(8)'s orbit forms have 512 entries; with only a sampled rank the
+        # walk visited all 4,210,815 unit classes, here 255 resolve at level 1
+        calls = []
+
+        def counting(rows, p, cap):
+            calls.append(cap)
+            return lambdas_mod(rows, p, cap)
+
+        lambdas_mod = engine.lambdas_mod
+        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        assert _levels(catalog_module("gl(8)"), 2, 3, "orbit") == _closed_form("gl(8)", 2, 3)
+        assert calls == [1] * 255
 
     @pytest.mark.parametrize(
         "key, view, p, top, reductions",

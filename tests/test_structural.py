@@ -3,6 +3,7 @@
 import pytest
 
 from askzeta import (
+    BudgetExceededError,
     InputError,
     ask_series,
     catalog_module,
@@ -12,6 +13,7 @@ from askzeta import (
     structure_report,
 )
 from askzeta.poly import bareiss_det
+from askzeta.primes import factorize
 from conftest import add_zero_col, check_constant_rank_fq, rescale
 
 
@@ -62,6 +64,13 @@ class TestKernelMinimal:
         cert = check_k_minimal(m)
         assert cert.certified
         assert 3 in cert.excluded_primes
+
+    def test_factors_beyond_trial_division(self):
+        # 1000000007 has no factor below the trial-division limit: kept as a
+        # prime cofactor, and its square is over budget
+        assert factorize(3 * 1000000007) == [3, 1000000007]
+        with pytest.raises(BudgetExceededError):
+            factorize(1000000007**2)
 
 
 class TestConstantRankFq:
