@@ -40,20 +40,44 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_root(n: int):
+    """The prime q with n = q^k for some k >= 1, for n with no factor below
+    _TRIAL_LIMIT, or None."""
+    k = 1
+    while (q := _iroot(n, k)) >= _TRIAL_LIMIT:
+        if q**k == n and q < _MR_LIMIT and is_prime(q):
+            return q
+        k += 1
+    return None
+
+
 def factorize(n: int) -> list[int]:
     """Distinct prime factors of n >= 1 by trial division below _TRIAL_LIMIT.
 
-    A cofactor left with no factor below the limit is kept when it is prime;
-    a composite one, or one too large to test, raises BudgetExceededError.
+    A cofactor left with no factor below the limit is kept when it is a prime
+    or a power of one; any other, or one too large to test, raises
+    BudgetExceededError.
     """
     out = []
     d = 2
     while d * d <= n:
         if d >= _TRIAL_LIMIT:
-            if n >= _MR_LIMIT or not is_prime(n):
+            q = _prime_root(n)
+            if q is None:
                 raise BudgetExceededError(
                     isqrt(n), _TRIAL_LIMIT, advice=f"trial divisors to factor {n}"
                 )
+            n = q
             break
         if n % d == 0:
             out.append(d)

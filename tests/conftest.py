@@ -5,7 +5,9 @@ directly and never touch the reduction code they are checking: neither
 `zpn.lambdas_mod` nor the engine's walk.  The composite-modulus route
 (`kernel_size_mod`, `ask_mod_composite`) reads the Smith form over Z,
 `zpn.smith_diagonal`, which the package keeps for the integer elementary
-divisors of a lattice.
+divisors of a lattice.  The one exception is `family_ranks`, the oracle of
+the walk's family counter: it takes the rank of every point of a family
+with `lambdas_mod`, which the brute-force oracles above check on its own.
 
 The fixtures build the modules and groups of the paper's identities (direct
 sums, zero rows and columns, rescaling, the semidirect embedding) through
@@ -250,6 +252,48 @@ def random_module(rng: random.Random, dmax=3, emax=3, lmax=4, bound=5) -> Matrix
         for _ in range(ell)
     ]
     return MatrixModule(d, e, basis)
+
+
+def family_ranks(a0, dirs, p: int) -> dict[tuple[int, ...], int]:
+    """Rank over F_p of a0 + sum_a t_a dirs[a] at every t in F_p^j, point by point."""
+    from askzeta.zpn import lambdas_mod
+
+    ranks = {}
+    for t in product(range(p), repeat=len(dirs)):
+        rows = [
+            [x + sum(s * d[i][c] for s, d in zip(t, dirs)) for c, x in enumerate(row)]
+            for i, row in enumerate(a0)
+        ]
+        ranks[t] = len(lambdas_mod(rows, p, 1))
+    return ranks
+
+
+def random_family(rng: random.Random, p: int, jmax: int = 4):
+    """A random affine family (a0, dirs) of matrices mod p, often with a zero
+    row or column, a row or column no direction touches, and a repeated or a
+    zero direction."""
+    nr, nc, j = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, jmax)
+    density = rng.choice((0.3, 0.6, 1.0))
+
+    def matrix():
+        return [[rng.randrange(p) if rng.random() < density else 0 for _ in range(nc)] for _ in range(nr)]
+
+    a0, dirs = matrix(), [matrix() for _ in range(j)]
+    # a row, then a column, that no direction touches, and half the time a zero one
+    if rng.random() < 0.5:
+        i = rng.randrange(nr)
+        for m in dirs if rng.random() < 0.5 else [a0, *dirs]:
+            m[i] = [0] * nc
+    if rng.random() < 0.5:
+        c = rng.randrange(nc)
+        for m in dirs if rng.random() < 0.5 else [a0, *dirs]:
+            for row in m:
+                row[c] = 0
+    if dirs and rng.random() < 0.3:
+        dirs[rng.randrange(len(dirs))] = [row[:] for row in rng.choice(dirs)]
+    if dirs and rng.random() < 0.3:
+        dirs[rng.randrange(len(dirs))] = [[0] * nc for _ in range(nr)]
+    return a0, dirs
 
 
 def random_int_matrix(rng: random.Random, d: int, e: int, bound=9) -> IntMatrix:

@@ -22,6 +22,7 @@ from askzeta import (
     transpose_module,
 )
 from askzeta import engine
+from askzeta.zpn import lambdas_mod as zpn_lambdas_mod
 from askzeta.engine import AskValue
 from conftest import (
     add_zero_col,
@@ -29,6 +30,8 @@ from conftest import (
     ask_mod_composite,
     brute_ask,
     brute_image_size,
+    family_ranks,
+    random_family,
     random_module,
     random_unimodular,
     rank_distribution,
@@ -150,6 +153,34 @@ def _levels(m, p, top, view, jobs=1):
     return engine._view_series(m, p, top, view, jobs)
 
 
+@pytest.fixture
+def spy(monkeypatch):
+    """The caps of the walk's lambdas_mod calls, and the (counts, resolved)
+    that each _walk_partial returns."""
+    caps, walks = [], []
+    lambdas_mod, walk_partial = engine.lambdas_mod, engine._walk_partial
+
+    def counting(rows, p, cap):
+        caps.append(cap)
+        return lambdas_mod(rows, p, cap)
+
+    def walking(payload):
+        walks.append(walk_partial(payload))
+        return walks[-1]
+
+    monkeypatch.setattr(engine, "lambdas_mod", counting)
+    monkeypatch.setattr(engine, "_walk_partial", walking)
+    return caps, walks
+
+
+def _classes_per_level(walks, top):
+    """Unit classes the walks counted at each level 1..top."""
+    return [
+        sum(n for counts, _ in walks for (level, _), n in counts.items() if level == m)
+        for m in range(1, top + 1)
+    ]
+
+
 def _closed_form(key, p, top):
     return list(expand(closed_form(key).formula, p, top + 1).coeffs)
 
@@ -177,113 +208,98 @@ class TestTreeWalk:
         # brute force at p = 3, n = 3 would take 27^6 pairs: the closed form instead
         assert _levels(m, 3, 3, view) == _closed_form(key, 3, 3)
 
-    def test_resolved_nodes_stop_the_walk(self, monkeypatch):
+    def test_resolved_nodes_stop_the_walk(self, spy):
         # every orbit matrix of so(3) has rank 2 mod p at a primitive point, so
-        # the walk never goes below the (p^3 - 1)/(p - 1) classes mod p
-        reductions = []
-
-        def counting(rows, p, cap):
-            reductions.append(cap)
-            return lambdas_mod(rows, p, cap)
-
-        lambdas_mod = engine.lambdas_mod
-        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        # the walk never goes below the (p^3 - 1)/(p - 1) classes mod p; the
+        # counter eliminates their constant rows and takes one rank for all
+        caps, walks = spy
         assert _levels(catalog_module("so(3)"), 3, 5, "orbit") == _closed_form("so(3)", 3, 5)
-        assert reductions == [1] * 13
+        assert _classes_per_level(walks, 5) == [13, 0, 0, 0, 0]
+        assert caps == [1]
 
-    def test_unresolved_walk_visits_every_unit_class(self, rng, monkeypatch):
+    def test_unresolved_walk_visits_every_unit_class(self, rng, spy, monkeypatch):
         # without a rank no node resolves, as in a level-1 walk
         d, e = 2, 201
         basis = [[[rng.randint(-2, 2) for _ in range(e)] for _ in range(d)] for _ in range(2)]
         m = MatrixModule(d, e, basis)
         dual = list(zip(*(b.entries for b in m.basis)))
-        caps, walks = [], []
-
-        def counting(rows, p, cap):
-            caps.append(cap)
-            return lambdas_mod(rows, p, cap)
-
-        def walking(payload):
-            walks.append(walk_partial(payload))
-            return walks[-1]
-
-        lambdas_mod, walk_partial = engine.lambdas_mod, engine._walk_partial
-        monkeypatch.setattr(engine, "lambdas_mod", counting)
-        monkeypatch.setattr(engine, "_walk_partial", walking)
+        caps, walks = spy
         p, top = 3, 3
         sums = engine._orbit_sums(dual, m.dim, m.e, p, top, None)
         got = [s * Fraction(p) ** (n * (m.d - m.dim)) for n, s in enumerate(sums)]
-        # every unit class mod p^m is visited: (p + 1) p^(m-1) of them for k = 2,
-        # each reduced once at cap 1, level 1 on its rows and deeper ones on the
-        # residual pencil of their parent
-        visited = [
-            sum(n for counts, _ in walks for (level, _), n in counts.items() if level == c)
-            for c in range(1, top + 1)
-        ]
-        assert visited == [4, 12, 36]
-        assert caps == [1] * sum(visited)
-        # with the exact rank the same sums come from fewer nodes
+        # every unit class mod p^m is visited: (p + 1) p^(m-1) of them for k = 2;
+        # the counter eliminates both rows on columns that the one free
+        # coordinate does not touch, and takes one rank in all for the 52
+        assert _classes_per_level(walks, top) == [4, 12, 36]
+        assert caps == [1]
+        # with the exact rank the same sums come from nodes resolved at level 1
         caps.clear()
+        walks.clear()
         assert got == _levels(m, p, top, "average")
-        assert 0 < len(caps) < sum(visited)
-        monkeypatch.setattr(engine, "lambdas_mod", lambdas_mod)
+        assert _classes_per_level(walks, top) == [4, 0, 0]
+        assert caps == [1]
+        monkeypatch.setattr(engine, "lambdas_mod", zpn_lambdas_mod)
         assert got == _levels(m, p, top, "orbit")
 
-    def test_every_view_resolves(self, monkeypatch):
+    def test_every_view_resolves(self, spy):
         # gl(8)'s orbit forms have 512 entries; with only a sampled rank the
-        # walk visited all 4,210,815 unit classes, here 255 resolve at level 1
-        calls = []
-
-        def counting(rows, p, cap):
-            calls.append(cap)
-            return lambdas_mod(rows, p, cap)
-
-        lambdas_mod = engine.lambdas_mod
-        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        # walk visited all 4,210,815 unit classes, here 255 resolve at level 1,
+        # one rank per point until the family counter took them together
+        caps, walks = spy
         assert _levels(catalog_module("gl(8)"), 2, 3, "orbit") == _closed_form("gl(8)", 2, 3)
-        assert calls == [1] * 255
+        assert _classes_per_level(walks, 3) == [255, 0, 0]
+        assert caps == [1]
 
     @pytest.mark.parametrize(
-        "key, view, p, top, reductions",
-        # reducing every child's own rows took 13,756 and 4,360
-        [("diag(3)", "orbit", 5, 4, 1336), ("mat(2,2)", "average", 3, 3, 360)],
+        "key, view, p, top, classes, reductions",
+        # reducing every child's own rows took 13,756 and 4,360 ranks, and one
+        # rank per child of the parent's pencil 1,336 and 360
+        [
+            pytest.param("diag(3)", "orbit", 5, 4, [31, 375, 2175, 11175], 592, id="diag(3)-orbit-5-4"),
+            pytest.param("mat(2,2)", "average", 3, 3, [40, 432, 3888], 165, id="mat(2,2)-average-3-3"),
+        ],
     )
-    def test_children_come_from_the_parents_pencil(
-        self, monkeypatch, key, view, p, top, reductions
-    ):
+    def test_children_come_from_the_parents_pencil(self, spy, key, view, p, top, classes, reductions):
         # a node one divisor short of the generic rank counts its children from
         # two ranks over F_p, and visits only those that keep its divisors
-        calls = []
-
-        def counting(rows, p, cap):
-            calls.append(cap)
-            return lambdas_mod(rows, p, cap)
-
-        lambdas_mod = engine.lambdas_mod
-        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        caps, walks = spy
         assert _levels(catalog_module(key), p, top, view) == _closed_form(key, p, top)
-        assert calls == [1] * reductions
+        assert _classes_per_level(walks, top) == classes
+        assert caps == [1] * reductions
 
-    def test_transpose_view_is_the_orbit_view_of_the_transpose(self, rng, monkeypatch):
-        # the same spans from m's basis transposed and from M^T's own basis
-        calls = []
+    def test_average_view_of_sl3_at_five(self, spy):
+        # verify's definition route over 5^8 coefficient tuples: 97,656 unit
+        # classes, which took one rank each before the family counter
+        caps, walks = spy
+        got = ask_series(catalog_module("sl(3)"), 5, 1, "average").coefficients()
+        assert got == _closed_form("sl(3)", 5, 1)
+        assert _classes_per_level(walks, 1) == [(5**8 - 1) // 4] == [97656]
+        assert caps == [1] * 2384
 
-        def counting(rows, p, cap):
-            calls.append(cap)
-            return lambdas_mod(rows, p, cap)
+    def test_transpose_view_is_the_orbit_view_of_the_transpose(self, rng, spy):
+        # the same spans from m's basis transposed and from M^T's own basis, so
+        # the walks count the same classes at every level and span exponent
+        _, walks = spy
 
-        lambdas_mod = engine.lambdas_mod
-        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        def merged():
+            out = {}
+            for counts, resolved in walks:
+                for key, n in counts.items():
+                    out["counts", key] = out.get(("counts", key), 0) + n
+                for key, n in resolved.items():
+                    out["resolved", key] = out.get(("resolved", key), 0) + n
+            walks.clear()
+            return out
+
         mods = [random_module(rng) for _ in range(6)] + [catalog_module("band(2)")]
         for m in mods:
             t = transpose_module(m)
             for p, top in ((2, 3), (3, 2)):
-                calls.clear()
+                walks.clear()
                 got = _levels(m, p, top, "transpose")
-                nodes = len(calls)
-                calls.clear()
+                nodes = merged()
                 want = _levels(t, p, top, "orbit")
-                assert len(calls) == nodes
+                assert merged() == nodes
                 shift = [Fraction(p) ** (n * (m.d - m.e)) for n in range(top + 1)]
                 assert got == [w * s for w, s in zip(want, shift)]
 
@@ -329,6 +345,74 @@ class TestTreeWalk:
             ask_orbit(catalog_module("so(3)"), RingSpec(3, 3), budget=1000)
         assert (info.value.view, info.value.level, info.value.needed) == ("orbit", 3, 3**9)
         assert "in the orbit view at level n = 3" in str(info.value)
+
+
+def _check_family(a0, dirs, p, walk, short=False):
+    """The counter's bulk counts and yielded points against one rank per point."""
+    ranks = family_ranks(a0, dirs, p)
+    taken = {}
+
+    def take(rank, nodes):
+        taken[rank] = taken.get(rank, 0) + nodes
+        return rank in walk
+
+    points = list(engine._family(a0, dirs, p, take, short))
+    want = {}
+    for rank in ranks.values():
+        want[rank] = want.get(rank, 0) + 1
+    assert taken == want, (a0, dirs, p)
+    # the walk goes below exactly these points, each once
+    assert sorted(points) == sorted((t, r) for t, r in ranks.items() if r in walk), (a0, dirs, p)
+
+
+class TestFamilyCounter:
+    """engine._family counts an affine family over F_p by rank, in bulk."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_random_families_match_the_per_point_ranks(self, p):
+        rng = random.Random(1000 + p)
+        for _ in range(80):
+            a0, dirs = random_family(rng, p, jmax=4 if p < 5 else 3)
+            walk = {r for r in range(5) if rng.random() < 0.5}
+            _check_family(a0, dirs, p, walk)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_families_of_rank_at_most_one(self, p):
+        # u(t) v^T with u affine in t: below a node one divisor short of the
+        # generic rank every residual looks like this
+        rng = random.Random(2000 + p)
+        for _ in range(40):
+            nr, nc, j = rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3)
+            v = [rng.randrange(p) for _ in range(nc)]
+            us = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(nr)] for _ in range(j + 1)]
+            a0, *dirs = [[[x * y % p for y in v] for x in u] for u in us]
+            walk = {r for r in range(2) if rng.random() < 0.5}
+            _check_family(a0, dirs, p, walk, short=True)
+            _check_family(a0, dirs, p, walk)
+
+    def test_shapes_that_take_no_rank(self, spy):
+        # no direction, no entry, or coordinates that no entry reads
+        caps, _ = spy
+        for a0, dirs in (
+            ([[0, 0]], []),
+            ([], [[], []]),
+            ([[1, 0], [0, 0]], [[[0, 0], [0, 0]]] * 2),
+            ([[1, 2], [2, 4]], [[[0, 0], [0, 0]]]),
+        ):
+            _check_family(a0, dirs, 5, {0, 1, 2})
+        # a family whose directions all vanish is its constant matrix at p^j
+        # points: one rank for each of the two nonzero ones
+        assert caps == [1, 1]
+
+    def test_the_walk_yields_each_child_once(self, spy):
+        # without a rank nothing resolves, so the walk yields every child of
+        # every node once: (p^3 - 1)/(p - 1) p^(2(m-1)) unit classes at level m
+        _, walks = spy
+        m = catalog_module("so(3)")
+        rows = [b.entries for b in m.basis]
+        sums = engine._orbit_sums(rows, m.d, m.e, 3, 3, None)
+        assert sums == _closed_form("so(3)", 3, 3)
+        assert _classes_per_level(walks, 3) == [13, 13 * 9, 13 * 81]
 
 
 def _planted(rng, side):
@@ -378,21 +462,16 @@ class TestKernelStrip:
             generators = m.view_generators(view)
             assert engine._strip_kernel(generators, k, w) == (generators, k)
 
-    def test_the_strip_runs_in_the_walk(self, monkeypatch):
+    def test_the_strip_runs_in_the_walk(self, spy):
         # L_{5,6} has a one-dimensional kernel along the rows, so the orbit
         # walk at n = 1 visits the (11^4 - 1)/10 unit classes of a 4-space,
-        # not the (11^5 - 1)/10 = 16,105 of the unreduced one
-        calls = []
-
-        def counting(rows, p, cap):
-            calls.append(cap)
-            return lambdas_mod(rows, p, cap)
-
-        lambdas_mod = engine.lambdas_mod
-        monkeypatch.setattr(engine, "lambdas_mod", counting)
+        # not the (11^5 - 1)/10 = 16,105 of the unreduced one; it took one
+        # rank per class before the family counter
+        caps, walks = spy
         got = ask_series(catalog_module("L_{5,6}"), 11, 1, "orbit").coefficients()
         assert got == _closed_form("L_{5,6}", 11, 1)
-        assert len(calls) == (11**4 - 1) // 10 == 1464
+        assert _classes_per_level(walks, 1) == [(11**4 - 1) // 10] == [1464]
+        assert caps == [1, 1]
 
 
 class TestParallelPartition:

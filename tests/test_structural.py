@@ -5,6 +5,7 @@ import pytest
 from askzeta import (
     BudgetExceededError,
     InputError,
+    MatrixModule,
     ask_series,
     catalog_module,
     check_k_minimal,
@@ -67,10 +68,20 @@ class TestKernelMinimal:
 
     def test_factors_beyond_trial_division(self):
         # 1000000007 has no factor below the trial-division limit: kept as a
-        # prime cofactor, and its square is over budget
+        # prime cofactor, and so is its square, an exact power of a prime;
+        # a product of two such primes is over budget
         assert factorize(3 * 1000000007) == [3, 1000000007]
+        assert factorize(1000000007**2) == [1000000007]
         with pytest.raises(BudgetExceededError):
-            factorize(1000000007**2)
+            factorize(1000000007 * 1000000009)
+
+    def test_certificate_denominator_a_large_prime_square(self):
+        # a certificate of band(2) scaled by 3 * 1000000007 has the
+        # denominator 1000000007^2, which factorize once refused
+        m = catalog_module("band(2)")
+        cert = check_k_minimal(MatrixModule(m.d, m.e, [3 * 1000000007 * b for b in m.basis]))
+        assert cert.certified
+        assert 1000000007 in cert.excluded_primes
 
 
 class TestConstantRankFq:
