@@ -17,8 +17,6 @@ from .closed_forms import (
     mat_form,
 )
 from .engine import (
-    AskValue,
-    CoeffSeq,
     DEFAULT_BUDGET,
     ask_average,
     ask_orbit,
@@ -51,11 +49,8 @@ from .module import MatrixModule, ad_representation, transpose_module
 from .poly import Poly
 from .ratfun import (
     QTRational,
-    RationalFit,
     SeriesQ,
     expand,
-    fit_pade,
-    fit_rational,
     functional_equation_check,
     parse_rational,
 )

@@ -94,15 +94,20 @@ def _primes(text: str) -> list[int]:
     return primes
 
 
-def _natural(text: str) -> int:
-    """The --n-max and --order type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(low: int):
+    """The type of an integer option with a lower bound: --n-max and --order
+    take integers >= 0, --jobs integers >= 1."""
+
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _read_json(path: str):
@@ -222,7 +227,7 @@ def _get_module(args, method=None) -> MatrixModule:
 
 def _series_task(payload):
     m, p, n_max, method, budget, jobs = payload
-    return p, ask_series(m, p, n_max, method, budget, jobs).coefficients()
+    return p, ask_series(m, p, n_max, method, budget, jobs)
 
 
 def _run_series(m, primes, n_max, method, budget, jobs):
@@ -281,7 +286,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         if w is None:  # elliptic entry: formula depends on a curve point count
             w = ex_elliptic_formula(elliptic_point_count(p))
         expected = expand(w, p, args.n_max + 1).coeffs
-        got = ask_series(m, p, args.n_max, method(m.sizes, p), args.budget).coefficients()
+        got = ask_series(m, p, args.n_max, method(m.sizes, p), args.budget)
         per_n = []
         for n in range(args.n_max + 1):
             ok = expected[n] == got[n]
@@ -518,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The options every subcommand shares, and its report step; csv is
         offered to the coefficient and orbit streams only."""
         if counts:
-            sp.add_argument("--n-max", type=_natural, default=2)
+            sp.add_argument("--n-max", type=_at_least(0), default=2)
             sp.add_argument("--p", type=_primes, default="3")
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
             sp.add_argument("--seed", type=int, default=0)
@@ -531,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--catalog", type=str)
     sp.add_argument("--module", type=str)
     sp.add_argument("--method", choices=("auto", "both", *VIEWS), default="auto")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_at_least(1), default=1)
     common(sp, cmd_ask, csv=True)
 
     sp = sub.add_parser("verify", help="check coefficients against a closed form")
@@ -571,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("brenti", help="signed-permutation polynomial and identity")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--order", type=_natural, default=0)
+    sp.add_argument("--order", type=_at_least(0), default=0)
     common(sp, cmd_brenti, counts=False)
 
     return parser

@@ -97,7 +97,7 @@ takes one residual pencil besides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -402,11 +402,13 @@ def _walk_partial(payload):
 
 
 def _run_partials(worker, payloads, jobs):
-    """worker over payloads, in order; the package's one process pool."""
-    if jobs > 1 and len(payloads) > 1:
+    """worker over payloads, in order; the package's one process pool, of at
+    most one process per payload and per CPU."""
+    processes = min(jobs, len(payloads), os.cpu_count() or 1)
+    if processes > 1:
         from multiprocessing import Pool
 
-        with Pool(processes=min(jobs, len(payloads))) as pool:
+        with Pool(processes=processes) as pool:
             return pool.map(worker, payloads)
     return [worker(pl) for pl in payloads]
 
@@ -510,31 +512,6 @@ def check_budget(sizes, p: int, top: int, method: str, budget: int) -> tuple[str
     return views
 
 
-@dataclass(frozen=True)
-class AskValue:
-    """One coefficient: the exact average kernel size at level n."""
-
-    value: Fraction
-    p: int
-    n: int
-    method: str
-
-    def __post_init__(self):
-        if self.value < 1:
-            raise InternalConsistencyError(f"ask value {self.value} < 1")
-
-
-@dataclass(frozen=True)
-class CoeffSeq:
-    """Coefficients for n = 0 .. n_max at a fixed prime."""
-
-    p: int
-    values: tuple[AskValue, ...]
-
-    def coefficients(self) -> list[Fraction]:
-        return [v.value for v in self.values]
-
-
 def ask_series(
     m: MatrixModule,
     p: int,
@@ -542,28 +519,28 @@ def ask_series(
     method: str = "auto",
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
-) -> CoeffSeq:
+) -> list[Fraction]:
     """Coefficients ask(M, Z/p^n) for n = 0 .. n_max; the engine's one entry.
 
     method is a view ("orbit", "average" or "transpose"); "auto" runs the
     view with the fewest points, and "both" runs the average and orbit
-    routes and insists on exact agreement.  The point count p^(k*n) of every
-    view run must stay within the budget at every level.  `jobs` splits each
-    walk by pivot across processes; the result does not depend on the split.
+    routes and insists on exact agreement.  A coefficient below 1, or two
+    routes that disagree, raise InternalConsistencyError.  The point count
+    p^(k*n) of every view run must stay within the budget at every level.
+    `jobs` splits each walk by pivot across processes; the result does not
+    depend on the split.
     """
     RingSpec(p, n_max)
     views = check_budget(m.sizes, p, n_max, method, budget)
-    label = method if method == "both" else views[0]
     found = [_view_series(m, p, n_max, view, jobs) for view in views]
-    values = []
-    for n in range(n_max + 1):
-        value = found[0][n]
+    for n, value in enumerate(found[0]):
         if value != found[-1][n]:
             raise InternalConsistencyError(
                 f"engines disagree at (p, n) = ({p}, {n}): {value} != {found[-1][n]}"
             )
-        values.append(AskValue(value, p, n, label if n else "trivial"))
-    return CoeffSeq(p, tuple(values))
+        if value < 1:
+            raise InternalConsistencyError(f"ask value {value} < 1 at (p, n) = ({p}, {n})")
+    return found[0]
 
 
 def ask_average(
@@ -573,7 +550,7 @@ def ask_average(
 
     The orbit sum of the Knuth dual, over p^(l*n) coefficient tuples.
     """
-    return ask_series(m, ring.p, ring.n, "average", budget, jobs).values[-1].value
+    return ask_series(m, ring.p, ring.n, "average", budget, jobs)[-1]
 
 
 def ask_orbit(
@@ -583,4 +560,4 @@ def ask_orbit(
 
     Equals ask_average exactly, over p^(d*n) points.
     """
-    return ask_series(m, ring.p, ring.n, "orbit", budget, jobs).values[-1].value
+    return ask_series(m, ring.p, ring.n, "orbit", budget, jobs)[-1]

@@ -339,7 +339,7 @@ def _via_ask(
 ) -> list[Fraction]:
     """ask_series of m, then a warning per violated identity hypothesis: the
     series checks p and n_max before the hypotheses divide by p."""
-    coeffs = ask_series(m, p, n_max, budget=budget).coefficients()
+    coeffs = ask_series(m, p, n_max, budget=budget)
     for msg in alg.identity_hypothesis_warnings(p):
         warnings.warn(f"identity hypothesis violated: {msg}", stacklevel=3)
     return coeffs

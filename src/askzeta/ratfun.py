@@ -29,7 +29,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, NotExpandableError
-from .linalg import frac_solve
 from .poly import Poly
 
 # Largest |k| accepted in `x^k` by the text grammar.
@@ -93,9 +92,9 @@ def _format_poly(p: Poly) -> str:
     return " ".join(parts)
 
 
-def _factor_product(factors, qpow: int) -> Poly:
-    """q^qpow * prod (1 - q^a T^b) for (a, b) in factors."""
-    out = Poly(2, {(qpow, 0): 1})
+def _factor_product(factors) -> Poly:
+    """prod (1 - q^a T^b) for (a, b) in factors."""
+    out = Poly.const(2, 1)
     for a, b in factors:
         out = out * (Poly.const(2, 1) - Poly(2, {(a, b): 1}))
     return out
@@ -108,12 +107,9 @@ class QTRational:
     polynomial gcd; stored catalog formulas are already in lowest terms.
     """
 
-    __slots__ = ("num", "den", "factors", "qpow", "boxes")
+    __slots__ = ("num", "den", "boxes")
 
     def __init__(self, num: Poly, den: Poly):
-        # optional factored view of the denominator, kept by from_factors
-        self.factors = None
-        self.qpow = 0
         if den.is_zero():
             raise InputError("zero denominator")
         if num.is_zero():
@@ -150,20 +146,14 @@ class QTRational:
         return cls(Poly.const(2, c), Poly.const(2, 1))
 
     @classmethod
-    def from_factors(cls, numerator: Poly, factors, qpow: int = 0) -> "QTRational":
-        """numerator / (q^qpow * prod (1 - q^a T^b)) for (a, b) in factors."""
-        out = cls(numerator, _factor_product(factors, qpow))
-        out.factors = tuple((int(a), int(b)) for a, b in factors)
-        out.qpow = qpow
-        return out
+    def from_factors(cls, numerator: Poly, factors) -> "QTRational":
+        """numerator / prod (1 - q^a T^b) for (a, b) in factors."""
+        return cls(numerator, _factor_product(factors))
 
     def __eq__(self, other):
         if not isinstance(other, QTRational):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("QTRational is unhashable")
 
     def __add__(self, other: "QTRational") -> "QTRational":
         return QTRational(
@@ -360,9 +350,6 @@ class SeriesQ:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i]
-
 
 def expand(w: QTRational, q_value, order: int) -> SeriesQ:
     """First `order` Taylor coefficients of W at T = 0 for the given q."""
@@ -418,91 +405,3 @@ def functional_equation_check(w: QTRational, d: int) -> bool:
     factor = Poly(2, {(d, 1): -1})
     return lhs_num * w.den == factor * w.num * lhs_den
 
-
-# -- fitting --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RationalFit:
-    """Result of a successful denominator-hypothesis fit at fixed q."""
-
-    q_value: Fraction
-    num_coeffs: tuple[Fraction, ...]
-    factors: tuple[tuple[int, int], ...]
-    qpow: int
-
-    def expand(self, order: int) -> SeriesQ:
-        den = _t_coefficients(_factor_product(self.factors, self.qpow), self.q_value)
-        num = dict(enumerate(self.num_coeffs))
-        return SeriesQ(self.q_value, _quotient_coeffs(num, den, order))
-
-
-def _numerator(den: dict, coeffs, num_degree: int):
-    """The coefficients up to T^num_degree of den * series, where den is
-    {power of T: coefficient} and the series has the given coefficients;
-    None when any later coefficient the series determines is nonzero."""
-    prod = [
-        sum((dj * coeffs[k - j] for j, dj in den.items() if j <= k), Fraction(0))
-        for k in range(len(coeffs))
-    ]
-    if any(prod[num_degree + 1 :]):
-        return None
-    return tuple(prod[: num_degree + 1])
-
-
-def fit_rational(
-    series: SeriesQ,
-    factors,
-    qpow: int = 0,
-    num_degree: int | None = None,
-    margin: int = 3,
-):
-    """Fit series = N(T) / (q^qpow * prod (1 - q^a T^b)) with deg N <= num_degree.
-
-    Returns a RationalFit whose trailing `margin` coefficients beyond the
-    numerator degree all vanished, or None when the hypothesis is rejected.
-    Insufficient series order is an input error, not a rejection.
-    """
-    factors = tuple((int(a), int(b)) for a, b in factors)
-    if margin < 3:
-        raise InputError("margin must be >= 3")
-    den_deg = sum(b for _, b in factors)
-    if num_degree is None:
-        num_degree = den_deg
-    if series.order <= num_degree + margin:
-        raise InputError(
-            f"series order {series.order} too small: need > {num_degree + margin}"
-        )
-    den = _t_coefficients(_factor_product(factors, qpow), series.q_value)
-    if 0 not in den or min(den) < 0:
-        raise InputError("the denominator hypothesis needs a nonzero constant term in T")
-    num = _numerator(den, series.coeffs, num_degree)
-    if num is None:
-        return None
-    return RationalFit(series.q_value, num, factors, qpow)
-
-
-def fit_pade(series: SeriesQ, num_degree: int, den_degree: int):
-    """Generic Pade-style reconstruction with unknown denominator.
-
-    Solves exactly for a monic denominator of the given degree, then checks
-    every remaining coefficient of the series; returns (num, den) coefficient
-    tuples or None.  Blind fitting is easily fooled at low order, so prefer
-    fit_rational with an explicit hypothesis.
-    """
-    need = num_degree + den_degree + 1
-    if series.order < need + 1:
-        raise InputError(f"series order {series.order} too small: need > {need}")
-    c = series.coeffs
-    # unknowns d_1..d_m from sum_{j=0..m} d_j c_{k-j} = 0 for k > num_degree
-    rows = []
-    rhs = []
-    for k in range(num_degree + 1, num_degree + den_degree + 1):
-        rows.append([c[k - j] if k - j >= 0 else Fraction(0) for j in range(1, den_degree + 1)])
-        rhs.append(-c[k])
-    sol = frac_solve(rows, rhs)
-    if sol is None:
-        return None
-    den = (Fraction(1),) + tuple(sol)
-    num = _numerator(dict(enumerate(den)), c, num_degree)
-    return None if num is None else (num, den)

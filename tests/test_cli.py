@@ -11,6 +11,7 @@ import pytest
 from askzeta.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_OK,
     build_parser,
@@ -18,7 +19,18 @@ from askzeta.cli import (
     module_from_json,
     module_to_json,
 )
-from askzeta import catalog, catalog_keys, catalog_module, closed_form, expand, parse_rational
+from askzeta import (
+    InternalConsistencyError,
+    ask_series,
+    catalog,
+    catalog_keys,
+    catalog_module,
+    cli,
+    closed_form,
+    engine,
+    expand,
+    parse_rational,
+)
 from askzeta.catalog import _FAMILIES
 
 
@@ -478,6 +490,77 @@ class TestExitCodes:
         assert captured.out == ""
         assert "argument --p:" in captured.err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_is_a_positive_integer(self, capsys, jobs):
+        assert main(["ask", "--catalog", "mat(2,2)", "--jobs", jobs]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --jobs:" in captured.err
+
+    def test_jobs_start_at_most_one_process_per_cpu(self, capsys, monkeypatch):
+        # one payload per prime asks for one process each; a serial stand-in
+        # for the pool records how many processes each pool would start
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, payloads):
+                return [worker(payload) for payload in payloads]
+
+        monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        argv = ["ask", "--catalog", "mat(1,1)", "--p", "2,3,5,7,11", "--n-max", "1"]
+        assert main([*argv, "--jobs", "5"]) == EXIT_OK
+        assert started == [2]
+        assert main([*argv, "--jobs", "1"]) == EXIT_OK
+        assert started == [2]
+        capsys.readouterr()
+
+    def test_views_that_disagree_exit_4(self, capsys, monkeypatch):
+        # the average and orbit routes must agree at every level
+        real = engine._view_series
+
+        def skewed(m, p, top, view, jobs):
+            levels = real(m, p, top, view, jobs)
+            return levels if view == "orbit" else levels[:-1] + [levels[-1] + 1]
+
+        monkeypatch.setattr(engine, "_view_series", skewed)
+        with pytest.raises(InternalConsistencyError, match=r"\(p, n\) = \(3, 2\)"):
+            ask_series(catalog_module("so(3)"), 3, 2, "both")
+        argv = ["ask", "--catalog", "so(3)", "--p", "3", "--n-max", "2", "--method", "both"]
+        assert main(argv) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(p, n) = (3, 2)" in captured.err
+        assert main([*argv[:-2], "--method", "orbit"]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv, direct",
+        [
+            (["cc", "--algebra", "L_{3,2}"], "cc_coefficients_direct"),
+            (["oc", "--algebra", "L_{3,2}"], "oc_coefficients"),
+        ],
+    )
+    def test_direct_count_off_by_one_exits_4(self, capsys, monkeypatch, argv, direct):
+        # the kernel-average and direct counts differ with no violated
+        # hypothesis to explain it: a bug, not a finding
+        real = getattr(cli, direct)
+        monkeypatch.setattr(cli, direct, lambda *args: [c + 1 for c in real(*args)])
+        argv = [*argv, "--p", "5", "--n-max", "1"]
+        assert main(argv) == EXIT_INTERNAL
+        assert json.loads(capsys.readouterr().out)["results"][0]["warnings"] == []
+        monkeypatch.setattr(cli, direct, real)
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+
     def test_brenti_order_is_a_level(self, capsys):
         assert main(["brenti", "--n", "3", "--order", "-5"]) == EXIT_INPUT
         assert "argument --order:" in capsys.readouterr().err
@@ -656,8 +739,6 @@ class TestCommands:
         ],
     )
     def test_oc_budget_comes_before_any_work(self, capsys, monkeypatch, source, spied):
-        from askzeta import cli
-
         calls = []
         monkeypatch.setattr(cli, spied, lambda *args: calls.append(args))
         start = time.perf_counter()

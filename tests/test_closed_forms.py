@@ -47,7 +47,7 @@ class TestMasterCatalog:
                 # cross-check the engines wherever the coefficient space is
                 # enumerable; otherwise the cheap engine alone carries the test
                 method = "both" if p ** (m.dim * n_max) <= 10**7 else "auto"
-                got = ask_series(m, p, n_max, method).coefficients()
+                got = ask_series(m, p, n_max, method)
                 want = list(expand(entry.formula, p, n_max + 1).coeffs)
                 assert got == want, f"{key} at p={p}: {got} != {want}"
 
@@ -114,9 +114,9 @@ class TestDirectSumHadamard:
             a, b = catalog_module(ka), catalog_module(kb)
             s = direct_sum(a, b)
             for p in (2, 3):
-                sa = ask_series(a, p, 2).coefficients()
-                sb = ask_series(b, p, 2).coefficients()
-                ss = ask_series(s, p, 2).coefficients()
+                sa = ask_series(a, p, 2)
+                sb = ask_series(b, p, 2)
+                ss = ask_series(s, p, 2)
                 assert ss == [x * y for x, y in zip(sa, sb)]
 
 
@@ -125,7 +125,7 @@ class TestSampledLargerPrime:
         for key in ("so(3)", "sym(2)", "sl(2)", "n(3)", "diag(2)", "band(2)"):
             m = catalog_module(key)
             w = closed_form(key).formula
-            got = ask_series(m, 7, 1).coefficients()
+            got = ask_series(m, 7, 1)
             assert got == list(expand(w, 7, 2).coeffs), key
 
     def test_level_three_evidence(self):
@@ -136,7 +136,7 @@ class TestSampledLargerPrime:
         for key, p in cases:
             m = catalog_module(key)
             w = closed_form(key).formula
-            got = ask_series(m, p, 3).coefficients()
+            got = ask_series(m, p, 3)
             assert got == list(expand(w, p, 4).coeffs), key
 
 
@@ -265,7 +265,7 @@ class TestDeepLevels:
     )
     def test_orbit_view_matches_closed_form(self, key, p, n_max, budget):
         entry = closed_form(key)
-        got = ask_series(catalog_module(key), p, n_max, "orbit", budget).coefficients()
+        got = ask_series(catalog_module(key), p, n_max, "orbit", budget)
         assert got == list(expand(entry.formula, p, n_max + 1).coeffs)
         assert entry.validity == "all p" or p in entry.tested_at
 
@@ -281,14 +281,14 @@ class TestDeepLevels:
     def test_nodes_one_divisor_short_match_closed_form(self, key, view, p, n_max, budget):
         # the rank drops on a hypersurface, so most deep nodes are one divisor
         # short of the generic rank and count their children in closed form
-        got = ask_series(catalog_module(key), p, n_max, view, budget).coefficients()
+        got = ask_series(catalog_module(key), p, n_max, view, budget)
         assert got == list(expand(closed_form(key).formula, p, n_max + 1).coeffs)
 
     @pytest.mark.parametrize("p, n_max", [(5, 6), (7, 4), (11, 3)])
     def test_elliptic_example_matches_its_curve_count(self, p, n_max):
         formula = ex_elliptic_formula(elliptic_point_count(p))
         m = catalog_module("ex_elliptic")
-        got = ask_series(m, p, n_max, "orbit", p ** (3 * n_max)).coefficients()
+        got = ask_series(m, p, n_max, "orbit", p ** (3 * n_max))
         assert got == list(expand(formula, p, n_max + 1).coeffs)
         assert p in closed_form("ex_elliptic").tested_at
 

@@ -19,9 +19,8 @@ PACKAGE = ROOT / "src" / "askzeta"
 SCANNED = (ROOT / "src", ROOT / "perfbench")
 TESTS = ROOT / "tests"
 
-# Library entries with no caller in the package: fitting derives a closed form
-# from computed coefficients.
-PUBLIC_API = ("fit_rational", "fit_pade")
+# Library entries with no caller in the package; none today.
+PUBLIC_API = ()
 
 
 def _names(tree) -> Counter:

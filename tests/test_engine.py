@@ -8,6 +8,7 @@ import pytest
 
 from askzeta import (
     BudgetExceededError,
+    DEFAULT_BUDGET,
     InputError,
     IntMatrix,
     InternalConsistencyError,
@@ -23,7 +24,6 @@ from askzeta import (
 )
 from askzeta import engine
 from askzeta.zpn import lambdas_mod as zpn_lambdas_mod
-from askzeta.engine import AskValue
 from conftest import (
     add_zero_col,
     add_zero_row,
@@ -80,7 +80,7 @@ class TestEngineAgreement:
                     ring = RingSpec(p, n)
                     assert ask_average(m, ring) == want
                     assert ask_orbit(m, ring) == want
-                    assert ask_series(m, p, n, "transpose").coefficients()[n] == want
+                    assert ask_series(m, p, n, "transpose")[n] == want
 
     def test_randomized_agreement(self):
         rng = random.Random(12345)
@@ -91,21 +91,21 @@ class TestEngineAgreement:
                     ring = RingSpec(p, n)
                     want = ask_orbit(m, ring)
                     assert ask_average(m, ring) == want
-                    assert ask_series(m, p, n, "transpose").coefficients()[n] == want
+                    assert ask_series(m, p, n, "transpose")[n] == want
 
 
 class TestAskSeries:
     def test_one_by_one(self):
-        got = ask_series(catalog_module("mat(1,1)"), 3, 3, "both").coefficients()
+        got = ask_series(catalog_module("mat(1,1)"), 3, 3, "both")
         assert got == [1, Fraction(5, 3), Fraction(7, 3), 3]
 
     def test_n3_matches_closed_form(self):
         # (1-T)^2/(1-3T)^3 = 1 + 7T + 37T^2 + ...
-        got = ask_series(catalog_module("n(3)"), 3, 2, "both").coefficients()
+        got = ask_series(catalog_module("n(3)"), 3, 2, "both")
         assert got == [1, 7, 37]
 
     def test_order_zero(self):
-        assert ask_series(catalog_module("sym(3)"), 7, 0).coefficients() == [1]
+        assert ask_series(catalog_module("sym(3)"), 7, 0) == [1]
 
     def test_method_validation(self):
         with pytest.raises(InputError):
@@ -125,8 +125,7 @@ class TestAskSeries:
             t = transpose_module(m)
             for p in (2, 3):
                 got = ask_series(m, p, 2, "transpose")
-                assert [v.method for v in got.values[1:]] == ["transpose", "transpose"]
-                for n, value in enumerate(got.coefficients()):
+                for n, value in enumerate(got):
                     scale = Fraction(p) ** (n * (m.d - m.e))
                     assert value == scale * ask_orbit(t, RingSpec(p, n))
 
@@ -135,17 +134,20 @@ class TestAskSeries:
         # e is strictly the smallest of d, e and dim on these modules
         m = catalog_module(key)
         for p in (2, 3):
-            series = ask_series(m, p, 2)
-            assert [v.method for v in series.values[1:]] == ["transpose", "transpose"]
-            assert series.coefficients() == list(expand(closed_form(key).formula, p, 3).coeffs)
+            assert engine.check_budget(m.sizes, p, 2, "auto", DEFAULT_BUDGET) == ("transpose",)
+            assert ask_series(m, p, 2) == list(expand(closed_form(key).formula, p, 3).coeffs)
 
     def test_auto_respects_budget(self):
         with pytest.raises(BudgetExceededError):
             ask_series(catalog_module("mat(2,2)"), 5, 2, budget=10)
 
-    def test_value_invariant(self):
-        with pytest.raises(InternalConsistencyError):
-            AskValue(Fraction(1, 2), 3, 1, "orbit")
+    def test_value_invariant(self, monkeypatch):
+        # ask >= 1 at every level: a view that reports less is a bug
+        monkeypatch.setattr(
+            engine, "_view_series", lambda m, p, top, view, jobs: [Fraction(1), Fraction(1, 2)]
+        )
+        with pytest.raises(InternalConsistencyError, match=r"\(p, n\) = \(3, 1\)"):
+            ask_series(catalog_module("mat(1,1)"), 3, 1, "orbit")
 
 
 def _levels(m, p, top, view, jobs=1):
@@ -196,7 +198,7 @@ class TestTreeWalk:
                 want = [brute_ask(m, p, n) for n in range(top + 1)]
                 for view in ("orbit", "average", "transpose"):
                     assert _levels(m, p, top, view) == want, (m, p, view)
-                assert ask_series(m, p, top, "both").coefficients() == want
+                assert ask_series(m, p, top, "both") == want
 
     @pytest.mark.parametrize(
         "key, view", [("diag(3)", "orbit"), ("n(3)", "orbit"), ("mat(2,2)", "average")]
@@ -271,7 +273,7 @@ class TestTreeWalk:
         # verify's definition route over 5^8 coefficient tuples: 97,656 unit
         # classes, which took one rank each before the family counter
         caps, walks = spy
-        got = ask_series(catalog_module("sl(3)"), 5, 1, "average").coefficients()
+        got = ask_series(catalog_module("sl(3)"), 5, 1, "average")
         assert got == _closed_form("sl(3)", 5, 1)
         assert _classes_per_level(walks, 1) == [(5**8 - 1) // 4] == [97656]
         assert caps == [1] * 2384
@@ -328,7 +330,7 @@ class TestTreeWalk:
     @pytest.mark.parametrize("key, p", [("so(3)", 5), ("so(3)", 7), ("diag(3)", 5)])
     def test_deeper_levels_match_closed_forms(self, key, p):
         # so(3) at p = 7, n = 3 enumerated 7^9 points per view before the walk
-        got = ask_series(catalog_module(key), p, 3, "both").coefficients()
+        got = ask_series(catalog_module(key), p, 3, "both")
         assert got == _closed_form(key, p, 3)
 
     def test_deep_walk_is_iterative_and_linear_in_depth(self):
@@ -336,7 +338,7 @@ class TestTreeWalk:
         # once recursed per level and re-expanded every resolved ball into
         # every deeper level
         start = time.perf_counter()
-        got = ask_series(catalog_module("diag(2)"), 2, 1200, budget=10**1000).coefficients()
+        got = ask_series(catalog_module("diag(2)"), 2, 1200, budget=10**1000)
         assert time.perf_counter() - start < 10
         assert got == _closed_form("diag(2)", 2, 1200)
 
@@ -440,7 +442,7 @@ class TestKernelStrip:
             for p, top in ((2, 2), (3, 2 if m.d + m.dim <= 4 else 1)):
                 want = [brute_ask(m, p, n) for n in range(top + 1)]
                 for view in ("orbit", "average", "transpose"):
-                    assert ask_series(m, p, top, view).coefficients() == want, (m, p, view)
+                    assert ask_series(m, p, top, view) == want, (m, p, view)
 
     @pytest.mark.parametrize("side, view", [("row", "orbit"), ("column", "transpose")])
     def test_the_walk_runs_on_the_rank_of_the_stacked_generators(self, rng, side, view):
@@ -468,7 +470,7 @@ class TestKernelStrip:
         # not the (11^5 - 1)/10 = 16,105 of the unreduced one; it took one
         # rank per class before the family counter
         caps, walks = spy
-        got = ask_series(catalog_module("L_{5,6}"), 11, 1, "orbit").coefficients()
+        got = ask_series(catalog_module("L_{5,6}"), 11, 1, "orbit")
         assert got == _closed_form("L_{5,6}", 11, 1)
         assert _classes_per_level(walks, 1) == [(11**4 - 1) // 10] == [1464]
         assert caps == [1, 1]
@@ -481,13 +483,13 @@ class TestParallelPartition:
             ring = RingSpec(3, 2)
             assert ask_orbit(m, ring, jobs=3) == ask_orbit(m, ring)
             assert ask_average(m, ring, jobs=3) == ask_average(m, ring)
-            transpose = ask_series(m, 3, 2, "transpose", jobs=3).coefficients()
-            assert transpose == ask_series(m, 3, 2, "transpose").coefficients()
+            transpose = ask_series(m, 3, 2, "transpose", jobs=3)
+            assert transpose == ask_series(m, 3, 2, "transpose")
 
     def test_series_with_jobs(self):
         m = catalog_module("so(3)")
-        serial = ask_series(m, 5, 2).coefficients()
-        parallel = ask_series(m, 5, 2, jobs=4).coefficients()
+        serial = ask_series(m, 5, 2)
+        parallel = ask_series(m, 5, 2, jobs=4)
         assert serial == parallel
 
 

@@ -1,6 +1,5 @@
-"""Rational function layer: parsing, expansion, fitting, functional equation."""
+"""Rational function layer: parsing, expansion, functional equation."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,8 +9,6 @@ from askzeta import (
     NotExpandableError,
     SeriesQ,
     expand,
-    fit_pade,
-    fit_rational,
     functional_equation_check,
     parse_rational,
 )
@@ -157,72 +154,3 @@ class TestFunctionalEquation:
     def test_negative_control(self):
         assert not functional_equation_check(parse_rational("1/(1 - T)"), 1)
 
-
-class TestFitting:
-    def test_roundtrip(self):
-        s = expand(parse_rational("(1 - T)/(1 - 3*T)^2"), 3, 9)
-        fit = fit_rational(s, [(1, 1), (1, 1)])
-        assert fit is not None
-        assert fit.num_coeffs[:2] == (1, -1)
-        assert fit.expand(9).coeffs == s.coeffs
-
-    def test_recovers_upper_triangular_form(self):
-        from askzeta import ask_series, catalog_module, closed_form
-
-        # low coefficients from the engine, the tail from the stored form
-        engine = ask_series(catalog_module("n(3)"), 3, 2).coefficients()
-        full = expand(closed_form("n(3)").formula, 3, 7)
-        assert list(full.coeffs[:3]) == engine
-        fit = fit_rational(full, [(1, 1)] * 3, num_degree=2)
-        assert fit is not None
-        # numerator (1 - T)^2 at any q
-        assert fit.num_coeffs == (1, -2, 1)
-
-    def test_rejects_exponential(self):
-        s = series_from(3, [Fraction(1, math.factorial(k)) for k in range(10)])
-        assert fit_rational(s, [(1, 1), (1, 1)]) is None
-
-    def test_insufficient_order(self):
-        s = series_from(3, [1, 1, 1])
-        with pytest.raises(InputError):
-            fit_rational(s, [(1, 1), (1, 1)])
-
-    def test_denominator_must_start_at_t0(self):
-        # a hypothesis whose denominator vanishes at T = 0, or has negative
-        # powers of T, defines no power series to compare with
-        for q, factors in ((3, [(0, 0), (0, 1)]), (1, [(1, 0)]), (3, [(0, -1)])):
-            with pytest.raises(InputError):
-                fit_rational(series_from(q, [1] * 8), factors)
-
-    def test_wrong_hypothesis_rejected(self):
-        s = expand(parse_rational("1/((1 - q*T)*(1 - q^2*T))"), 3, 10)
-        assert fit_rational(s, [(1, 1)], num_degree=1) is None
-
-    def test_pade_fallback(self):
-        s = expand(parse_rational("(1 - T)/(1 - 3*T)^2"), 3, 9)
-        result = fit_pade(s, 1, 2)
-        assert result is not None
-        num, den = result
-        assert num == (1, -1)
-        assert den == (1, -6, 9)
-
-    def test_pade_rejects_non_rational(self):
-        s = series_from(3, [Fraction(1, math.factorial(k)) for k in range(10)])
-        assert fit_pade(s, 2, 2) is None
-
-    def test_expand_fit_roundtrip_on_catalog(self):
-        # every factored catalog form is recovered from its own expansion
-        from askzeta import catalog_keys, closed_form
-
-        for key in catalog_keys():
-            entry = closed_form(key)
-            w = entry.formula
-            if w is None or w.factors is None:
-                continue
-            num_deg = max(te for _, te in w.num.terms) if w.num.terms else 0
-            order = max(8, num_deg + 4)
-            for q in (2, 3, 5, 7):
-                s = expand(w, q, order)
-                fit = fit_rational(s, w.factors, w.qpow, num_degree=num_deg)
-                assert fit is not None, (key, q)
-                assert fit.expand(order).coeffs == s.coeffs, (key, q)

@@ -180,7 +180,7 @@ class TestStructureReport:
             rep = structure_report(m)
             assert rep.template is not None
             for p in (3, 5):
-                got = ask_series(m, p, 2).coefficients()
+                got = ask_series(m, p, 2)
                 want = list(expand(rep.template, p, 3).coeffs)
                 assert got == want, key
 
