@@ -61,7 +61,7 @@ from .structural import (
     check_o_maximal,
     structure_report,
 )
-from .zpn import RingSpec, smith_diagonal
+from .zpn import RingSpec
 
 __version__ = "0.1.0"
 

@@ -96,7 +96,7 @@ def _primes(text: str) -> list[int]:
 
 def _at_least(low: int):
     """The type of an integer option with a lower bound: --n-max and --order
-    take integers >= 0, --jobs integers >= 1."""
+    take integers >= 0, --jobs and --budget integers >= 1."""
 
     def integer(text: str) -> int:
         try:
@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         if counts:
             sp.add_argument("--n-max", type=_at_least(0), default=2)
             sp.add_argument("--p", type=_primes, default="3")
-            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+            sp.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
             sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", type=str, default=None)
         formats = ("json", "csv", "text") if csv else ("json", "text")

@@ -73,11 +73,6 @@ def frac_solve_multi(rows, targets):
     return sols
 
 
-def frac_solve(rows, rhs):
-    """One exact solution of A x = b over Q, or None if inconsistent."""
-    return frac_solve_multi(rows, [rhs])[0]
-
-
 def hermite_form(rows) -> list[tuple[int, ...]]:
     """Row-style Hermite normal form of the lattice generated by integer rows.
 

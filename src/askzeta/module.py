@@ -1,9 +1,10 @@
-"""Modules of integer matrices: canonical bases, views, generic ranks, the transpose
-and the adjoint representation."""
+"""Modules of integer matrices: canonical bases and their index, views, generic
+ranks, the transpose and the adjoint representation."""
 
 from __future__ import annotations
 
 import random
+from math import prod
 
 from .errors import (
     InputError,
@@ -12,9 +13,8 @@ from .errors import (
     NotLieAlgebraError,
 )
 from .intmat import IntMatrix, from_flat
-from .linalg import frac_solve, hermite_form
+from .linalg import frac_solve_multi, hermite_form
 from .poly import Poly, evaluated_rank, symbolic_rank
-from .zpn import smith_diagonal
 
 # A view reads the basis tensor B[i][r][c] (axis 0: basis element i, 1: row
 # r, 2: column c) as (point, generator, column) axes: its points x run over
@@ -78,22 +78,20 @@ class MatrixModule:
         name = self.label or f"{self.dim}-dim module"
         return f"MatrixModule({name} in Mat_{self.d}x{self.e})"
 
-    def coefficient_matrix(self) -> IntMatrix:
-        """Canonical basis flattened to a dim x (d*e) matrix."""
-        return IntMatrix([b.flat() for b in self.basis])
+    def index(self) -> int:
+        """Product of the integer elementary divisors of the flattened basis.
 
-    def elementary_divisors(self) -> tuple[int, ...]:
-        """Integer elementary divisors of the coefficient matrix.
-
-        All equal to 1 exactly when the lattice is a direct summand of
+        It is the gcd of the maximal minors of the dim x (d*e) matrix of
+        flattened basis elements, so the index in Z^dim of the lattice its
+        columns span: the product of the diagonal of their Hermite form.
+        It is 1 exactly when the lattice is a direct summand of
         Mat_{d x e}(Z) (an isolated, or saturated, submodule).
         """
-        if not self.basis:
-            return ()
-        return smith_diagonal(self.coefficient_matrix())
+        columns = zip(*(b.flat() for b in self.basis))
+        return prod(row[i] for i, row in enumerate(hermite_form(columns)))
 
     def is_isolated_at(self, p: int) -> bool:
-        return all(s % p for s in self.elementary_divisors())
+        return self.index() % p != 0
 
     # -- views of the basis tensor ----------------------------------------
 
@@ -194,28 +192,23 @@ def ad_representation(m: MatrixModule) -> MatrixModule:
         raise InputError("adjoint representation needs square matrices")
     basis = m.basis
     ell = len(basis)
-    flat_rows = [b.flat() for b in basis]
-    # transpose once: solve against the basis for every commutator
-    columns = list(zip(*flat_rows)) if flat_rows else []
-    ad_mats = []
-    for a in basis:
-        rows = []
-        for b in basis:
-            target = b.commutator(a).flat()
-            coords = frac_solve(columns, target)
-            if coords is None:
-                raise NotLieAlgebraError(
-                    f"[{b!r}, {a!r}] is outside the rational span of the basis"
+    # one elimination against the basis solves every commutator [b_j, a_i]
+    columns = list(zip(*(b.flat() for b in basis)))
+    pairs = [(a, b) for a in basis for b in basis]
+    sols = frac_solve_multi(columns, [b.commutator(a).flat() for a, b in pairs])
+    for (a, b), coords in zip(pairs, sols):
+        if coords is None:
+            raise NotLieAlgebraError(
+                f"[{b!r}, {a!r}] is outside the rational span of the basis"
+            )
+        for c in coords:
+            if c.denominator != 1:
+                raise NonIntegralStructureConstantsError(
+                    f"structure constant {c} is not an integer"
                 )
-            ints = []
-            for c in coords:
-                if c.denominator != 1:
-                    raise NonIntegralStructureConstantsError(
-                        f"structure constant {c} is not an integer"
-                    )
-                ints.append(int(c))
-            rows.append(ints)
-        ad_mats.append(rows)
+    ad_mats = [
+        [[int(c) for c in coords] for coords in sols[i * ell : (i + 1) * ell]] for i in range(ell)
+    ]
     label = f"ad({m.label})" if m.label else "ad"
     return MatrixModule(ell, ell, ad_mats, label)
 

@@ -2,9 +2,9 @@
 
 Small and deliberately plain: exponent tuples to integer coefficients.  This
 is the package's one polynomial type.  It is used for linear-form matrices,
-their minors, symbolic ranks and characteristic polynomials, all at desk
-scale, and, with negative exponents allowed, for the numerators and
-denominators of the (q, T) rational functions in `ratfun`.
+their minors and symbolic ranks, all at desk scale, and, with negative
+exponents allowed, for the numerators and denominators of the (q, T)
+rational functions in `ratfun`.
 """
 
 from __future__ import annotations
@@ -201,28 +201,3 @@ def evaluated_rank(rows, point) -> int:
     ints = [[Fraction(p.eval_int(point)) for p in row] for row in rows]
     return frac_rank(ints)
 
-
-def char_poly_is_pure_power(rows) -> bool:
-    """True iff det(t*I - A) = t^d for the square Poly matrix A.
-
-    The characteristic polynomial is computed with one extra variable
-    appended for t.
-    """
-    d = len(rows)
-    if d == 0:
-        return True
-    nvars = rows[0][0].nvars
-    ext = []
-    for i in range(d):
-        ext_row = []
-        for j in range(d):
-            old = rows[i][j]
-            terms = {e + (0,): -c for e, c in old.terms.items()}
-            if i == j:
-                e_t = (0,) * nvars + (1,)
-                terms[e_t] = terms.get(e_t, 0) + 1
-            ext_row.append(Poly(nvars + 1, terms))
-        ext.append(ext_row)
-    det = bareiss_det(ext)
-    target = Poly(nvars + 1, {(0,) * nvars + (d,): 1})
-    return det == target

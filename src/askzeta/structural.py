@@ -210,11 +210,10 @@ def check_k_minimal(
     """Certify or refute that kernel sizes are generically as small as possible.
 
     Certification needs the monomial test on the average view's linear forms
-    (the generic element) and isolation of the lattice; primes dividing an
-    elementary divisor are excluded rather than fatal.
+    (the generic element) and isolation of the lattice; primes dividing its
+    index are excluded rather than fatal.
     """
-    divisor_primes = {p for s in m.elementary_divisors() for p in factorize(s)}
-    return _certify(m, "average", divisor_primes, budget, trials, seed)
+    return _certify(m, "average", factorize(m.index()), budget, trials, seed)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact arithmetic over Z/p^n: the ring, and elementary divisors at p and over Z.
+"""Exact arithmetic over Z/p^n: the ring, and elementary divisors at p.
 
 A d x e integer matrix `a` of rational rank r has elementary divisor
 valuations 0 <= lam_1 <= ... <= lam_r at the prime p (the Smith normal form
@@ -11,9 +11,7 @@ mod-p^cap reduction in this module, lambdas_mod, computes; at cap 1 it gives
 the rank over F_p.  residual_pencil runs the same reduction mod p^(m+1) on
 the pivots of valuation below m only, and carries its operations over to a
 pencil of perturbations p^m sum_a t_a G_a, so the divisors of every matrix
-of the pencil follow from one rank over F_p.  The Smith form over Z
-(smith_diagonal) gives the integer elementary divisors of a module's
-lattice.
+of the pencil follow from one rank over F_p.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .intmat import IntMatrix
 from .primes import is_prime
 
 
@@ -182,57 +179,3 @@ def residual_pencil(rows, deltas, p: int, m: int):
     r2 = [[a[i][j] // p**m for j in cols] for i in live]
     return r2, [[[d[i][j] for j in cols] for i in live] for d in ds]
 
-
-def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    """Positive diagonal entries (s_1 | s_2 | ...) of the Smith normal form over Z."""
-    rows = [list(r) for r in a.entries]
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    divs = []
-    r0, c0 = 0, 0
-    while r0 < nr and c0 < nc:
-        # locate a nonzero entry of minimal absolute value
-        best = None
-        for i in range(r0, nr):
-            for j in range(c0, nc):
-                v = rows[i][j]
-                if v and (best is None or abs(v) < abs(rows[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        rows[r0], rows[i0] = rows[i0], rows[r0]
-        for i in range(nr):
-            rows[i][c0], rows[i][j0] = rows[i][j0], rows[i][c0]
-        piv = rows[r0][c0]
-        dirty = False
-        for i in range(r0 + 1, nr):
-            q = rows[i][c0] // piv
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r0])]
-            if rows[i][c0]:
-                dirty = True
-        for j in range(c0 + 1, nc):
-            q = rows[r0][j] // piv
-            if q:
-                for i in range(nr):
-                    rows[i][j] -= q * rows[i][c0]
-            if rows[r0][j]:
-                dirty = True
-        if dirty:
-            continue
-        # pivot must divide the remaining block for the divisibility chain
-        offender = None
-        for i in range(r0 + 1, nr):
-            for j in range(c0 + 1, nc):
-                if rows[i][j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            rows[r0] = [x + y for x, y in zip(rows[r0], rows[offender])]
-            continue
-        divs.append(abs(piv))
-        r0 += 1
-        c0 += 1
-    return tuple(divs)

@@ -4,8 +4,8 @@ The oracles enumerate vectors, module elements, minors or group elements
 directly and never touch the reduction code they are checking: neither
 `zpn.lambdas_mod` nor the engine's walk.  The composite-modulus route
 (`kernel_size_mod`, `ask_mod_composite`) reads the Smith form over Z,
-`zpn.smith_diagonal`, which the package keeps for the integer elementary
-divisors of a lattice.  The one exception is `family_ranks`, the oracle of
+`smith_diagonal`, which also checks `MatrixModule.index`, the product of
+its divisors.  The one exception is `family_ranks`, the oracle of
 the walk's family counter: it takes the rank of every point of a family
 with `lambdas_mod`, which the brute-force oracles above check on its own.
 
@@ -22,7 +22,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, settings
 
-from askzeta import GroupGenSet, InputError, IntMatrix, MatrixModule, SeriesQ, smith_diagonal
+from askzeta import GroupGenSet, InputError, IntMatrix, MatrixModule, SeriesQ
 from askzeta.catalog import _FIXED
 from askzeta.poly import Poly
 from askzeta.primes import is_prime
@@ -88,6 +88,61 @@ def brute_ask(mod: MatrixModule, p: int, n: int) -> Fraction:
         total += brute_kernel_size(IntMatrix(element_rows(mod, coeffs)), p, n)
         count += 1
     return Fraction(total, count)
+
+
+def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """Positive diagonal entries (s_1 | s_2 | ...) of the Smith normal form over Z."""
+    rows = [list(r) for r in a.entries]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    divs = []
+    r0, c0 = 0, 0
+    while r0 < nr and c0 < nc:
+        # locate a nonzero entry of minimal absolute value
+        best = None
+        for i in range(r0, nr):
+            for j in range(c0, nc):
+                v = rows[i][j]
+                if v and (best is None or abs(v) < abs(rows[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i0, j0 = best
+        rows[r0], rows[i0] = rows[i0], rows[r0]
+        for i in range(nr):
+            rows[i][c0], rows[i][j0] = rows[i][j0], rows[i][c0]
+        piv = rows[r0][c0]
+        dirty = False
+        for i in range(r0 + 1, nr):
+            q = rows[i][c0] // piv
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r0])]
+            if rows[i][c0]:
+                dirty = True
+        for j in range(c0 + 1, nc):
+            q = rows[r0][j] // piv
+            if q:
+                for i in range(nr):
+                    rows[i][j] -= q * rows[i][c0]
+            if rows[r0][j]:
+                dirty = True
+        if dirty:
+            continue
+        # pivot must divide the remaining block for the divisibility chain
+        offender = None
+        for i in range(r0 + 1, nr):
+            for j in range(c0 + 1, nc):
+                if rows[i][j] % piv:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            rows[r0] = [x + y for x, y in zip(rows[r0], rows[offender])]
+            continue
+        divs.append(abs(piv))
+        r0 += 1
+        c0 += 1
+    return tuple(divs)
 
 
 def kernel_size_mod(a: IntMatrix, modulus: int) -> int:

@@ -497,6 +497,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert "argument --jobs:" in captured.err
 
+    @pytest.mark.parametrize("command", ["ask", "verify", "cc", "oc"])
+    @pytest.mark.parametrize("budget", ["0", "-5", "many"])
+    def test_budget_is_a_positive_integer(self, capsys, command, budget):
+        source = ["--algebra", "n(2)"] if command in ("cc", "oc") else ["--catalog", "mat(1,1)"]
+        argv = [command, *source, "--p", "3", "--n-max", "0", "--budget", budget]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --budget:" in captured.err
+
     def test_jobs_start_at_most_one_process_per_cpu(self, capsys, monkeypatch):
         # one payload per prime asks for one process each; a serial stand-in
         # for the pool records how many processes each pool would start

@@ -123,14 +123,18 @@ class TestNilpotentAlgebra:
         assert catalog_algebra("L_{2,1}").nilpotency_class == 1
 
     def test_rejects_non_nilpotent(self):
-        with pytest.raises(InputError):
-            NilpotentAlgebra(catalog_module("diag(2)"))
+        # Lie-closed, so only the class computation can refuse them
+        for key in ("diag(2)", "gl(2)", "sl(2)", "so(3)", "tr(2)"):
+            ad_representation(catalog_module(key))
+            with pytest.raises(InputError):
+                NilpotentAlgebra(catalog_module(key))
 
     def test_rejects_non_lie(self):
         from askzeta import NotLieAlgebraError
 
-        with pytest.raises(NotLieAlgebraError):
-            NilpotentAlgebra(catalog_module("ex_non_lie"))
+        for key in ("ex_non_lie", "sym(2)"):
+            with pytest.raises(NotLieAlgebraError):
+                NilpotentAlgebra(catalog_module(key))
 
     def test_hypothesis_warnings(self):
         alg = catalog_algebra("L_{5,9}")
@@ -144,23 +148,30 @@ class TestNilpotentAlgebra:
         assert not alg.identity_hypothesis_warnings(5)
 
     def test_non_triangular_nilpotent_accepted(self):
-        # a unimodular conjugate of the strictly-upper algebra: not
-        # triangular, still certified nilpotent by the characteristic
-        # polynomial of the generic combination
+        # unimodular conjugates of the strictly-upper algebras: not
+        # triangular, still nilpotent, since by Engel's theorem products of
+        # d of their elements vanish
         from askzeta import MatrixModule
 
-        conj = MatrixModule(2, 2, [[[-1, 1], [-1, 1]]], "conjugated")
-        alg = NilpotentAlgebra(conj)
-        assert alg.nilpotency_class == 1
-        assert not alg.identity_hypothesis_warnings(3)
-        # class counts and orbit counts agree with the conjugate model
-        ref = catalog_algebra("n(2)")
-        for p in (3, 5):
-            assert cc_coefficients_direct(alg, p, 2) == cc_coefficients_direct(ref, p, 2)
-            assert oc_coefficients(exp_group(alg, p, 2), p, 2) == oc_coefficients(
-                exp_group(ref, p, 2), p, 2
-            )
-            assert quiet(oc_via_ask, alg, p, 2) == quiet(oc_via_ask, ref, p, 2)
+        for key in ("n(2)", "n(3)"):
+            ref = catalog_algebra(key)
+            d = ref.d
+            # P is lower unitriangular with every entry 1; P^-1 is 1 - subdiagonal
+            lower = IntMatrix([[int(j <= i) for j in range(d)] for i in range(d)])
+            inverse = IntMatrix([[(i == j) - (j == i - 1) for j in range(d)] for i in range(d)])
+            basis = [lower @ b @ inverse for b in ref.module.basis]
+            conj = MatrixModule(d, d, basis, "conjugated")
+            assert any(b.entries[d - 1][0] for b in conj.basis)
+            alg = NilpotentAlgebra(conj)
+            assert alg.nilpotency_class == ref.nilpotency_class == d - 1
+            assert not alg.identity_hypothesis_warnings(3)
+            # class counts and orbit counts agree with the conjugate model
+            for p in (3, 5):
+                assert cc_coefficients_direct(alg, p, 2) == cc_coefficients_direct(ref, p, 2)
+                assert oc_coefficients(exp_group(alg, p, 2), p, 2) == oc_coefficients(
+                    exp_group(ref, p, 2), p, 2
+                )
+                assert quiet(oc_via_ask, alg, p, 2) == quiet(oc_via_ask, ref, p, 2)
 
     def test_random_combinations_of_certified_algebra_are_nilpotent(self, rng):
         alg = catalog_algebra("L_{5,6}")

@@ -2,12 +2,14 @@
 
 import itertools
 import time
+from math import prod
 from operator import mul
 
 import pytest
 
 from askzeta import (
     InputError,
+    IntMatrix,
     MatrixModule,
     NonIntegralStructureConstantsError,
     NotLieAlgebraError,
@@ -20,6 +22,7 @@ from askzeta import (
 from askzeta import module
 from askzeta.catalog import _FAMILIES, _FIXED, catalog_row
 from askzeta.intmat import from_flat
+from askzeta.linalg import frac_solve_multi
 from askzeta.module import VIEWS
 from askzeta.poly import Poly, bareiss_det, evaluated_rank, symbolic_rank
 from conftest import (
@@ -33,6 +36,7 @@ from conftest import (
     random_poly_matrix,
     random_unimodular,
     rescale,
+    smith_diagonal,
 )
 
 
@@ -101,7 +105,17 @@ class TestCanonicalBasis:
         # a non-saturated lattice must not be rescaled by canonicalization
         m = MatrixModule(1, 1, [[[3]]])
         assert m.basis[0].entries == ((3,),)
-        assert m.elementary_divisors() == (3,)
+        assert m.index() == 3
+
+    def test_index_is_the_product_of_the_smith_divisors(self, rng):
+        # the gcd of the maximal minors, read off the columns' Hermite form
+        modules = [MatrixModule(2, 2, []), rescale(catalog_module("n(3)"), 1, 6)]
+        modules += [random_module(rng, lmax=5) for _ in range(30)]
+        for m in modules:
+            divs = smith_diagonal(IntMatrix([b.flat() for b in m.basis]))
+            assert m.index() == prod(divs), m.basis
+            for p in (2, 3, 5):
+                assert m.is_isolated_at(p) == all(s % p for s in divs)
 
     def test_shape_validation(self):
         with pytest.raises(InputError):
@@ -338,6 +352,18 @@ class TestAdRepresentation:
         m = MatrixModule(2, 2, [[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
         with pytest.raises(NotLieAlgebraError):
             ad_representation(m)
+
+    def test_one_elimination_solves_every_commutator(self, monkeypatch):
+        calls = []
+
+        def spy(rows, targets):
+            calls.append(len(targets))
+            return frac_solve_multi(rows, targets)
+
+        monkeypatch.setattr(module, "frac_solve_multi", spy)
+        ad = ad_representation(catalog_module("n(4)"))
+        assert calls == [36]
+        assert ad.dim == 5
 
     def test_non_integral_constants(self):
         # [e12, e23] = e13 = (1/2) * (2 e13): rational but not integral

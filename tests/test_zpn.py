@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from askzeta import InputError, IntMatrix, RingSpec, smith_diagonal
+from askzeta import InputError, IntMatrix, RingSpec
 from askzeta.zpn import lambdas_mod, residual_pencil
 from conftest import (
     brute_image_size,
@@ -15,6 +15,7 @@ from conftest import (
     kernel_size_mod,
     random_int_matrix,
     random_unimodular,
+    smith_diagonal,
 )
 
 
