@@ -2,7 +2,8 @@
 unipotent groups, and nilpotent exponentials.
 
 A NilpotentAlgebra decides each property once: Lie closure in its adjoint
-module, nilpotency (by Engel's theorem) in its class computation.
+module, nilpotency (by Engel's theorem) in its class computation, which a
+nonzero trace of a basis element or of a product of two rejects beforehand.
 
 Conventions: groups act on row vectors from the right.  Group elements mod
 p^n are stored as flat tuples of reduced entries, which makes closure and
@@ -71,6 +72,8 @@ class NilpotentAlgebra:
     Engel's theorem a Lie algebra of d x d matrices consists of nilpotent
     matrices exactly when all products of d of its elements vanish, so the
     class computation, which gives up past d, is the one nilpotency test.
+    Such an algebra is simultaneously strictly upper triangular, so before
+    the class rounds a nonzero tr(b_i) or tr(b_i b_j) rejects it at once.
     """
 
     def __init__(self, module: MatrixModule):
@@ -78,6 +81,8 @@ class NilpotentAlgebra:
             raise InputError("nilpotent algebra needs square matrices")
         self.ad = ad_representation(module)  # raises unless Lie-closed over Z
         self.module = module
+        if not _traces_vanish(module.basis):
+            raise InputError(_NOT_NILPOTENT)
         self.nilpotency_class = self._nilpotency_class()
 
     @property
@@ -105,7 +110,7 @@ class NilpotentAlgebra:
                         nxt.append(prod_mat.flat())
             span = [from_flat(r, self.d, self.d) for r in hermite_form(nxt)]
             if c > self.d:
-                raise InputError("products do not terminate; not nilpotent")
+                raise InputError(_NOT_NILPOTENT)
         # after the loop, products of length c+1 vanish and length c did not
         return c
 
@@ -120,6 +125,24 @@ class NilpotentAlgebra:
 
     def __repr__(self):
         return f"NilpotentAlgebra({self.label or self.module!r}, class {self.nilpotency_class})"
+
+
+_NOT_NILPOTENT = "products do not terminate; not nilpotent"
+
+
+def _traces_vanish(basis) -> bool:
+    """Whether tr(b_i) and tr(b_i b_j) are 0 for all basis elements."""
+    nonzero = [
+        [(k, l, v) for k, row in enumerate(b.entries) for l, v in enumerate(row) if v]
+        for b in basis
+    ]
+    if any(sum(v for k, l, v in entries if k == l) for entries in nonzero):
+        return False
+    return not any(
+        sum(v * bj.entries[l][k] for k, l, v in entries)
+        for i, entries in enumerate(nonzero)
+        for bj in basis[i:]
+    )
 
 
 def catalog_algebra(key: str) -> NilpotentAlgebra:

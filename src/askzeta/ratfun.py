@@ -20,10 +20,17 @@ integer literal too long to convert and a power, product, quotient or sum
 whose numerator or denominator would exceed the size bounds (degree span
 MAX_EXPONENT in q and in T, MAX_POWER_TERMS monomials) are input errors; the
 bounds are checked before anything is multiplied.
+
+The parser splits the text into tokens in one pass and keeps a polynomial
+sub-expression a `Poly`: a sum is one dict of terms, a product one `Poly`
+product and a power one step.  Only a `/`, a negative exponent or the end of
+the parse makes a QTRational, so a formula that is one polynomial over
+another normalises once.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -35,12 +42,15 @@ from .poly import Poly
 MAX_EXPONENT = 1000
 # A parsed numerator or denominator may have degree spans of at most
 # MAX_EXPONENT in q and in T, and at most MAX_POWER_TERMS monomials in the
-# box those spans allow; _check_size checks both before multiplying.
+# box those spans allow; _check_box checks both before multiplying.
 MAX_POWER_TERMS = 4096
 
 
 def _box(p: Poly):
-    """(min, max) exponent of q, then of T: (q_lo, q_hi, t_lo, t_hi)."""
+    """(min, max) exponent of q, then of T: (q_lo, q_hi, t_lo, t_hi); None
+    for zero."""
+    if not p.terms:
+        return None
     qs, ts = zip(*p.terms)
     return min(qs), max(qs), min(ts), max(ts)
 
@@ -52,15 +62,27 @@ def _box_mul(a, b):
     return a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]
 
 
-def _check_size(boxes) -> None:
-    """Refuse, before it is built, a numerator or denominator whose exponents
-    lie in the union of `boxes` when that union spans more than MAX_EXPONENT
-    in q or in T or holds more than MAX_POWER_TERMS monomials."""
+def _box_scale(box, k: int):
+    """The exponent box of the k-th power of a polynomial with box `box`."""
+    return box and (k * box[0], k * box[1], k * box[2], k * box[3])
+
+
+def _hull(boxes):
+    """The smallest box that holds every box of `boxes`; None if none is."""
     boxes = [b for b in boxes if b is not None]
     if not boxes:
-        return
+        return None
     q_lo, q_hi, t_lo, t_hi = zip(*boxes)
-    dq, dt = max(q_hi) - min(q_lo), max(t_hi) - min(t_lo)
+    return min(q_lo), max(q_hi), min(t_lo), max(t_hi)
+
+
+def _check_box(box) -> None:
+    """Refuse, before it is built, a numerator or denominator whose exponents
+    lie in `box` when the box spans more than MAX_EXPONENT in q or in T or
+    holds more than MAX_POWER_TERMS monomials; None is the box of zero."""
+    if box is None:
+        return
+    dq, dt = box[1] - box[0], box[3] - box[2]
     if max(dq, dt) > MAX_EXPONENT or (dq + 1) * (dt + 1) > MAX_POWER_TERMS:
         raise InputError(
             f"result of degree {dq} in q and {dt} in T is too large (at most"
@@ -180,13 +202,11 @@ class QTRational:
         if k < 0:
             return QTRational.const(1) / self**(-k)
         for box in self.boxes:
-            _check_size([box and tuple(k * x for x in box)])
-        if k == 0:
-            return QTRational.const(1)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+            _check_box(_box_scale(box, k))
+        # n^k / d^k is normal when n / d is: the lowest monomials multiply,
+        # the contents stay coprime (Gauss) and the lowest (T, q) term of d^k
+        # stays positive
+        return QTRational(_poly_pow(self.num, k), _poly_pow(self.den, k))
 
     def __repr__(self):
         return f"QTRational({self})"
@@ -203,132 +223,263 @@ class QTRational:
 
 # -- parser ---------------------------------------------------------------
 
+# A token, after optional white space, is a run of decimal digits or one
+# other character.
+_TOKEN = re.compile(r"\s*(\d+|\S)")
+_SIGNS = ("+", "-")
+_PRODUCTS = ("*", "/")
+
+
+def _spans(text: str) -> list[tuple[int, int]]:
+    """(start, end) of each token of `text`, where an integer literal is a
+    run of the characters str.isdigit takes (besides decimal digits, such as
+    superscripts), then the empty span at the end of the text."""
+    spans = []
+    for m in _TOKEN.finditer(text):
+        start, end = m.span(1)
+        joined = spans and spans[-1][1] == start and text[start - 1].isdigit()
+        if joined and text[start].isdigit():
+            spans[-1] = (spans[-1][0], end)
+        else:
+            spans.append((start, end))
+    spans.append((len(text), len(text)))
+    return spans
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of `text`, then an empty one; an ASCII text is split in
+    one regular-expression pass."""
+    if text.isascii():
+        return [*_TOKEN.findall(text), ""]
+    return [text[start:end] for start, end in _spans(text)]
+
+
+def _on_a_line(exponents) -> bool:
+    """Whether the exponent pairs lie on one line."""
+    (q0, t0), (q1, t1), *rest = exponents
+    dq, dt = q1 - q0, t1 - t0
+    return all((qe - q0) * dt == (te - t0) * dq for qe, te in rest)
+
+
+def _poly_pow(p: Poly, k: int) -> Poly:
+    """p^k for k >= 0, with no normalising in between.
+
+    A monomial's power is one entry.  When the exponents of p lie on a line,
+    p^j has at most j (|p| - 1) + 1 terms and repeated squaring costs least.
+    Otherwise p^j has of order j^2 terms, so for large k one late square
+    costs more than all k - 1 products with p, and those are taken.
+    """
+    if k == 0:
+        return Poly.const(2, 1)
+    if len(p.terms) <= 1:
+        return Poly(2, {(k * qe, k * te): c**k for (qe, te), c in p.terms.items()})
+    if not _on_a_line(p.terms):
+        out = p
+        for _ in range(k - 1):
+            out = out * p
+        return out
+    out = None
+    while True:
+        if k & 1:
+            out = p if out is None else out * p
+        k >>= 1
+        if not k:
+            return out
+        p = p * p
+
+
+def _is_zero(v) -> bool:
+    return (v if isinstance(v, Poly) else v.num).is_zero()
+
+
+def _rational(v) -> QTRational:
+    return QTRational(v, Poly.const(2, 1)) if isinstance(v, Poly) else v
+
 
 class _Parser:
+    """Recursive descent over the tokens of one text.
+
+    A value is a `Poly` while its sub-expression is a polynomial (integers,
+    q, T, sums, products and powers `^k` with k >= 0): a sum adds its terms
+    into one dict, a product is one `Poly` product and a power one entry or
+    repeated squaring.  It becomes a `QTRational` at a `/`, at a negative
+    exponent or at the end of the parse, and from there every operation
+    normalises its result.  Normalising a polynomial over the denominator 1
+    changes nothing, so the result is the one a `QTRational` per operation
+    gives.  Every size check reads exponent boxes before anything is
+    multiplied.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.toks = _tokens(text)
+        self.i = 0
 
-    def error(self, msg):
-        raise InputError(f"parse error at {self.pos} in {self.text!r}: {msg}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, msg, after=False):
+        """Raise at the start of the next token, or with `after` at the end
+        of the last one taken."""
+        spans = _spans(self.text)
+        pos = spans[self.i - 1][1] if after else spans[self.i][0]
+        raise InputError(f"parse error at {pos} in {self.text!r}: {msg}")
 
     def take(self, ch):
-        if self.peek() != ch:
+        if self.toks[self.i] != ch:
             self.error(f"expected {ch!r}")
-        self.pos += 1
+        self.i += 1
 
     def parse(self) -> QTRational:
         v = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.toks[self.i]:
             self.error("trailing input")
-        return v
+        return _rational(v)
 
-    def expr(self) -> QTRational:
+    def expr(self):
         v = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
+        if isinstance(v, Poly) and self.toks[self.i] in _SIGNS:
+            v = self.poly_sum(v)
+        while self.toks[self.i] in _SIGNS:
+            op = self.toks[self.i]
+            self.i += 1
+            v = _apply(v, op, self.term())
+        return v
+
+    def poly_sum(self, v: Poly):
+        """The sum that starts with the polynomial v, while its terms are
+        polynomials; the first other term makes it a QTRational.
+
+        The terms go into one dict.  The size check reads a running hull
+        of the terms' boxes, which holds the exact box of the sum so far;
+        only where the hull fails is the exact box taken and checked."""
+        terms, hull = dict(v.terms), _box(v)
+        while self.toks[self.i] in _SIGNS:
+            op = self.toks[self.i]
+            self.i += 1
             rhs = self.term()
-            _check_operation(v, op, rhs)
-            v = v + rhs if op == "+" else v - rhs
-        return v
+            if not isinstance(rhs, Poly):
+                return _apply(Poly(2, terms), op, rhs)
+            box = _box(rhs)
+            union = _hull([hull, box])
+            try:
+                _check_box(union)
+            except InputError:
+                union = _hull([_box(Poly(2, terms)), box])
+                _check_box(union)
+            hull = union
+            sign = 1 if op == "+" else -1
+            for e, c in rhs.terms.items():
+                terms[e] = terms.get(e, 0) + sign * c
+        return Poly(2, terms)
 
-    def term(self) -> QTRational:
+    def term(self):
         v = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.factor()
-            if op == "/" and rhs.num.is_zero():
-                self.error("division by zero")
-            _check_operation(v, op, rhs)
-            v = v * rhs if op == "*" else v / rhs
+        while self.toks[self.i] in _PRODUCTS:
+            op = self.toks[self.i]
+            self.i += 1
+            rhs = self.factor(divisor=op == "/")
+            if isinstance(v, Poly) and isinstance(rhs, Poly):
+                # the box of every polynomial passed its check when it was
+                # built, so v / rhs needs none
+                if op == "*":
+                    _check_box(_box_mul(_box(v), _box(rhs)))
+                    v = v * rhs
+                else:
+                    v = QTRational(v, rhs)
+            else:
+                v = _apply(v, op, rhs)
         return v
 
-    def factor(self) -> QTRational:
+    def factor(self, divisor=False):
         sign = 1
-        while self.peek() in ("+", "-"):
-            if self.peek() == "-":
+        while self.toks[self.i] in _SIGNS:
+            if self.toks[self.i] == "-":
                 sign = -sign
-            self.pos += 1
+            self.i += 1
         v = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
+        # an error after an exponent is placed at its end, else at the
+        # next token
+        power = self.toks[self.i] == "^"
+        if power:
+            self.i += 1
             k = self.exponent()
             if abs(k) > MAX_EXPONENT:
-                self.error(f"exponent {k} outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]")
-            if k < 0 and v.num.is_zero():
-                self.error("division by zero")
-            v = v**k
+                self.error(f"exponent {k} outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]", True)
+            if k < 0 and _is_zero(v):
+                self.error("division by zero", True)
+            v = _power(v, k)
+        if divisor and _is_zero(v):
+            self.error("division by zero", power)
         return v if sign == 1 else -v
 
     def exponent(self) -> int:
-        if self.peek() == "(":
-            self.take("(")
+        if self.toks[self.i] == "(":
+            self.i += 1
             k = self.signed_int()
             self.take(")")
             return k
         return self.signed_int()
 
     def signed_int(self) -> int:
-        self.skip_ws()
         sign = 1
-        while self.peek() in ("+", "-"):
-            if self.peek() == "-":
+        while self.toks[self.i] in _SIGNS:
+            if self.toks[self.i] == "-":
                 sign = -sign
-            self.pos += 1
-        return sign * self.digits()
+            self.i += 1
+        return sign * self.integer()
 
-    def digits(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+    def integer(self) -> int:
+        tok = self.toks[self.i]
+        if not tok[:1].isdigit():
             self.error("expected integer")
+        self.i += 1
         try:
-            return int(self.text[start : self.pos])
+            return int(tok)
         except ValueError:  # longer than the interpreter's int-string limit
-            self.error(f"integer literal of {self.pos - start} digits")
+            self.error(f"integer literal of {len(tok)} digits", True)
 
-    def atom(self) -> QTRational:
-        ch = self.peek()
-        if ch == "(":
-            self.take("(")
+    def atom(self):
+        tok = self.toks[self.i]
+        if tok == "(":
+            self.i += 1
             v = self.expr()
             self.take(")")
             return v
-        if ch == "q":
-            self.pos += 1
-            return QTRational(Poly(2, {(1, 0): 1}), Poly.const(2, 1))
-        if ch == "T":
-            self.pos += 1
-            return QTRational(Poly(2, {(0, 1): 1}), Poly.const(2, 1))
-        if ch.isdigit():
-            return QTRational.const(self.digits())
+        if tok == "q":
+            self.i += 1
+            return Poly(2, {(1, 0): 1})
+        if tok == "T":
+            self.i += 1
+            return Poly(2, {(0, 1): 1})
+        if tok[:1].isdigit():
+            return Poly.const(2, self.integer())
         self.error("expected atom")
 
 
-def _check_operation(a: QTRational, op: str, b: QTRational) -> None:
-    """Check the numerator and denominator that `a op b` builds against the
-    size bounds before any of their products is multiplied out."""
+def _power(v, k: int):
+    """v^k after the size check; a negative power of a polynomial is its
+    first QTRational."""
+    if not isinstance(v, Poly):
+        return v**k
+    _check_box(_box_scale(_box(v), abs(k)))
+    if k < 0:
+        return QTRational(Poly.const(2, 1), _poly_pow(v, -k))
+    return _poly_pow(v, k)
+
+
+def _apply(a, op: str, b) -> QTRational:
+    """a op b as QTRationals, after checking the numerator and denominator it
+    builds against the size bounds."""
+    a, b = _rational(a), _rational(b)
     (an, ad), (bn, bd) = a.boxes, b.boxes
-    if op == "*":
-        parts = ([_box_mul(an, bn)], [_box_mul(ad, bd)])
-    elif op == "/":
-        parts = ([_box_mul(an, bd)], [_box_mul(ad, bn)])
-    else:  # a sum or difference puts both cross products over a.den * b.den
-        parts = ([_box_mul(an, bd), _box_mul(bn, ad)], [_box_mul(ad, bd)])
-    for boxes in parts:
-        _check_size(boxes)
+    if op in _PRODUCTS:
+        if op == "/":
+            bn, bd = bd, bn
+        _check_box(_box_mul(an, bn))
+        _check_box(_box_mul(ad, bd))
+        return a * b if op == "*" else a / b
+    # a sum or difference puts both cross products over a.den * b.den
+    _check_box(_hull([_box_mul(an, bd), _box_mul(bn, ad)]))
+    _check_box(_box_mul(ad, bd))
+    return a + b if op == "+" else a - b
 
 
 def parse_rational(text: str) -> QTRational:

@@ -8,6 +8,8 @@ directly and never touch the reduction code they are checking: neither
 its divisors.  The one exception is `family_ranks`, the oracle of
 the walk's family counter: it takes the rank of every point of a family
 with `lambdas_mod`, which the brute-force oracles above check on its own.
+`reference_parse`, the oracle of the formula parser, reads the grammar one
+character at a time and builds a normalised QTRational at every operation.
 
 The fixtures build the modules and groups of the paper's identities (direct
 sums, zero rows and columns, rescaling, the semidirect embedding) through
@@ -26,6 +28,7 @@ from askzeta import GroupGenSet, InputError, IntMatrix, MatrixModule, SeriesQ
 from askzeta.catalog import _FIXED
 from askzeta.poly import Poly
 from askzeta.primes import is_prime
+from askzeta.ratfun import MAX_EXPONENT, MAX_POWER_TERMS, QTRational
 
 # Property tests draw the same examples on every run, so the suite stays
 # reproducible; examples are not stored between runs.
@@ -509,6 +512,179 @@ def log_unipotent(u: IntMatrix, ring) -> IntMatrix:
         term = term @ nil
         result = result + (-1) ** (i + 1) * pow(i, -1, m) * term
     return result.mod(m)
+
+
+# -- formula parser oracle ------------------------------------------------
+
+
+def _reference_check_size(boxes) -> None:
+    """The parse size bound on the union of exponent boxes (None is zero)."""
+    boxes = [b for b in boxes if b is not None]
+    if not boxes:
+        return
+    q_lo, q_hi, t_lo, t_hi = zip(*boxes)
+    dq, dt = max(q_hi) - min(q_lo), max(t_hi) - min(t_lo)
+    if max(dq, dt) > MAX_EXPONENT or (dq + 1) * (dt + 1) > MAX_POWER_TERMS:
+        raise InputError(
+            f"result of degree {dq} in q and {dt} in T is too large (at most"
+            f" {MAX_EXPONENT} in each, {MAX_POWER_TERMS} monomials)"
+        )
+
+
+def _reference_box_mul(a, b):
+    if a is None or b is None:
+        return None
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]
+
+
+def _reference_pow(v: QTRational, k: int) -> QTRational:
+    """v^k as k - 1 normalising products, after the size check."""
+    if k < 0:
+        return QTRational.const(1) / _reference_pow(v, -k)
+    for box in v.boxes:
+        _reference_check_size([box and tuple(k * x for x in box)])
+    if k == 0:
+        return QTRational.const(1)
+    out = v
+    for _ in range(k - 1):
+        out = out * v
+    return out
+
+
+class _ReferenceParser:
+    """The formula grammar of `ratfun`, read one character at a time, with a
+    normalised QTRational built at every operation."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg):
+        raise InputError(f"parse error at {self.pos} in {self.text!r}: {msg}")
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch):
+        if self.peek() != ch:
+            self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def parse(self) -> QTRational:
+        v = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error("trailing input")
+        return v
+
+    def expr(self) -> QTRational:
+        v = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.peek()
+            self.pos += 1
+            rhs = self.term()
+            self.check(v, op, rhs)
+            v = v + rhs if op == "+" else v - rhs
+        return v
+
+    def term(self) -> QTRational:
+        v = self.factor()
+        while self.peek() in ("*", "/"):
+            op = self.peek()
+            self.pos += 1
+            rhs = self.factor()
+            if op == "/" and rhs.num.is_zero():
+                self.error("division by zero")
+            self.check(v, op, rhs)
+            v = v * rhs if op == "*" else v / rhs
+        return v
+
+    @staticmethod
+    def check(a: QTRational, op: str, b: QTRational) -> None:
+        (an, ad), (bn, bd) = a.boxes, b.boxes
+        mul = _reference_box_mul
+        if op == "*":
+            parts = ([mul(an, bn)], [mul(ad, bd)])
+        elif op == "/":
+            parts = ([mul(an, bd)], [mul(ad, bn)])
+        else:
+            parts = ([mul(an, bd), mul(bn, ad)], [mul(ad, bd)])
+        for boxes in parts:
+            _reference_check_size(boxes)
+
+    def factor(self) -> QTRational:
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.peek() == "-":
+                sign = -sign
+            self.pos += 1
+        v = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            k = self.exponent()
+            if abs(k) > MAX_EXPONENT:
+                self.error(f"exponent {k} outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]")
+            if k < 0 and v.num.is_zero():
+                self.error("division by zero")
+            v = _reference_pow(v, k)
+        return v if sign == 1 else -v
+
+    def exponent(self) -> int:
+        if self.peek() == "(":
+            self.take("(")
+            k = self.signed_int()
+            self.take(")")
+            return k
+        return self.signed_int()
+
+    def signed_int(self) -> int:
+        self.skip_ws()
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.peek() == "-":
+                sign = -sign
+            self.pos += 1
+        return sign * self.digits()
+
+    def digits(self) -> int:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            self.error("expected integer")
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            self.error(f"integer literal of {self.pos - start} digits")
+
+    def atom(self) -> QTRational:
+        ch = self.peek()
+        if ch == "(":
+            self.take("(")
+            v = self.expr()
+            self.take(")")
+            return v
+        if ch == "q":
+            self.pos += 1
+            return QTRational(Poly(2, {(1, 0): 1}), Poly.const(2, 1))
+        if ch == "T":
+            self.pos += 1
+            return QTRational(Poly(2, {(0, 1): 1}), Poly.const(2, 1))
+        if ch.isdigit():
+            return QTRational.const(self.digits())
+        self.error("expected atom")
+
+
+def reference_parse(text: str) -> QTRational:
+    """Oracle for `ratfun.parse_rational`: the same grammar, positions,
+    size checks and messages, evaluated one normalising QTRational
+    operation at a time (a power as repeated products)."""
+    return _ReferenceParser(text).parse()
 
 
 # -- helpers shared by several test files ----------------------------------

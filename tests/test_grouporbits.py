@@ -123,11 +123,44 @@ class TestNilpotentAlgebra:
         assert catalog_algebra("L_{2,1}").nilpotency_class == 1
 
     def test_rejects_non_nilpotent(self):
-        # Lie-closed, so only the class computation can refuse them
+        # Lie-closed, so only the nilpotency tests can refuse them
         for key in ("diag(2)", "gl(2)", "sl(2)", "so(3)", "tr(2)"):
             ad_representation(catalog_module(key))
             with pytest.raises(InputError):
                 NilpotentAlgebra(catalog_module(key))
+
+    @staticmethod
+    def _class_rounds(monkeypatch):
+        """Record each call of the class computation."""
+        calls = []
+        rounds = NilpotentAlgebra._nilpotency_class
+
+        def spy(self):
+            calls.append(self.label)
+            return rounds(self)
+
+        monkeypatch.setattr(NilpotentAlgebra, "_nilpotency_class", spy)
+        return calls
+
+    def test_a_nonzero_trace_rejects_before_the_class_rounds(self, monkeypatch):
+        calls = self._class_rounds(monkeypatch)
+        for key in ("gl(4)", "sl(3)", "so(4)"):
+            with pytest.raises(InputError, match=r"^products do not terminate; not nilpotent$"):
+                NilpotentAlgebra(catalog_module(key))
+        assert calls == []
+        assert catalog_algebra("L_{5,6}").nilpotency_class == 4
+        assert calls == ["L_{5,6}"]
+
+    def test_traceless_non_nilpotent_reaches_the_class_rounds(self, monkeypatch):
+        # the 3-cycle P spans a Lie algebra with tr(P) = tr(P^2) = 0, yet its
+        # powers never vanish
+        from askzeta import MatrixModule
+
+        calls = self._class_rounds(monkeypatch)
+        cycle = MatrixModule(3, 3, [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]], "cycle")
+        with pytest.raises(InputError, match=r"^products do not terminate; not nilpotent$"):
+            NilpotentAlgebra(cycle)
+        assert calls == ["cycle"]
 
     def test_rejects_non_lie(self):
         from askzeta import NotLieAlgebraError

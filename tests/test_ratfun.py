@@ -1,6 +1,8 @@
 """Rational function layer: parsing, expansion, functional equation."""
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,10 @@ from askzeta import (
     functional_equation_check,
     parse_rational,
 )
-from conftest import hadamard
+from askzeta.closed_forms import _ASK_FIXED, _CC, _OC
+from askzeta.poly import Poly
+from askzeta.ratfun import QTRational, _poly_pow
+from conftest import hadamard, reference_parse
 
 
 def series_from(q_value, values) -> SeriesQ:
@@ -154,3 +159,141 @@ class TestFunctionalEquation:
     def test_negative_control(self):
         assert not functional_equation_check(parse_rational("1/(1 - T)"), 1)
 
+
+# -- the parser against its oracle -----------------------------------------
+
+README_FORMULAS = (
+    "(1 - T)/(1 - q*T)^2",
+    "(1 - q^-2*T)/((1 - T)*(1 - q*T))",
+    "1/0",
+    "(q-q)^-1",
+    "0^-1",
+    "((1+q+T)^40)^40",
+    "(1+q+T)^60*(1+q+T)^60",
+)
+
+ERROR_CASES = (
+    "", "q +", "(1", "1/) ", "x", "q^", "1//2",
+    "1/(T - T)", "0^-1", "q^1001", "((1+q+T)^40)^40", "(1+q+T)^60*(1+q+T)^60",
+)
+
+
+def _outcome(parse, text):
+    """What a parse gives: the normal form and its printing, or the error."""
+    try:
+        w = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return w.num.terms, w.den.terms, w.boxes, str(w)
+
+
+def _random_formula(rng, depth=0):
+    """A formula of the grammar with unary signs, zero, white space,
+    parenthesised and negative exponents and division."""
+    pick = rng.random()
+    if depth > 3 or pick < 0.3:
+        atom = rng.choice(["q", "T", "0", "1", str(rng.randint(2, 12))])
+    elif pick < 0.55:
+        op = rng.choice(["+", "-", "*", "/", " + ", " - ", "*", " / "])
+        atom = f"{_random_formula(rng, depth + 1)}{op}{_random_formula(rng, depth + 1)}"
+        atom = f"({atom})"
+    elif pick < 0.7:
+        atom = f"({_random_formula(rng, depth + 1)})"
+    else:
+        base = _random_formula(rng, depth + 1)
+        k = rng.choice([0, 1, 2, 3, 4, 700, 1001])
+        sign = rng.choice(["", "", "+", "-", "-", "--", " - "])
+        exp = rng.choice(["{}", "({})", "( {} )"]).format(f"{sign}{k}")
+        atom = f"{base}^{exp}"
+    return rng.choice(["", "", "-", "+", "--", " -"]) + atom
+
+
+def _corrupt(rng, text):
+    """`text` with one character deleted, doubled or replaced."""
+    if not text:
+        return "("
+    i = rng.randrange(len(text))
+    how = rng.randrange(3)
+    if how == 0:
+        return text[:i] + text[i + 1:]
+    if how == 1:
+        return text[:i] + text[i] + text[i:]
+    return text[:i] + rng.choice("()^*/+-qT0 x9²") + text[i + 1:]
+
+
+class TestParserAgainstReference:
+    """`parse_rational` gives the oracle's normal form, boxes and printing,
+    or raises its error with its message."""
+
+    def test_stored_formulas(self):
+        texts = [row[0] for row in _ASK_FIXED.values() if row[0] is not None]
+        texts += [row[0] for row in _CC.values()] + [row[0] for row in _OC.values()]
+        assert len(texts) == 39
+        for text in texts:
+            assert _outcome(parse_rational, text) == _outcome(reference_parse, text), text
+
+    def test_readme_formulas(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for text in README_FORMULAS:
+            assert f"`{text}`" in readme or f'"{text}"' in readme, text
+            assert _outcome(parse_rational, text) == _outcome(reference_parse, text), text
+
+    @pytest.mark.parametrize("text", ERROR_CASES)
+    def test_errors(self, text):
+        got = _outcome(parse_rational, text)
+        assert got[0] is InputError
+        assert got == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1²", "12²3", "q^²", "q^ 1²", "٣*q", "q^٢", "1 2", "q\x1c+　T", "1/0^2", "1/(0)^ 1",
+         "(1/0)", "q^(-0)", "0^0", "q^(2", "q^(-)", "T^--3", "-(q^-1 - 1/q)", "9" * 5000,
+         # sums whose running hull of boxes is too large while the exact box is not
+         "q^1000 - q^1000 + T^1000", "q^1000 + 1 - q^1000 + T^1000", "q^1000 + 1 - 1 + T^5",
+         "q^1000 + T^1000", "1 + q + 1/q + T - q^2*T"],
+    )
+    def test_edge_cases(self, text):
+        assert _outcome(parse_rational, text) == _outcome(reference_parse, text)
+
+    def test_random_formulas(self):
+        rng = random.Random(20261019)
+        for _ in range(400):
+            text = _random_formula(rng)
+            assert _outcome(parse_rational, text) == _outcome(reference_parse, text), text
+            broken = _corrupt(rng, text)
+            assert _outcome(parse_rational, broken) == _outcome(reference_parse, broken), broken
+
+
+class TestParserWork:
+    def test_ex_non_lie_builds_one_rational(self, monkeypatch):
+        calls = []
+        init = QTRational.__init__
+
+        def counting(self, num, den):
+            calls.append(1)
+            init(self, num, den)
+
+        monkeypatch.setattr(QTRational, "__init__", counting)
+        w = parse_rational(_ASK_FIXED["ex_non_lie"][0])
+        assert len(calls) == 1
+        assert len(w.num.terms) == 135
+
+    def test_a_monomial_power_multiplies_nothing(self, monkeypatch):
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        assert str(parse_rational("q^36")) == "q^36"
+        assert calls == []
+
+    @pytest.mark.parametrize("text", ["1 - q^3*T^2", "2 + q + q^2", "1 + q + T", "1 - q*T + 3*T^2*q^-1"])
+    def test_power_is_repeated_product(self, text):
+        p = parse_rational(text).num
+        out = Poly.const(2, 1)
+        for k in range(8):
+            assert _poly_pow(p, k) == out
+            out = out * p
