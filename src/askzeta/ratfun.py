@@ -23,9 +23,9 @@ bounds are checked before anything is multiplied.
 
 The parser splits the text into tokens in one pass and keeps a polynomial
 sub-expression a `Poly`: a sum is one dict of terms, a product one `Poly`
-product and a power one step.  Only a `/`, a negative exponent or the end of
-the parse makes a QTRational, so a formula that is one polynomial over
-another normalises once.
+product and a monomial's power one entry.  Only a `/`, a negative exponent
+or the end of the parse makes a QTRational, so a formula that is one
+polynomial over another normalises once.
 """
 
 from __future__ import annotations
@@ -247,45 +247,21 @@ def _spans(text: str) -> list[tuple[int, int]]:
 
 
 def _tokens(text: str) -> list[str]:
-    """The tokens of `text`, then an empty one; an ASCII text is split in
-    one regular-expression pass."""
-    if text.isascii():
-        return [*_TOKEN.findall(text), ""]
+    """The tokens of `text`, then an empty one."""
     return [text[start:end] for start, end in _spans(text)]
 
 
-def _on_a_line(exponents) -> bool:
-    """Whether the exponent pairs lie on one line."""
-    (q0, t0), (q1, t1), *rest = exponents
-    dq, dt = q1 - q0, t1 - t0
-    return all((qe - q0) * dt == (te - t0) * dq for qe, te in rest)
-
-
 def _poly_pow(p: Poly, k: int) -> Poly:
-    """p^k for k >= 0, with no normalising in between.
-
-    A monomial's power is one entry.  When the exponents of p lie on a line,
-    p^j has at most j (|p| - 1) + 1 terms and repeated squaring costs least.
-    Otherwise p^j has of order j^2 terms, so for large k one late square
-    costs more than all k - 1 products with p, and those are taken.
-    """
+    """p^k for k >= 0, with no normalising in between: a monomial's power
+    is one entry, any other power k - 1 products with p."""
     if k == 0:
         return Poly.const(2, 1)
     if len(p.terms) <= 1:
         return Poly(2, {(k * qe, k * te): c**k for (qe, te), c in p.terms.items()})
-    if not _on_a_line(p.terms):
-        out = p
-        for _ in range(k - 1):
-            out = out * p
-        return out
-    out = None
-    while True:
-        if k & 1:
-            out = p if out is None else out * p
-        k >>= 1
-        if not k:
-            return out
-        p = p * p
+    out = p
+    for _ in range(k - 1):
+        out = out * p
+    return out
 
 
 def _is_zero(v) -> bool:
@@ -302,7 +278,7 @@ class _Parser:
     A value is a `Poly` while its sub-expression is a polynomial (integers,
     q, T, sums, products and powers `^k` with k >= 0): a sum adds its terms
     into one dict, a product is one `Poly` product and a power one entry or
-    repeated squaring.  It becomes a `QTRational` at a `/`, at a negative
+    k - 1 products.  It becomes a `QTRational` at a `/`, at a negative
     exponent or at the end of the parse, and from there every operation
     normalises its result.  Normalising a polynomial over the denominator 1
     changes nothing, so the result is the one a `QTRational` per operation
