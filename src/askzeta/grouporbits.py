@@ -7,28 +7,30 @@ nonzero trace of a basis element or of a product of two rejects beforehand.
 
 Conventions: groups act on row vectors from the right.  Group elements mod
 p^n are stored as flat tuples of reduced entries, which makes closure and
-orbit bookkeeping plain set operations.  Orbit enumeration applies generators
-only (no inverses): every generator acts with finite order on a finite set,
-so forward closure already yields the group orbits.
+conjugation bookkeeping plain set operations.  Orbit enumeration applies
+generators only (no inverses): every generator acts with finite order on a
+finite set, so forward closure already yields the group orbits.
 
-A generator acts only through the columns it moves: the j whose column is
-not e_j, each kept as its nonzero entries (_moved_columns, worked out once per
-call; a generator that is the identity mod p^n drops out).  x*g rewrites the
-moved coordinates of x, el*g the moved columns of el, and g^-1*y the rows
-where g^-1 differs from the identity.  exp(b) of a basis element moves only
-the columns b reaches, and a transvection or a diagonal unit moves one
-column, so an image costs a few products instead of a dense d x d product.
-The orbit BFS carries each point's lexicographic index with it and shifts it
-by the moved coordinates' change.
+A generator acts only through the coordinates it moves (_moved_columns, worked
+out once per call; a generator that is the identity mod p^n drops out).  The
+closure's el -> el*g and the conjugation's y -> g^-1*y*g are linear maps on
+flat d x d matrices, and each rewrites only the entries its d^2 x d^2 matrix
+moves: exp(b) of a basis element moves only the columns b reaches, and a
+transvection or a diagonal unit one column, so an image costs a few products
+instead of dense d x d products.  The orbit BFS runs on the points'
+lexicographic indices: per level, a table of the index of x*g for every x and
+every generator that moves a column, filled a row of p^n points at a time.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import factorial
+from operator import add
 
 from .catalog import catalog_module
 from .engine import DEFAULT_BUDGET, ask_series
@@ -195,48 +197,86 @@ def _moved_columns(g, d: int, m: int):
     return tuple(moved)
 
 
+def _typecode(size: int) -> str:
+    """The narrowest array typecode that holds every index below size."""
+    return next(c for c in "BHIQ" if size <= 1 << 8 * array(c).itemsize)
+
+
+def _index_table(g, d: int, p: int, n: int) -> array:
+    """The lexicographic index of x*g for every x in (Z/p^n)^d, in
+    lexicographic order of x.
+
+    A row of the table is the m = p^n points that share x_0 .. x_(d-2).  Along
+    a row, coordinate j of x*g is (c + t*a) mod m, where c comes from the
+    shared coordinates, t = x_(d-1) and a = g_(d-1,j).  With a = P*u, P a
+    power of p and u a unit mod Q = m/P, that is r + P*((s + t)*u mod Q) for
+    r = c mod P and s = (c div P)/u mod Q, so the row's index is a constant
+    plus, for each j with a != 0, the slice [s, s + m) of one list per column.
+    """
+    m = p**n
+    last = d - 1
+    constant, sliding = [], []
+    for j in range(d):
+        w = m ** (last - j)
+        col = tuple((k, g[k * d + j] % m) for k in range(last) if g[k * d + j] % m)
+        a = g[last * d + j] % m
+        if not a:
+            constant.append((w, col))
+            continue
+        P = 1
+        while a % (P * p) == 0:
+            P *= p
+        Q, u = m // P, a // P
+        steps = [w * P * (t * u % Q) for t in range(Q + m)]
+        sliding.append((w, col, P, Q, pow(u, -1, Q), steps))
+    table = array(_typecode(m**d))
+    for x in product(range(m), repeat=last):
+        base = 0
+        for w, col in constant:
+            base += w * (sum(x[k] * c for k, c in col) % m)
+        slices = []
+        for w, col, P, Q, u_inv, steps in sliding:
+            high, r = divmod(sum(x[k] * c for k, c in col) % m, P)
+            base += w * r
+            s = high * u_inv % Q
+            slices.append(steps[s : s + m])
+        row = repeat(base, m)
+        for sl in slices:
+            row = map(add, row, sl)
+        table.extend(row)
+    return table
+
+
 def orbit_count_vectors(gens_flat, d: int, p: int, n: int, budget: int) -> int:
-    """Number of orbits of the generated group on (Z/p^n)^d by BFS."""
+    """Number of orbits of the generated group on (Z/p^n)^d by BFS.
+
+    The BFS runs on lexicographic indices: one _index_table per generator
+    that moves a column, and a mark byte per point.  That is size * (b * k + 1)
+    bytes for size = p^(d*n) points, k such generators and b-byte table
+    entries (b = 1, 2, 4 or 8: the fewest that hold every index).
+    """
     if n == 0:
         return 1
     size = p ** (d * n)
     if size > budget:
         raise BudgetExceededError(size, budget)
     m = p**n
-    seen = bytearray((size + 7) // 8)
-    # lexicographic index of x = sum x_i m^(d-1-i); an image rewrites only
-    # the coordinates its generator moves and shifts the index by their change
-    weights = [m ** (d - 1 - i) for i in range(d)]
-    actions = []
-    for g in gens_flat:
-        moved = _moved_columns(g, d, m)
-        if moved:
-            actions.append([(j, weights[j], col) for j, col in moved])
+    tables = [_index_table(g, d, p, n) for g in gens_flat if _moved_columns(g, d, m)]
+    marks = bytearray(size)
     orbits = 0
-    idx = 0
-    for x in product(range(m), repeat=d):
-        if seen[idx >> 3] & (1 << (idx & 7)):
-            idx += 1
-            continue
+    start = marks.find(0)
+    while start >= 0:
         orbits += 1
-        stack = [(x, idx)]
-        seen[idx >> 3] |= 1 << (idx & 7)
+        marks[start] = 1
+        stack = [start]
         while stack:
-            y, yi = stack.pop()
-            for action in actions:
-                z = list(y)
-                zi = yi
-                for j, w, col in action:
-                    v = 0
-                    for k, c in col:
-                        v += y[k] * c
-                    v %= m
-                    zi += (v - y[j]) * w
-                    z[j] = v
-                if not seen[zi >> 3] & (1 << (zi & 7)):
-                    seen[zi >> 3] |= 1 << (zi & 7)
-                    stack.append((z, zi))
-        idx += 1
+            y = stack.pop()
+            for table in tables:
+                z = table[y]
+                if not marks[z]:
+                    marks[z] = 1
+                    stack.append(z)
+        start = marks.find(0, start + 1)
     return orbits
 
 
@@ -256,19 +296,24 @@ def oc_coefficients(
 # -- group closure and conjugacy classes ------------------------------------
 
 
-def _act(el, moved, d: int, m: int, left: bool = False):
-    """el * g for a flat d x d matrix el, rewriting only the columns g moves
-    (`moved` from _moved_columns of g).  With left=True it is g^T * el:
-    `moved` then lists the rows of g^T that differ from e_j, so only those
-    rows of el change."""
-    rs, cs = (1, d) if left else (d, 1)
-    out = list(el)
+def _sandwich_moves(a, b, d: int, m: int):
+    """The coordinates y -> a*y*b moves on flat d x d matrices y, for flat
+    d x d matrices a and b: _moved_columns of its d^2 x d^2 matrix, whose
+    entry at ((k, l), (i, j)) is a_ik * b_lj."""
+    r = range(d)
+    matrix = [a[i * d + k] * b[l * d + j] for k in r for l in r for i in r for j in r]
+    return _moved_columns(matrix, d * d, m)
+
+
+def _act(x, moved, m: int):
+    """x * A for a flat vector x, rewriting only the coordinates A moves
+    (`moved` from _moved_columns of A)."""
+    out = list(x)
     for j, col in moved:
-        for r in range(0, d * rs, rs):
-            v = 0
-            for k, c in col:
-                v += el[r + k * cs] * c
-            out[r + j * cs] = v % m
+        v = 0
+        for k, c in col:
+            v += x[k] * c
+        out[j] = v % m
     return tuple(out)
 
 
@@ -277,14 +322,14 @@ def group_closure(gens_flat, d: int, m: int, budget: int):
     identity = tuple(
         1 if i == j else 0 for i in range(d) for j in range(d)
     )
-    moves = [mv for mv in (_moved_columns(g, d, m) for g in gens_flat) if mv]
+    moves = [mv for mv in (_sandwich_moves(identity, g, d, m) for g in gens_flat) if mv]
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for el in frontier:
             for moved in moves:
-                prod_el = _act(el, moved, d, m)
+                prod_el = _act(el, moved, m)
                 if prod_el not in seen:
                     seen.add(prod_el)
                     if len(seen) > budget:
@@ -295,31 +340,29 @@ def group_closure(gens_flat, d: int, m: int, budget: int):
 
 
 def conjugacy_class_count(elements, gens_flat, d: int, p: int, n: int) -> int:
-    """Number of orbits of the conjugation action z -> g^-1 z g on `elements`."""
+    """Number of orbits of the conjugation action z -> g^-1 z g on `elements`,
+    the set of all elements of the group the generators generate.
+
+    Consumes `elements`: the BFS removes each element from the set as it
+    reaches it, so the set is empty on return and no second set is kept.
+    """
     m = p**n
-    # g^-1 * y rewrites the rows of y where g^-1 differs from the identity:
-    # the moved columns of (g^-1)^T, applied from the left
     actions = []
     for g in gens_flat:
-        moved = _moved_columns(g, d, m)
+        inv_rows = matrix_inverse_mod([g[i * d : (i + 1) * d] for i in range(d)], p, n)
+        moved = _sandwich_moves([v for row in inv_rows for v in row], g, d, m)
         if moved:
-            inv_rows = matrix_inverse_mod([g[i * d : (i + 1) * d] for i in range(d)], p, n)
-            inv_t = tuple(inv_rows[i][j] for j in range(d) for i in range(d))
-            actions.append((_moved_columns(inv_t, d, m), moved))
-    visited = set()
+            actions.append(moved)
     classes = 0
-    for z in elements:
-        if z in visited:
-            continue
+    while elements:
         classes += 1
-        visited.add(z)
-        stack = [z]
+        stack = [elements.pop()]
         while stack:
             y = stack.pop()
-            for inv_moved, moved in actions:
-                w = _act(_act(y, inv_moved, d, m, left=True), moved, d, m)
-                if w not in visited:
-                    visited.add(w)
+            for moved in actions:
+                w = _act(y, moved, m)
+                if w in elements:
+                    elements.remove(w)
                     stack.append(w)
     return classes
 

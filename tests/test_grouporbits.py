@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from askzeta import (
+    BudgetExceededError,
     GroupGenSet,
     InputError,
     IntMatrix,
@@ -114,6 +115,35 @@ class TestOrbitCounts:
         g = GroupGenSet(2, (IntMatrix([[1, 0], [0, 3]]),))
         with pytest.raises(InputError):
             oc_coefficients(g, 3, 1)
+
+    def test_budget_comes_before_any_table(self, monkeypatch):
+        calls = []
+        build = grouporbits._index_table
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(grouporbits, "_index_table", spy)
+        gens = [g.flat() for g in exp_group(catalog_algebra("L_{3,2}"), 7, 2).generators]
+        with pytest.raises(BudgetExceededError):
+            grouporbits.orbit_count_vectors(gens, 3, 7, 2, 7**6 - 1)
+        assert calls == []
+        # the spy sees the one table per generator an admitted size builds
+        assert grouporbits.orbit_count_vectors(gens, 3, 7, 1, 7**3) == 19
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "size, itemsize",
+        [(2, 1), (2**8, 1), (2**8 + 1, 2), (2**16 + 1, 4), (2**32, 4), (2**32 + 1, 8),
+         (10**15, 8)],
+    )
+    def test_table_entries_hold_every_index(self, size, itemsize):
+        from array import array
+
+        code = grouporbits._typecode(size)
+        assert array(code).itemsize == itemsize
+        array(code, [size - 1])  # the largest index fits: no OverflowError
 
 
 class TestNilpotentAlgebra:
@@ -251,6 +281,25 @@ class TestConjugacyClasses:
         alg = catalog_algebra("L_{2,1}")
         assert cc_coefficients_direct(alg, 5, 2) == [1, 25, 625]
 
+    def test_class_bfs_keeps_no_second_set(self):
+        """The conjugation BFS consumes the closure: the peak of the whole
+        count stays near the peak of the closure alone."""
+        import tracemalloc
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alg = catalog_algebra("L_{3,2}")
+        gens = [g.mod(25).flat() for g in exp_group(alg, 5, 2).generators]
+        closure_peak = peak(grouporbits.group_closure, gens, 3, 25, 10**6)
+        count_peak = peak(cc_coefficients_direct, alg, 5, 2)
+        assert count_peak <= 1.25 * closure_peak, (count_peak, closure_peak)
+
 
 class TestOrbitBridge:
     def test_n2(self):
@@ -266,6 +315,13 @@ class TestOrbitBridge:
         via = quiet(oc_via_ask, alg, 5, 1)
         assert direct == [1, 13]
         assert [Fraction(v) for v in direct] == via
+
+    def test_heisenberg_p7(self):
+        """The largest orbit BFS of the groups workload: 7^6 points."""
+        alg = catalog_algebra("L_{3,2}")
+        direct = oc_coefficients(exp_group(alg, 7, 2), 7, 2)
+        assert direct == [1, 19, 253]
+        assert [Fraction(v) for v in direct] == quiet(oc_via_ask, alg, 7, 2)
 
     def test_zero_algebra(self):
         alg = NilpotentAlgebra(catalog_module("zero(2,2)"))
@@ -449,12 +505,26 @@ class TestDenseOracles:
             if p ** (d * n) <= 5 * 10**3
         ]
         seen = set()
+        # an index table slides coordinate j along a row of points by the
+        # generator's last-row entry a_j: not at all (a_j = 0), by a unit, or
+        # by a nonzero multiple of p; it sums the slides of several columns
+        last_rows = set()
         for _ in range(60):
             d, p, n = rng.choice(shapes)
             gens, flat = self.draw(rng, d, p, n, seen)
+            for g in gens:
+                if (g - IntMatrix.identity(d)).mod(p**n).is_zero():
+                    continue  # no table
+                last = [v % p**n for v in g.entries[-1]]
+                last_rows.add("zero" if 0 in last else "no zero")
+                if any(v and v % p == 0 for v in last):
+                    last_rows.add("multiple of p")
+                if sum(1 for v in last if v) > 1:
+                    last_rows.add("several slides")
             want = brute_orbit_count(gens, d, p**n)
             assert orbit_count_vectors(flat, d, p, n, 10**4) == want, (gens, p, n)
         assert seen == {*self.KINDS, "every column moved"}
+        assert last_rows == {"zero", "no zero", "multiple of p", "several slides"}
 
     def test_closure_and_class_count(self, rng):
         from askzeta.grouporbits import conjugacy_class_count, group_closure
@@ -477,4 +547,5 @@ class TestDenseOracles:
             assert elements == {g.flat() for g in group}, (gens, p, n)
             want = brute_class_count(group, m)
             assert conjugacy_class_count(elements, flat, d, p, n) == want, (gens, p, n)
+            assert not elements  # the count consumes the closure
         assert seen == {*self.KINDS, "every column moved"}
