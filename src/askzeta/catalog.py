@@ -12,7 +12,8 @@ parameters, its arity and their condition.  `_family` is the one check of
 family keys; `closed_forms` calls it too, so a key with no module has no
 closed form.  `catalog_module` builds every key from its `catalog_row`, whose
 sizes (len(generators), d, e) fix every view's point count before any
-matrix exists.
+matrix exists; `adjoint_sizes` gives those of a Lie algebra's adjoint
+module in the same way.
 
 The L_{d,i} rows are the nilpotent Lie algebras of dimension <= 5 in
 de Graaf's numbering, realized as explicit integer matrix algebras.  Two
@@ -26,7 +27,8 @@ from __future__ import annotations
 
 from .errors import InputError
 from .intmat import IntMatrix
-from .module import MatrixModule
+from .module import RANK_PRIME, MatrixModule
+from .zpn import lambdas_mod
 
 
 def _sum_units(d, e, entries):
@@ -189,3 +191,29 @@ def catalog_module(name: str, *params: int) -> MatrixModule:
     """Build a named module, e.g. catalog_module("so", 3) or catalog_module("so(3)")."""
     label, d, e, generators = catalog_row(name, *params)
     return MatrixModule(d, e, [_sum_units(d, e, g) for g in generators], label)
+
+
+def adjoint_sizes(name: str) -> tuple[int, int, int]:
+    """The sizes (dim - z, dim, dim) of the adjoint module of a catalog Lie
+    algebra L, z = dim Z(L), from its row alone.
+
+    dim - z is the rank over Q of x -> ([x, g])_g over the generators g;
+    it is taken here mod the prime RANK_PRIME, which can only lower it.  So
+    a budget check on these sizes before the build refuses no run that the
+    same check on the built adjoint admits.
+    """
+    generators = [[(i, j, v[0] if v else 1) for i, j, *v in g] for g in catalog_row(name)[3]]
+    rows = []
+    for a in generators:
+        row = {}  # (generator b, row, column) -> entry of [a, b]
+        for b, g in enumerate(generators):
+            for i, j, v in a:
+                for k, l, w in g:
+                    if j == k:
+                        row[b, i, l] = row.get((b, i, l), 0) + v * w
+                    if l == i:
+                        row[b, k, j] = row.get((b, k, j), 0) - v * w
+        rows.append(row)
+    cols = sorted({c for row in rows for c, v in row.items() if v})
+    rank = len(lambdas_mod([[row.get(c, 0) for c in cols] for row in rows], RANK_PRIME, 1))
+    return rank, len(generators), len(generators)

@@ -15,7 +15,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-from .catalog import catalog_module, catalog_row
+from .catalog import adjoint_sizes, catalog_module, catalog_row
 from .closed_forms import (
     catalog_keys,
     closed_form,
@@ -374,6 +374,12 @@ def _bridge(via_route, alg, p, args, direct) -> tuple[dict, bool]:
 
 
 def cmd_cc(args) -> tuple[dict, int]:
+    if args.algebra:
+        # before the algebra and its adjoint are built; building is level-1
+        # work, so level 1 is read even at n_max 0
+        sizes = adjoint_sizes(args.algebra)
+        for p in args.p:
+            check_budget(sizes, p, max(args.n_max, 1), "auto", args.budget)
     alg = _get_algebra(args)
     results = []
     internal_problem = False

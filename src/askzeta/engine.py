@@ -67,11 +67,14 @@ constant pivot row keeps every entry affine: the family loses that row and
 a column, and gains one in rank, with no branching.  A coordinate that no
 entry reads multiplies the count of every rank by p.  A family of one row or
 one column has rank 1 except on the zero set of its entries, an affine
-system whose z solutions follow from two ranks.  Otherwise the counter
-branches on one coordinate, toward making a row or column constant; where
-every row and column reads every coordinate no branching can, and each
-point takes its own rank.  The walk receives each rank's classes in bulk
-and gets back only the points it goes below.
+system whose z solutions follow from two ranks.  For odd p a 2 x 2 family
+is counted without branching as well: its rank is at most 1 on the zeros
+of its determinant, a quadric in t, and the zeros of a quadric over F_p
+have a closed count.  Otherwise the counter branches on one coordinate,
+toward making a row or column constant; where every row and column reads
+every coordinate no branching can, and each point takes its own rank.  The
+walk receives each rank's classes in bulk and gets back only the points it
+goes below.
 
 The walk stops at a resolved node: one with r divisors below m, where r is
 the generic rank of the rows (the rank over Q(X) of the view's matrix of
@@ -91,8 +94,8 @@ inconsistency.  A walk without r (level 1, where every node is a leaf)
 resolves nothing: the nodes at depth m are then exactly the unit classes
 mod p^m.  The counter takes at most one rank per class, and far fewer where
 rows and columns read few coordinates (the average view of sl(3) at p = 5
-counts its 97,656 classes from 2,384 ranks); each node the walk expands
-takes one residual pencil besides.
+counts its 97,656 classes from 43 ranks); each node the walk expands takes
+one residual pencil besides.
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import mul
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError
@@ -202,11 +206,14 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
     A row (or column) that no direction touches is constant: a row
     operation with a constant pivot row keeps every entry affine, so the
     family loses the row and a column at no branching (a column is pivoted
-    as a row of the transpose).  One row or column left goes to _rank_one.
-    Otherwise the counter branches on a coordinate of the row or column
-    that the fewest coordinates touch; when every row and column reads
-    every coordinate no branching can make one constant, and each point
-    takes its own rank.
+    as a row of the transpose).  One row or column left goes to _rank_one,
+    and for odd p a 2 x 2 block to _two_by_two, which counts it from the
+    zeros of its determinant.  That count diagonalises a quadratic form,
+    which characteristic 2 does not allow, so at p = 2 a 2 x 2 block
+    branches like any other.  Otherwise the counter branches on a
+    coordinate of the row or column that the fewest coordinates touch; when
+    every row and column reads every coordinate no branching can make one
+    constant, and each point takes its own rank.
     """
     while True:
         rows, cols = masks or _touched(a0, dirs)
@@ -243,6 +250,9 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
             base += 1
     if len(a0) == 1 or len(a0[0]) == 1:
         yield from _rank_one(a0, dirs, base, unused, t, p, take)
+        return
+    if p > 2 and len(a0) == len(a0[0]) == 2:
+        yield from _two_by_two(a0, dirs, base, unused, t, p, take)
         return
     lines = rows + cols
     narrow = min(lines, key=int.bit_count)
@@ -286,11 +296,11 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
             take(rank, more * nodes)
 
 
-def _rank_one(a0, dirs, base, unused, t, p, take):
-    """_classes of a family of rank base + 1, or base on the zero set of its
-    entries: an affine system whose solutions are counted from the rank of
-    its coefficients and, unless that rank is the number of equations, the
-    rank with the constants."""
+def _zeros(a0, dirs, p):
+    """The affine system of a family's entries, as (constant, coefficients)
+    for each entry that is not identically 0, and its number of solutions in
+    F_p^j: from the rank of its coefficients and, unless that rank is the
+    number of equations, the rank with the constants (0 when inconsistent)."""
     eqs = [
         (x, l)
         for i, row in enumerate(a0)
@@ -303,11 +313,18 @@ def _rank_one(a0, dirs, base, unused, t, p, take):
     consistent = rank_e == len(eqs) or rank_e == len(
         lambdas_mod(system + [[x for x, _ in eqs]], p, 1)
     )
-    z = p ** (j - rank_e) if consistent else 0
+    return eqs, p ** (j - rank_e) if consistent else 0
+
+
+def _rank_one(a0, dirs, base, unused, t, p, take):
+    """_classes of a family of rank base + 1, or base on the zero set of its
+    entries (_zeros)."""
+    eqs, z = _zeros(a0, dirs, p)
+    j = len(dirs)
     nodes = p ** len(unused)
     if z < p**j and take(base + 1, (p**j - z) * nodes):
         for vals in product(range(p), repeat=j):
-            if not consistent or any((x + sum(map(mul, vals, l))) % p for x, l in eqs):
+            if not z or any((x + sum(map(mul, vals, l))) % p for x, l in eqs):
                 for (a, _), v in zip(dirs, vals):
                     t[a] = v
                 yield from _spread(t, unused, p, base + 1)
@@ -316,6 +333,112 @@ def _rank_one(a0, dirs, base, unused, t, p, take):
             for (a, _), v in zip(dirs, vals):
                 t[a] = v
             yield from _spread(t, unused, p, base)
+
+
+def _legendre(x, p):
+    """The quadratic character of x mod an odd prime p: 1, -1, or 0 at 0."""
+    x %= p
+    return 0 if not x else 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+
+
+def _quadric_zeros(q, l, c, p):
+    """Zeros in F_p^j, p odd, of f(t) = sum_ab q[a][b] t_a t_b + sum_a l[a] t_a + c.
+
+    The symmetric matrix of the form is diagonalised by congruence: a
+    nonzero diagonal entry completes a square, and where none is left a
+    nonzero s[a][b] becomes one by t_b -> t_b + t_a.  Each step is an affine
+    change of the coordinates, so f has as many zeros as d_1 u_1^2 + ... +
+    d_r u_r^2 + sum_a l'_a t_a + c' over the other j - r coordinates.  A
+    linear term there leaves p^(j-1) zeros; otherwise there are p^(j-r)
+    times the solutions of sum_i d_i u_i^2 = b, b = -c'.  With D = d_1 ...
+    d_r and eta the quadratic character, these number (Lidl and
+    Niederreiter, Finite Fields, Thms 6.26 and 6.27)
+        p^(r-1) + nu(b) p^(r/2-1) eta((-1)^(r/2) D)           for even r,
+        p^(r-1) + p^((r-1)/2) eta((-1)^((r-1)/2) b D)        for odd r,
+    where nu(0) = p - 1 and nu(b) = -1 otherwise.
+    """
+    j = len(l)
+    half = (p + 1) // 2
+    s = [[(x + y) * half % p for x, y in zip(row, col)] for row, col in zip(q, zip(*q))]
+    l = [x % p for x in l]
+    live = list(range(j))
+    diag = []
+    while True:
+        i = next((a for a in live if s[a][a]), None)
+        if i is None:
+            pair = next(((a, b) for a in live for b in live if s[a][b]), None)
+            if pair is None:
+                break
+            i, b = pair
+            for row in s:
+                row[i] = (row[i] + row[b]) % p
+            s[i] = [(x + y) % p for x, y in zip(s[i], s[b])]
+            l[i] = (l[i] + l[b]) % p
+        d = s[i][i]
+        inv = pow(d, -1, p)
+        live.remove(i)
+        for a in live:
+            f = s[i][a] * inv
+            s[a] = [(x - f * y) % p for x, y in zip(s[a], s[i])]
+            l[a] = (l[a] - f * l[i]) % p
+        c = (c - l[i] * l[i] * inv * half * half) % p
+        diag.append(d)
+    if any(l[a] for a in live):
+        return p ** (j - 1)
+    r, b = len(diag), -c % p
+    if not r:
+        return 0 if b else p**j
+    sign_d = (-1) ** (r // 2) * prod(diag)
+    if r % 2:
+        n = p ** (r - 1) + p ** (r // 2) * _legendre(sign_d * b, p)
+    else:
+        n = p ** (r - 1) + (p - 1 if b == 0 else -1) * p ** (r // 2 - 1) * _legendre(sign_d, p)
+    return p ** (j - r) * n
+
+
+def _two_by_two(a0, dirs, base, unused, t, p, take):
+    """_classes of a 2 x 2 family over F_p, p odd, by counting alone.
+
+    Its rank is base on the zero set of its four entries (_zeros), at most
+    base + 1 on the zeros of its determinant, a quadric in t
+    (_quadric_zeros), and base + 2 elsewhere.  The points of rank base come
+    from _affine_zeros, those of the other ranks the walk goes below from
+    one scan of the determinants.
+    """
+    j = len(dirs)
+    (a, b), (c, d) = a0
+    ea, eb, ec, ed = ([m[i][k] for _, m in dirs] for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    # det = (a + ea.t)(d + ed.t) - (b + eb.t)(c + ec.t)
+    q = [[x * w - y * z for w, z in zip(ed, ec)] for x, y in zip(ea, eb)]
+    lin = [a * w + d * x - b * z - c * y for x, y, z, w in zip(ea, eb, ec, ed)]
+    eqs, zero = _zeros(a0, dirs, p)
+    low = _quadric_zeros(q, lin, a * d - b * c, p)
+    nodes = p ** len(unused)
+    walk = {
+        rank
+        for rank, n in ((base, zero), (base + 1, low - zero), (base + 2, p**j - low))
+        if n and take(rank, n * nodes)
+    }
+    if base in walk:
+        for vals in _affine_zeros(eqs, j, p):
+            for (i, _), v in zip(dirs, vals):
+                t[i] = v
+            yield from _spread(t, unused, p, base)
+    if walk - {base}:
+        lines = ((a, ea), (b, eb), (c, ec), (d, ed))
+        for vals in product(range(p), repeat=j):
+            entries = [e + sum(map(mul, vals, l)) for e, l in lines]
+            w, x, y, z = entries
+            if (w * z - x * y) % p:
+                rank = base + 2
+            elif any(e % p for e in entries):
+                rank = base + 1
+            else:
+                continue
+            if rank in walk:
+                for (i, _), v in zip(dirs, vals):
+                    t[i] = v
+                yield from _spread(t, unused, p, rank)
 
 
 def _walk_partial(payload):

@@ -14,7 +14,8 @@ from .errors import (
 )
 from .intmat import IntMatrix, from_flat
 from .linalg import frac_solve_multi, hermite_form
-from .poly import Poly, evaluated_rank, symbolic_rank
+from .poly import Poly, symbolic_rank
+from .zpn import lambdas_mod
 
 # A view reads the basis tensor B[i][r][c] (axis 0: basis element i, 1: row
 # r, 2: column c) as (point, generator, column) axes: its points x run over
@@ -141,10 +142,11 @@ class MatrixModule:
     def generic_rank(self, view: str) -> int:
         """Rank over Q(X) of the view's linear forms, cached per view.
 
-        Specialising X never raises the rank, and no rank exceeds
-        min(rows, columns), so a random point whose evaluated rank reaches
-        that minimum proves it.  Otherwise the fraction-free elimination
-        decides, and an evaluated rank above its answer is a bug.
+        Specialising X never raises the rank, nor does reducing the values
+        mod a prime, and no rank exceeds min(rows, columns): so a random
+        point whose values have that rank mod the prime 2^61 - 1 proves it.
+        Otherwise the fraction-free elimination decides, and a rank at a
+        point above its answer is a bug.
         """
         if view not in self._cache:
             k = self.view_shape(view)[0]
@@ -152,8 +154,13 @@ class MatrixModule:
         return self._cache[view]
 
 
+# a rank mod this prime never exceeds the rank over Q
+RANK_PRIME = 2**61 - 1
+
+
 def _generic_rank_of(rows, nvars: int) -> int:
-    """Rank over the rational function field, by evaluation and elimination."""
+    """Rank over the rational function field, by evaluation mod a large prime
+    and, when that falls short of full rank, elimination."""
     if not rows or not rows[0]:
         return 0
     full = min(len(rows), len(rows[0]))
@@ -161,7 +168,8 @@ def _generic_rank_of(rows, nvars: int) -> int:
     best = 0
     for _ in range(8):
         point = [rng.randint(-(10**6), 10**6) for _ in range(nvars)]
-        best = max(best, evaluated_rank(rows, point))
+        values = [[f.eval_int(point) for f in row] for row in rows]
+        best = max(best, len(lambdas_mod(values, RANK_PRIME, 1)))
         if best == full:
             return full
     exact = symbolic_rank(rows)

@@ -8,6 +8,8 @@ directly and never touch the reduction code they are checking: neither
 its divisors.  The one exception is `family_ranks`, the oracle of
 the walk's family counter: it takes the rank of every point of a family
 with `lambdas_mod`, which the brute-force oracles above check on its own.
+`quadric_zeros`, the oracle of the counter's closed count for 2 x 2
+families, evaluates a quadratic polynomial at every point.
 `reference_parse`, the oracle of the formula parser, reads the grammar one
 character at a time and builds a normalised QTRational at every operation.
 
@@ -324,6 +326,18 @@ def family_ranks(a0, dirs, p: int) -> dict[tuple[int, ...], int]:
         ]
         ranks[t] = len(lambdas_mod(rows, p, 1))
     return ranks
+
+
+def quadric_zeros(q, l, c, p: int) -> int:
+    """Points t of F_p^j with sum_ab q[a][b] t_a t_b + sum_a l[a] t_a + c = 0 mod p,
+    one by one."""
+    j = len(l)
+    return sum(
+        1
+        for t in product(range(p), repeat=j)
+        if (sum(q[a][b] * t[a] * t[b] for a in range(j) for b in range(j))
+            + sum(x * y for x, y in zip(l, t)) + c) % p == 0
+    )
 
 
 def random_family(rng: random.Random, p: int, jmax: int = 4):

@@ -23,6 +23,7 @@ from askzeta import (
     InternalConsistencyError,
     ask_series,
     catalog,
+    catalog_algebra,
     catalog_keys,
     catalog_module,
     cli,
@@ -31,7 +32,8 @@ from askzeta import (
     expand,
     parse_rational,
 )
-from askzeta.catalog import _FAMILIES
+from askzeta.catalog import _FAMILIES, adjoint_sizes, catalog_row
+from conftest import algebra_keys
 
 
 @pytest.fixture
@@ -756,6 +758,35 @@ class TestCommands:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.startswith("budget exceeded:")
         assert calls == []
+
+    def test_cc_budget_comes_before_any_work(self, capsys, monkeypatch):
+        # 11^27 points in the adjoint's average view; building n(8) and its
+        # adjoint took 0.48 s before the check
+        calls = []
+        monkeypatch.setattr(cli, "catalog_algebra", lambda *args: calls.append(args))
+        start = time.perf_counter()
+        assert main(["cc", "--algebra", "n(8)", "--p", "11", "--n-max", "1"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("budget exceeded:")
+        assert calls == []
+
+    @pytest.mark.parametrize("key", [*algebra_keys(), "n(3)", "n(4)", "n(6)"])
+    def test_cc_budget_reads_the_built_sizes(self, key):
+        # the sizes the check reads off the row are those of the algebra and
+        # adjoint that cc builds, so it refuses nothing their walk admits
+        alg = catalog_algebra(key)
+        assert len(catalog_row(key)[3]) == alg.dim
+        assert adjoint_sizes(key) == alg.ad.sizes
+
+    def test_cc_budget_reads_the_adjoints_rank(self, capsys):
+        # L_{3,2} has a one-dimensional centre, so its adjoint module has rank
+        # 2: 3^4 points at level 2 are within the budget, where its dimension
+        # 3 would give 3^6; the direct count's group of order 3^6 is skipped
+        argv = ["cc", "--algebra", "L_{3,2}", "--p", "3", "--n-max", "2", "--budget", "81"]
+        assert main(argv) == EXIT_OK
+        assert "direct_skipped" in json.loads(capsys.readouterr().out)["results"][0]
+        assert main([*argv[:-1], "80"]) == EXIT_BUDGET
+        capsys.readouterr()
 
     def test_oc_level_zero_within_the_budget(self, capsys):
         assert main(["oc", "--gl", "2", "--p", "3", "--n-max", "0"]) == EXIT_OK

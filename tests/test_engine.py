@@ -31,6 +31,7 @@ from conftest import (
     brute_ask,
     brute_image_size,
     family_ranks,
+    quadric_zeros,
     random_family,
     random_module,
     random_unimodular,
@@ -254,11 +255,14 @@ class TestTreeWalk:
 
     @pytest.mark.parametrize(
         "key, view, p, top, classes, reductions",
-        # reducing every child's own rows took 13,756 and 4,360 ranks, and one
-        # rank per child of the parent's pencil 1,336 and 360
+        # reducing every child's own rows took 13,756 and 4,360 ranks, one
+        # rank per child of the parent's pencil 1,336 and 360, and the family
+        # counter 592 and 165 while it branched 2 x 2 blocks down to 1 x 1
+        # leaves; at odd p a 2 x 2 block takes at most the two ranks of its
+        # entries' affine system
         [
-            pytest.param("diag(3)", "orbit", 5, 4, [31, 375, 2175, 11175], 592, id="diag(3)-orbit-5-4"),
-            pytest.param("mat(2,2)", "average", 3, 3, [40, 432, 3888], 165, id="mat(2,2)-average-3-3"),
+            pytest.param("diag(3)", "orbit", 5, 4, [31, 375, 2175, 11175], 552, id="diag(3)-orbit-5-4"),
+            pytest.param("mat(2,2)", "average", 3, 3, [40, 432, 3888], 164, id="mat(2,2)-average-3-3"),
         ],
     )
     def test_children_come_from_the_parents_pencil(self, spy, key, view, p, top, classes, reductions):
@@ -271,12 +275,14 @@ class TestTreeWalk:
 
     def test_average_view_of_sl3_at_five(self, spy):
         # verify's definition route over 5^8 coefficient tuples: 97,656 unit
-        # classes, which took one rank each before the family counter
+        # classes, which took one rank each before the family counter and
+        # 2,384 in all while it branched 2 x 2 blocks down to 1 x 1 leaves;
+        # the zeros of a block's determinant count its points of rank <= 1
         caps, walks = spy
         got = ask_series(catalog_module("sl(3)"), 5, 1, "average")
         assert got == _closed_form("sl(3)", 5, 1)
         assert _classes_per_level(walks, 1) == [(5**8 - 1) // 4] == [97656]
-        assert caps == [1] * 2384
+        assert caps == [1] * 43
 
     def test_transpose_view_is_the_orbit_view_of_the_transpose(self, rng, spy):
         # the same spans from m's basis transposed and from M^T's own basis, so
@@ -415,6 +421,99 @@ class TestFamilyCounter:
         sums = engine._orbit_sums(rows, m.d, m.e, 3, 3, None)
         assert sums == _closed_form("so(3)", 3, 3)
         assert _classes_per_level(walks, 3) == [13, 13 * 9, 13 * 81]
+
+
+def _random_two_by_two(rng, p, jmax):
+    """A 2 x 2 family whose directions touch every row and column, often
+    sparse, with a repeated direction or a rank-one a0."""
+    j = rng.randint(1, jmax)
+    density = rng.choice((0.3, 0.6, 1.0))
+
+    def matrix():
+        return [[rng.randrange(p) if rng.random() < density else 0 for _ in range(2)] for _ in range(2)]
+
+    a0, dirs = matrix(), [matrix() for _ in range(j)]
+    if rng.random() < 0.3:
+        u, v = [rng.randrange(p) for _ in range(2)], [rng.randrange(p) for _ in range(2)]
+        a0 = [[x * y % p for y in v] for x in u]
+    if j > 1 and rng.random() < 0.3:
+        dirs[-1] = [row[:] for row in dirs[0]]
+    for i in range(2):
+        # some direction touches row i and column i
+        if not any(d[i][i] for d in dirs):
+            dirs[0][i][i] = rng.randrange(1, p)
+    return a0, dirs
+
+
+class TestQuadricCount:
+    """engine._quadric_zeros counts the zeros of a quadratic polynomial over F_p, p odd."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_random_quadrics_match_brute_force(self, p):
+        rng = random.Random(3000 + p)
+        # the oracle's 11^5 points per draw would take seconds: j <= 4 at p = 11
+        jmax = 5 if p < 11 else 4
+        for _ in range(40):
+            j = rng.randint(0, jmax)
+            density = rng.choice((0.2, 0.5, 1.0))
+            q = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(j)] for _ in range(j)]
+            l = [rng.randrange(p) if rng.random() < density else 0 for _ in range(j)]
+            c = rng.randrange(p) if rng.random() < 0.7 else 0
+            assert engine._quadric_zeros(q, l, c, p) == quadric_zeros(q, l, c, p), (q, l, c, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize(
+        "q, l, c",
+        [
+            # Q = 0: a linear polynomial, or a constant
+            ([[0, 0], [0, 0]], [0, 1], 2),
+            ([[0, 0], [0, 0]], [0, 0], 0),
+            ([[0, 0], [0, 0]], [0, 0], 1),
+            # no diagonal entry: t_1 -> t_1 + t_0 makes one
+            ([[0, 1], [0, 0]], [0, 0], 0),
+            ([[0, 1], [0, 0]], [0, 0], 3),
+            ([[0, 0, 1], [0, 0, 0], [0, 2, 0]], [1, 0, 0], 1),
+            # a linear term only on the radical
+            ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], [0, 0, 1], 1),
+            # c' = 0 and c' != 0 at even and at odd r
+            ([[1, 0], [0, 1]], [0, 0], 0),
+            ([[1, 0], [0, -1]], [0, 0], 0),
+            ([[1, 0], [0, 1]], [0, 0], 1),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], 0),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0], 2),
+            ([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [0, 0, 0, 0], 0),
+            # completing the square leaves c' = 0
+            ([[1, 0], [0, 0]], [2, 0], 1),
+        ],
+    )
+    def test_degenerate_quadrics(self, p, q, l, c):
+        assert engine._quadric_zeros(q, l, c, p) == quadric_zeros(q, l, c, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_random_two_by_two_families(self, p, monkeypatch):
+        blocks = []
+        two_by_two = engine._two_by_two
+
+        def counted(a0, dirs, *args):
+            blocks.append(len(dirs))
+            return two_by_two(a0, dirs, *args)
+
+        monkeypatch.setattr(engine, "_two_by_two", counted)
+        rng = random.Random(4000 + p)
+        for _ in range(30):
+            a0, dirs = _random_two_by_two(rng, p, 5)
+            walk = {r for r in range(3) if rng.random() < 0.5}
+            _check_family(a0, dirs, p, walk)
+        # most draws reach the closed count, some with five coordinates
+        assert len(blocks) >= 20 and 5 in blocks
+
+    def test_a_two_by_two_family_at_two_branches(self, monkeypatch):
+        # quadratic forms do not diagonalise in characteristic 2
+        monkeypatch.setattr(engine, "_two_by_two", None)
+        rng = random.Random(5002)
+        for _ in range(20):
+            a0, dirs = _random_two_by_two(rng, 2, 4)
+            _check_family(a0, dirs, 2, {0, 1, 2})
 
 
 def _planted(rng, side):

@@ -190,6 +190,23 @@ class TestGenericRanks:
         assert m.generic_rank("average") == 8
         assert time.perf_counter() - start < 1
 
+    def test_a_rank_lost_mod_the_prime_falls_through_to_elimination(self, monkeypatch):
+        # every coefficient a multiple of 2^61 - 1: each point's values are 0
+        # mod the prime, so only the elimination gives the rank
+        q = 2**61 - 1
+        x = [Poly.const(3, q) * variable(a, 3) for a in range(3)]
+        zero = Poly(3)
+        rows = [[x[0], x[1], zero], [zero, x[2], x[0]]]
+        calls = []
+
+        def counted(forms):
+            calls.append(forms)
+            return symbolic_rank(forms)
+
+        monkeypatch.setattr(module, "symbolic_rank", counted)
+        assert module._generic_rank_of(rows, 3) == 2
+        assert calls == [rows]
+
     def test_randomized_matches_symbolic(self, rng):
         for _ in range(10):
             m = random_module(rng)
