@@ -10,8 +10,10 @@ from .errors import InputError
 def _reduce(a, ncols: int) -> list[int]:
     """Bring the Fraction rows `a` to reduced echelon form in place.
 
-    Pivots are sought only in the first `ncols` columns; the pivot columns
-    are returned, and the rows below the last pivot row are zero there.
+    Pivots are sought only in the first `ncols` columns, first column first
+    and first row first; the pivot columns are returned, and the rows below
+    the last pivot row are zero there.  A pivot row is zero before its pivot
+    column, so the row operations touch only its nonzero entries from there.
     """
     pivots = []
     r = 0
@@ -22,12 +24,16 @@ def _reduce(a, ncols: int) -> list[int]:
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        row = a[r]
+        support = [j for j in range(c, len(row)) if row[j]]
+        inv = 1 / row[c]
+        for j in support:
+            row[j] *= inv
+        for i, other in enumerate(a):
+            f = other[c]
+            if f and i != r:
+                for j in support:
+                    other[j] -= f * row[j]
         pivots.append(c)
         r += 1
     return pivots
@@ -56,8 +62,10 @@ def frac_solve_multi(rows, targets):
     exactly when it is nonzero in a row whose A-part was cleared.
     """
     ncols = len(rows[0]) if rows else 0
+    zero = Fraction(0)
     aug = [
-        [Fraction(v) for v in row] + [Fraction(t[i]) for t in targets]
+        [Fraction(v) if v else zero for v in row]
+        + [Fraction(t[i]) if t[i] else zero for t in targets]
         for i, row in enumerate(rows)
     ]
     pivots = _reduce(aug, ncols)

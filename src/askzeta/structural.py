@@ -25,7 +25,7 @@ from math import comb
 from .errors import InternalConsistencyError
 from .linalg import frac_solve_multi
 from .module import MatrixModule
-from .poly import bareiss_det, evaluated_rank
+from .poly import Poly, evaluated_rank
 from .primes import factorize
 from .ratfun import QTRational
 from .closed_forms import constant_rank_form, mat_form
@@ -56,38 +56,73 @@ class Certificate:
         return self.status == "certified"
 
 
-def _all_minors(rows, size, budget):
-    """Deduplicated nonzero size x size minors of a Poly matrix."""
+def _all_minors(rows, size, budget, below):
+    """Deduplicated nonzero size x size minors of a Poly matrix, and their table.
+
+    A table maps (row set, column set) to (scale, form) for every nonzero
+    minor, the minor being scale times its normalized form; equal forms are
+    one object, shared with the next degree.  `below` is the table of the
+    (size - 1) x (size - 1) minors, {((), ()): (1, 1)} for size 1.  Each
+    minor is its Laplace expansion along its first row, sum_k (-1)^k
+    a[r0][c_k] times the minor on the other rows and the columns other than
+    c_k; a zero entry or a sub-minor missing from `below` adds nothing, so
+    a minor that is zero by its support costs no product.  The minors kept
+    are the first of each form, in the order of the row sets, then the
+    column sets.  The two tables in memory hold at most one degree's count
+    of minors each, C(rows, size) C(cols, size), which the budget bounds,
+    and one polynomial per form.  Returns (None, count, None) over budget.
+    """
     nr, nc = len(rows), len(rows[0]) if rows else 0
     count = comb(nr, size) * comb(nc, size)
     if count > budget:
-        return None, count
-    seen = set()
+        return None, count, None
+    nvars = rows[0][0].nvars
+    shared = {}
     minors = []
+    table = {}
     for rsel in combinations(range(nr), size):
-        sub = [rows[i] for i in rsel]
+        r0, rest = rows[rsel[0]], rsel[1:]
         for csel in combinations(range(nc), size):
-            det = bareiss_det([[row[j] for j in csel] for row in sub])
-            if det.is_zero():
+            terms = {}
+            for k, c in enumerate(csel):
+                if not r0[c].terms:
+                    continue
+                sub = below.get((rest, csel[:k] + csel[k + 1 :]))
+                if sub is None:
+                    continue
+                scale, form = sub
+                if k & 1:
+                    scale = -scale
+                for e, v in (r0[c] * form).terms.items():
+                    terms[e] = terms.get(e, 0) + scale * v
+            if not terms:
                 continue
-            normed = det.normalized()
-            if normed not in seen:
-                seen.add(normed)
+            det = Poly(nvars, terms)
+            if det.is_zero():  # the products cancelled
+                continue
+            g, sign = det.content_and_sign()
+            form = det.normalized()
+            first = shared.setdefault(form, form)
+            if first is form:
                 minors.append(det)
-    return minors, count
+            table[rsel, csel] = (g * sign, first)
+    return minors, count, table
 
 
 def _monomial_span_test(rows, generic_rank, nvars, budget):
     """Check X_j^i in span of the i x i minors for all i <= generic_rank.
 
     Returns (ok, combinations, excluded_primes) or (None, reason) when over
-    budget.  Every minor of a linear-form matrix must be homogeneous of its
-    size; this is asserted per run.
+    budget.  Each degree's minors are expanded from the previous degree's
+    table, which is dropped once the next one is built.  Every minor of a
+    linear-form matrix must be homogeneous of its size; this is asserted
+    per run.
     """
     combos = {}
     denominators = set()
+    table = {((), ()): (1, Poly.const(nvars, 1))}
     for i in range(1, generic_rank + 1):
-        minors, count = _all_minors(rows, i, budget)
+        minors, count, table = _all_minors(rows, i, budget, table)
         if minors is None:
             return None, f"degree {i} needs {count} minors (budget {budget})"
         if not minors:

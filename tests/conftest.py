@@ -12,6 +12,9 @@ with `lambdas_mod`, which the brute-force oracles above check on its own.
 families, evaluates a quadratic polynomial at every point.
 `reference_parse`, the oracle of the formula parser, reads the grammar one
 character at a time and builds a normalised QTRational at every operation.
+`reference_minors`, the oracle of `structural._all_minors`, takes every
+minor as its own fraction-free determinant (`poly.bareiss_det`), and
+`reference_reduce`, the oracle of `linalg._reduce`, eliminates dense rows.
 
 The fixtures build the modules and groups of the paper's identities (direct
 sums, zero rows and columns, rescaling, the semidirect embedding) through
@@ -28,7 +31,7 @@ from hypothesis import HealthCheck, settings
 
 from askzeta import GroupGenSet, InputError, IntMatrix, MatrixModule, SeriesQ
 from askzeta.catalog import _FIXED
-from askzeta.poly import Poly
+from askzeta.poly import Poly, bareiss_det
 from askzeta.primes import is_prime
 from askzeta.ratfun import MAX_EXPONENT, MAX_POWER_TERMS, QTRational
 
@@ -274,6 +277,56 @@ def minor_rank(rows, nvars: int) -> int:
                 if not leibniz_det(sub, nvars).is_zero():
                     return k
     return 0
+
+
+def reference_minor_table(rows, size: int) -> dict:
+    """Every nonzero size x size minor of a Poly matrix, keyed by (row set,
+    column set) in the order of the row sets, then the column sets; one
+    fraction-free determinant each."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    table = {}
+    for rsel in combinations(range(nr), size):
+        for csel in combinations(range(nc), size):
+            det = bareiss_det([[rows[i][j] for j in csel] for i in rsel])
+            if not det.is_zero():
+                table[rsel, csel] = det
+    return table
+
+
+def reference_minors(rows, size: int) -> list[Poly]:
+    """The nonzero size x size minors in table order, each kept only when no
+    earlier one has the same normalized form."""
+    seen, minors = set(), []
+    for det in reference_minor_table(rows, size).values():
+        normed = det.normalized()
+        if normed not in seen:
+            seen.add(normed)
+            minors.append(det)
+    return minors
+
+
+def reference_reduce(a, ncols: int) -> list[int]:
+    """Dense reduced echelon form of the Fraction rows `a` in place: pivots in
+    the first `ncols` columns, first column first and first row first, each
+    pivot row scaled and subtracted entry by entry over the whole row."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def brute_brenti(n: int) -> dict[tuple[int, int], int]:

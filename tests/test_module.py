@@ -1,7 +1,9 @@
 """MatrixModule construction, generic ranks, transforms, adjoint."""
 
 import itertools
+import random
 import time
+from fractions import Fraction
 from math import prod
 from operator import mul
 
@@ -22,7 +24,7 @@ from askzeta import (
 from askzeta import module
 from askzeta.catalog import _FAMILIES, _FIXED, catalog_row
 from askzeta.intmat import from_flat
-from askzeta.linalg import frac_solve_multi
+from askzeta.linalg import frac_rref, frac_solve_multi
 from askzeta.module import VIEWS
 from askzeta.poly import Poly, bareiss_det, evaluated_rank, symbolic_rank
 from conftest import (
@@ -35,6 +37,7 @@ from conftest import (
     random_poly,
     random_poly_matrix,
     random_unimodular,
+    reference_reduce,
     rescale,
     smith_diagonal,
 )
@@ -318,6 +321,67 @@ class TestFractionFree:
                 c = variable(rng.randrange(nvars), nvars)
                 a[-1] = [c * x for x in a[0]]
             assert symbolic_rank(a) == minor_rank(a, nvars)
+
+
+def _sparse_system(rng):
+    """Integer rows, two thirds of the entries zero and one column zero, and
+    targets that A reaches (A x) or, at random, mostly does not."""
+    nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [[rng.choice((-4, -3, 2, 3, 5)) if rng.random() < 0.35 else 0 for _ in range(nc)]
+            for _ in range(nr)]
+    dead = rng.randrange(nc)
+    for row in rows:
+        row[dead] = 0
+    if nr > 2:
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+    x = [rng.randint(-3, 3) for _ in range(nc)]
+    targets = [
+        [sum(a * b for a, b in zip(row, x)) for row in rows],
+        [rng.randint(-3, 3) for _ in range(nr)],
+        [0] * nr,
+    ]
+    return rows, targets
+
+
+class TestRationalElimination:
+    """The sparse row operations against a dense elimination over Fraction."""
+
+    def test_rref_matches_dense_elimination(self):
+        rng = random.Random("rref")
+        for _ in range(200):
+            rows, _ = _sparse_system(rng)
+            dense = [[Fraction(v) for v in row] for row in rows]
+            pivots = reference_reduce(dense, len(dense[0]))
+            assert frac_rref(rows) == (dense[: len(pivots)], pivots)
+
+    def test_solutions_match_dense_elimination(self):
+        rng = random.Random("solve")
+        outcomes = set()
+        for _ in range(200):
+            rows, targets = _sparse_system(rng)
+            nc = len(rows[0])
+            aug = [
+                [Fraction(v) for v in row] + [Fraction(t[i]) for t in targets]
+                for i, row in enumerate(rows)
+            ]
+            pivots = reference_reduce(aug, nc)
+            want = []
+            for col in range(nc, nc + len(targets)):
+                if any(row[col] for row in aug[len(pivots):]):
+                    want.append(None)
+                    continue
+                sol = [Fraction(0)] * nc
+                for i, c in enumerate(pivots):
+                    sol[c] = aug[i][col]
+                want.append(tuple(sol))
+            got = frac_solve_multi(rows, targets)
+            assert got == want
+            for sol, t in zip(got, targets):
+                outcomes.add(sol is None)
+                if sol is not None:
+                    assert [sum(a * b for a, b in zip(row, sol)) for row in rows] == t
+        # both consistent and inconsistent targets were drawn
+        assert outcomes == {False, True}
 
 
 class TestTransforms:

@@ -1,5 +1,8 @@
 """Structural certificates and the template they select."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from askzeta import (
@@ -7,15 +10,27 @@ from askzeta import (
     InputError,
     MatrixModule,
     ask_series,
+    catalog_keys,
     catalog_module,
     check_k_minimal,
     check_o_maximal,
+    closed_form,
     expand,
     structure_report,
 )
-from askzeta.poly import bareiss_det
+from askzeta.cli import EXIT_OK, main
+from askzeta.poly import Poly, bareiss_det
 from askzeta.primes import factorize
-from conftest import add_zero_col, check_constant_rank_fq, rescale
+from askzeta.structural import DEFAULT_MINOR_BUDGET, _all_minors
+from conftest import (
+    add_zero_col,
+    check_constant_rank_fq,
+    reference_minor_table,
+    reference_minors,
+    rescale,
+)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestOrbitMaximal:
@@ -159,6 +174,76 @@ class TestMinorGrading:
                         assert det.is_homogeneous(i)
 
 
+def _minors_match_reference(rows, top):
+    """_all_minors, fed its own tables, against one determinant per minor."""
+    nvars = rows[0][0].nvars
+    table = {((), ()): (1, Poly.const(nvars, 1))}
+    for size in range(1, top + 1):
+        minors, _, table = _all_minors(rows, size, DEFAULT_MINOR_BUDGET, table)
+        assert minors == reference_minors(rows, size), size
+        scaled = {
+            key: Poly(nvars, {e: scale * v for e, v in form.terms.items()})
+            for key, (scale, form) in table.items()
+        }
+        assert scaled == reference_minor_table(rows, size), size
+        assert all(form == form.normalized() for _, form in table.values())
+
+
+def _random_forms(rng, nr, nc, nvars):
+    """Linear forms with small coefficients, about a third of them zero."""
+    def form():
+        if rng.random() < 0.35:
+            return Poly(nvars)
+        return Poly(
+            nvars,
+            {tuple(int(t == a) for t in range(nvars)): rng.randint(-2, 2) for a in range(nvars)},
+        )
+
+    return [[form() for _ in range(nc)] for _ in range(nr)]
+
+
+class TestLaplaceMinors:
+    """Each degree's minors by Laplace expansion over the previous degree's table."""
+
+    @pytest.mark.parametrize(
+        "key",
+        sorted({closed_form(k).module_key for k in catalog_keys() if closed_form(k).kind == "ask"}),
+    )
+    def test_catalog_modules(self, key):
+        m = catalog_module(key)
+        for view in ("orbit", "average"):
+            rank = m.generic_rank(view)
+            if rank:
+                _minors_match_reference(m.linear_forms(view), rank)
+
+    @pytest.mark.parametrize("kind", ["random", "zero row", "zero column", "repeated row"])
+    def test_random_forms(self, kind):
+        rng = random.Random(f"laplace {kind}")
+        for _ in range(25):
+            nr, nc, nvars = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+            rows = _random_forms(rng, nr, nc, nvars)
+            if kind == "zero row":
+                rows[rng.randrange(nr)] = [Poly(nvars)] * nc
+            elif kind == "zero column":
+                j = rng.randrange(nc)
+                for row in rows:
+                    row[j] = Poly(nvars)
+            elif kind == "repeated row" and nr > 1:
+                # minors on both copies cancel to zero
+                rows[-1] = list(rows[0])
+            _minors_match_reference(rows, min(nr, nc))
+
+    def test_one_row(self):
+        rng = random.Random("laplace one row")
+        for nc in range(1, 6):
+            _minors_match_reference(_random_forms(rng, 1, nc, 2), 1)
+
+    def test_over_budget(self):
+        # 4 rows and 2 columns: C(4, 2) C(2, 2) = 6 pairs of 2 x 2 minors
+        rows = catalog_module("gl(2)").linear_forms("orbit")
+        assert _all_minors(rows, 2, 5, {}) == (None, 6, None)
+
+
 class TestStructureReport:
     def test_templates(self):
         rep = structure_report(catalog_module("sp(4)"))
@@ -188,3 +273,32 @@ class TestStructureReport:
         rep = structure_report(catalog_module("n(3)"))
         assert rep.gor == 2 and rep.grk == 2
         assert rep.o_maximal.status == "refuted"
+
+
+class TestPinnedStructure:
+    """Work and reports of `structure` on keys that per-minor elimination made slow."""
+
+    @pytest.mark.parametrize(
+        "key, products",
+        # one fraction-free determinant per minor took 2,795,684 and 1,441,148
+        [("gl(5)", 8_002), ("so(6)", 21_239)],
+    )
+    def test_polynomial_products(self, key, products, monkeypatch):
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(a, b):
+            calls.append(None)
+            return mul(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        structure_report(catalog_module(key))
+        assert len(calls) == products
+
+    @pytest.mark.parametrize("key", ["gl(5)", "so(6)", "sp(6)"])
+    def test_reports(self, key, tmp_path):
+        # written once by per-minor elimination, which took 8 to 38 s a key
+        out = tmp_path / "report.json"
+        assert main(["structure", "--catalog", key, "--output", str(out)]) == EXIT_OK
+        name = key.replace("(", "").replace(")", "")
+        assert out.read_bytes() == (DATA / f"structure_{name}.json").read_bytes()
