@@ -5,21 +5,24 @@ A NilpotentAlgebra decides each property once: Lie closure in its adjoint
 module, nilpotency (by Engel's theorem) in its class computation, which a
 nonzero trace of a basis element or of a product of two rejects beforehand.
 
-Conventions: groups act on row vectors from the right.  Group elements mod
-p^n are stored as flat tuples of reduced entries, which makes closure and
-conjugation bookkeeping plain set operations.  Orbit enumeration applies
-generators only (no inverses): every generator acts with finite order on a
-finite set, so forward closure already yields the group orbits.
+Conventions: groups act on row vectors from the right.  Orbit enumeration
+applies generators only (no inverses): every generator acts with finite order
+on a finite set, so forward closure already yields the group orbits.
 
 A generator acts only through the coordinates it moves (_moved_columns, worked
 out once per call; a generator that is the identity mod p^n drops out).  The
-closure's el -> el*g and the conjugation's y -> g^-1*y*g are linear maps on
-flat d x d matrices, and each rewrites only the entries its d^2 x d^2 matrix
-moves: exp(b) of a basis element moves only the columns b reaches, and a
-transvection or a diagonal unit one column, so an image costs a few products
-instead of dense d x d products.  The orbit BFS runs on the points'
-lexicographic indices: per level, a table of the index of x*g for every x and
-every generator that moves a column, filled a row of p^n points at a time.
+orbit BFS runs on the points' lexicographic indices: per level, a table of the
+index of x*g for every x and every generator that moves a column, filled a row
+of p^n points at a time.
+
+A group mod p^n is closed once (group_closure).  The coordinates of flat
+d x d matrices that no element moves are found from the generators alone and
+not stored; an element is one integer, its varying coordinates as digits base
+p^n, and each generator's y -> y*g an affine map on those digits.  The closure
+numbers its elements in BFS order and keeps, per generator, the index of
+y*g for every element y, and for each element the one it was reached from.
+The conjugation's y -> g^-1*y*g is then two table lookups per element: no
+matrix products after the closure.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from math import factorial
 from operator import add
 
@@ -260,8 +263,13 @@ def orbit_count_vectors(gens_flat, d: int, p: int, n: int, budget: int) -> int:
     size = p ** (d * n)
     if size > budget:
         raise BudgetExceededError(size, budget)
-    m = p**n
-    tables = [_index_table(g, d, p, n) for g in gens_flat if _moved_columns(g, d, m)]
+    tables = [_index_table(g, d, p, n) for g in _acting(gens_flat, d, p**n)]
+    return _orbit_count(tables, size)
+
+
+def _orbit_count(tables, size: int) -> int:
+    """Number of orbits on range(size) of the maps y -> table[y], one per
+    table, by BFS with a mark byte per point."""
     marks = bytearray(size)
     orbits = 0
     start = marks.find(0)
@@ -305,66 +313,160 @@ def _sandwich_moves(a, b, d: int, m: int):
     return _moved_columns(matrix, d * d, m)
 
 
-def _act(x, moved, m: int):
-    """x * A for a flat vector x, rewriting only the coordinates A moves
-    (`moved` from _moved_columns of A)."""
-    out = list(x)
-    for j, col in moved:
-        v = 0
-        for k, c in col:
-            v += x[k] * c
-        out[j] = v % m
-    return tuple(out)
+def _varying_coordinates(identity, moves, m: int) -> tuple[int, ...]:
+    """The coordinates of flat matrices that some element of the group moves.
+
+    A coordinate is fixed (its identity value in every element) while every
+    right action that rewrites it reads only fixed coordinates and gives back
+    its identity value; the fixed set shrinks to that condition's largest
+    solution, and the rest vary.
+    """
+    fixed = set(range(len(identity)))
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for moved in moves:
+            for j, col in moved:
+                if j in fixed and (
+                    any(k not in fixed for k, _ in col)
+                    or sum(identity[k] * c for k, c in col) % m != identity[j]
+                ):
+                    fixed.discard(j)
+                    shrinking = True
+    return tuple(j for j in range(len(identity)) if j not in fixed)
 
 
-def group_closure(gens_flat, d: int, m: int, budget: int):
-    """All elements of the subgroup generated by the given units mod m."""
-    identity = tuple(
-        1 if i == j else 0 for i in range(d) for j in range(d)
-    )
-    moves = [mv for mv in (_sandwich_moves(identity, g, d, m) for g in gens_flat) if mv]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for moved in moves:
-                prod_el = _act(el, moved, m)
-                if prod_el not in seen:
-                    seen.add(prod_el)
-                    if len(seen) > budget:
-                        raise BudgetExceededError(len(seen), budget, "group too large")
-                    nxt.append(prod_el)
-        frontier = nxt
-    return seen
+def _encode(flat, coords, m: int) -> int:
+    """A group element's code: its varying coordinates as digits base m,
+    the first coordinate lowest."""
+    code = 0
+    for j in reversed(coords):
+        code = code * m + flat[j] % m
+    return code
 
 
-def conjugacy_class_count(elements, gens_flat, d: int, p: int, n: int) -> int:
-    """Number of orbits of the conjugation action z -> g^-1 z g on `elements`,
-    the set of all elements of the group the generators generate.
+class GroupClosure:
+    """The elements of a finite matrix group mod m, numbered in BFS order from
+    the identity (index 0), as tables over the generators that act.
 
-    Consumes `elements`: the BFS removes each element from the set as it
-    reaches it, so the set is empty on return and no second set is kept.
+    `coords` lists the varying coordinates of a flat d x d element, `index`
+    maps each element's code (_encode) to its index, `right[a][i]` is the
+    index of element i times generator a, and element i > 0 is element
+    `parent[i]` times generator `last[i]`.  A plain class: a dataclass would
+    add about half a millisecond to importing the package.
+    """
+
+    __slots__ = ("coords", "index", "right", "parent", "last")
+
+    def __init__(self, coords, index, right, parent, last):
+        self.coords: tuple[int, ...] = coords
+        self.index: dict[int, int] | None = index
+        self.right: list[array] = right
+        self.parent: array = parent
+        self.last: array = last
+
+    def __len__(self):
+        return len(self.parent)
+
+
+def _acting(gens_flat, d: int, m: int) -> list:
+    """The generators that are not the identity mod m."""
+    return [g for g in gens_flat if _moved_columns(g, d, m)]
+
+
+def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
+    """All elements of the subgroup generated by the given units mod m.
+
+    Each generator's right action y -> y*g is an affine map on the varying
+    coordinates; the BFS applies it to the digits of each element's code.
+    """
+    identity = tuple(int(i == j) for i in range(d) for j in range(d))
+    gens = _acting(gens_flat, d, m)
+    moves = [_sandwich_moves(identity, g, d, m) for g in gens]
+    coords = _varying_coordinates(identity, moves, m)
+    digit = {j: t for t, j in enumerate(coords)}
+    weights = [m**t for t in range(len(coords))]
+    # per generator: (weight, digit, constant, ((digit, factor), ...)) of
+    # every varying coordinate it rewrites
+    maps = [
+        [
+            (
+                weights[digit[j]],
+                digit[j],
+                sum(identity[k] * c for k, c in col if k not in digit),
+                tuple((digit[k], c) for k, c in col if k in digit),
+            )
+            for j, col in moved
+            if j in digit
+        ]
+        for moved in moves
+    ]
+    code = _encode(identity, coords, m)
+    codes = [code]
+    index = {code: 0}
+    typecode = _typecode(min(budget, 1 << 64))
+    right = [array(typecode) for _ in gens]
+    parent = array(typecode, [0])
+    last = array(_typecode(max(len(gens), 1)), [0])
+    steps = list(zip(maps, (r.append for r in right)))
+    size = 1
+    for i, code in enumerate(codes):
+        x = [code // w % m for w in weights]
+        for a, (affine, put) in enumerate(steps):
+            image = code
+            for w, t, v, col in affine:
+                for k, c in col:
+                    v += x[k] * c
+                image += w * (v % m - x[t])
+            j = index.setdefault(image, size)
+            if j == size:
+                size += 1
+                if size > budget:
+                    raise BudgetExceededError(size, budget, "group too large")
+                codes.append(image)
+                parent.append(i)
+                last.append(a)
+            put(j)
+    return GroupClosure(coords, index, right, parent, last)
+
+
+def _left_tables(closure: GroupClosure, gens_flat, d: int, p: int, n: int) -> list[array]:
+    """left[a][i] = the index of g_a^-1 * y_i for each generator g_a that
+    acts and each element y_i of the closure.
+
+    The index of each g_a^-1 is looked up once; then the closure's element
+    index is freed, and g_a^-1 * y_i = (g_a^-1 * y_parent(i)) * g_last(i)
+    fills the tables in BFS order from lookups in `right`.
     """
     m = p**n
-    actions = []
-    for g in gens_flat:
+    starts = []
+    for g in _acting(gens_flat, d, m):
         inv_rows = matrix_inverse_mod([g[i * d : (i + 1) * d] for i in range(d)], p, n)
-        moved = _sandwich_moves([v for row in inv_rows for v in row], g, d, m)
-        if moved:
-            actions.append(moved)
-    classes = 0
-    while elements:
-        classes += 1
-        stack = [elements.pop()]
-        while stack:
-            y = stack.pop()
-            for moved in actions:
-                w = _act(y, moved, m)
-                if w in elements:
-                    elements.remove(w)
-                    stack.append(w)
-    return classes
+        inverse = [v for row in inv_rows for v in row]
+        starts.append(closure.index[_encode(inverse, closure.coords, m)])
+    closure.index = None
+    right, parent, last = closure.right, closure.parent, closure.last
+    tables = []
+    for start in starts:
+        left = array(parent.typecode, [start])
+        put = left.append
+        for i, a in zip(islice(parent, 1, None), islice(last, 1, None)):
+            put(right[a][left[i]])
+        tables.append(left)
+    return tables
+
+
+def conjugacy_class_count(closure: GroupClosure, gens_flat, d: int, p: int, n: int) -> int:
+    """Number of orbits of the conjugation action y -> g^-1 y g on the
+    elements of `closure`, the group the generators generate.
+
+    Reads g^-1 * y * g as right[a][left[a][i]] (_left_tables, which frees the
+    closure's element index): no matrix products once the g^-1 are found.
+    """
+    tables = _left_tables(closure, gens_flat, d, p, n)
+    for a, left in enumerate(tables):
+        tables[a] = array(left.typecode, map(closure.right[a].__getitem__, left))
+    return _orbit_count(tables, len(closure))
 
 
 def exp_group(alg: NilpotentAlgebra, p: int, n: int) -> GroupGenSet:
@@ -393,8 +495,8 @@ def cc_coefficients_direct(
             raise BudgetExceededError(expected, budget)
         m = p**n
         gens = [g.mod(m).flat() for g in group.generators]
-        elements = group_closure(gens, alg.d, m, budget)
-        out.append(conjugacy_class_count(elements, gens, alg.d, p, n))
+        closure = group_closure(gens, alg.d, m, budget)
+        out.append(conjugacy_class_count(closure, gens, alg.d, p, n))
     return out
 
 

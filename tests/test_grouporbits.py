@@ -281,6 +281,25 @@ class TestConjugacyClasses:
         alg = catalog_algebra("L_{2,1}")
         assert cc_coefficients_direct(alg, 5, 2) == [1, 25, 625]
 
+    def test_closure_budget(self):
+        """The closure stops at the first element past the budget."""
+        alg = catalog_algebra("L_{3,2}")
+        gens = [g.mod(25).flat() for g in exp_group(alg, 5, 2).generators]
+        with pytest.raises(BudgetExceededError) as err:
+            grouporbits.group_closure(gens, 3, 25, 1000)
+        assert (err.value.needed, err.value.budget) == (1001, 1000)
+        assert err.value.advice == "group too large"
+
+    @pytest.mark.parametrize("key, varying", [("L_{3,2}", 3), ("n(4)", 6), ("L_{4,3}", 6)])
+    def test_closure_stores_varying_coordinates(self, key, varying):
+        """Coordinates that no element moves are not stored: an element is
+        its varying coordinates, digits base m of one integer."""
+        alg = catalog_algebra(key)
+        gens = [g.mod(5).flat() for g in exp_group(alg, 5, 1).generators]
+        closure = grouporbits.group_closure(gens, alg.d, 5, 10**6)
+        assert len(closure.coords) == varying
+        assert len(closure) == 5**alg.dim
+
     def test_class_bfs_keeps_no_second_set(self):
         """The conjugation BFS consumes the closure: the peak of the whole
         count stays near the peak of the closure alone."""
@@ -449,8 +468,9 @@ class TestDimensionAtMostFiveCatalog:
 
 
 class TestDenseOracles:
-    """The moved-column actions of orbit_count_vectors, group_closure and
-    conjugacy_class_count against dense IntMatrix products."""
+    """The moved-column actions of orbit_count_vectors, and the elements and
+    index tables of group_closure and conjugacy_class_count, against dense
+    IntMatrix products."""
 
     KINDS = ("dense", "identity", "diagonal", "transvection", "exp")
 
@@ -526,26 +546,77 @@ class TestDenseOracles:
         assert seen == {*self.KINDS, "every column moved"}
         assert last_rows == {"zero", "no zero", "multiple of p", "several slides"}
 
-    def test_closure_and_class_count(self, rng):
-        from askzeta.grouporbits import conjugacy_class_count, group_closure
-        from conftest import brute_class_count, brute_closure
+    @staticmethod
+    def decode(closure, d, m):
+        """The closure's elements as IntMatrix, by index: each code in its
+        element index read back as digits base m of the varying coordinates,
+        the other coordinates those of the identity."""
+        elements = [None] * len(closure.index)
+        for code, i in closure.index.items():
+            flat = list(IntMatrix.identity(d).mod(m).flat())
+            for j in closure.coords:
+                code, flat[j] = divmod(code, m)
+            assert code == 0
+            elements[i] = IntMatrix([flat[r * d : (r + 1) * d] for r in range(d)])
+        return elements
 
-        checked = 0
+    def groups(self, rng, count):
+        """`count` random groups of at most 1000 elements of every kind, as
+        (gens, flat, d, p, n, brute_closure)."""
+        from conftest import brute_closure
+
         seen = set()
-        while checked < 40:
+        out = []
+        while len(out) < count:
             d, p, n = rng.choice([(1, 5, 2), (2, 2, 2), (2, 3, 1), (2, 5, 1), (3, 2, 1),
                                   (3, 3, 1), (3, 5, 1), (3, 3, 2)])
             drawn = set()
             gens, flat = self.draw(rng, d, p, n, drawn)
-            m = p**n
-            group = brute_closure(gens, d, m, limit=1000)
-            if group is None:
-                continue
-            checked += 1
-            seen |= drawn
-            elements = group_closure(flat, d, m, 10**4)
-            assert elements == {g.flat() for g in group}, (gens, p, n)
-            want = brute_class_count(group, m)
-            assert conjugacy_class_count(elements, flat, d, p, n) == want, (gens, p, n)
-            assert not elements  # the count consumes the closure
+            group = brute_closure(gens, d, p**n, limit=1000)
+            if group is not None:
+                seen |= drawn
+                out.append((gens, flat, d, p, n, group))
         assert seen == {*self.KINDS, "every column moved"}
+        return out
+
+    def test_closure_and_class_count(self, rng):
+        from askzeta.grouporbits import conjugacy_class_count, group_closure
+        from conftest import brute_class_count
+
+        for gens, flat, d, p, n, group in self.groups(rng, 40):
+            m = p**n
+            closure = group_closure(flat, d, m, 10**4)
+            elements = self.decode(closure, d, m)
+            assert len(closure) == len(set(elements)) == len(elements)
+            assert set(elements) == group, (gens, p, n)
+            want = brute_class_count(group, m)
+            assert conjugacy_class_count(closure, flat, d, p, n) == want, (gens, p, n)
+            assert closure.index is None  # the count freed the element index
+
+    def test_closure_tables(self, rng):
+        """right[a][i] is the index of y_i * g_a, left[a][i] that of
+        g_a^-1 * y_i, and y_i = y_parent(i) * g_last(i), each against dense
+        products mod m over the generators that are not the identity mod m."""
+        from askzeta.grouporbits import _left_tables, group_closure
+
+        for gens, flat, d, p, n, group in self.groups(rng, 40):
+            m = p**n
+            one = IntMatrix.identity(d).mod(m)
+            acting = [g for g in gens if not (g - one).mod(m).is_zero()]
+            closure = group_closure(flat, d, m, 10**4)
+            elements = self.decode(closure, d, m)
+            assert set(elements) == group, (gens, p, n)
+            at = {y: i for i, y in enumerate(elements)}
+            assert elements[0] == one
+            for i in range(1, len(elements)):
+                g = acting[closure.last[i]]
+                assert elements[i] == (elements[closure.parent[i]] @ g).mod(m), (gens, i)
+            assert len(closure.right) == len(acting)
+            for g, right in zip(acting, closure.right):
+                assert list(right) == [at[(y @ g).mod(m)] for y in elements], gens
+            left = _left_tables(closure, flat, d, p, n)
+            assert closure.index is None
+            assert len(left) == len(acting)
+            for g, table in zip(acting, left):
+                inv = next(h for h in group if (g @ h).mod(m) == one)
+                assert list(table) == [at[(inv @ y).mod(m)] for y in elements], gens
