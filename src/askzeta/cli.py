@@ -26,6 +26,7 @@ from .closed_forms import (
 )
 from .engine import DEFAULT_BUDGET, _run_partials, ask_series, check_budget, points_needed
 from .errors import (
+    MAX_REPORT_BITS,
     AskZetaError,
     BudgetExceededError,
     InputError,
@@ -57,13 +58,8 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-# Reports print integers of at most 4,300 decimal digits, the interpreter's
-# default int-string limit; 2^14284 < 10^4300, so a bit length check suffices.
-_MAX_REPORT_BITS = 14284
-
-
 class _ReportTooLarge(BudgetExceededError):
-    """A report integer with more bits than _MAX_REPORT_BITS."""
+    """A report integer with more bits than MAX_REPORT_BITS."""
 
     def __str__(self):
         return (
@@ -72,12 +68,16 @@ class _ReportTooLarge(BudgetExceededError):
         )
 
 
+def _fits(value: int) -> int:
+    """`value`, unless a report cannot print it (more than MAX_REPORT_BITS)."""
+    if value.bit_length() > MAX_REPORT_BITS:
+        raise _ReportTooLarge(value.bit_length(), MAX_REPORT_BITS)
+    return value
+
+
 def _rat(value) -> dict:
     f = Fraction(value)
-    for part in (f.numerator, f.denominator):
-        if part.bit_length() > _MAX_REPORT_BITS:
-            raise _ReportTooLarge(part.bit_length(), _MAX_REPORT_BITS)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+    return {"num": str(_fits(f.numerator)), "den": str(_fits(f.denominator))}
 
 
 def _primes(text: str) -> list[int]:
@@ -478,6 +478,9 @@ def cmd_oc(args) -> tuple[dict, int]:
 
 def cmd_feqn(args) -> tuple[dict, int]:
     w = parse_rational(args.form)
+    for poly in (w.num, w.den):
+        for c in poly.terms.values():
+            _fits(c)
     holds = functional_equation_check(w, args.d)
     report = {"form": str(w), "d": args.d, "holds": holds}
     return report, EXIT_OK if holds else EXIT_MISMATCH

@@ -1,5 +1,9 @@
 """Exception hierarchy shared across the package."""
 
+# Reports print integers of at most 4,300 decimal digits, the interpreter's
+# default int-string limit; 2^14284 < 10^4300, so a bit length check suffices.
+MAX_REPORT_BITS = 14284
+
 
 class AskZetaError(Exception):
     """Base class for all errors raised by this package."""
@@ -10,7 +14,11 @@ class InputError(AskZetaError):
 
 
 class BudgetExceededError(AskZetaError):
-    """An exact enumeration would exceed the configured budget."""
+    """An exact enumeration would exceed the configured budget.
+
+    The message gives a `needed` past MAX_REPORT_BITS by its bit length, which
+    the interpreter can print; `.needed` keeps the exact number.
+    """
 
     def __init__(self, needed, budget, advice="", view="", level=None):
         self.needed = needed
@@ -18,6 +26,8 @@ class BudgetExceededError(AskZetaError):
         self.advice = advice
         self.view = view
         self.level = level
+        if isinstance(needed, int) and needed.bit_length() > MAX_REPORT_BITS:
+            needed = f"a {needed.bit_length()}-bit number of"
         msg = f"enumeration of {needed} points exceeds budget {budget}"
         if view:
             msg += f" in the {view} view at level n = {level}"

@@ -20,9 +20,11 @@ d x d matrices that no element moves are found from the generators alone and
 not stored; an element is one integer, its varying coordinates as digits base
 p^n, and each generator's y -> y*g an affine map on those digits.  The closure
 numbers its elements in BFS order and keeps, per generator, the index of
-y*g for every element y, and for each element the one it was reached from.
-The conjugation's y -> g^-1*y*g is then two table lookups per element: no
-matrix products after the closure.
+y*g for every element y, and for each element the one it was reached from;
+the integers themselves and their index are dropped on return.  Each g^-1 is
+read off those tables, as the element that y -> y*g sends to the identity,
+and the conjugation's y -> g^-1*y*g is two table lookups per element: no
+matrix products and no inverse after the closure.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .catalog import catalog_module
 from .engine import DEFAULT_BUDGET, ask_series
 from .errors import BudgetExceededError, InputError
 from .intmat import IntMatrix, from_flat
-from .linalg import hermite_form, matrix_inverse_mod
+from .linalg import hermite_form
 from .module import MatrixModule, ad_representation
 from .primes import is_prime, primitive_root
 from .zpn import RingSpec, lambdas_mod
@@ -55,6 +57,8 @@ class GroupGenSet:
     label: str = ""
 
     def __post_init__(self):
+        if self.d < 0:
+            raise InputError("dimensions must be >= 0")
         for g in self.generators:
             if g.shape != (self.d, self.d):
                 raise InputError("generator shape mismatch")
@@ -263,7 +267,7 @@ def orbit_count_vectors(gens_flat, d: int, p: int, n: int, budget: int) -> int:
     size = p ** (d * n)
     if size > budget:
         raise BudgetExceededError(size, budget)
-    tables = [_index_table(g, d, p, n) for g in _acting(gens_flat, d, p**n)]
+    tables = [_index_table(g, d, p, n) for g in gens_flat if _moved_columns(g, d, p**n)]
     return _orbit_count(tables, size)
 
 
@@ -304,13 +308,16 @@ def oc_coefficients(
 # -- group closure and conjugacy classes ------------------------------------
 
 
-def _sandwich_moves(a, b, d: int, m: int):
-    """The coordinates y -> a*y*b moves on flat d x d matrices y, for flat
-    d x d matrices a and b: _moved_columns of its d^2 x d^2 matrix, whose
-    entry at ((k, l), (i, j)) is a_ik * b_lj."""
-    r = range(d)
-    matrix = [a[i * d + k] * b[l * d + j] for k in r for l in r for i in r for j in r]
-    return _moved_columns(matrix, d * d, m)
+def _right_moves(g, d: int, m: int):
+    """The coordinates y -> y*g moves on flat d x d matrices y, in the form of
+    _moved_columns: coordinate (i, j) of y*g reads y_ik for each k with
+    g_kj != 0 mod m, row by row.  Empty for a g that is the identity mod m."""
+    columns = _moved_columns(g, d, m)
+    return tuple(
+        (i * d + j, tuple((i * d + k, c) for k, c in col))
+        for i in range(d)
+        for j, col in columns
+    )
 
 
 def _varying_coordinates(identity, moves, m: int) -> tuple[int, ...]:
@@ -336,31 +343,18 @@ def _varying_coordinates(identity, moves, m: int) -> tuple[int, ...]:
     return tuple(j for j in range(len(identity)) if j not in fixed)
 
 
-def _encode(flat, coords, m: int) -> int:
-    """A group element's code: its varying coordinates as digits base m,
-    the first coordinate lowest."""
-    code = 0
-    for j in reversed(coords):
-        code = code * m + flat[j] % m
-    return code
-
-
 class GroupClosure:
     """The elements of a finite matrix group mod m, numbered in BFS order from
     the identity (index 0), as tables over the generators that act.
 
-    `coords` lists the varying coordinates of a flat d x d element, `index`
-    maps each element's code (_encode) to its index, `right[a][i]` is the
-    index of element i times generator a, and element i > 0 is element
-    `parent[i]` times generator `last[i]`.  A plain class: a dataclass would
-    add about half a millisecond to importing the package.
+    `right[a][i]` is the index of element i times generator a, and element
+    i > 0 is element `parent[i]` times generator `last[i]`.  A plain class: a
+    dataclass would add about half a millisecond to importing the package.
     """
 
-    __slots__ = ("coords", "index", "right", "parent", "last")
+    __slots__ = ("right", "parent", "last")
 
-    def __init__(self, coords, index, right, parent, last):
-        self.coords: tuple[int, ...] = coords
-        self.index: dict[int, int] | None = index
+    def __init__(self, right, parent, last):
         self.right: list[array] = right
         self.parent: array = parent
         self.last: array = last
@@ -369,20 +363,16 @@ class GroupClosure:
         return len(self.parent)
 
 
-def _acting(gens_flat, d: int, m: int) -> list:
-    """The generators that are not the identity mod m."""
-    return [g for g in gens_flat if _moved_columns(g, d, m)]
-
-
 def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
     """All elements of the subgroup generated by the given units mod m.
 
     Each generator's right action y -> y*g is an affine map on the varying
-    coordinates; the BFS applies it to the digits of each element's code.
+    coordinates; the BFS applies it to the digits of each element's code,
+    the first varying coordinate lowest.  The generators that are the
+    identity mod m get no table.
     """
     identity = tuple(int(i == j) for i in range(d) for j in range(d))
-    gens = _acting(gens_flat, d, m)
-    moves = [_sandwich_moves(identity, g, d, m) for g in gens]
+    moves = [moved for moved in (_right_moves(g, d, m) for g in gens_flat) if moved]
     coords = _varying_coordinates(identity, moves, m)
     digit = {j: t for t, j in enumerate(coords)}
     weights = [m**t for t in range(len(coords))]
@@ -401,13 +391,13 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
         ]
         for moved in moves
     ]
-    code = _encode(identity, coords, m)
+    code = sum(w * identity[j] for w, j in zip(weights, coords))
     codes = [code]
     index = {code: 0}
     typecode = _typecode(min(budget, 1 << 64))
-    right = [array(typecode) for _ in gens]
+    right = [array(typecode) for _ in moves]
     parent = array(typecode, [0])
-    last = array(_typecode(max(len(gens), 1)), [0])
+    last = array(_typecode(max(len(moves), 1)), [0])
     steps = list(zip(maps, (r.append for r in right)))
     size = 1
     for i, code in enumerate(codes):
@@ -427,45 +417,25 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
                 parent.append(i)
                 last.append(a)
             put(j)
-    return GroupClosure(coords, index, right, parent, last)
+    return GroupClosure(right, parent, last)
 
 
-def _left_tables(closure: GroupClosure, gens_flat, d: int, p: int, n: int) -> list[array]:
-    """left[a][i] = the index of g_a^-1 * y_i for each generator g_a that
-    acts and each element y_i of the closure.
+def conjugacy_class_count(closure: GroupClosure) -> int:
+    """Number of orbits of the conjugation action y -> g^-1 y g on the
+    elements of `closure`.
 
-    The index of each g_a^-1 is looked up once; then the closure's element
-    index is freed, and g_a^-1 * y_i = (g_a^-1 * y_parent(i)) * g_last(i)
-    fills the tables in BFS order from lookups in `right`.
+    right[a] sends g_a^-1, and no other element, to the identity (index 0).
+    From it, left[i], the index of g_a^-1 * y_i = (g_a^-1 * y_parent(i)) *
+    g_last(i), fills in BFS order, and g_a^-1 * y_i * g_a is right[a][left[i]].
     """
-    m = p**n
-    starts = []
-    for g in _acting(gens_flat, d, m):
-        inv_rows = matrix_inverse_mod([g[i * d : (i + 1) * d] for i in range(d)], p, n)
-        inverse = [v for row in inv_rows for v in row]
-        starts.append(closure.index[_encode(inverse, closure.coords, m)])
-    closure.index = None
     right, parent, last = closure.right, closure.parent, closure.last
     tables = []
-    for start in starts:
-        left = array(parent.typecode, [start])
+    for table in right:
+        left = array(parent.typecode, [table.index(0)])
         put = left.append
         for i, a in zip(islice(parent, 1, None), islice(last, 1, None)):
             put(right[a][left[i]])
-        tables.append(left)
-    return tables
-
-
-def conjugacy_class_count(closure: GroupClosure, gens_flat, d: int, p: int, n: int) -> int:
-    """Number of orbits of the conjugation action y -> g^-1 y g on the
-    elements of `closure`, the group the generators generate.
-
-    Reads g^-1 * y * g as right[a][left[a][i]] (_left_tables, which frees the
-    closure's element index): no matrix products once the g^-1 are found.
-    """
-    tables = _left_tables(closure, gens_flat, d, p, n)
-    for a, left in enumerate(tables):
-        tables[a] = array(left.typecode, map(closure.right[a].__getitem__, left))
+        tables.append(array(left.typecode, map(table.__getitem__, left)))
     return _orbit_count(tables, len(closure))
 
 
@@ -495,8 +465,7 @@ def cc_coefficients_direct(
             raise BudgetExceededError(expected, budget)
         m = p**n
         gens = [g.mod(m).flat() for g in group.generators]
-        closure = group_closure(gens, alg.d, m, budget)
-        out.append(conjugacy_class_count(closure, gens, alg.d, p, n))
+        out.append(conjugacy_class_count(group_closure(gens, alg.d, m, budget)))
     return out
 
 

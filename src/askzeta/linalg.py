@@ -1,10 +1,8 @@
-"""Exact linear algebra helpers: rational elimination, Hermite form, inverses mod p^n."""
+"""Exact linear algebra helpers: rational elimination and Hermite form."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import InputError
 
 
 def _reduce(a, ncols: int) -> list[int]:
@@ -117,30 +115,4 @@ def hermite_form(rows) -> list[tuple[int, ...]]:
             if q:
                 basis[i] = [x - q * y for x, y in zip(basis[i], row_k)]
     return [tuple(r) for r in basis]
-
-
-def matrix_inverse_mod(entries, p: int, n: int):
-    """Inverse of a square integer matrix mod p^n.
-
-    The inverse over Q has denominators coprime to p exactly when the matrix
-    is invertible mod p; each entry is then reduced mod p^n.
-    """
-    size = len(entries)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-        for i, row in enumerate(entries)
-    ]
-    red, pivots = frac_rref(aug)
-    if pivots[:size] != list(range(size)):
-        raise InputError("matrix not invertible over Q")
-    pn = p**n
-    out = []
-    for row in red:
-        out_row = []
-        for v in row[size:]:
-            if v.denominator % p == 0:
-                raise InputError("matrix not invertible mod p")
-            out_row.append(v.numerator * pow(v.denominator, -1, pn) % pn)
-        out.append(tuple(out_row))
-    return out
 

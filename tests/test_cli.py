@@ -20,6 +20,7 @@ from askzeta.cli import (
     module_to_json,
 )
 from askzeta import (
+    BudgetExceededError,
     InternalConsistencyError,
     ask_series,
     catalog,
@@ -125,6 +126,7 @@ class TestMalformedDocuments:
             {"generators": 5},
             {"generators": [[[1.0, 0], [0, 1]]]},
             {"d": "2"},
+            {"d": -1, "generators": []},
         ],
     )
     def test_group_document(self, tmp_path, capsys, change):
@@ -406,6 +408,32 @@ class TestExitCodes:
         assert main(["ask", "--module", str(path), "--p", "3", "--n-max", "1"]) == EXIT_BUDGET
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:") and "15850 bits" in err
+
+    @pytest.mark.parametrize(
+        "argv, bits",
+        [
+            (["ask", "--catalog", "zero(10000,1)", "--method", "orbit"], 15850),
+            (["oc", "--gl", "100000"], 158497),
+        ],
+    )
+    def test_budget_count_too_long_to_print(self, capsys, argv, bits):
+        # 3^10000 and 3^100000 points: the message gives the count's bit length
+        assert main([*argv, "--p", "3", "--n-max", "1"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:")
+        assert f"enumeration of a {bits}-bit number of points" in err
+
+    def test_budget_error_keeps_the_exact_count(self):
+        exc = BudgetExceededError(3**10000, 1)
+        assert exc.needed == 3**10000
+        assert "a 15850-bit number of points" in str(exc)
+        assert "of 243 points" in str(BudgetExceededError(3**5, 1))
+
+    def test_feqn_form_too_long_to_print(self, capsys):
+        # (10^1000)^5 parses to one coefficient of 16,610 bits
+        assert main(["feqn", "--form", "(10^1000)^5", "--d", "1"]) == EXIT_BUDGET
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and "16610 bits" in err
 
     def test_structure_of_a_hard_composite_is_over_budget(self, tmp_path, capsys):
         # 1000000007 * 1000000009: no factor below the trial-division limit

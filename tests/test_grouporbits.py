@@ -296,9 +296,10 @@ class TestConjugacyClasses:
         its varying coordinates, digits base m of one integer."""
         alg = catalog_algebra(key)
         gens = [g.mod(5).flat() for g in exp_group(alg, 5, 1).generators]
-        closure = grouporbits.group_closure(gens, alg.d, 5, 10**6)
-        assert len(closure.coords) == varying
-        assert len(closure) == 5**alg.dim
+        identity = IntMatrix.identity(alg.d).flat()
+        moves = [grouporbits._right_moves(g, alg.d, 5) for g in gens]
+        assert len(grouporbits._varying_coordinates(identity, moves, 5)) == varying
+        assert len(grouporbits.group_closure(gens, alg.d, 5, 10**6)) == 5**alg.dim
 
     def test_class_bfs_keeps_no_second_set(self):
         """The conjugation BFS consumes the closure: the peak of the whole
@@ -469,8 +470,7 @@ class TestDimensionAtMostFiveCatalog:
 
 class TestDenseOracles:
     """The moved-column actions of orbit_count_vectors, and the elements and
-    index tables of group_closure and conjugacy_class_count, against dense
-    IntMatrix products."""
+    index tables of group_closure, against dense IntMatrix products."""
 
     KINDS = ("dense", "identity", "diagonal", "transvection", "exp")
 
@@ -547,17 +547,20 @@ class TestDenseOracles:
         assert last_rows == {"zero", "no zero", "multiple of p", "several slides"}
 
     @staticmethod
-    def decode(closure, d, m):
-        """The closure's elements as IntMatrix, by index: each code in its
-        element index read back as digits base m of the varying coordinates,
-        the other coordinates those of the identity."""
-        elements = [None] * len(closure.index)
-        for code, i in closure.index.items():
-            flat = list(IntMatrix.identity(d).mod(m).flat())
-            for j in closure.coords:
-                code, flat[j] = divmod(code, m)
-            assert code == 0
-            elements[i] = IntMatrix([flat[r * d : (r + 1) * d] for r in range(d)])
+    def acting(gens, d, m):
+        """The generators that are not the identity mod m, in order."""
+        one = IntMatrix.identity(d)
+        return [g for g in gens if not (g - one).mod(m).is_zero()]
+
+    def decode(self, closure, gens, d, m):
+        """The closure's elements as IntMatrix, by index: the identity, then
+        element i > 0 as element parent[i] times acting generator last[i],
+        by dense products mod m."""
+        acting = self.acting(gens, d, m)
+        elements = [IntMatrix.identity(d).mod(m)]
+        for i in range(1, len(closure)):
+            assert closure.parent[i] < i
+            elements.append((elements[closure.parent[i]] @ acting[closure.last[i]]).mod(m))
         return elements
 
     def groups(self, rng, count):
@@ -586,37 +589,30 @@ class TestDenseOracles:
         for gens, flat, d, p, n, group in self.groups(rng, 40):
             m = p**n
             closure = group_closure(flat, d, m, 10**4)
-            elements = self.decode(closure, d, m)
+            elements = self.decode(closure, gens, d, m)
             assert len(closure) == len(set(elements)) == len(elements)
             assert set(elements) == group, (gens, p, n)
             want = brute_class_count(group, m)
-            assert conjugacy_class_count(closure, flat, d, p, n) == want, (gens, p, n)
-            assert closure.index is None  # the count freed the element index
+            assert conjugacy_class_count(closure) == want, (gens, p, n)
 
     def test_closure_tables(self, rng):
-        """right[a][i] is the index of y_i * g_a, left[a][i] that of
-        g_a^-1 * y_i, and y_i = y_parent(i) * g_last(i), each against dense
-        products mod m over the generators that are not the identity mod m."""
-        from askzeta.grouporbits import _left_tables, group_closure
+        """y_i = y_parent(i) * g_last(i) numbers the group without repeats,
+        right[a][i] is the index of y_i * g_a, and right[a] holds one 0, at
+        the index of g_a^-1, each against dense products mod m over the
+        generators that are not the identity mod m."""
+        from askzeta.grouporbits import group_closure
 
         for gens, flat, d, p, n, group in self.groups(rng, 40):
             m = p**n
-            one = IntMatrix.identity(d).mod(m)
-            acting = [g for g in gens if not (g - one).mod(m).is_zero()]
+            acting = self.acting(gens, d, m)
             closure = group_closure(flat, d, m, 10**4)
-            elements = self.decode(closure, d, m)
+            elements = self.decode(closure, gens, d, m)
+            assert len(set(elements)) == len(elements)
             assert set(elements) == group, (gens, p, n)
             at = {y: i for i, y in enumerate(elements)}
-            assert elements[0] == one
-            for i in range(1, len(elements)):
-                g = acting[closure.last[i]]
-                assert elements[i] == (elements[closure.parent[i]] @ g).mod(m), (gens, i)
+            one = elements[0]
             assert len(closure.right) == len(acting)
             for g, right in zip(acting, closure.right):
                 assert list(right) == [at[(y @ g).mod(m)] for y in elements], gens
-            left = _left_tables(closure, flat, d, p, n)
-            assert closure.index is None
-            assert len(left) == len(acting)
-            for g, table in zip(acting, left):
                 inv = next(h for h in group if (g @ h).mod(m) == one)
-                assert list(table) == [at[(inv @ y).mod(m)] for y in elements], gens
+                assert list(right).count(0) == 1 and right.index(0) == at[inv], gens
