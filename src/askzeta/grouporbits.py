@@ -1,19 +1,27 @@
 """Finite-level group computations: orbits on (Z/p^n)^d, conjugacy classes of
 unipotent groups, and nilpotent exponentials.
 
-A NilpotentAlgebra decides each property once: Lie closure in its adjoint
-module, nilpotency (by Engel's theorem) in its class computation, which a
-nonzero trace of a basis element or of a product of two rejects beforehand.
+A NilpotentAlgebra decides each property once: a nonzero trace of a basis
+element or of a product of two rejects it as not nilpotent before anything
+is built, then Lie closure in its adjoint module, then nilpotency (by Engel's
+theorem) in its class computation.
 
 Conventions: groups act on row vectors from the right.  Orbit enumeration
 applies generators only (no inverses): every generator acts with finite order
 on a finite set, so forward closure already yields the group orbits.
 
 A generator acts only through the coordinates it moves (_moved_columns, worked
-out once per call; a generator that is the identity mod p^n drops out).  The
-orbit BFS runs on the points' lexicographic indices: per level, a table of the
-index of x*g for every x and every generator that moves a column, filled a row
-of p^n points at a time.
+out once per call; a generator that is the identity mod p^n drops out).  When
+every acting generator has last row e_(d-1), as the exponential of a strictly
+upper triangular algebra does, it maps each row of p^n points (the points
+that share x_0 .. x_(d-2)) onto a row by a translation of the last
+coordinate.  The orbits are then counted over rows, by a walk on
+(Z/p^n)^(d-1) that keeps each row's translation from a start row: the
+translations that cycles of rows bring back to their start generate a
+subgroup of Z/p^n, and the orbits through a component of rows are its
+cosets, gcd(p^n, those translations) of them.  Otherwise the orbit BFS runs
+on the points' lexicographic indices: per level, a table of the index of x*g
+for every x and every acting generator, filled a row of p^n points at a time.
 
 A group mod p^n is closed once (group_closure).  The coordinates of flat
 d x d matrices that no element moves are found from the generators alone and
@@ -34,7 +42,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product, repeat
-from math import factorial
+from math import factorial, gcd
 from operator import add
 
 from .catalog import catalog_module
@@ -81,17 +89,19 @@ class NilpotentAlgebra:
     Engel's theorem a Lie algebra of d x d matrices consists of nilpotent
     matrices exactly when all products of d of its elements vanish, so the
     class computation, which gives up past d, is the one nilpotency test.
-    Such an algebra is simultaneously strictly upper triangular, so before
-    the class rounds a nonzero tr(b_i) or tr(b_i b_j) rejects it at once.
+    Such an algebra is simultaneously strictly upper triangular, so a
+    nonzero tr(b_i) or tr(b_i b_j) rejects it at once, before the adjoint
+    module's solve: a module with a nonzero trace is refused as not
+    nilpotent, whether or not it is Lie-closed.
     """
 
     def __init__(self, module: MatrixModule):
         if module.d != module.e:
             raise InputError("nilpotent algebra needs square matrices")
-        self.ad = ad_representation(module)  # raises unless Lie-closed over Z
-        self.module = module
         if not _traces_vanish(module.basis):
             raise InputError(_NOT_NILPOTENT)
+        self.ad = ad_representation(module)  # raises unless Lie-closed over Z
+        self.module = module
         self.nilpotency_class = self._nilpotency_class()
 
     @property
@@ -255,11 +265,14 @@ def _index_table(g, d: int, p: int, n: int) -> array:
 
 
 def orbit_count_vectors(gens_flat, d: int, p: int, n: int, budget: int) -> int:
-    """Number of orbits of the generated group on (Z/p^n)^d by BFS.
+    """Number of orbits of the generated group on (Z/p^n)^d.
 
-    The BFS runs on lexicographic indices: one _index_table per generator
-    that moves a column, and a mark byte per point.  That is size * (b * k + 1)
-    bytes for size = p^(d*n) points, k such generators and b-byte table
+    The budget counts the p^(d*n) points, before any table is built.  Only
+    the generators that move a column act.  If each of them has last row
+    e_(d-1), the orbits are counted over rows (_row_orbit_count).
+    Otherwise the BFS runs on lexicographic indices: one _index_table per
+    acting generator, and a mark byte per point.  That is size * (b * k + 1)
+    bytes for size = p^(d*n) points, k acting generators and b-byte table
     entries (b = 1, 2, 4 or 8: the fewest that hold every index).
     """
     if n == 0:
@@ -267,8 +280,68 @@ def orbit_count_vectors(gens_flat, d: int, p: int, n: int, budget: int) -> int:
     size = p ** (d * n)
     if size > budget:
         raise BudgetExceededError(size, budget)
-    tables = [_index_table(g, d, p, n) for g in gens_flat if _moved_columns(g, d, p**n)]
-    return _orbit_count(tables, size)
+    m = p**n
+    acting = [g for g in gens_flat if _moved_columns(g, d, m)]
+    last = (d - 1) * d
+    if d and all(g[last + j] % m == (j == d - 1) for g in acting for j in range(d)):
+        return _row_orbit_count(acting, d, p, n)
+    return _orbit_count([_index_table(g, d, p, n) for g in acting], size)
+
+
+def _row_orbit_count(gens_flat, d: int, p: int, n: int) -> int:
+    """Number of orbits on (Z/p^n)^d of generators whose last row is e_(d-1).
+
+    Write x = (x', t), with t the last coordinate, and m = p^n.  Such a g
+    sends x to (x'*g', t + c_g(x')), where g' is its top-left block and
+    c_g(x') = sum_(k<d-1) x_k g_(k,d-1) mod m: it maps the row of m points
+    over x' onto the row over x'*g', translated by c_g(x').  A DFS over rows
+    keeps an offset o_r per row, so that the tree path from the start row
+    sends (start, s) to (r, s + o_r).  An edge r -> r*g to a new row sets
+    o_(r*g) = o_r + c_g(r); an edge to a seen row closes a cycle whose
+    holonomy o_r + c_g(r) - o_(r*g) translates the start row into itself.
+    These holonomies generate the translations of the start row by group
+    elements that fix it (the tree edges' are 0, and the edges leaving the
+    component's rows span its cycles: each generator permutes the rows, so
+    a backward step is a forward walk round the generator's cycle).  Every
+    orbit that meets the component meets the start row, in a coset of that
+    subgroup of Z/m, so the component holds gcd(m, holonomies) orbits.
+    """
+    m = p**n
+    e = d - 1
+    typecode = _typecode(m)
+    steps = []
+    for g in gens_flat:
+        top = [g[i * d + j] for i in range(e) for j in range(e)]
+        # c_g over the rows in lexicographic order, one coordinate at a time
+        shifts = [0]
+        for k in range(e):
+            a = g[k * d + e] % m
+            column = [t * a % m for t in range(m)]
+            shifts = [(c + s) % m for c in shifts for s in column]
+        steps.append((_index_table(top, e, p, n), array(typecode, shifts)))
+    rows = m**e
+    marks = bytearray(rows)
+    offsets = array(typecode, [0]) * rows
+    orbits = 0
+    start = marks.find(0)
+    while start >= 0:
+        marks[start] = 1
+        stack = [start]
+        cosets = m
+        while stack:
+            r = stack.pop()
+            o = offsets[r]
+            for table, shifts in steps:
+                s = table[r]
+                if not marks[s]:
+                    marks[s] = 1
+                    offsets[s] = (o + shifts[r]) % m
+                    stack.append(s)
+                elif cosets > 1:
+                    cosets = gcd(cosets, o + shifts[r] - offsets[s])
+        orbits += cosets
+        start = marks.find(0, start + 1)
+    return orbits
 
 
 def _orbit_count(tables, size: int) -> int:

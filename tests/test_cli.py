@@ -825,6 +825,16 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["results"][0]["orbits"] == [1, 5, 21]
 
+    def test_oc_algebra_reach(self, capsys):
+        # 7^9 points within the default budget: the exponential group is
+        # counted over its 7^6 rows, and the command compares the counts
+        # with the kernel averages itself
+        start = time.perf_counter()
+        assert main(["oc", "--algebra", "L_{3,2}", "--p", "7", "--n-max", "3"]) == EXIT_OK
+        assert time.perf_counter() - start < 10
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"][0]["orbits"] == [1, 19, 253, 2863]
+
     def test_group_file(self, tmp_path, capsys):
         doc = {
             "schema": "askzeta/1",

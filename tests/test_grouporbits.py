@@ -129,9 +129,32 @@ class TestOrbitCounts:
         with pytest.raises(BudgetExceededError):
             grouporbits.orbit_count_vectors(gens, 3, 7, 2, 7**6 - 1)
         assert calls == []
-        # the spy sees the one table per generator an admitted size builds
+        # the exponential group takes the row route: the spy sees one table
+        # per generator an admitted size builds, each on rows of dimension 2
         assert grouporbits.orbit_count_vectors(gens, 3, 7, 1, 7**3) == 19
-        assert len(calls) == 3
+        assert [args[1] for args in calls] == [2, 2, 2]
+        # GL(2) takes the point route, with tables of dimension 2
+        calls.clear()
+        gens = [g.flat() for g in gl_generators(2, 7, 1).generators]
+        with pytest.raises(BudgetExceededError):
+            grouporbits.orbit_count_vectors(gens, 2, 7, 2, 7**4 - 1)
+        assert calls == []
+        assert grouporbits.orbit_count_vectors(gens, 2, 7, 1, 7**2) == 2
+        assert [args[1] for args in calls] == [2, 2, 2]
+
+    @pytest.mark.parametrize(
+        "d, generators, orbits",
+        [(0, [], [1, 1, 1]), (1, [[[1]]], [1, 3, 9]), (2, [[[1, 1], [0, 1]]], [1, 5, 21])],
+    )
+    def test_small_documents(self, tmp_path, capsys, d, generators, orbits):
+        import json
+
+        from askzeta.cli import EXIT_OK, main
+
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"schema": "askzeta/1", "d": d, "generators": generators}))
+        assert main(["oc", "--group", str(path), "--p", "3", "--n-max", "2"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"][0]["orbits"] == orbits
 
     @pytest.mark.parametrize(
         "size, itemsize",
@@ -174,7 +197,8 @@ class TestNilpotentAlgebra:
 
     def test_a_nonzero_trace_rejects_before_the_class_rounds(self, monkeypatch):
         calls = self._class_rounds(monkeypatch)
-        for key in ("gl(4)", "sl(3)", "so(4)"):
+        # sym(2) is not Lie-closed either: a nonzero trace refuses it first
+        for key in ("gl(4)", "sl(3)", "so(4)", "sym(2)"):
             with pytest.raises(InputError, match=r"^products do not terminate; not nilpotent$"):
                 NilpotentAlgebra(catalog_module(key))
         assert calls == []
@@ -192,12 +216,31 @@ class TestNilpotentAlgebra:
             NilpotentAlgebra(cycle)
         assert calls == ["cycle"]
 
+    def test_a_nonzero_trace_rejects_before_the_adjoint_solve(self, monkeypatch, capsys):
+        from askzeta.cli import EXIT_INPUT, main
+
+        calls = []
+        solve = grouporbits.ad_representation
+
+        def spy(m):
+            calls.append(m.label)
+            return solve(m)
+
+        monkeypatch.setattr(grouporbits, "ad_representation", spy)
+        with pytest.raises(InputError, match=r"^products do not terminate; not nilpotent$"):
+            NilpotentAlgebra(catalog_module("gl(8)"))
+        assert main(["oc", "--algebra", "gl(8)", "--p", "3", "--n-max", "1"]) == EXIT_INPUT
+        assert "not nilpotent" in capsys.readouterr().err
+        assert calls == []
+        assert catalog_algebra("L_{3,2}").dim == 3
+        assert calls == ["L_{3,2}"]
+
     def test_rejects_non_lie(self):
+        # ex_non_lie's traces vanish, so the adjoint solve refuses it
         from askzeta import NotLieAlgebraError
 
-        for key in ("ex_non_lie", "sym(2)"):
-            with pytest.raises(NotLieAlgebraError):
-                NilpotentAlgebra(catalog_module(key))
+        with pytest.raises(NotLieAlgebraError):
+            NilpotentAlgebra(catalog_module("ex_non_lie"))
 
     def test_hypothesis_warnings(self):
         alg = catalog_algebra("L_{5,9}")
@@ -516,7 +559,20 @@ class TestDenseOracles:
         flat = [g.flat() if rng.random() < 0.5 else g.mod(m).flat() for g in gens]
         return gens, flat
 
-    def test_orbit_count(self, rng):
+    @staticmethod
+    def row_routes(monkeypatch):
+        """Record each call of the row route."""
+        calls = []
+        count = grouporbits._row_orbit_count
+
+        def spy(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(grouporbits, "_row_orbit_count", spy)
+        return calls
+
+    def test_orbit_count(self, rng, monkeypatch):
         from askzeta.grouporbits import orbit_count_vectors
         from conftest import brute_orbit_count
 
@@ -525,13 +581,23 @@ class TestDenseOracles:
             if p ** (d * n) <= 5 * 10**3
         ]
         seen = set()
-        # an index table slides coordinate j along a row of points by the
-        # generator's last-row entry a_j: not at all (a_j = 0), by a unit, or
-        # by a nonzero multiple of p; it sums the slides of several columns
+        rows = self.row_routes(monkeypatch)
+        routes = set()
+        # on the point route, an index table slides coordinate j along a row
+        # of points by the generator's last-row entry a_j: not at all
+        # (a_j = 0), by a unit, or by a nonzero multiple of p; it sums the
+        # slides of several columns
         last_rows = set()
         for _ in range(60):
             d, p, n = rng.choice(shapes)
             gens, flat = self.draw(rng, d, p, n, seen)
+            want = brute_orbit_count(gens, d, p**n)
+            before = len(rows)
+            assert orbit_count_vectors(flat, d, p, n, 10**4) == want, (gens, p, n)
+            if len(rows) > before:
+                routes.add("rows")
+                continue
+            routes.add("points")
             for g in gens:
                 if (g - IntMatrix.identity(d)).mod(p**n).is_zero():
                     continue  # no table
@@ -541,10 +607,73 @@ class TestDenseOracles:
                     last_rows.add("multiple of p")
                 if sum(1 for v in last if v) > 1:
                     last_rows.add("several slides")
-            want = brute_orbit_count(gens, d, p**n)
-            assert orbit_count_vectors(flat, d, p, n, 10**4) == want, (gens, p, n)
         assert seen == {*self.KINDS, "every column moved"}
+        assert routes == {"rows", "points"}
         assert last_rows == {"zero", "no zero", "multiple of p", "several slides"}
+
+    ROW_KINDS = ("exp", "top block", "last column", "identity")
+
+    @staticmethod
+    def row_generator(rng, kind, d, p, n):
+        """A generator whose last row is e_(d-1) mod p^n.  `exp` is unitriangular;
+        `top block` has a random invertible top-left block, `last column` the
+        identity there, and both a random last column; `identity` is
+        congruent to the identity."""
+        from conftest import random_nilpotent, random_unimodular
+
+        m = p**n
+        if kind == "exp":
+            upper = [[rng.randint(-4, 4) if j > i else 0 for j in range(d)] for i in range(d)]
+            return exp_nilpotent(IntMatrix(upper), RingSpec(p, n))
+        if kind == "identity" or d == 1:
+            return identity_plus(d, rng.randrange(d), rng.randrange(d), m * rng.randint(0, 2))
+        e = d - 1
+        top = IntMatrix.identity(e)
+        if kind == "top block":
+            i = rng.randrange(e)
+            unit = rng.choice([u for u in range(2, m) if u % p] or [1])
+            top = random_unimodular(rng, e) @ identity_plus(e, i, i, unit - 1)
+        # last-column entries: 0, a unit, or p^v times a unit for 0 < v < n
+        column = [p ** rng.randint(0, n) * rng.choice([1, -1, p + 1]) for _ in range(e)]
+        rows = [list(r) + [c] for r, c in zip(top.entries, column)]
+        # a last row congruent to e_(d-1)
+        rows.append([m * rng.randint(-1, 1) for _ in range(e)] + [1 + m * rng.randint(-1, 1)])
+        return IntMatrix(rows)
+
+    def test_row_route(self, rng, monkeypatch):
+        """Groups whose acting generators have last row e_(d-1) are counted
+        over rows, and agree with the brute-force count."""
+        from askzeta.grouporbits import orbit_count_vectors
+        from conftest import brute_orbit_count
+
+        shapes = [
+            (d, p, n) for d in (1, 2, 3, 4) for p in (2, 3, 5, 7) for n in (1, 2, 3)
+            if p ** (d * n) <= 5 * 10**3
+        ]
+        rows = self.row_routes(monkeypatch)
+        seen = set()
+        for _ in range(80):
+            d, p, n = rng.choice(shapes)
+            m = p**n
+            kinds = [k for k in self.ROW_KINDS if k != "exp" or p >= d]
+            gens = []
+            for _ in range(rng.randint(0, 3)):
+                kind = rng.choice(kinds)
+                gens.append(self.row_generator(rng, kind, d, p, n))
+                seen.add(kind)
+                column = [row[-1] % m for row in gens[-1].entries[:-1]]
+                if any(v % p == 0 for v in column if v):
+                    seen.add("multiple of p")
+            if all((g - IntMatrix.identity(d)).mod(m).is_zero() for g in gens):
+                seen.add("identity group")
+            seen.add(f"d = {d}")
+            flat = [g.flat() if rng.random() < 0.5 else g.mod(m).flat() for g in gens]
+            before = len(rows)
+            want = brute_orbit_count(gens, d, m)
+            assert orbit_count_vectors(flat, d, p, n, 10**4) == want, (gens, p, n)
+            assert len(rows) == before + 1
+        assert seen == {*self.ROW_KINDS, "multiple of p", "identity group",
+                        *(f"d = {d}" for d in (1, 2, 3, 4))}
 
     @staticmethod
     def acting(gens, d, m):
