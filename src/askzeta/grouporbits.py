@@ -16,23 +16,36 @@ every acting generator has last row e_(d-1), as the exponential of a strictly
 upper triangular algebra does, it maps each row of p^n points (the points
 that share x_0 .. x_(d-2)) onto a row by a translation of the last
 coordinate.  The orbits are then counted over rows, by a walk on
-(Z/p^n)^(d-1) that keeps each row's translation from a start row: the
-translations that cycles of rows bring back to their start generate a
-subgroup of Z/p^n, and the orbits through a component of rows are its
-cosets, gcd(p^n, those translations) of them.  Otherwise the orbit BFS runs
-on the points' lexicographic indices: per level, a table of the index of x*g
+(Z/p^n)^(d-1) that keeps each row's translation from a start row
+(_coset_walk): the translations that cycles of rows bring back to their
+start generate a subgroup of Z/p^n, and the orbits through a component of
+rows are its cosets, gcd(p^n, those translations) of them.  A generator
+whose top block is the identity only translates, and adds its translations
+at each row to that gcd without a table.  Otherwise the orbit BFS runs on
+the points' lexicographic indices: per level, a table of the index of x*g
 for every x and every acting generator, filled a row of p^n points at a time.
 
-A group mod p^n is closed once (group_closure).  The coordinates of flat
+A group mod p^n is closed once (group_closure).  When every acting
+generator has first column e_0 and last row e_(d-1), as the exponential of
+a strictly upper triangular algebra does, z_c = I + c*E_(0,d-1) is central
+and no entry of y*g but the corner (0, d-1) reads the corner of y.  The
+group is then a union of rows y*{z_c : c in C} over its corner subgroup C,
+a subgroup of Z/p^n, and the closure stores one element per row, with,
+per generator, the translation of the corner that y -> y*g adds on top of
+the rows' map: p^n times fewer elements for a catalog exponential group.
+Other groups are closed with rows of one element.  The coordinates of flat
 d x d matrices that no element moves are found from the generators alone and
-not stored; an element is one integer, its varying coordinates as digits base
-p^n, and each generator's y -> y*g an affine map on those digits.  The closure
-numbers its elements in BFS order and keeps, per generator, the index of
-y*g for every element y, and for each element the one it was reached from;
-the integers themselves and their index are dropped on return.  Each g^-1 is
-read off those tables, as the element that y -> y*g sends to the identity,
-and the conjugation's y -> g^-1*y*g is two table lookups per element: no
-matrix products and no inverse after the closure.
+not stored; a row is one integer, its other varying coordinates as digits
+base p^n, and each generator's y -> y*g an affine map on those digits.  The
+closure numbers its rows in BFS order and keeps, per generator, the index
+and the translation of y*g for every row y, and for each row the one it was
+reached from; the integers themselves and their index are dropped on
+return, and the budget counts the rows.  Each g^-1 is read off those
+tables, as the element that y -> y*g sends into the identity's row, and
+the conjugation's y -> g^-1*y*g is two table lookups per row, with the
+translations carried along: no matrix products and no inverse after the
+closure.  Conjugation maps rows onto rows by translations of C, and the
+same walk as the orbits' counts the classes over rows.
 """
 
 from __future__ import annotations
@@ -294,22 +307,16 @@ def _row_orbit_count(gens_flat, d: int, p: int, n: int) -> int:
     Write x = (x', t), with t the last coordinate, and m = p^n.  Such a g
     sends x to (x'*g', t + c_g(x')), where g' is its top-left block and
     c_g(x') = sum_(k<d-1) x_k g_(k,d-1) mod m: it maps the row of m points
-    over x' onto the row over x'*g', translated by c_g(x').  A DFS over rows
-    keeps an offset o_r per row, so that the tree path from the start row
-    sends (start, s) to (r, s + o_r).  An edge r -> r*g to a new row sets
-    o_(r*g) = o_r + c_g(r); an edge to a seen row closes a cycle whose
-    holonomy o_r + c_g(r) - o_(r*g) translates the start row into itself.
-    These holonomies generate the translations of the start row by group
-    elements that fix it (the tree edges' are 0, and the edges leaving the
-    component's rows span its cycles: each generator permutes the rows, so
-    a backward step is a forward walk round the generator's cycle).  Every
-    orbit that meets the component meets the start row, in a coset of that
-    subgroup of Z/m, so the component holds gcd(m, holonomies) orbits.
+    over x' onto the row over x'*g', translated by c_g(x').  The rows are
+    the m^(d-1) points of (Z/p^n)^(d-1), a generator's edges are
+    _index_table of g' with the translations c_g, and _coset_walk counts
+    the orbits.  A g' that is the identity mod m gets no table: its edge at
+    every row is a loop, whose holonomy is c_g there.
     """
     m = p**n
     e = d - 1
     typecode = _typecode(m)
-    steps = []
+    steps, loops = [], []
     for g in gens_flat:
         top = [g[i * d + j] for i in range(e) for j in range(e)]
         # c_g over the rows in lexicographic order, one coordinate at a time
@@ -318,10 +325,34 @@ def _row_orbit_count(gens_flat, d: int, p: int, n: int) -> int:
             a = g[k * d + e] % m
             column = [t * a % m for t in range(m)]
             shifts = [(c + s) % m for c in shifts for s in column]
-        steps.append((_index_table(top, e, p, n), array(typecode, shifts)))
-    rows = m**e
+        shifts = array(typecode, shifts)
+        if _moved_columns(top, e, m):
+            steps.append((_index_table(top, e, p, n), shifts))
+        else:
+            loops.append(shifts)
+    return _coset_walk(steps, loops, m**e, m)
+
+
+def _coset_walk(steps, loops, rows: int, m: int) -> int:
+    """Number of orbits on range(rows) x Z/m of maps that send each row onto a
+    row by a translation: the sum over the components of rows of gcd(m,
+    their holonomies).
+
+    Each (table, shifts) in steps sends (r, t) to (table[r], t + shifts[r]),
+    and each shifts in loops sends (r, t) to (r, t + shifts[r]).  A DFS over
+    rows keeps an offset o_r per row, so that the tree path from the start
+    row sends (start, s) to (r, s + o_r).  An edge r -> r' to a new row sets
+    o_r' = o_r + shifts[r]; an edge to a seen row closes a cycle whose
+    holonomy o_r + shifts[r] - o_r' translates the start row into itself.
+    These holonomies generate the translations of the start row by the
+    elements that fix it (the tree edges' are 0, and the edges leaving the
+    component's rows span its cycles: each map permutes the rows, so a
+    backward step is a forward walk round the map's cycle).  Every orbit
+    that meets the component meets the start row, in a coset of that
+    subgroup of Z/m, so the component holds gcd(m, holonomies) orbits.
+    """
     marks = bytearray(rows)
-    offsets = array(typecode, [0]) * rows
+    offsets = array(_typecode(m), [0]) * rows
     orbits = 0
     start = marks.find(0)
     while start >= 0:
@@ -339,6 +370,9 @@ def _row_orbit_count(gens_flat, d: int, p: int, n: int) -> int:
                     stack.append(s)
                 elif cosets > 1:
                     cosets = gcd(cosets, o + shifts[r] - offsets[s])
+            if cosets > 1:
+                for shifts in loops:
+                    cosets = gcd(cosets, shifts[r])
         orbits += cosets
         start = marks.find(0, start + 1)
     return orbits
@@ -417,51 +451,90 @@ def _varying_coordinates(identity, moves, m: int) -> tuple[int, ...]:
 
 
 class GroupClosure:
-    """The elements of a finite matrix group mod m, numbered in BFS order from
-    the identity (index 0), as tables over the generators that act.
+    """The elements of a finite matrix group mod m, as rows over a central
+    subgroup, numbered in BFS order from the identity (index 0), as tables
+    over the generators that act.
 
-    `right[a][i]` is the index of element i times generator a, and element
-    i > 0 is element `parent[i]` times generator `last[i]`.  A plain class: a
-    dataclass would add about half a millisecond to importing the package.
+    Row i stands for the elements y_i*u^c, c in Z/fibre, where y_i is its
+    representative and u = I + (m/fibre)*E_(0,d-1) generates the group's
+    central corner subgroup (fibre 1 when group_closure finds no corner:
+    each row is then one element).  y_i*g_a = y_(right[a][i]) *
+    u^(shift[a][i]), and y_i = y_(parent[i]) * g_(last[i]) for i > 0.  The
+    length is the group order, rows * fibre.  A plain class: a dataclass
+    would add about half a millisecond to importing the package.
     """
 
-    __slots__ = ("right", "parent", "last")
+    __slots__ = ("right", "shift", "parent", "last", "fibre")
 
-    def __init__(self, right, parent, last):
+    def __init__(self, right, shift, parent, last, fibre):
         self.right: list[array] = right
+        self.shift: list[array] = shift
         self.parent: array = parent
         self.last: array = last
+        self.fibre: int = fibre
 
     def __len__(self):
-        return len(self.parent)
+        return len(self.parent) * self.fibre
+
+
+def _corner_modulus(gens_flat, d: int, m: int) -> int:
+    """m if every generator has first column e_0 and last row e_(d-1) mod m
+    and d > 1, else 1: the modulus group_closure keeps the corner (0, d-1)
+    in, outside the stored digits.
+
+    For such matrices z_c = I + c*E_(0,d-1) is central, since y*E_(0,d-1) =
+    E_(0,d-1) = E_(0,d-1)*y, and no entry of y*g but the corner reads the
+    corner of y, which y*g moves by sum_(k<d-1) y_0k g_(k,d-1).
+    """
+    e = d - 1
+    if e > 0 and all(
+        g[i * d] % m == (i == 0) and g[e * d + i] % m == (i == e)
+        for g in gens_flat
+        for i in range(d)
+    ):
+        return m
+    return 1
 
 
 def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
-    """All elements of the subgroup generated by the given units mod m.
+    """All elements of the subgroup generated by the given units mod m, as
+    rows over the corner subgroup (GroupClosure).
 
-    Each generator's right action y -> y*g is an affine map on the varying
-    coordinates; the BFS applies it to the digits of each element's code,
-    the first varying coordinate lowest.  The generators that are the
-    identity mod m get no table.
+    The corner is kept mod _corner_modulus: each row's representative y_i
+    has the corner o_i of the element it was reached as, and an edge to a
+    seen row j gives the shift (corner of y_i*g_a) - o_j.  The shifts and m
+    generate the corner subgroup {c : z_c in the group} = gcd(m, shifts)*Z/m,
+    stored as fibre = m/gcd(m, shifts) with the shifts divided by the gcd.
+    Each generator's right action y -> y*g is an affine map on the other
+    varying coordinates; the BFS applies it to the digits of each row's
+    code, the first varying coordinate lowest.  The budget counts the rows.
+    The generators that are the identity mod m get no table.
     """
     identity = tuple(int(i == j) for i in range(d) for j in range(d))
-    moves = [moved for moved in (_right_moves(g, d, m) for g in gens_flat) if moved]
-    coords = _varying_coordinates(identity, moves, m)
+    acting = [(g, moved) for g in gens_flat if (moved := _right_moves(g, d, m))]
+    moves = [moved for _, moved in acting]
+    corner = _corner_modulus([g for g, _ in acting], d, m)
+    coords = tuple(
+        j for j in _varying_coordinates(identity, moves, m) if corner == 1 or j != d - 1
+    )
     digit = {j: t for t, j in enumerate(coords)}
     weights = [m**t for t in range(len(coords))]
+
+    def affine(col):
+        """(constant, ((digit, factor), ...)) of sum(y_k * c for k, c in col);
+        the corner's identity value is 0, so it drops out of the constant."""
+        return (
+            sum(identity[k] * c for k, c in col if k not in digit),
+            tuple((digit[k], c) for k, c in col if k in digit),
+        )
+
     # per generator: (weight, digit, constant, ((digit, factor), ...)) of
-    # every varying coordinate it rewrites
+    # every varying coordinate it rewrites, and the corner's move
     maps = [
-        [
-            (
-                weights[digit[j]],
-                digit[j],
-                sum(identity[k] * c for k, c in col if k not in digit),
-                tuple((digit[k], c) for k, c in col if k in digit),
-            )
-            for j, col in moved
-            if j in digit
-        ]
+        (
+            [(weights[digit[j]], digit[j], *affine(col)) for j, col in moved if j in digit],
+            affine(dict(moved).get(d - 1, ())) if corner > 1 else (0, ()),
+        )
         for moved in moves
     ]
     code = sum(w * identity[j] for w, j in zip(weights, coords))
@@ -469,18 +542,24 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
     index = {code: 0}
     typecode = _typecode(min(budget, 1 << 64))
     right = [array(typecode) for _ in moves]
+    shift = [array(_typecode(corner)) for _ in moves]
     parent = array(typecode, [0])
     last = array(_typecode(max(len(moves), 1)), [0])
-    steps = list(zip(maps, (r.append for r in right)))
+    offsets = array(_typecode(corner), [0])
+    steps = list(zip(maps, (r.append for r in right), (s.append for s in shift)))
     size = 1
     for i, code in enumerate(codes):
         x = [code // w % m for w in weights]
-        for a, (affine, put) in enumerate(steps):
+        o = offsets[i]
+        for a, ((rewrites, (z, reads)), put, put_shift) in enumerate(steps):
             image = code
-            for w, t, v, col in affine:
+            for w, t, v, col in rewrites:
                 for k, c in col:
                     v += x[k] * c
                 image += w * (v % m - x[t])
+            z += o
+            for k, c in reads:
+                z += x[k] * c
             j = index.setdefault(image, size)
             if j == size:
                 size += 1
@@ -489,27 +568,48 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
                 codes.append(image)
                 parent.append(i)
                 last.append(a)
+                offsets.append(z % corner)
+                put_shift(0)
+            else:
+                put_shift((z - offsets[j]) % corner)
             put(j)
-    return GroupClosure(right, parent, last)
+    step = gcd(corner, *set().union(*shift))
+    if 1 < step < corner:
+        shift = [array(table.typecode, [s // step for s in table]) for table in shift]
+    return GroupClosure(right, shift, parent, last, corner // step)
 
 
 def conjugacy_class_count(closure: GroupClosure) -> int:
     """Number of orbits of the conjugation action y -> g^-1 y g on the
     elements of `closure`.
 
-    right[a] sends g_a^-1, and no other element, to the identity (index 0).
-    From it, left[i], the index of g_a^-1 * y_i = (g_a^-1 * y_parent(i)) *
-    g_last(i), fills in BFS order, and g_a^-1 * y_i * g_a is right[a][left[i]].
+    In the closure's terms, right[a] sends one row k, and no other, to the
+    identity's: y_k*g_a = u^s for s = shift[a][k], so g_a^-1 = y_k*u^-s.
+    From it g_a^-1 * y_i = y_(left[i]) * u^(turn[i]) fills in BFS order,
+    as (g_a^-1 * y_parent(i)) * g_last(i), and g_a^-1 * y_i * g_a is row
+    right[a][left[i]] translated by turn[i] + shift[a][left[i]].  u is
+    central, so each conjugation maps rows onto rows by translations of
+    Z/fibre, and _coset_walk counts the classes.
     """
-    right, parent, last = closure.right, closure.parent, closure.last
-    tables = []
-    for table in right:
-        left = array(parent.typecode, [table.index(0)])
-        put = left.append
+    right, shift, parent, last = closure.right, closure.shift, closure.parent, closure.last
+    fibre = closure.fibre
+    steps = []
+    for table, shifts in zip(right, shift):
+        k = table.index(0)
+        left = array(parent.typecode, [k])
+        turn = array(shifts.typecode, [-shifts[k] % fibre])
+        put, put_turn = left.append, turn.append
         for i, a in zip(islice(parent, 1, None), islice(last, 1, None)):
-            put(right[a][left[i]])
-        tables.append(array(left.typecode, map(table.__getitem__, left)))
-    return _orbit_count(tables, len(closure))
+            j = left[i]
+            put(right[a][j])
+            put_turn((turn[i] + shift[a][j]) % fibre)
+        turned = map(add, turn, map(shifts.__getitem__, left))
+        steps.append((
+            array(left.typecode, map(table.__getitem__, left)),
+            array(turn.typecode, map(fibre.__rmod__, turned)),
+        ))
+        del left, turn, put, put_turn, turned
+    return _coset_walk(steps, (), len(parent), fibre)
 
 
 def exp_group(alg: NilpotentAlgebra, p: int, n: int) -> GroupGenSet:

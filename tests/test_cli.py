@@ -835,6 +835,18 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["results"][0]["orbits"] == [1, 19, 253, 2863]
 
+    def test_cc_algebra_reach(self, capsys):
+        # a group of 7^9 elements within the default budget: the closure
+        # stores its 7^6 rows over the corner subgroup Z/7^3, and the direct
+        # count matches the kernel averages and the stored table
+        start = time.perf_counter()
+        assert main(["cc", "--algebra", "L_{3,2}", "--p", "7", "--n-max", "3"]) == EXIT_OK
+        assert time.perf_counter() - start < 10
+        entry = json.loads(capsys.readouterr().out)["results"][0]
+        assert entry["direct"] == [1, 55, 2737, 134407]
+        for counts in (entry["coefficients"], entry["table"]):
+            assert counts == [{"num": str(c), "den": "1"} for c in entry["direct"]]
+
     def test_group_file(self, tmp_path, capsys):
         doc = {
             "schema": "askzeta/1",

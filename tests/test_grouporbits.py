@@ -129,10 +129,12 @@ class TestOrbitCounts:
         with pytest.raises(BudgetExceededError):
             grouporbits.orbit_count_vectors(gens, 3, 7, 2, 7**6 - 1)
         assert calls == []
-        # the exponential group takes the row route: the spy sees one table
-        # per generator an admitted size builds, each on rows of dimension 2
+        # the exponential group takes the row route: the spy sees one table,
+        # on rows of dimension 2, for the one generator whose top block is
+        # not the identity (exp E_01); exp E_12 and exp E_02 only translate
         assert grouporbits.orbit_count_vectors(gens, 3, 7, 1, 7**3) == 19
-        assert [args[1] for args in calls] == [2, 2, 2]
+        assert [args[1] for args in calls] == [2]
+        assert calls[0][0][:2] == [1, 1]
         # GL(2) takes the point route, with tables of dimension 2
         calls.clear()
         gens = [g.flat() for g in gl_generators(2, 7, 1).generators]
@@ -325,11 +327,19 @@ class TestConjugacyClasses:
         assert cc_coefficients_direct(alg, 5, 2) == [1, 25, 625]
 
     def test_closure_budget(self):
-        """The closure stops at the first element past the budget."""
+        """The closure stops at the first stored row past the budget: a row
+        holds the group's corner subgroup, 25 elements of L_{3,2} mod 25,
+        whose 625 rows fit a budget of 625 and whose 5^9 elements mod 125
+        come in 15,625 rows."""
         alg = catalog_algebra("L_{3,2}")
         gens = [g.mod(25).flat() for g in exp_group(alg, 5, 2).generators]
+        assert len(grouporbits.group_closure(gens, 3, 25, 625)) == 5**6
         with pytest.raises(BudgetExceededError) as err:
-            grouporbits.group_closure(gens, 3, 25, 1000)
+            grouporbits.group_closure(gens, 3, 25, 624)
+        assert (err.value.needed, err.value.budget) == (625, 624)
+        gens = [g.mod(125).flat() for g in exp_group(alg, 5, 3).generators]
+        with pytest.raises(BudgetExceededError) as err:
+            grouporbits.group_closure(gens, 3, 125, 1000)
         assert (err.value.needed, err.value.budget) == (1001, 1000)
         assert err.value.advice == "group too large"
 
@@ -682,15 +692,34 @@ class TestDenseOracles:
         return [g for g in gens if not (g - one).mod(m).is_zero()]
 
     def decode(self, closure, gens, d, m):
-        """The closure's elements as IntMatrix, by index: the identity, then
-        element i > 0 as element parent[i] times acting generator last[i],
-        by dense products mod m."""
+        """The closure's row representatives as IntMatrix, by index: the
+        identity, then row i > 0 as row parent[i] times acting generator
+        last[i], by dense products mod m."""
         acting = self.acting(gens, d, m)
-        elements = [IntMatrix.identity(d).mod(m)]
-        for i in range(1, len(closure)):
+        reps = [IntMatrix.identity(d).mod(m)]
+        for i in range(1, len(closure.parent)):
             assert closure.parent[i] < i
-            elements.append((elements[closure.parent[i]] @ acting[closure.last[i]]).mod(m))
-        return elements
+            reps.append((reps[closure.parent[i]] @ acting[closure.last[i]]).mod(m))
+        return reps
+
+    @staticmethod
+    def powers(closure, d, m):
+        """u^c for c < fibre, u = I + (m/fibre)*E_(0,d-1): the closure's corner
+        subgroup (the identity alone at fibre 1)."""
+        u = identity_plus(d, 0, d - 1, m // closure.fibre).mod(m)
+        out = [IntMatrix.identity(d).mod(m)]
+        while len(out) < closure.fibre:
+            out.append((out[-1] @ u).mod(m))
+        return out
+
+    def elements(self, closure, gens, d, m):
+        """The representatives, and every element y_i * u^c row by row; the
+        elements are checked to be distinct and as many as len(closure)."""
+        reps = self.decode(closure, gens, d, m)
+        powers = self.powers(closure, d, m)
+        elements = [(y @ z).mod(m) for y in reps for z in powers]
+        assert len(closure) == len(set(elements)) == len(elements)
+        return reps, elements
 
     def groups(self, rng, count):
         """`count` random groups of at most 1000 elements of every kind, as
@@ -715,33 +744,141 @@ class TestDenseOracles:
         from askzeta.grouporbits import conjugacy_class_count, group_closure
         from conftest import brute_class_count
 
+        fibres = set()
         for gens, flat, d, p, n, group in self.groups(rng, 40):
             m = p**n
             closure = group_closure(flat, d, m, 10**4)
-            elements = self.decode(closure, gens, d, m)
-            assert len(closure) == len(set(elements)) == len(elements)
+            _, elements = self.elements(closure, gens, d, m)
             assert set(elements) == group, (gens, p, n)
             want = brute_class_count(group, m)
             assert conjugacy_class_count(closure) == want, (gens, p, n)
+            fibres.add(closure.fibre > 1)
+        assert fibres == {True, False}
 
     def test_closure_tables(self, rng):
-        """y_i = y_parent(i) * g_last(i) numbers the group without repeats,
-        right[a][i] is the index of y_i * g_a, and right[a] holds one 0, at
-        the index of g_a^-1, each against dense products mod m over the
+        """y_i = y_parent(i) * g_last(i) gives row representatives whose
+        corner cosets y_i * u^c hold the group once each, y_i * g_a is
+        y_right[a][i] * u^shift[a][i], and right[a] holds one 0, at the
+        row of g_a^-1, each against dense products mod m over the
         generators that are not the identity mod m."""
         from askzeta.grouporbits import group_closure
 
+        fibres = set()
         for gens, flat, d, p, n, group in self.groups(rng, 40):
             m = p**n
             acting = self.acting(gens, d, m)
             closure = group_closure(flat, d, m, 10**4)
-            elements = self.decode(closure, gens, d, m)
-            assert len(set(elements)) == len(elements)
+            reps, elements = self.elements(closure, gens, d, m)
             assert set(elements) == group, (gens, p, n)
-            at = {y: i for i, y in enumerate(elements)}
-            one = elements[0]
-            assert len(closure.right) == len(acting)
-            for g, right in zip(acting, closure.right):
-                assert list(right) == [at[(y @ g).mod(m)] for y in elements], gens
+            powers = self.powers(closure, d, m)
+            one = reps[0]
+            assert len(closure.right) == len(closure.shift) == len(acting)
+            for g, right, shift in zip(acting, closure.right, closure.shift):
+                assert len(right) == len(shift) == len(reps)
+                assert all(0 <= s < closure.fibre for s in shift)
+                for y, j, s in zip(reps, right, shift):
+                    assert (y @ g).mod(m) == (reps[j] @ powers[s]).mod(m), gens
                 inv = next(h for h in group if (g @ h).mod(m) == one)
-                assert list(right).count(0) == 1 and right.index(0) == at[inv], gens
+                assert list(right).count(0) == 1, gens
+                assert inv in {(reps[right.index(0)] @ z).mod(m) for z in powers}, gens
+            fibres.add(closure.fibre > 1)
+        assert fibres == {True, False}
+
+    FRAME_KINDS = ("exp", "middle block", "identity", "dense")
+
+    @staticmethod
+    def frame_generator(rng, kind, d, p, n, scale):
+        """A generator with first column e_0 and last row e_(d-1) mod p^n, but
+        for `dense`.  `exp` is unitriangular; `middle block` has a random
+        invertible block on rows and columns 1 .. d-2 and a random first row;
+        `identity` is congruent to the identity.  The entries above the
+        corner in the last column, which move the corner, are multiples of
+        `scale`."""
+        from conftest import random_unimodular
+
+        m = p**n
+        if kind == "dense":
+            return random_unimodular(rng, d) @ identity_plus(d, 0, 0, p)
+        if kind == "identity":
+            return identity_plus(d, rng.randrange(d), rng.randrange(d), m * rng.randint(0, 2))
+        e = d - 1
+        if kind == "exp":
+            upper = [[rng.randint(-4, 4) * (scale if j == e else 1) if j > i else 0
+                      for j in range(d)] for i in range(d)]
+            return exp_nilpotent(IntMatrix(upper), RingSpec(p, n))
+        middle = IntMatrix.identity(d - 2)
+        if d > 2:
+            i = rng.randrange(d - 2)
+            unit = rng.choice([u for u in range(2, m) if u % p] or [1])
+            middle = random_unimodular(rng, d - 2) @ identity_plus(d - 2, i, i, unit - 1)
+        rows = [[1] + [rng.randint(-9, 9) for _ in range(d - 2)] + [scale * rng.randint(-9, 9)]]
+        for row in middle.entries:
+            rows.append([m * rng.randint(-1, 1)] + list(row) + [scale * rng.randint(-9, 9)])
+        rows.append([m * rng.randint(-1, 1) for _ in range(e)] + [1 + m * rng.randint(-1, 1)])
+        return IntMatrix(rows)
+
+    def test_corner_split(self, rng, monkeypatch):
+        """Groups whose acting generators have first column e_0 and last row
+        e_(d-1) are closed modulo their corner subgroup and counted over its
+        rows; others take fibre 1.  Both agree with the brute-force closure
+        and class count."""
+        from askzeta.grouporbits import conjugacy_class_count, group_closure
+        from conftest import brute_class_count, brute_closure
+
+        routes = []
+        modulus = grouporbits._corner_modulus
+
+        def spy(*args):
+            routes.append(modulus(*args))
+            return routes[-1]
+
+        monkeypatch.setattr(grouporbits, "_corner_modulus", spy)
+        shapes = [(d, p, n) for d in (2, 3, 4) for p in (2, 3, 5, 7) for n in (1, 2, 3)
+                  if p ** ((d - 1) * n) <= 100]
+        seen = set()
+        groups = 0
+        while groups < 60:
+            d, p, n = rng.choice(shapes)
+            m = p**n
+            kinds = [k for k in self.FRAME_KINDS if k != "exp" or p >= d]
+            if rng.random() < 0.8:
+                kinds.remove("dense")
+            scale = p if rng.random() < 0.4 else 1
+            drawn = [rng.choice(kinds) for _ in range(rng.randint(0, 3))]
+            gens = [self.frame_generator(rng, k, d, p, n, scale) for k in drawn]
+            group = brute_closure(gens, d, m, limit=300)
+            if group is None:
+                continue
+            groups += 1
+            acting = self.acting(gens, d, m)
+            frame = all(
+                g.entries[i][0] % m == (i == 0) and g.entries[-1][i] % m == (i == d - 1)
+                for g in acting for i in range(d)
+            )
+            flat = [g.flat() if rng.random() < 0.5 else g.mod(m).flat() for g in gens]
+            del routes[:]
+            closure = group_closure(flat, d, m, 10**4)
+            assert routes == [m if frame else 1]
+            _, elements = self.elements(closure, gens, d, m)
+            assert set(elements) == group, (gens, p, n)
+            want = brute_class_count(group, m)
+            assert conjugacy_class_count(closure) == want, (gens, p, n)
+            seen.update(drawn)
+            seen.add(f"d = {d}")
+            seen.add(f"p = {p}")
+            if not acting:
+                seen.add("identity group")
+            if not frame:
+                seen.add("fibre 1 off the corner route")
+            elif closure.fibre == m:
+                seen.add("C = Z/m")
+            elif closure.fibre > 1:
+                seen.add("C a proper subgroup")
+            elif acting:
+                seen.add("C = 0 on the corner route")
+        assert seen == {
+            *self.FRAME_KINDS, *(f"d = {d}" for d in (2, 3, 4)),
+            *(f"p = {p}" for p in (2, 3, 5, 7)), "identity group",
+            "fibre 1 off the corner route", "C = Z/m", "C a proper subgroup",
+            "C = 0 on the corner route",
+        }, seen
