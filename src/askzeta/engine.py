@@ -536,34 +536,46 @@ def _run_partials(worker, payloads, jobs):
     return [worker(pl) for pl in payloads]
 
 
-def _orbit_sums(generators, k, e, p, top, rank, jobs=1) -> list[Fraction]:
-    """Sum over x in (Z/p^n)^k of 1/|span of the generator rows at x|, n = 0..top.
+def _orbit_sums(generators, k, e, p, top, rank, jobs=1, scale=0) -> list[Fraction]:
+    """Sum over x in (Z/p^n)^k of 1/|span of the generator rows at x|, times
+    p^(n*scale), n = 0..top.
 
     Each generator is a k x e matrix; its row at x is x times the matrix.
     The walk takes it as the nonzero triples (point axis, column, value).
-    `rank` is the exact generic rank of the rows, or None.
+    `rank` is the exact generic rank of the rows, or None.  Every term of
+    level n is an integer over p^(n*(e + k)) (a span exponent is at most
+    n*e, and a resolved node's term is below), so each level is summed as
+    integers over that power and made one Fraction.
     """
     triples = tuple(
         tuple((a, j, v) for a, row in enumerate(g) for j, v in enumerate(row) if v)
         for g in generators
     )
     payloads = [(triples, p, top, pivot, k, e, rank) for pivot in range(k)] if top > 0 else []
-    sums = [Fraction(0)] * (top + 1)  # S(m) over the visited unit classes mod p^m
-    ball = [Fraction(0)] * (top + 1)  # sum of p^(low - (k-1)m) over nodes resolved at m
+    width = e + k
+    sums = [0] * (top + 1)  # S(m) p^(m*width) over the visited unit classes mod p^m
+    ball = [0] * (top + 1)  # sum of p^low over nodes resolved at m
     for counts, resolved in _run_partials(_walk_partial, payloads, jobs):
         for (m, exp), cnt in counts.items():
-            sums[m] += Fraction(cnt, p**exp)
+            sums[m] += cnt * p ** (m * width - exp)
         for (m, low), nodes in resolved.items():
-            ball[m] += nodes * Fraction(p) ** (low - (k - 1) * m)
+            ball[m] += nodes * p**low
     # x = 0 spans nothing; x = p^w y has a unit class of p^(n-w-1)(p-1) members,
     # so level n is level n - 1 plus (p - 1) p^(n-1) S(n).  A node resolved at
-    # m < n has p^((k-1)(n-m)) classes at level n, of span exponent r n - low
+    # m < n has p^((k-1)(n-m)) classes at level n, of span exponent r n - low,
+    # which add p^(low - (k-1)m + (k-1-r)n) to S(n).  total is level n times
+    # p^(n*width).
     out = [Fraction(1)]
-    tail = Fraction(0)
+    total = 1
     for n in range(1, top + 1):
-        tail += ball[n - 1]
-        s = sums[n] + (tail * Fraction(p) ** ((k - 1 - rank) * n) if tail else 0)
-        out.append(out[-1] + (p - 1) * p ** (n - 1) * s)
+        s = sums[n] + sum(
+            b * p ** ((k - 1 - rank) * n + n * width - (k - 1) * m)
+            for m, b in enumerate(ball[:n])
+            if b
+        )
+        total = total * p**width + (p - 1) * p ** (n - 1) * s
+        shift = n * (scale - width)
+        out.append(Fraction(total * p**shift) if shift >= 0 else Fraction(total, p**-shift))
     return out
 
 
@@ -604,8 +616,7 @@ def _view_series(m: MatrixModule, p: int, top: int, view: str, jobs: int) -> lis
     k, _, w = m.view_shape(view)
     generators, k = _strip_kernel(m.view_generators(view), k, w)
     rank = m.generic_rank(view) if top > 1 else None
-    sums = _orbit_sums(generators, k, w, p, top, rank, jobs)
-    return [s * Fraction(p) ** (n * (m.d - k)) for n, s in enumerate(sums)]
+    return _orbit_sums(generators, k, w, p, top, rank, jobs, m.d - k)
 
 
 def _method_views(sizes, method: str) -> tuple[str, ...]:

@@ -459,7 +459,8 @@ class GroupClosure:
     representative and u = I + (m/fibre)*E_(0,d-1) generates the group's
     central corner subgroup (fibre 1 when group_closure finds no corner:
     each row is then one element).  y_i*g_a = y_(right[a][i]) *
-    u^(shift[a][i]), and y_i = y_(parent[i]) * g_(last[i]) for i > 0.  The
+    u^(shift[a][i]), and y_i = y_(parent[i]) * g_(last[i]) for i > 0; at
+    fibre 1 every shift is 0 and `shift` holds no tables.  The
     length is the group order, rows * fibre.  A plain class: a dataclass
     would add about half a millisecond to importing the package.
     """
@@ -505,6 +506,8 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
     seen row j gives the shift (corner of y_i*g_a) - o_j.  The shifts and m
     generate the corner subgroup {c : z_c in the group} = gcd(m, shifts)*Z/m,
     stored as fibre = m/gcd(m, shifts) with the shifts divided by the gcd.
+    Off the corner route no corners or shifts are computed, and at fibre 1
+    no shift table is returned.
     Each generator's right action y -> y*g is an affine map on the other
     varying coordinates; the BFS applies it to the digits of each row's
     code, the first varying coordinate lowest.  The budget counts the rows.
@@ -542,39 +545,45 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
     index = {code: 0}
     typecode = _typecode(min(budget, 1 << 64))
     right = [array(typecode) for _ in moves]
-    shift = [array(_typecode(corner)) for _ in moves]
+    shift = [array(_typecode(corner)) for _ in moves] if corner > 1 else []
     parent = array(typecode, [0])
     last = array(_typecode(max(len(moves), 1)), [0])
-    offsets = array(_typecode(corner), [0])
-    steps = list(zip(maps, (r.append for r in right), (s.append for s in shift)))
+    offsets = array(_typecode(corner), [0] if corner > 1 else [])
+    puts_shift = (s.append for s in shift) if shift else repeat(None)
+    steps = list(zip(maps, (r.append for r in right), puts_shift))
     size = 1
     for i, code in enumerate(codes):
         x = [code // w % m for w in weights]
-        o = offsets[i]
+        o = offsets[i] if shift else 0
         for a, ((rewrites, (z, reads)), put, put_shift) in enumerate(steps):
             image = code
             for w, t, v, col in rewrites:
                 for k, c in col:
                     v += x[k] * c
                 image += w * (v % m - x[t])
-            z += o
-            for k, c in reads:
-                z += x[k] * c
             j = index.setdefault(image, size)
-            if j == size:
+            new = j == size
+            if new:
                 size += 1
                 if size > budget:
                     raise BudgetExceededError(size, budget, "group too large")
                 codes.append(image)
                 parent.append(i)
                 last.append(a)
-                offsets.append(z % corner)
-                put_shift(0)
-            else:
-                put_shift((z - offsets[j]) % corner)
+            if put_shift:
+                z += o
+                for k, c in reads:
+                    z += x[k] * c
+                if new:
+                    offsets.append(z % corner)
+                    put_shift(0)
+                else:
+                    put_shift((z - offsets[j]) % corner)
             put(j)
     step = gcd(corner, *set().union(*shift))
-    if 1 < step < corner:
+    if step == corner:
+        shift = []
+    elif step > 1:
         shift = [array(table.typecode, [s // step for s in table]) for table in shift]
     return GroupClosure(right, shift, parent, last, corner // step)
 
@@ -589,10 +598,14 @@ def conjugacy_class_count(closure: GroupClosure) -> int:
     as (g_a^-1 * y_parent(i)) * g_last(i), and g_a^-1 * y_i * g_a is row
     right[a][left[i]] translated by turn[i] + shift[a][left[i]].  u is
     central, so each conjugation maps rows onto rows by translations of
-    Z/fibre, and _coset_walk counts the classes.
+    Z/fibre, and _coset_walk counts the classes.  At fibre 1 each row is one
+    element and there are no translations: _orbit_count counts the orbits
+    of the conjugation tables alone.
     """
     right, shift, parent, last = closure.right, closure.shift, closure.parent, closure.last
     fibre = closure.fibre
+    if fibre == 1:
+        return _orbit_count([_conjugation_table(closure, table) for table in right], len(parent))
     steps = []
     for table, shifts in zip(right, shift):
         k = table.index(0)
@@ -610,6 +623,19 @@ def conjugacy_class_count(closure: GroupClosure) -> int:
         ))
         del left, turn, put, put_turn, turned
     return _coset_walk(steps, (), len(parent), fibre)
+
+
+def _conjugation_table(closure: GroupClosure, table: array) -> array:
+    """At fibre 1, the index of g^-1 * y_i * g for every element y_i, where
+    `table` is right[a] of g = g_a: g^-1 is the element `table` sends to the
+    identity, g^-1 * y_i = y_(left[i]) fills in BFS order and
+    right[a][left[i]] is the conjugate."""
+    right, parent, last = closure.right, closure.parent, closure.last
+    left = array(parent.typecode, [table.index(0)])
+    put = left.append
+    for i, a in zip(islice(parent, 1, None), islice(last, 1, None)):
+        put(right[a][left[i]])
+    return array(left.typecode, map(table.__getitem__, left))
 
 
 def exp_group(alg: NilpotentAlgebra, p: int, n: int) -> GroupGenSet:

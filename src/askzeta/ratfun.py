@@ -21,11 +21,24 @@ whose numerator or denominator would exceed the size bounds (degree span
 MAX_EXPONENT in q and in T, MAX_POWER_TERMS monomials) are input errors; the
 bounds are checked before anything is multiplied.
 
-The parser splits the text into tokens in one pass and keeps a polynomial
-sub-expression a `Poly`: a sum is one dict of terms, a product one `Poly`
-product and a monomial's power one entry.  Only a `/`, a negative exponent
-or the end of the parse makes a QTRational, so a formula that is one
-polynomial over another normalises once.
+The parser splits the text into tokens in one pass (one regex `findall`
+for ASCII text) and reads a term of integers, q and T with plain exponents
+as one monomial, which enters its sum as one dict entry.  Any other
+polynomial sub-expression stays a `Poly`: a sum is one dict of terms, a
+product one `Poly` product and a monomial's power one entry.  Only a `/`,
+a negative exponent or the end of the parse makes a QTRational, so a
+formula that is one polynomial over another normalises once.
+
+The exact tests work on integers.  A cross-multiplied equality a*b == c*d
+(QTRational equality and the functional equation) packs each polynomial
+into one integer, a slot per exponent pair of the product's box, wide
+enough for the bound min(terms)*max|a|*max|b| on a product's coefficients
+and a sign (Kronecker substitution), and compares two integer products;
+unequal boxes are unequal at once.  Where the integer products would cost
+more than the Poly products (a sparse product in a large box, or large
+coefficients) the Poly products are kept, which also bounds the packed
+integers' memory.  `expand` at q = n/m sums integers c*n^(a-lo)*m^(hi-a)
+per power of T and makes one Fraction each.
 """
 
 from __future__ import annotations
@@ -88,6 +101,83 @@ def _check_box(box) -> None:
             f"result of degree {dq} in q and {dt} in T is too large (at most"
             f" {MAX_EXPONENT} in each, {MAX_POWER_TERMS} monomials)"
         )
+
+
+# Packing pays where its integer products cost less than the Poly products.
+# CPython multiplies integers of n digits (30 bits each) by Karatsuba in
+# about n^_KARATSUBA digit steps, and a Poly product spends about
+# _PAIR_STEPS such steps on each pair of terms besides the product of their
+# coefficients (both measured with CPython 3.11).  So a sparse product in a
+# large box, or one with large coefficients, stays a Poly product, which
+# also bounds the packed integers' memory: (q^1000 + T^3)*(1 + q^3*T^1000),
+# 4 pairs in a box of 10^6 slots, would pack into megabytes per byte of slot.
+_KARATSUBA = 1.585
+_PAIR_STEPS = 150
+
+
+def _packing_pays(slots: int, width: int, pairs: int) -> bool:
+    """Whether a product of `slots` slots of `width` bytes, from `pairs`
+    pairs of operand terms, is cheaper packed than as Poly products."""
+    digits = 8 * width / 30
+    return (slots * digits) ** _KARATSUBA <= pairs * (_PAIR_STEPS + digits**_KARATSUBA)
+
+
+def _slot_bytes(*pairs) -> int:
+    """Bytes per slot that hold every coefficient of each product a*b of
+    `pairs`, with a sign bit: the coefficient at a slot sums at most
+    min(terms of a, terms of b) products of one coefficient of each."""
+    bound = max(
+        min(len(a.terms), len(b.terms))
+        * max(map(abs, a.terms.values()))
+        * max(map(abs, b.terms.values()))
+        for a, b in pairs
+    )
+    return (bound.bit_length() + 8) // 8
+
+
+def _pack(p: Poly, box, tspan: int, width: int) -> int:
+    """p as one integer (Kronecker substitution): the coefficient of q^a T^b
+    in slot (a - box[0])*tspan + b - box[2], `width` bytes each, the lowest
+    slot lowest.  With tspan at least the T span of a product, the slots of
+    a product are the sums of its operands' slots, so the integer product of
+    packed operands is the packed product while its coefficients fit."""
+    q0, t0 = box[0], box[2]
+    size = ((box[1] - q0) * tspan + box[3] - t0 + 1) * width
+    pos, neg = bytearray(size), bytearray(size)
+    for (qe, te), c in p.terms.items():
+        at = ((qe - q0) * tspan + te - t0) * width
+        if c > 0:
+            pos[at : at + width] = c.to_bytes(width, "little")
+        else:
+            neg[at : at + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _products_equal(a: Poly, b: Poly, c: Poly, d: Poly) -> bool:
+    """Whether a*b == c*d, without expanding either product where it is
+    dense.
+
+    The exponent box of a product of nonzero polynomials is the sum of its
+    operands' boxes (the product of their extreme parts is not zero), so
+    unequal boxes give unequal products at once.  Otherwise all four are
+    packed in one layout, with slots wide enough for every coefficient of
+    both products, and the two integer products are compared: a coefficient
+    vector whose entries lie strictly between -2^(w-1) and 2^(w-1) is the
+    one set of digits base 2^w of its integer."""
+    zero_ab, zero_cd = a.is_zero() or b.is_zero(), c.is_zero() or d.is_zero()
+    if zero_ab or zero_cd:
+        return zero_ab == zero_cd
+    boxes = [_box(p) for p in (a, b, c, d)]
+    box = _box_mul(boxes[0], boxes[1])
+    if box != _box_mul(boxes[2], boxes[3]):
+        return False
+    tspan = box[3] - box[2] + 1
+    width = _slot_bytes((a, b), (c, d))
+    pairs = len(a.terms) * len(b.terms) + len(c.terms) * len(d.terms)
+    if not _packing_pays((box[1] - box[0] + 1) * tspan, width, pairs):
+        return a * b == c * d
+    ia, ib, ic, id_ = (_pack(p, bx, tspan, width) for p, bx in zip((a, b, c, d), boxes))
+    return ia * ib == ic * id_
 
 
 def _format_poly(p: Poly) -> str:
@@ -175,7 +265,7 @@ class QTRational:
     def __eq__(self, other):
         if not isinstance(other, QTRational):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return _products_equal(self.num, other.den, other.num, self.den)
 
     def __add__(self, other: "QTRational") -> "QTRational":
         return QTRational(
@@ -247,7 +337,10 @@ def _spans(text: str) -> list[tuple[int, int]]:
 
 
 def _tokens(text: str) -> list[str]:
-    """The tokens of `text`, then an empty one."""
+    """The tokens of `text`, then an empty one: in ASCII text, where every
+    digit is a decimal digit, the regex's own matches."""
+    if text.isascii():
+        return _TOKEN.findall(text) + [""]
     return [text[start:end] for start, end in _spans(text)]
 
 
@@ -268,22 +361,30 @@ def _is_zero(v) -> bool:
     return (v if isinstance(v, Poly) else v.num).is_zero()
 
 
+def _poly(v) -> Poly:
+    """A Poly, or a monomial term (c, a, b) as the Poly c*q^a*T^b."""
+    return Poly(2, {v[1:]: v[0]}) if type(v) is tuple else v
+
+
 def _rational(v) -> QTRational:
-    return QTRational(v, Poly.const(2, 1)) if isinstance(v, Poly) else v
+    if isinstance(v, QTRational):
+        return v
+    return QTRational(_poly(v), Poly.const(2, 1))
 
 
 class _Parser:
     """Recursive descent over the tokens of one text.
 
-    A value is a `Poly` while its sub-expression is a polynomial (integers,
-    q, T, sums, products and powers `^k` with k >= 0): a sum adds its terms
-    into one dict, a product is one `Poly` product and a power one entry or
-    k - 1 products.  It becomes a `QTRational` at a `/`, at a negative
-    exponent or at the end of the parse, and from there every operation
-    normalises its result.  Normalising a polynomial over the denominator 1
-    changes nothing, so the result is the one a `QTRational` per operation
-    gives.  Every size check reads exponent boxes before anything is
-    multiplied.
+    A term whose factors are integers, q and T with plain exponents is read
+    as one (c, a, b) for c*q^a*T^b and enters its sum as one dict entry.
+    Any other value is a `Poly` while its sub-expression is a polynomial
+    (sums, products and powers `^k` with k >= 0): a sum adds its terms into
+    one dict, a product is one `Poly` product and a power one entry or k - 1
+    products.  It becomes a `QTRational` at a `/`, at a negative exponent or
+    at the end of the parse, and from there every operation normalises its
+    result.  Normalising a polynomial over the denominator 1 changes
+    nothing, so the result is the one a `QTRational` per operation gives.
+    Every size check reads exponent boxes before anything is multiplied.
     """
 
     def __init__(self, text: str):
@@ -311,29 +412,33 @@ class _Parser:
 
     def expr(self):
         v = self.term()
-        if isinstance(v, Poly) and self.toks[self.i] in _SIGNS:
+        if self.toks[self.i] in _SIGNS and not isinstance(v, QTRational):
             v = self.poly_sum(v)
+        v = _poly(v)
         while self.toks[self.i] in _SIGNS:
             op = self.toks[self.i]
             self.i += 1
             v = _apply(v, op, self.term())
         return v
 
-    def poly_sum(self, v: Poly):
-        """The sum that starts with the polynomial v, while its terms are
-        polynomials; the first other term makes it a QTRational.
+    def poly_sum(self, first):
+        """The sum that starts with the polynomial or monomial term `first`,
+        while its terms are polynomials; the first other term makes it a
+        QTRational.
 
-        The terms go into one dict.  The size check reads a running hull
-        of the terms' boxes, which holds the exact box of the sum so far;
-        only where the hull fails is the exact box taken and checked."""
-        terms, hull = dict(v.terms), _box(v)
-        while self.toks[self.i] in _SIGNS:
-            op = self.toks[self.i]
-            self.i += 1
-            rhs = self.term()
-            if not isinstance(rhs, Poly):
-                return _apply(Poly(2, terms), op, rhs)
-            box = _box(rhs)
+        The terms go into one dict, a monomial term as one entry.  The size
+        check reads a running hull of the terms' boxes, which holds the
+        exact box of the sum so far; only where the hull fails is the exact
+        box taken and checked."""
+        terms, hull, sign, rhs = {}, None, 1, first
+        while True:
+            if type(rhs) is tuple:
+                c, qe, te = rhs
+                box = (qe, qe, te, te) if c else None
+                items = ((rhs[1:], c),)
+            else:
+                box = _box(rhs)
+                items = rhs.terms.items()
             union = _hull([hull, box])
             try:
                 _check_box(union)
@@ -341,13 +446,73 @@ class _Parser:
                 union = _hull([_box(Poly(2, terms)), box])
                 _check_box(union)
             hull = union
-            sign = 1 if op == "+" else -1
-            for e, c in rhs.terms.items():
+            for e, c in items:
                 terms[e] = terms.get(e, 0) + sign * c
-        return Poly(2, terms)
+            op = self.toks[self.i]
+            if op not in _SIGNS:
+                return Poly(2, terms)
+            self.i += 1
+            sign = 1 if op == "+" else -1
+            rhs = self.term()
+            if isinstance(rhs, QTRational):
+                return _apply(Poly(2, terms), op, rhs)
+
+    def monomial(self):
+        """The leading factors of a term while each is signs, an integer, q
+        or T and at most a `^` with an exponent of digits, as one (c, a, b)
+        for c*q^a*T^b; None when the first factor is not of that kind.
+
+        The reading stops before the `*` of the first factor that is not,
+        so the term goes on from there; an error is raised where factor()
+        would raise it, at the same token."""
+        toks, first = self.toks, self.i
+        c, qe, te = 1, 0, 0
+        while True:
+            start = self.i
+            sign = 1
+            while toks[self.i] in _SIGNS:
+                if toks[self.i] == "-":
+                    sign = -sign
+                self.i += 1
+            atom = toks[self.i]
+            if atom == "q" or atom == "T":
+                self.i += 1
+            elif atom[:1].isdigit():
+                base = self.integer()
+            else:
+                break
+            k = 1
+            if toks[self.i] == "^":
+                if not toks[self.i + 1][:1].isdigit():
+                    break
+                self.i += 1
+                k = self.integer()
+                if k > MAX_EXPONENT:
+                    self.error(f"exponent {k} outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]", True)
+            if atom == "q":
+                qe += k
+            elif atom == "T":
+                te += k
+            else:
+                c *= base**k
+            c *= sign
+            if toks[self.i] != "*":
+                return c, qe, te
+            self.i += 1
+        if start == first:
+            self.i = start
+            return None
+        self.i = start - 1
+        return c, qe, te
 
     def term(self):
-        v = self.factor()
+        v = self.monomial()
+        if v is None:
+            v = self.factor()
+        elif self.toks[self.i] in _PRODUCTS:
+            v = _poly(v)
+        else:
+            return v
         while self.toks[self.i] in _PRODUCTS:
             op = self.toks[self.i]
             self.i += 1
@@ -497,13 +662,27 @@ def expand(w: QTRational, q_value, order: int) -> SeriesQ:
     return SeriesQ(qv, _quotient_coeffs(num, den, order))
 
 
-def _t_coefficients(p: Poly, q_value) -> dict[int, Fraction]:
-    """p at the given q, as {power of T: nonzero coefficient}."""
-    qv = Fraction(q_value)
-    out: dict[int, Fraction] = {}
+def _t_coefficients(p: Poly, q_value: Fraction) -> dict[int, Fraction]:
+    """p at q = n/m, as {power of T: nonzero coefficient}.
+
+    With lo and hi the least and greatest power of q in p, q^a is
+    n^(a - lo)*m^(hi - a) times n^lo/m^hi, so each power of T sums
+    integers and makes one Fraction."""
+    if p.is_zero():
+        return {}
+    n, m = q_value.numerator, q_value.denominator
+    lo, hi = _box(p)[:2]
+    n_pow, m_pow = [1], [1]
+    for _ in range(hi - lo):
+        n_pow.append(n_pow[-1] * n)
+        m_pow.append(m_pow[-1] * m)
+    sums: dict[int, int] = {}
     for (qe, te), c in p.terms.items():
-        out[te] = out.get(te, Fraction(0)) + c * qv**qe
-    return {te: v for te, v in out.items() if v}
+        sums[te] = sums.get(te, 0) + c * n_pow[qe - lo] * m_pow[hi - qe]
+    # n^lo/m^hi as top/bottom, with no negative power
+    top = n ** max(lo, 0) * m ** max(-hi, 0)
+    bottom = n ** max(-lo, 0) * m ** max(hi, 0)
+    return {te: Fraction(v * top, bottom) for te, v in sums.items() if v}
 
 
 def _quotient_coeffs(num: dict, den: dict, order: int) -> tuple[Fraction, ...]:
@@ -524,11 +703,13 @@ def _quotient_coeffs(num: dict, den: dict, order: int) -> tuple[Fraction, ...]:
 
 
 def functional_equation_check(w: QTRational, d: int) -> bool:
-    """Whether W(1/q, 1/T) = (-q^d T) * W(q, T) holds identically."""
+    """Whether W(1/q, 1/T) = (-q^d T) * W(q, T) holds identically, that is
+    num(1/q, 1/T) * den == (-q^d T * num) * den(1/q, 1/T), decided by
+    _products_equal."""
     lhs_num, lhs_den = (
         Poly(2, {(-qe, -te): c for (qe, te), c in p.terms.items()})
         for p in (w.num, w.den)
     )
-    factor = Poly(2, {(d, 1): -1})
-    return lhs_num * w.den == factor * w.num * lhs_den
+    rhs_num = Poly(2, {(qe + d, te + 1): -c for (qe, te), c in w.num.terms.items()})
+    return _products_equal(lhs_num, w.den, rhs_num, lhs_den)
 

@@ -367,11 +367,39 @@ class TestConjugacyClasses:
             finally:
                 tracemalloc.stop()
 
+        # mod 125 the closure stores 15,625 rows, so the peaks are the
+        # tables', not the interpreter's fixed overhead
         alg = catalog_algebra("L_{3,2}")
-        gens = [g.mod(25).flat() for g in exp_group(alg, 5, 2).generators]
-        closure_peak = peak(grouporbits.group_closure, gens, 3, 25, 10**6)
-        count_peak = peak(cc_coefficients_direct, alg, 5, 2)
+        gens = [g.mod(125).flat() for g in exp_group(alg, 5, 3).generators]
+        closure_peak = peak(grouporbits.group_closure, gens, 3, 125, 10**6)
+        count_peak = peak(cc_coefficients_direct, alg, 5, 3)
         assert count_peak <= 1.25 * closure_peak, (count_peak, closure_peak)
+
+    @pytest.mark.parametrize("key", ["n(3)", "L_{3,2}", "L_{4,3}"])
+    def test_non_triangular_groups_keep_no_shifts(self, key):
+        """A unimodular conjugate of a catalog algebra is not triangular: its
+        group takes fibre 1, whose closure holds no shift entries, and its
+        class counts are the brute-force ones."""
+        from askzeta import MatrixModule
+        from conftest import brute_class_count, brute_closure
+
+        ref = catalog_algebra(key)
+        d = ref.d
+        # P is lower unitriangular with every entry 1; P^-1 is 1 - subdiagonal
+        lower = IntMatrix([[int(j <= i) for j in range(d)] for i in range(d)])
+        inverse = IntMatrix([[(i == j) - (j == i - 1) for j in range(d)] for i in range(d)])
+        alg = NilpotentAlgebra(MatrixModule(d, d, [lower @ b @ inverse for b in ref.module.basis]))
+        for p in (3, 5):
+            if p < d:
+                continue
+            m = p
+            gens = exp_group(alg, p, 1).generators
+            flat = [g.mod(m).flat() for g in gens]
+            closure = grouporbits.group_closure(flat, d, m, 10**4)
+            assert (closure.fibre, closure.shift) == (1, [])
+            group = brute_closure([g.mod(m) for g in gens], d, m, limit=10**4)
+            assert len(closure) == len(group)
+            assert grouporbits.conjugacy_class_count(closure) == brute_class_count(group, m)
 
 
 class TestOrbitBridge:
@@ -772,8 +800,11 @@ class TestDenseOracles:
             assert set(elements) == group, (gens, p, n)
             powers = self.powers(closure, d, m)
             one = reps[0]
-            assert len(closure.right) == len(closure.shift) == len(acting)
-            for g, right, shift in zip(acting, closure.right, closure.shift):
+            assert len(closure.right) == len(acting)
+            # at fibre 1 every shift is 0, and no table of them is kept
+            assert len(closure.shift) == (len(acting) if closure.fibre > 1 else 0)
+            shifts = closure.shift or [[0] * len(reps) for _ in acting]
+            for g, right, shift in zip(acting, closure.right, shifts):
                 assert len(right) == len(shift) == len(reps)
                 assert all(0 <= s < closure.fibre for s in shift)
                 for y, j, s in zip(reps, right, shift):

@@ -1,6 +1,9 @@
 """Rational function layer: parsing, expansion, functional equation."""
 
+import json
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,9 +17,11 @@ from askzeta import (
     functional_equation_check,
     parse_rational,
 )
+from askzeta.cli import EXIT_MISMATCH, main
 from askzeta.closed_forms import _ASK_FIXED, _CC, _OC
 from askzeta.poly import Poly
-from askzeta.ratfun import QTRational, _poly_pow
+from askzeta import ratfun
+from askzeta.ratfun import QTRational, _poly_pow, _products_equal
 from conftest import hadamard, reference_parse
 
 
@@ -113,6 +118,161 @@ class TestExpand:
         w = parse_rational("1/(1 - q*T)")
         s = expand(w, Fraction(3, 2), 3)
         assert list(s.coeffs) == [1, Fraction(3, 2), Fraction(9, 4)]
+
+
+def _fraction_series(w, q, order):
+    """The first `order` coefficients of w at the given q, from Fraction
+    powers of q and one long division; None when the denominator's
+    constant term vanishes there."""
+    q = Fraction(q)
+
+    def at_q(p):
+        out = {}
+        for (qe, te), c in p.terms.items():
+            out[te] = out.get(te, 0) + c * q**qe
+        return out
+
+    num, den = at_q(w.num), at_q(w.den)
+    if not den.get(0):
+        return None
+    coeffs = []
+    for k in range(order):
+        acc = num.get(k, 0) - sum(den.get(j, 0) * coeffs[k - j] for j in range(1, k + 1))
+        coeffs.append(Fraction(acc) / den[0])
+    return coeffs
+
+
+class TestExpandOnIntegers:
+    """`expand` sums integers per power of T; a Fraction evaluation of the
+    same formula is its oracle."""
+
+    @pytest.mark.parametrize("q", [3, 2, -2, Fraction(3, 2), Fraction(-3, 2), Fraction(2, 9)])
+    def test_against_fraction_evaluation(self, rng, q):
+        for _ in range(25):
+            num = Poly(2, {(rng.randint(-6, 6), rng.randint(0, 4)): rng.randint(-9, 9) for _ in range(5)})
+            den = Poly(2, {(rng.randint(-6, 6), rng.randint(1, 4)): rng.randint(-9, 9) for _ in range(3)})
+            den = den + Poly(2, {(rng.randint(-6, 6), 0): rng.choice([-2, -1, 1, 5])})
+            w = QTRational(num, den)
+            want = _fraction_series(w, q, 6)
+            if want is not None:
+                assert list(expand(w, q, 6).coeffs) == want, (w, q)
+
+    def test_negative_powers_of_q(self):
+        w = parse_rational("(q^-3 - 2*q^2*T)/(1 - q^-1*T)")
+        for q in (3, Fraction(3, 2), Fraction(-2, 5)):
+            assert list(expand(w, q, 5).coeffs) == _fraction_series(w, q, 5)
+        assert list(expand(w, 2, 3).coeffs) == [Fraction(1, 8), Fraction(-127, 16), Fraction(-127, 32)]
+
+
+def _random_poly(rng, terms, span, bits):
+    """A Poly of at most `terms` terms, exponents in [-span, span] and
+    coefficients of up to `bits` bits, of both signs."""
+    return Poly(2, {
+        (rng.randint(-span, span), rng.randint(-span, span)):
+            rng.choice([-1, 1]) * (rng.getrandbits(bits) | 1)
+        for _ in range(terms)
+    })
+
+
+class TestPackedProducts:
+    """`_products_equal` against `Poly.__mul__`, on the route its cost rule
+    takes and with packing forced."""
+
+    # (coefficient bits, most terms, largest |exponent|, draws): small, past
+    # 2^64 and near the report limit of 2^14284
+    SIZES = ((3, 6, 4, 150), (70, 6, 4, 100), (14284, 3, 2, 12))
+
+    @pytest.fixture(params=["rule", "packed"])
+    def route(self, request, monkeypatch):
+        if request.param == "packed":
+            monkeypatch.setattr(ratfun, "_packing_pays", lambda *args: True)
+        return request.param
+
+    def test_random_pairs(self, rng, route):
+        for bits, terms, span, draws in self.SIZES:
+            for _ in range(draws):
+                f, g, h, other = (
+                    _random_poly(rng, rng.randint(1, terms), rng.randint(0, span), bits)
+                    for _ in range(4)
+                )
+                # (f*g)*h == f*(g*h), and not once a coefficient of f moves
+                a, b, c, d = f * g, h, f, g * h
+                assert _products_equal(a, b, c, d)
+                e = rng.choice(list(c.terms))
+                moved = c + Poly(2, {e: rng.choice([-1, 1]) << rng.randrange(bits)})
+                assert _products_equal(a, b, moved, d) == (a * b == moved * d)
+                assert _products_equal(f, g, h, other) == (f * g == h * other)
+
+    def test_zero_operands(self, rng, route):
+        zero = Poly(2)
+        f = _random_poly(rng, 4, 3, 20)
+        assert _products_equal(zero, f, f, zero)
+        assert _products_equal(f, zero, zero, zero)
+        assert not _products_equal(zero, f, f, f)
+        assert not _products_equal(f, f, f, zero)
+
+    def test_unequal_and_equal_boxes(self, route):
+        one = Poly.const(2, 1)
+        a = parse_rational("1 + q*T").num
+        b = parse_rational("q - T").num
+        assert not _products_equal(a, b, a, one)  # boxes differ
+        assert not _products_equal(a, b, a * b + Poly(2, {(3, 3): 1}), one)
+        assert _products_equal(a, b, a * b, one)
+
+    def test_one_slot_apart(self, rng, route):
+        """c*1 differs from a*b in one slot inside the box."""
+        one = Poly.const(2, 1)
+        for bits, terms, span, _ in self.SIZES:
+            a, b = (_random_poly(rng, terms, span, bits) for _ in range(2))
+            ab = a * b
+            q_lo, q_hi = min(e[0] for e in ab.terms), max(e[0] for e in ab.terms)
+            t_lo, t_hi = min(e[1] for e in ab.terms), max(e[1] for e in ab.terms)
+            for _ in range(20):
+                e = (rng.randint(q_lo, q_hi), rng.randint(t_lo, t_hi))
+                c = ab + Poly(2, {e: rng.choice([-1, 1])})
+                assert _products_equal(a, b, c, one) == (c == ab), (a, b, e)
+
+    @pytest.mark.parametrize("k", [*range(40), 7139, 7140])
+    def test_coefficients_at_the_slot_bound(self, route, k):
+        """a = M + M*T squared has 2*M^2, the bound of a slot, at T.  With
+        M = 2^k and a slot one bit narrower, M^2 - 2*M^2*T + (M^2 + 1)*T^2
+        would pack to the same integer; the widths cross byte boundaries,
+        the last two near the report limit."""
+        one = Poly.const(2, 1)
+        m = 1 << k
+        a = Poly(2, {(0, 0): m, (0, 1): m})
+        square = Poly(2, {(0, 0): m * m, (0, 1): 2 * m * m, (0, 2): m * m})
+        carried = Poly(2, {(0, 0): m * m, (0, 1): -2 * m * m, (0, 2): m * m + 1})
+        assert _products_equal(a, a, square, one)
+        assert not _products_equal(a, a, carried, one)
+        assert not _products_equal(a, -a, square, one)
+
+    def test_sparse_products_are_not_packed(self):
+        """(N*q^1000 + N*T^3)*(1 + q^3*T^1000) has 4 pairs of terms in a box
+        of 10^6 slots: it stays a Poly product, in a few kilobytes."""
+        n = 10**20 + 7
+        a = Poly(2, {(1000, 0): n, (0, 3): n})
+        b = Poly(2, {(0, 0): 1, (3, 1000): 1})
+        w = parse_rational(f"({n}*q^1000 + {n}*T^3)/(q^500*T^-498 + q^503*T^502)")
+        tracemalloc.start()
+        try:
+            assert _products_equal(a, b, a, b)
+            assert not _products_equal(a, b, b, b)
+            # both sides of the functional equation have the box of 10^6 slots
+            assert not functional_equation_check(w, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_feqn_of_a_large_sparse_form(self, capsys):
+        n = "7" * 4290
+        start = time.perf_counter()
+        form = f"({n}*q^1000 + {n}*T^3)/(1 + q^3*T^1000)"
+        assert main(["feqn", "--form", form, "--d", "2"]) == EXIT_MISMATCH
+        assert time.perf_counter() - start < 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["holds"] is False and report["d"] == 2
 
 
 class TestHadamard:
@@ -255,6 +415,25 @@ class TestParserAgainstReference:
     def test_edge_cases(self, text):
         assert _outcome(parse_rational, text) == _outcome(reference_parse, text)
 
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("-2^2*q", "-4*q"),  # the sign applies after the power
+            ("0^0*T", "T"),
+            ("q^1000*q^1000", "q^2000"),
+            ("q^007", "q^7"),
+            ("4" * 4000 + "*q*T", "4" * 4000 + "*q*T"),
+            ("2*q^-1", "2/(q)"),
+            ("q^(2)*T", "q^2*T"),
+            ("3*q^2*(1 - T)*T - -2*T*q", "2*q*T + 3*q^2*T - 3*q^2*T^2"),
+        ],
+    )
+    def test_monomial_terms(self, text, printed):
+        """Terms read as one monomial, and terms that leave that reading at
+        a negative or parenthesised exponent or a parenthesised factor."""
+        assert _outcome(parse_rational, text) == _outcome(reference_parse, text)
+        assert str(parse_rational(text)) == printed
+
     def test_random_formulas(self):
         rng = random.Random(20261019)
         for _ in range(400):
@@ -277,6 +456,31 @@ class TestParserWork:
         w = parse_rational(_ASK_FIXED["ex_non_lie"][0])
         assert len(calls) == 1
         assert len(w.num.terms) == 135
+
+    def test_ex_non_lie_multiplies_no_monomials(self, monkeypatch):
+        """Its numerator's 135 monomial terms are dict entries: no Poly
+        product, where one per `*` gave 244.  The denominator's nine
+        parenthesised factors take eight products and its square one, and
+        the functional equation is decided on packed integers."""
+        text = _ASK_FIXED["ex_non_lie"][0]
+        numerator = text[text.index("(") : text.index(")/(") + 1]
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(self, other):
+            calls.append((len(self.terms), len(other.terms)))
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        assert len(parse_rational(numerator).num.terms) == 135
+        assert calls == []
+        w = parse_rational(text)
+        assert len(calls) == 9 and all(max(pair) > 1 for pair in calls)
+        del calls[:]
+        assert [d for d in range(12) if functional_equation_check(w, d)] == [6]
+        assert calls == []
+        monkeypatch.setattr(Poly, "__mul__", mul)
+        assert w == reference_parse(text)
 
     def test_a_monomial_power_multiplies_nothing(self, monkeypatch):
         calls = []
