@@ -24,13 +24,14 @@ from .closed_forms import (
     elliptic_point_count,
     ex_elliptic_formula,
 )
-from .engine import DEFAULT_BUDGET, _run_partials, ask_series, check_budget, points_needed
+from .engine import DEFAULT_BUDGET, _run_partials, ask_series, check_budget
 from .errors import (
     MAX_REPORT_BITS,
     AskZetaError,
     BudgetExceededError,
     InputError,
     InternalConsistencyError,
+    check_power,
 )
 from .grouporbits import (
     GroupGenSet,
@@ -275,8 +276,11 @@ def cmd_verify(args) -> tuple[dict, int]:
     # cross-check the routes when both enumerations fit the budget;
     # otherwise the affordable view alone carries the comparison
     def method(sizes, p):
-        top = max(args.n_max, 1)
-        return "both" if points_needed(sizes, p, top, "both") <= args.budget else "auto"
+        try:
+            check_budget(sizes, p, max(args.n_max, 1), "both", args.budget)
+        except BudgetExceededError:
+            return "auto"
+        return "both"
 
     m = _get_module(args, method)
     results = []
@@ -424,9 +428,7 @@ def _oc_budget(d: int, args) -> None:
     generators is level-1 work, so level 1 is read even at n_max 0.
     """
     for p in args.p:
-        points = p ** (d * max(args.n_max, 1))
-        if points > args.budget:
-            raise BudgetExceededError(points, args.budget)
+        check_power(p, d * max(args.n_max, 1), args.budget)
 
 
 def _group_source(args):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .catalog import _canonical_key, _family, _parse_key
-from .errors import BudgetExceededError, InputError
+from .errors import MAX_BUILT_BITS, BudgetExceededError, InputError
 from .poly import Poly
 from .ratfun import QTRational, parse_rational
 
@@ -70,7 +70,10 @@ def brenti_polynomial(n: int) -> dict[tuple[int, int], int]:
     if n < 0:
         raise InputError("n must be >= 0")
     if n > 8:
-        raise BudgetExceededError(2**n * factorial(n), 2**8 * factorial(8))
+        # 2^n * n! < (2n)^n, so the count is built only where that is small
+        small = n * (2 * n).bit_length() <= MAX_BUILT_BITS
+        needed = 2**n * factorial(n) if small else f"2^{n}*{n}!"
+        raise BudgetExceededError(needed, 2**8 * factorial(8))
     out = {(0, 0): 1}
     for k in range(1, n + 1):
         nxt: dict[tuple[int, int], int] = {}

@@ -106,7 +106,7 @@ from itertools import product
 from math import prod
 from operator import mul
 
-from .errors import BudgetExceededError, InputError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError, check_power
 from .linalg import hermite_form
 from .module import VIEWS, MatrixModule
 from .zpn import RingSpec, lambdas_mod, residual_pencil
@@ -629,20 +629,13 @@ def _method_views(sizes, method: str) -> tuple[str, ...]:
     raise InputError(f"unknown method {method!r}")
 
 
-def points_needed(sizes, p: int, n: int, method: str) -> int:
-    """Points the largest view that `method` runs enumerates at level n."""
-    return max(p ** (sizes[VIEWS[view][0]] * n) for view in _method_views(sizes, method))
-
-
 def check_budget(sizes, p: int, top: int, method: str, budget: int) -> tuple[str, ...]:
     """The views `method` runs, once every level up to top of each is within
     the budget; sizes are (dim, d, e), so no module need exist yet."""
     views = _method_views(sizes, method)
     for n in range(1, top + 1):
         for view in views:
-            points = points_needed(sizes, p, n, view)
-            if points > budget:
-                raise BudgetExceededError(points, budget, view=view, level=n)
+            check_power(p, sizes[VIEWS[view][0]] * n, budget, view=view, level=n)
     return views
 
 

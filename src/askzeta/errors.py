@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the budget check of a
+count p^e."""
 
 # Reports print integers of at most 4,300 decimal digits, the interpreter's
 # default int-string limit; 2^14284 < 10^4300, so a bit length check suffices.
 MAX_REPORT_BITS = 14284
+# A count over its budget is built for the error only up to this many bits;
+# a larger one is named by its formula, such as "3^100000000".
+MAX_BUILT_BITS = 1 << 20
 
 
 class AskZetaError(Exception):
@@ -17,7 +21,8 @@ class BudgetExceededError(AskZetaError):
     """An exact enumeration would exceed the configured budget.
 
     The message gives a `needed` past MAX_REPORT_BITS by its bit length, which
-    the interpreter can print; `.needed` keeps the exact number.
+    the interpreter can print; `.needed` keeps the exact number, or the
+    formula that names a count too large to build (see check_power).
     """
 
     def __init__(self, needed, budget, advice="", view="", level=None):
@@ -34,6 +39,23 @@ class BudgetExceededError(AskZetaError):
         if advice:
             msg += f" ({advice})"
         super().__init__(msg)
+
+
+def check_power(p: int, e: int, budget: int, advice="", view="", level=None) -> None:
+    """Raise BudgetExceededError if p^e exceeds the budget, for a prime p.
+
+    The exponent decides first: p^e >= 2^e > budget once e >= the budget's
+    bit length, so p^e is built only below that or, for the message, while
+    it has at most MAX_BUILT_BITS bits; a larger count is named "p^e"."""
+    if e < budget.bit_length():
+        needed = p**e
+        if needed <= budget:
+            return
+    elif e * p.bit_length() <= MAX_BUILT_BITS:
+        needed = p**e
+    else:
+        needed = f"{p}^{e}"
+    raise BudgetExceededError(needed, budget, advice, view, level)
 
 
 class NotExpandableError(AskZetaError):

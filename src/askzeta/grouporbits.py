@@ -60,7 +60,7 @@ from operator import add
 
 from .catalog import catalog_module
 from .engine import DEFAULT_BUDGET, ask_series
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, check_power
 from .intmat import IntMatrix, from_flat
 from .linalg import hermite_form
 from .module import MatrixModule, ad_representation
@@ -290,9 +290,8 @@ def orbit_count_vectors(gens_flat, d: int, p: int, n: int, budget: int) -> int:
     """
     if n == 0:
         return 1
+    check_power(p, d * n, budget)
     size = p ** (d * n)
-    if size > budget:
-        raise BudgetExceededError(size, budget)
     m = p**n
     acting = [g for g in gens_flat if _moved_columns(g, d, m)]
     last = (d - 1) * d
@@ -659,9 +658,7 @@ def cc_coefficients_direct(
     group = exp_group(alg, p, n_max)
     out = [1]
     for n in range(1, n_max + 1):
-        expected = p ** (alg.dim * n)
-        if expected > budget:
-            raise BudgetExceededError(expected, budget)
+        check_power(p, alg.dim * n, budget)
         m = p**n
         gens = [g.mod(m).flat() for g in group.generators]
         out.append(conjugacy_class_count(group_closure(gens, alg.d, m, budget)))

@@ -22,12 +22,13 @@ MAX_EXPONENT in q and in T, MAX_POWER_TERMS monomials) are input errors; the
 bounds are checked before anything is multiplied.
 
 The parser splits the text into tokens in one pass (one regex `findall`
-for ASCII text) and reads a term of integers, q and T with plain exponents
-as one monomial, which enters its sum as one dict entry.  Any other
-polynomial sub-expression stays a `Poly`: a sum is one dict of terms, a
-product one `Poly` product and a monomial's power one entry.  Only a `/`,
-a negative exponent or the end of the parse makes a QTRational, so a
-formula that is one polynomial over another normalises once.
+for ASCII text) and reads each factor once.  Its values climb one ladder:
+an integer, q or T is a monomial (c, a, b), and signs, powers `^k` with
+k >= 0 and products keep a monomial a monomial; a sum of two terms or a
+product with any other polynomial makes a `Poly` (a sum is one dict of
+terms, a monomial term one entry); only a `/`, a negative exponent or the
+end of the parse makes a QTRational, so a formula that is one polynomial
+over another normalises once.
 
 The exact tests work on integers.  A cross-multiplied equality a*b == c*d
 (QTRational equality and the functional equation) packs each polynomial
@@ -358,11 +359,13 @@ def _poly_pow(p: Poly, k: int) -> Poly:
 
 
 def _is_zero(v) -> bool:
+    if type(v) is tuple:
+        return not v[0]
     return (v if isinstance(v, Poly) else v.num).is_zero()
 
 
 def _poly(v) -> Poly:
-    """A Poly, or a monomial term (c, a, b) as the Poly c*q^a*T^b."""
+    """A Poly, or a monomial (c, a, b) as the Poly c*q^a*T^b."""
     return Poly(2, {v[1:]: v[0]}) if type(v) is tuple else v
 
 
@@ -375,16 +378,18 @@ def _rational(v) -> QTRational:
 class _Parser:
     """Recursive descent over the tokens of one text.
 
-    A term whose factors are integers, q and T with plain exponents is read
-    as one (c, a, b) for c*q^a*T^b and enters its sum as one dict entry.
-    Any other value is a `Poly` while its sub-expression is a polynomial
-    (sums, products and powers `^k` with k >= 0): a sum adds its terms into
-    one dict, a product is one `Poly` product and a power one entry or k - 1
-    products.  It becomes a `QTRational` at a `/`, at a negative exponent or
-    at the end of the parse, and from there every operation normalises its
-    result.  Normalising a polynomial over the denominator 1 changes
-    nothing, so the result is the one a `QTRational` per operation gives.
-    Every size check reads exponent boxes before anything is multiplied.
+    A value climbs one ladder.  An integer, q or T is a monomial (c, a, b)
+    for c*q^a*T^b, and so is a sign, a power `^k` with k >= 0 or a product
+    of monomials: each is one step on three integers.  The first other
+    polynomial, a sum of two terms or a product with one, makes it a
+    `Poly`: a sum adds its terms into one dict, a monomial term as one
+    entry, a product is one `Poly` product and a power one entry or k - 1
+    products.  A `/`, a negative exponent or the end of the parse makes it
+    a `QTRational`, and from there every operation normalises its result.
+    Normalising a polynomial over the denominator 1 changes nothing, so the
+    result is the one a `QTRational` per operation gives.  Every size check
+    reads exponent boxes before anything is multiplied; a monomial's box is
+    one point, which no check refuses.
     """
 
     def __init__(self, text: str):
@@ -411,27 +416,26 @@ class _Parser:
         return _rational(v)
 
     def expr(self):
-        v = self.term()
-        if self.toks[self.i] in _SIGNS and not isinstance(v, QTRational):
-            v = self.poly_sum(v)
-        v = _poly(v)
-        while self.toks[self.i] in _SIGNS:
-            op = self.toks[self.i]
-            self.i += 1
-            v = _apply(v, op, self.term())
-        return v
+        """A sum; one term is returned as it is.
 
-    def poly_sum(self, first):
-        """The sum that starts with the polynomial or monomial term `first`,
-        while its terms are polynomials; the first other term makes it a
-        QTRational.
-
-        The terms go into one dict, a monomial term as one entry.  The size
+        While the terms are polynomials they go into one dict, and the size
         check reads a running hull of the terms' boxes, which holds the
         exact box of the sum so far; only where the hull fails is the exact
-        box taken and checked."""
-        terms, hull, sign, rhs = {}, None, 1, first
-        while True:
+        box taken and checked.  The first QTRational, as the sum so far or
+        as a term, makes the sum a QTRational."""
+        v = self.term()
+        terms = None
+        while (op := self.toks[self.i]) in _SIGNS:
+            self.i += 1
+            rhs = self.term()
+            # v is the sum so far, or its first term while `terms` holds it
+            if isinstance(v, QTRational) or isinstance(rhs, QTRational):
+                v = _apply(v if terms is None else Poly(2, terms), op, rhs)
+                terms = None
+                continue
+            if terms is None:
+                first = _poly(v)
+                terms, hull = dict(first.terms), _box(first)
             if type(rhs) is tuple:
                 c, qe, te = rhs
                 box = (qe, qe, te, te) if c else None
@@ -446,95 +450,32 @@ class _Parser:
                 union = _hull([_box(Poly(2, terms)), box])
                 _check_box(union)
             hull = union
+            sign = 1 if op == "+" else -1
             for e, c in items:
                 terms[e] = terms.get(e, 0) + sign * c
-            op = self.toks[self.i]
-            if op not in _SIGNS:
-                return Poly(2, terms)
-            self.i += 1
-            sign = 1 if op == "+" else -1
-            rhs = self.term()
-            if isinstance(rhs, QTRational):
-                return _apply(Poly(2, terms), op, rhs)
-
-    def monomial(self):
-        """The leading factors of a term while each is signs, an integer, q
-        or T and at most a `^` with an exponent of digits, as one (c, a, b)
-        for c*q^a*T^b; None when the first factor is not of that kind.
-
-        The reading stops before the `*` of the first factor that is not,
-        so the term goes on from there; an error is raised where factor()
-        would raise it, at the same token."""
-        toks, first = self.toks, self.i
-        c, qe, te = 1, 0, 0
-        while True:
-            start = self.i
-            sign = 1
-            while toks[self.i] in _SIGNS:
-                if toks[self.i] == "-":
-                    sign = -sign
-                self.i += 1
-            atom = toks[self.i]
-            if atom == "q" or atom == "T":
-                self.i += 1
-            elif atom[:1].isdigit():
-                base = self.integer()
-            else:
-                break
-            k = 1
-            if toks[self.i] == "^":
-                if not toks[self.i + 1][:1].isdigit():
-                    break
-                self.i += 1
-                k = self.integer()
-                if k > MAX_EXPONENT:
-                    self.error(f"exponent {k} outside [-{MAX_EXPONENT}, {MAX_EXPONENT}]", True)
-            if atom == "q":
-                qe += k
-            elif atom == "T":
-                te += k
-            else:
-                c *= base**k
-            c *= sign
-            if toks[self.i] != "*":
-                return c, qe, te
-            self.i += 1
-        if start == first:
-            self.i = start
-            return None
-        self.i = start - 1
-        return c, qe, te
+        return v if terms is None else Poly(2, terms)
 
     def term(self):
-        v = self.monomial()
-        if v is None:
-            v = self.factor()
-        elif self.toks[self.i] in _PRODUCTS:
-            v = _poly(v)
-        else:
-            return v
-        while self.toks[self.i] in _PRODUCTS:
-            op = self.toks[self.i]
+        v = self.factor()
+        while (op := self.toks[self.i]) in _PRODUCTS:
             self.i += 1
             rhs = self.factor(divisor=op == "/")
-            if isinstance(v, Poly) and isinstance(rhs, Poly):
+            if isinstance(v, QTRational) or isinstance(rhs, QTRational):
+                v = _apply(v, op, rhs)
+            elif op == "/":
                 # the box of every polynomial passed its check when it was
                 # built, so v / rhs needs none
-                if op == "*":
-                    _check_box(_box_mul(_box(v), _box(rhs)))
-                    v = v * rhs
-                else:
-                    v = QTRational(v, rhs)
+                v = QTRational(_poly(v), _poly(rhs))
+            elif type(v) is tuple and type(rhs) is tuple:
+                v = v[0] * rhs[0], v[1] + rhs[1], v[2] + rhs[2]
             else:
-                v = _apply(v, op, rhs)
+                v, rhs = _poly(v), _poly(rhs)
+                _check_box(_box_mul(_box(v), _box(rhs)))
+                v = v * rhs
         return v
 
     def factor(self, divisor=False):
-        sign = 1
-        while self.toks[self.i] in _SIGNS:
-            if self.toks[self.i] == "-":
-                sign = -sign
-            self.i += 1
+        sign = self.sign()
         v = self.atom()
         # an error after an exponent is placed at its end, else at the
         # next token
@@ -549,7 +490,18 @@ class _Parser:
             v = _power(v, k)
         if divisor and _is_zero(v):
             self.error("division by zero", power)
-        return v if sign == 1 else -v
+        if sign == 1:
+            return v
+        return (-v[0], v[1], v[2]) if type(v) is tuple else -v
+
+    def sign(self) -> int:
+        """Read a run of unary signs: -1 if it has an odd number of `-`."""
+        sign = 1
+        while self.toks[self.i] in _SIGNS:
+            if self.toks[self.i] == "-":
+                sign = -sign
+            self.i += 1
+        return sign
 
     def exponent(self) -> int:
         if self.toks[self.i] == "(":
@@ -560,12 +512,7 @@ class _Parser:
         return self.signed_int()
 
     def signed_int(self) -> int:
-        sign = 1
-        while self.toks[self.i] in _SIGNS:
-            if self.toks[self.i] == "-":
-                sign = -sign
-            self.i += 1
-        return sign * self.integer()
+        return self.sign() * self.integer()
 
     def integer(self) -> int:
         tok = self.toks[self.i]
@@ -586,23 +533,26 @@ class _Parser:
             return v
         if tok == "q":
             self.i += 1
-            return Poly(2, {(1, 0): 1})
+            return 1, 1, 0
         if tok == "T":
             self.i += 1
-            return Poly(2, {(0, 1): 1})
+            return 1, 0, 1
         if tok[:1].isdigit():
-            return Poly.const(2, self.integer())
+            return self.integer(), 0, 0
         self.error("expected atom")
 
 
 def _power(v, k: int):
-    """v^k after the size check; a negative power of a polynomial is its
-    first QTRational."""
-    if not isinstance(v, Poly):
+    """v^k after the size check: a monomial's power k >= 0 is a monomial,
+    and a negative power of a polynomial is its first QTRational."""
+    if isinstance(v, QTRational):
         return v**k
-    _check_box(_box_scale(_box(v), abs(k)))
     if k < 0:
-        return QTRational(Poly.const(2, 1), _poly_pow(v, -k))
+        return QTRational(Poly.const(2, 1), _poly(_power(v, -k)))
+    if type(v) is tuple:
+        c, qe, te = v
+        return c**k, k * qe, k * te
+    _check_box(_box_scale(_box(v), k))
     return _poly_pow(v, k)
 
 

@@ -188,9 +188,7 @@ def _search_degenerate_point(rows, nvars, generic_rank, trials, seed):
     return None, None
 
 
-def _certify(
-    m: MatrixModule, view: str, excluded_primes, budget: int, trials: int, seed: int
-) -> Certificate:
+def _certify(m: MatrixModule, view: str, excluded_primes, trials: int, seed: int) -> Certificate:
     """The monomial test on the view's linear forms, then a witness search.
 
     `excluded_primes` are excluded from a certificate on top of the primes
@@ -202,7 +200,7 @@ def _certify(
     excluded = set(excluded_primes)
     if rank == 0:
         return Certificate("certified", excluded_primes=tuple(sorted(excluded)))
-    result, extra = _monomial_span_test(rows, rank, nvars, budget)
+    result, extra = _monomial_span_test(rows, rank, nvars, DEFAULT_MINOR_BUDGET)
     if result is None:
         return Certificate("inconclusive", reason=extra)
     ok, payload = result
@@ -222,10 +220,7 @@ def _certify(
 
 
 def check_o_maximal(
-    m: MatrixModule,
-    budget: int = DEFAULT_MINOR_BUDGET,
-    trials: int = DEFAULT_WITNESS_TRIALS,
-    seed: int = 0,
+    m: MatrixModule, trials: int = DEFAULT_WITNESS_TRIALS, seed: int = 0
 ) -> Certificate:
     """Certify or refute that orbit sizes are generically as large as possible.
 
@@ -233,14 +228,11 @@ def check_o_maximal(
     the coefficient stream of M equals that of the full matrix module
     mat(d, gor) for every prime outside `excluded_primes`.
     """
-    return _certify(m, "orbit", (), budget, trials, seed)
+    return _certify(m, "orbit", (), trials, seed)
 
 
 def check_k_minimal(
-    m: MatrixModule,
-    budget: int = DEFAULT_MINOR_BUDGET,
-    trials: int = DEFAULT_WITNESS_TRIALS,
-    seed: int = 0,
+    m: MatrixModule, trials: int = DEFAULT_WITNESS_TRIALS, seed: int = 0
 ) -> Certificate:
     """Certify or refute that kernel sizes are generically as small as possible.
 
@@ -248,7 +240,7 @@ def check_k_minimal(
     (the generic element) and isolation of the lattice; primes dividing its
     index are excluded rather than fatal.
     """
-    return _certify(m, "average", factorize(m.index()), budget, trials, seed)
+    return _certify(m, "average", factorize(m.index()), trials, seed)
 
 
 @dataclass(frozen=True)
@@ -262,10 +254,7 @@ class StructureReport:
 
 
 def structure_report(
-    m: MatrixModule,
-    budget: int = DEFAULT_MINOR_BUDGET,
-    trials: int = DEFAULT_WITNESS_TRIALS,
-    seed: int = 0,
+    m: MatrixModule, trials: int = DEFAULT_WITNESS_TRIALS, seed: int = 0
 ) -> StructureReport:
     """Run both certificates and name the closed-form template that applies.
 
@@ -273,8 +262,8 @@ def structure_report(
     minimality selects the constant-rank template with (d, dim, grk).  If both
     certify, the two templates must agree as rational functions.
     """
-    o_cert = check_o_maximal(m, budget, trials, seed)
-    k_cert = check_k_minimal(m, budget, trials, seed)
+    o_cert = check_o_maximal(m, trials, seed)
+    k_cert = check_k_minimal(m, trials, seed)
     template_key = None
     template = None
     gor, grk = m.generic_rank("orbit"), m.generic_rank("average")

@@ -34,6 +34,7 @@ from askzeta import (
     parse_rational,
 )
 from askzeta.catalog import _FAMILIES, adjoint_sizes, catalog_row
+from askzeta.errors import check_power
 from conftest import algebra_keys
 
 
@@ -422,6 +423,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:")
         assert f"enumeration of a {bits}-bit number of points" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["ask", "--catalog", "zero(100000000,1)", "--method", "orbit", "--p", "3", "--n-max", "1"],
+             "3^100000000"),
+            (["oc", "--gl", "100000000", "--p", "3", "--n-max", "1"], "3^100000000"),
+            (["oc", "--swap", "--p", "3", "--n-max", "100000000"], "3^200000000"),
+            (["brenti", "--n", "100000000"], "2^100000000*100000000!"),
+            (["brenti", "--n", "1000000"], "2^1000000*1000000!"),
+        ],
+    )
+    def test_budget_count_too_large_to_build(self, capsys, argv, named):
+        # the exponent decides, and a count of more than 2^20 bits is named
+        t0 = time.monotonic()
+        assert main(argv) == EXIT_BUDGET
+        assert time.monotonic() - t0 < 2
+        assert f"enumeration of {named} points exceeds budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 8, 9, 26, 27, 28, 3**20, 3**20 - 1, 2**40])
+    def test_exponent_decides_at_the_budget(self, budget):
+        for p in (2, 3, 5):
+            for e in range(45):
+                if p**e <= budget:
+                    check_power(p, e, budget)
+                    continue
+                with pytest.raises(BudgetExceededError) as info:
+                    check_power(p, e, budget, view="orbit", level=2)
+                assert (info.value.needed, info.value.view, info.value.level) == (p**e, "orbit", 2)
 
     def test_budget_error_keeps_the_exact_count(self):
         exc = BudgetExceededError(3**10000, 1)

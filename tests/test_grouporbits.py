@@ -143,6 +143,10 @@ class TestOrbitCounts:
         assert calls == []
         assert grouporbits.orbit_count_vectors(gens, 2, 7, 1, 7**2) == 2
         assert [args[1] for args in calls] == [2, 2, 2]
+        # a level too deep to build its point count is refused by its exponent
+        with pytest.raises(BudgetExceededError) as err:
+            grouporbits.orbit_count_vectors(gens, 2, 7, 10**8, 10**6)
+        assert err.value.needed == "7^200000000"
 
     @pytest.mark.parametrize(
         "d, generators, orbits",
@@ -342,6 +346,15 @@ class TestConjugacyClasses:
             grouporbits.group_closure(gens, 3, 125, 1000)
         assert (err.value.needed, err.value.budget) == (1001, 1000)
         assert err.value.advice == "group too large"
+
+    def test_group_order_budget(self):
+        """cc_coefficients_direct refuses the first level whose order p^(dim*n)
+        passes the budget, before its closure."""
+        alg = catalog_algebra("L_{3,2}")
+        assert cc_coefficients_direct(alg, 5, 2, 5**6) == [1, 29, 745]
+        with pytest.raises(BudgetExceededError) as err:
+            cc_coefficients_direct(alg, 5, 2, 5**6 - 1)
+        assert (err.value.needed, err.value.budget) == (5**6, 5**6 - 1)
 
     @pytest.mark.parametrize("key, varying", [("L_{3,2}", 3), ("n(4)", 6), ("L_{4,3}", 6)])
     def test_closure_stores_varying_coordinates(self, key, varying):

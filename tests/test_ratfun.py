@@ -349,11 +349,19 @@ def _outcome(parse, text):
 
 def _random_formula(rng, depth=0):
     """A formula of the grammar with unary signs, zero, white space,
-    parenthesised and negative exponents and division."""
+    parenthesised and negative exponents, division, and unparenthesised
+    chains such as c*q^a*T^b."""
     pick = rng.random()
     if depth > 3 or pick < 0.3:
         atom = rng.choice(["q", "T", "0", "1", str(rng.randint(2, 12))])
-    elif pick < 0.55:
+    elif pick < 0.45:
+        factors = rng.choices(["0", str(rng.randint(1, 12)), "q", "T"], k=rng.randint(2, 4))
+        powers = ["", "", f"^{rng.randint(0, 3)}", f"^{rng.randint(0, 1001)}"]
+        atom = "*".join(
+            rng.choice(["", "", "-", "--"]) + f + (rng.choice(powers) if f in ("q", "T") else "")
+            for f in factors
+        )
+    elif pick < 0.6:
         op = rng.choice(["+", "-", "*", "/", " + ", " - ", "*", " / "])
         atom = f"{_random_formula(rng, depth + 1)}{op}{_random_formula(rng, depth + 1)}"
         atom = f"({atom})"
@@ -410,7 +418,9 @@ class TestParserAgainstReference:
          "(1/0)", "q^(-0)", "0^0", "q^(2", "q^(-)", "T^--3", "-(q^-1 - 1/q)", "9" * 5000,
          # sums whose running hull of boxes is too large while the exact box is not
          "q^1000 - q^1000 + T^1000", "q^1000 + 1 - q^1000 + T^1000", "q^1000 + 1 - 1 + T^5",
-         "q^1000 + T^1000", "1 + q + 1/q + T - q^2*T"],
+         "q^1000 + T^1000", "1 + q + 1/q + T - q^2*T",
+         # where a monomial meets zero, a parenthesised factor or exponent, or a second `^`
+         "0*q^-1", "0^-1*q", "q*(T)^2*3", "T^2^3", "3*q^(2)*T^0"],
     )
     def test_edge_cases(self, text):
         assert _outcome(parse_rational, text) == _outcome(reference_parse, text)
@@ -426,11 +436,16 @@ class TestParserAgainstReference:
             ("2*q^-1", "2/(q)"),
             ("q^(2)*T", "q^2*T"),
             ("3*q^2*(1 - T)*T - -2*T*q", "2*q*T + 3*q^2*T - 3*q^2*T^2"),
+            ("(2*q)^2*T", "4*q^2*T"),
+            ("q^2/T^3*q", "q^3/(T^3)"),
+            ("-q*-T^2", "q*T^2"),
+            ("2^-1*q", "q/(2)"),
         ],
     )
     def test_monomial_terms(self, text, printed):
-        """Terms read as one monomial, and terms that leave that reading at
-        a negative or parenthesised exponent or a parenthesised factor."""
+        """Terms that stay monomials, also through a parenthesised exponent
+        or factor, and terms that leave them at a `/`, a negative exponent
+        or a factor that is a sum."""
         assert _outcome(parse_rational, text) == _outcome(reference_parse, text)
         assert str(parse_rational(text)) == printed
 
@@ -492,6 +507,18 @@ class TestParserWork:
 
         monkeypatch.setattr(Poly, "__mul__", counting)
         assert str(parse_rational("q^36")) == "q^36"
+        assert calls == []
+
+    def test_parenthesised_exponents_stay_monomials(self, monkeypatch):
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        assert str(parse_rational("3*q^(2)*T^(1)*T")) == "3*q^2*T^2"
         assert calls == []
 
     @pytest.mark.parametrize("text", ["1 - q^3*T^2", "2 + q + q^2", "1 + q + T", "1 - q*T + 3*T^2*q^-1"])
