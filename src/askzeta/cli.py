@@ -432,13 +432,14 @@ def _oc_budget(d: int, args) -> None:
 
 
 def _group_source(args):
-    """The source's matrix size, its group at a prime, and its algebra (None if
-    not exp).  A catalog algebra's size is read off its row and meets the
-    budget before the algebra and its adjoint module are built."""
+    """The source's group at a prime, and its algebra (None if not exp).  Its
+    size meets the budget once, before any build; a catalog algebra's is read
+    off its row, before the algebra and its adjoint module are built."""
     if args.gl is not None:
         if args.gl < 1:
             raise InputError(f"--gl must be >= 1, got {args.gl}")
-        return args.gl, (lambda p: gl_generators(args.gl, p, max(args.n_max, 1))), None
+        _oc_budget(args.gl, args)
+        return (lambda p: gl_generators(args.gl, p, max(args.n_max, 1))), None
     if args.neg1:
         group = GroupGenSet(1, (IntMatrix([[-1]]),), "neg1")
     elif args.swap:
@@ -450,16 +451,15 @@ def _group_source(args):
     elif args.algebra:
         _oc_budget(catalog_row(args.algebra)[1], args)
         alg = catalog_algebra(args.algebra)
-        return alg.d, (lambda p: exp_group(alg, p, args.n_max)), alg
+        return (lambda p: exp_group(alg, p, args.n_max)), alg
     else:
         raise InputError("provide a group source (--group/--gl/--neg1/--swap/--algebra)")
-    return group.d, (lambda p: group), None
+    _oc_budget(group.d, args)
+    return (lambda p: group), None
 
 
 def cmd_oc(args) -> tuple[dict, int]:
-    d, group_at, alg = _group_source(args)
-    # before any generator is built or the kernel-average route runs
-    _oc_budget(d, args)
+    group_at, alg = _group_source(args)
     results = []
     internal_problem = False
     for p in args.p:

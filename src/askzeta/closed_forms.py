@@ -27,7 +27,7 @@ from math import comb, factorial
 from .catalog import _canonical_key, _family, _parse_key
 from .errors import MAX_BUILT_BITS, BudgetExceededError, InputError
 from .poly import Poly
-from .ratfun import QTRational, parse_rational
+from .ratfun import QTRational, _poly_pow, parse_rational
 
 
 @dataclass(frozen=True)
@@ -298,14 +298,6 @@ _BIG_P = "p sufficiently large, threshold unknown"
 _DOUBLED = f"p != 2 (doubled generators); {_BIG_P}"
 
 
-def _power_form(factor: Poly, power: int, denominator) -> QTRational:
-    """factor^power / prod (1 - q^a T^b) for (a, b) in denominator."""
-    num = Poly.const(2, 1)
-    for _ in range(power):
-        num = num * factor
-    return QTRational.from_factors(num, denominator)
-
-
 # family head -> its closed form at the key's parameters; the parameters are
 # checked by catalog._family before a row is read
 _FAMILY_FORMS = {
@@ -315,11 +307,11 @@ _FAMILY_FORMS = {
     "so": lambda d: mat_form(d, d - 1),
     "sp": lambda size: mat_form(size, size),
     "sym": lambda d: mat_form(d, d),
-    "n": lambda d: _power_form(
-        Poly(2, {(0, 0): 1, (0, 1): -1}), d - 1, [(1, 1)] * d
+    "n": lambda d: QTRational.from_factors(
+        _poly_pow(Poly(2, {(0, 0): 1, (0, 1): -1}), d - 1), [(1, 1)] * d
     ),
-    "tr": lambda d: _power_form(
-        Poly(2, {(0, 0): 1, (-1, 1): -1}), d, [(0, 1)] * (d + 1)
+    "tr": lambda d: QTRational.from_factors(
+        _poly_pow(Poly(2, {(0, 0): 1, (-1, 1): -1}), d), [(0, 1)] * (d + 1)
     ),
     "diag": diag_form,
     "band": lambda r: constant_rank_form(2 * r - 1, r, r),

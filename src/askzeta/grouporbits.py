@@ -4,7 +4,10 @@ unipotent groups, and nilpotent exponentials.
 A NilpotentAlgebra decides each property once: a nonzero trace of a basis
 element or of a product of two rejects it as not nilpotent before anything
 is built, then Lie closure in its adjoint module, then nilpotency (by Engel's
-theorem) in its class computation.
+theorem) in its class computation.  The spans of products that the class
+computation builds also give its flag basis: a unimodular U that makes every
+U*b*U^-1 strictly upper triangular, so the exponential group is unitriangular
+whatever basis the algebra came in.
 
 Conventions: groups act on row vectors from the right.  Orbit enumeration
 applies generators only (no inverses): every generator acts with finite order
@@ -26,26 +29,24 @@ the points' lexicographic indices: per level, a table of the index of x*g
 for every x and every acting generator, filled a row of p^n points at a time.
 
 A group mod p^n is closed once (group_closure).  When every acting
-generator has first column e_0 and last row e_(d-1), as the exponential of
-a strictly upper triangular algebra does, z_c = I + c*E_(0,d-1) is central
-and no entry of y*g but the corner (0, d-1) reads the corner of y.  The
-group is then a union of rows y*{z_c : c in C} over its corner subgroup C,
-a subgroup of Z/p^n, and the closure stores one element per row, with,
-per generator, the translation of the corner that y -> y*g adds on top of
-the rows' map: p^n times fewer elements for a catalog exponential group.
-Other groups are closed with rows of one element.  The coordinates of flat
-d x d matrices that no element moves are found from the generators alone and
-not stored; a row is one integer, its other varying coordinates as digits
-base p^n, and each generator's y -> y*g an affine map on those digits.  The
-closure numbers its rows in BFS order and keeps, per generator, the index
-and the translation of y*g for every row y, and for each row the one it was
-reached from; the integers themselves and their index are dropped on
-return, and the budget counts the rows.  Each g^-1 is read off those
-tables, as the element that y -> y*g sends into the identity's row, and
-the conjugation's y -> g^-1*y*g is two table lookups per row, with the
-translations carried along: no matrix products and no inverse after the
-closure.  Conjugation maps rows onto rows by translations of C, and the
-same walk as the orbits' counts the classes over rows.
+generator has first column e_0 and last row e_(d-1), as every exponential
+group does on its flag basis, z_c = I + c*E_(0,d-1) is central and no entry
+of y*g but the corner (0, d-1) reads the corner of y.  The group is then a
+union of rows y*{z_c : c in C} over its corner subgroup C of Z/p^n, and the
+closure stores one element per row, with, per generator, the translation of
+the corner that y -> y*g adds on top of the rows' map.  Other groups take
+the same loop with the corner modulus 1: rows of one element, translations
+0.  A row is one integer, the coordinates of flat d x d matrices that some
+element moves (found from the generators alone) as digits base p^n, and
+each generator's y -> y*g an affine map on those digits.  The closure
+numbers its rows in BFS order and keeps, per generator, the index and the
+translation of y*g for every row y, and for each row the one it was reached
+from; the integers and their index are dropped on return, and the budget
+counts the rows.  Each g^-1 is the element that y -> y*g sends into the
+identity's row, and the conjugation's y -> g^-1*y*g is two table lookups
+per row, with the translations carried along: no matrix products and no
+inverse after the closure.  Conjugation maps rows onto rows by translations
+of C, and the orbits' walk counts the classes over rows, for every group.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ class NilpotentAlgebra:
     nonzero tr(b_i) or tr(b_i b_j) rejects it at once, before the adjoint
     module's solve: a module with a nonzero trace is refused as not
     nilpotent, whether or not it is Lie-closed.
+
+    The class computation's spans give the flag basis (_flag_basis), a
+    unimodular `flag` U and the strictly upper triangular `group_basis`
+    U*b*U^-1, which only exp_group reads; `module` and `ad` stay as given.
     """
 
     def __init__(self, module: MatrixModule):
@@ -115,7 +120,9 @@ class NilpotentAlgebra:
             raise InputError(_NOT_NILPOTENT)
         self.ad = ad_representation(module)  # raises unless Lie-closed over Z
         self.module = module
-        self.nilpotency_class = self._nilpotency_class()
+        spans = self._product_spans()
+        self.nilpotency_class = len(spans)
+        self.flag, self.group_basis = _flag_basis(module.basis, spans, module.d)
 
     @property
     def d(self) -> int:
@@ -129,22 +136,17 @@ class NilpotentAlgebra:
     def label(self) -> str:
         return self.module.label
 
-    def _nilpotency_class(self) -> int:
-        span = list(self.module.basis)
-        c = 0
+    def _product_spans(self) -> list[list[IntMatrix]]:
+        """Bases of the spans of products of length 1, 2, ..., c of basis
+        elements, where products of length c+1 vanish: c is the class."""
+        spans, span = [], list(self.module.basis)
         while span:
-            c += 1
-            nxt = []
-            for b in self.module.basis:
-                for s in span:
-                    prod_mat = b @ s
-                    if not prod_mat.is_zero():
-                        nxt.append(prod_mat.flat())
-            span = [from_flat(r, self.d, self.d) for r in hermite_form(nxt)]
-            if c > self.d:
+            spans.append(span)
+            if len(spans) > self.d:
                 raise InputError(_NOT_NILPOTENT)
-        # after the loop, products of length c+1 vanish and length c did not
-        return c
+            products = [(b @ s).flat() for b in self.module.basis for s in span]
+            span = [from_flat(r, self.d, self.d) for r in hermite_form(products)]
+        return spans
 
     def identity_hypothesis_warnings(self, p: int) -> list[str]:
         """Hypotheses for the orbit/conjugacy identities: p >= d and isolation."""
@@ -175,6 +177,30 @@ def _traces_vanish(basis) -> bool:
         for i, entries in enumerate(nonzero)
         for bj in basis[i:]
     )
+
+
+def _flag_basis(basis, spans, d: int) -> tuple[IntMatrix, tuple[IntMatrix, ...]]:
+    """A unimodular U with U*b*U^-1 strictly upper triangular for every b in
+    the basis, and those conjugates; U = I for a basis that already is.
+
+    x times [S_c | ... | S_1 | I_d], whose row a holds row a of every element
+    of the span of products of length c, ..., 1, is (x*S_c, ..., x*S_1, x).
+    In its Hermite form the rows whose parts x*S_c .. x*S_k vanish come last
+    and are a basis of K_k, the x killed by every product of length k; x*b
+    lies in K_(k-1) for x in K_k, so each b sends a row into the span of
+    later rows.  The I parts are the rows of U; U^-1 is the right half of
+    the Hermite form of [U | I_d].
+    """
+    if all(not v for b in basis for i, row in enumerate(b.entries) for v in row[: i + 1]):
+        return IntMatrix.identity(d), tuple(basis)
+    eye = IntMatrix.identity(d).entries
+    rows = [
+        [*(v for span in reversed(spans) for s in span for v in s.entries[a]), *eye[a]]
+        for a in range(d)
+    ]
+    flag = IntMatrix([row[-d:] for row in hermite_form(rows)])
+    inverse = IntMatrix([r[d:] for r in hermite_form(list(map(add, flag.entries, eye)))])
+    return flag, tuple(flag @ b @ inverse for b in basis)
 
 
 def catalog_algebra(key: str) -> NilpotentAlgebra:
@@ -458,10 +484,10 @@ class GroupClosure:
     representative and u = I + (m/fibre)*E_(0,d-1) generates the group's
     central corner subgroup (fibre 1 when group_closure finds no corner:
     each row is then one element).  y_i*g_a = y_(right[a][i]) *
-    u^(shift[a][i]), and y_i = y_(parent[i]) * g_(last[i]) for i > 0; at
-    fibre 1 every shift is 0 and `shift` holds no tables.  The
-    length is the group order, rows * fibre.  A plain class: a dataclass
-    would add about half a millisecond to importing the package.
+    u^(shift[a][i]), one shift table per right table (all 0 at fibre 1),
+    and y_i = y_(parent[i]) * g_(last[i]) for i > 0.  The length is the
+    group order, rows * fibre.  A plain class: a dataclass would add about
+    half a millisecond to importing the package.
     """
 
     __slots__ = ("right", "shift", "parent", "last", "fibre")
@@ -479,12 +505,11 @@ class GroupClosure:
 
 def _corner_modulus(gens_flat, d: int, m: int) -> int:
     """m if every generator has first column e_0 and last row e_(d-1) mod m
-    and d > 1, else 1: the modulus group_closure keeps the corner (0, d-1)
-    in, outside the stored digits.
-
-    For such matrices z_c = I + c*E_(0,d-1) is central, since y*E_(0,d-1) =
-    E_(0,d-1) = E_(0,d-1)*y, and no entry of y*g but the corner reads the
-    corner of y, which y*g moves by sum_(k<d-1) y_0k g_(k,d-1).
+    and d > 1 (the frame), else 1: the modulus group_closure keeps the
+    corner (0, d-1) in, outside the stored digits.  For such matrices z_c =
+    I + c*E_(0,d-1) is central, since y*E_(0,d-1) = E_(0,d-1) = E_(0,d-1)*y,
+    and no entry of y*g but the corner reads the corner of y, which y*g
+    moves by sum_(k<d-1) y_0k g_(k,d-1).
     """
     e = d - 1
     if e > 0 and all(
@@ -500,22 +525,22 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
     """All elements of the subgroup generated by the given units mod m, as
     rows over the corner subgroup (GroupClosure).
 
-    The corner is kept mod _corner_modulus: each row's representative y_i
-    has the corner o_i of the element it was reached as, and an edge to a
-    seen row j gives the shift (corner of y_i*g_a) - o_j.  The shifts and m
-    generate the corner subgroup {c : z_c in the group} = gcd(m, shifts)*Z/m,
-    stored as fibre = m/gcd(m, shifts) with the shifts divided by the gcd.
-    Off the corner route no corners or shifts are computed, and at fibre 1
-    no shift table is returned.
+    The corner is kept mod _corner_modulus, m on the frame and 1 off it: each
+    row's representative y_i has the corner o_i of the element it was
+    reached as, and an edge to a seen row j gives the shift (corner of
+    y_i*g_a) - o_j.  On the frame the corner subgroup {c : z_c in the group}
+    is gcd(m, shifts)*Z/m, stored as fibre = m/gcd(m, shifts) with the shifts
+    divided by the gcd; off it every corner and shift is 0 and the fibre 1.
     Each generator's right action y -> y*g is an affine map on the other
-    varying coordinates; the BFS applies it to the digits of each row's
-    code, the first varying coordinate lowest.  The budget counts the rows.
-    The generators that are the identity mod m get no table.
+    varying coordinates; the BFS applies it to the digits of each row's code,
+    the first varying coordinate lowest.  The budget counts the rows.  The
+    generators that are the identity mod m get no table.
     """
     identity = tuple(int(i == j) for i in range(d) for j in range(d))
     acting = [(g, moved) for g in gens_flat if (moved := _right_moves(g, d, m))]
     moves = [moved for _, moved in acting]
     corner = _corner_modulus([g for g, _ in acting], d, m)
+    # on the frame the corner is held outside the digits
     coords = tuple(
         j for j in _varying_coordinates(identity, moves, m) if corner == 1 or j != d - 1
     )
@@ -535,7 +560,7 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
     maps = [
         (
             [(weights[digit[j]], digit[j], *affine(col)) for j, col in moved if j in digit],
-            affine(dict(moved).get(d - 1, ())) if corner > 1 else (0, ()),
+            affine(dict(moved).get(d - 1, ())),
         )
         for moved in moves
     ]
@@ -544,45 +569,39 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
     index = {code: 0}
     typecode = _typecode(min(budget, 1 << 64))
     right = [array(typecode) for _ in moves]
-    shift = [array(_typecode(corner)) for _ in moves] if corner > 1 else []
+    shift = [array(_typecode(corner)) for _ in moves]
     parent = array(typecode, [0])
     last = array(_typecode(max(len(moves), 1)), [0])
-    offsets = array(_typecode(corner), [0] if corner > 1 else [])
-    puts_shift = (s.append for s in shift) if shift else repeat(None)
-    steps = list(zip(maps, (r.append for r in right), puts_shift))
+    offsets = array(_typecode(corner), [0])
+    steps = list(zip(maps, (r.append for r in right), (s.append for s in shift)))
     size = 1
     for i, code in enumerate(codes):
         x = [code // w % m for w in weights]
-        o = offsets[i] if shift else 0
+        o = offsets[i]
         for a, ((rewrites, (z, reads)), put, put_shift) in enumerate(steps):
             image = code
             for w, t, v, col in rewrites:
                 for k, c in col:
                     v += x[k] * c
                 image += w * (v % m - x[t])
+            z += o
+            for k, c in reads:
+                z += x[k] * c
             j = index.setdefault(image, size)
-            new = j == size
-            if new:
+            if j == size:
                 size += 1
                 if size > budget:
                     raise BudgetExceededError(size, budget, "group too large")
                 codes.append(image)
                 parent.append(i)
                 last.append(a)
-            if put_shift:
-                z += o
-                for k, c in reads:
-                    z += x[k] * c
-                if new:
-                    offsets.append(z % corner)
-                    put_shift(0)
-                else:
-                    put_shift((z - offsets[j]) % corner)
+                offsets.append(z % corner)
+                put_shift(0)
+            else:
+                put_shift((z - offsets[j]) % corner)
             put(j)
     step = gcd(corner, *set().union(*shift))
-    if step == corner:
-        shift = []
-    elif step > 1:
+    if step > 1:
         shift = [array(table.typecode, [s // step for s in table]) for table in shift]
     return GroupClosure(right, shift, parent, last, corner // step)
 
@@ -597,14 +616,11 @@ def conjugacy_class_count(closure: GroupClosure) -> int:
     as (g_a^-1 * y_parent(i)) * g_last(i), and g_a^-1 * y_i * g_a is row
     right[a][left[i]] translated by turn[i] + shift[a][left[i]].  u is
     central, so each conjugation maps rows onto rows by translations of
-    Z/fibre, and _coset_walk counts the classes.  At fibre 1 each row is one
-    element and there are no translations: _orbit_count counts the orbits
-    of the conjugation tables alone.
+    Z/fibre, and _coset_walk counts the classes (at fibre 1, one per
+    component of rows).
     """
     right, shift, parent, last = closure.right, closure.shift, closure.parent, closure.last
     fibre = closure.fibre
-    if fibre == 1:
-        return _orbit_count([_conjugation_table(closure, table) for table in right], len(parent))
     steps = []
     for table, shifts in zip(right, shift):
         k = table.index(0)
@@ -624,26 +640,16 @@ def conjugacy_class_count(closure: GroupClosure) -> int:
     return _coset_walk(steps, (), len(parent), fibre)
 
 
-def _conjugation_table(closure: GroupClosure, table: array) -> array:
-    """At fibre 1, the index of g^-1 * y_i * g for every element y_i, where
-    `table` is right[a] of g = g_a: g^-1 is the element `table` sends to the
-    identity, g^-1 * y_i = y_(left[i]) fills in BFS order and
-    right[a][left[i]] is the conjugate."""
-    right, parent, last = closure.right, closure.parent, closure.last
-    left = array(parent.typecode, [table.index(0)])
-    put = left.append
-    for i, a in zip(islice(parent, 1, None), islice(last, 1, None)):
-        put(right[a][left[i]])
-    return array(left.typecode, map(table.__getitem__, left))
-
-
 def exp_group(alg: NilpotentAlgebra, p: int, n: int) -> GroupGenSet:
-    """exp of the basis mod p^n (mod p at n = 0).  Reduced mod p^m, these generate
-    the exponential group at each level m <= n: 1/i! mod p^n is 1/i! mod p^m."""
+    """exp of the group basis mod p^n (mod p at n = 0): of U*b*U^-1 for the
+    algebra's flag U, which conjugates the group of exp(b) by a unimodular
+    matrix and keeps its orbit and class counts.  Reduced mod p^m, these
+    generate the exponential group at each level m <= n: 1/i! mod p^n is
+    1/i! mod p^m."""
     if p < alg.d:
         raise InputError(f"need p >= {alg.d} for the exponential")
     ring = RingSpec(p, max(n, 1))
-    gens = tuple(exp_nilpotent(b, ring) for b in alg.module.basis)
+    gens = tuple(exp_nilpotent(b, ring) for b in alg.group_basis)
     return GroupGenSet(alg.d, gens, f"exp({alg.label})")
 
 
@@ -652,13 +658,15 @@ def cc_coefficients_direct(
 ) -> list[int]:
     """Conjugacy class counts of the level-n images of the exponential group.
 
-    The group at level n is generated by exp of the basis mod p^n; its order
-    p^(dim * n) must stay within the budget.
+    The group at level n is generated by exp of the group basis mod p^n; its
+    order p^(dim * n) must stay within the budget at every level, which is
+    checked, level by level, before the generators are built.
     """
+    for n in range(1, n_max + 1):
+        check_power(p, alg.dim * n, budget)
     group = exp_group(alg, p, n_max)
     out = [1]
     for n in range(1, n_max + 1):
-        check_power(p, alg.dim * n, budget)
         m = p**n
         gens = [g.mod(m).flat() for g in group.generators]
         out.append(conjugacy_class_count(group_closure(gens, alg.d, m, budget)))

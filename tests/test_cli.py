@@ -877,6 +877,47 @@ class TestCommands:
         for counts in (entry["coefficients"], entry["table"]):
             assert counts == [{"num": str(c), "den": "1"} for c in entry["direct"]]
 
+    def test_cc_module_conjugate_reach(self, tmp_path, capsys):
+        # a non-triangular conjugate of L_{4,3}: its group is built on the
+        # flag basis and closed over corner rows, like the catalog algebra's
+        from askzeta import IntMatrix
+
+        ref = catalog_module("L_{4,3}")
+        d = ref.d
+        # P is lower unitriangular with every entry 1; P^-1 is 1 - subdiagonal
+        lower = IntMatrix([[int(j <= i) for j in range(d)] for i in range(d)])
+        inverse = IntMatrix([[(i == j) - (j == i - 1) for j in range(d)] for i in range(d)])
+        basis = [[list(row) for row in (lower @ b @ inverse).entries] for b in ref.basis]
+        assert any(row[0] for b in basis for row in b[1:])
+        doc = {"schema": "askzeta/1", "d": d, "e": d, "basis": basis,
+               "label": "conjugate", "lie": True}
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["cc", "--module", str(path), "--p", "5", "--n-max", "2"]) == EXIT_OK
+        assert time.perf_counter() - start < 2
+        entry = json.loads(capsys.readouterr().out)["results"][0]
+        assert main(["cc", "--algebra", "L_{4,3}", "--p", "5", "--n-max", "2"]) == EXIT_OK
+        want = json.loads(capsys.readouterr().out)["results"][0]
+        assert entry["direct"] == want["direct"] == [1, 49, 1825]
+        assert entry["coefficients"] == want["coefficients"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--algebra", "L_{3,2}"], ["--gl", "2"], ["--swap"], ["--neg1"]],
+    )
+    def test_oc_checks_each_prime_once(self, capsys, monkeypatch, source):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return check_power(*args)
+
+        monkeypatch.setattr(cli, "check_power", spy)
+        assert main(["oc", *source, "--p", "5,7", "--n-max", "1"]) == EXIT_OK
+        capsys.readouterr()
+        assert [p for p, *_ in calls] == [5, 7]
+
     def test_group_file(self, tmp_path, capsys):
         doc = {
             "schema": "askzeta/1",

@@ -192,13 +192,13 @@ class TestNilpotentAlgebra:
     def _class_rounds(monkeypatch):
         """Record each call of the class computation."""
         calls = []
-        rounds = NilpotentAlgebra._nilpotency_class
+        rounds = NilpotentAlgebra._product_spans
 
         def spy(self):
             calls.append(self.label)
             return rounds(self)
 
-        monkeypatch.setattr(NilpotentAlgebra, "_nilpotency_class", spy)
+        monkeypatch.setattr(NilpotentAlgebra, "_product_spans", spy)
         return calls
 
     def test_a_nonzero_trace_rejects_before_the_class_rounds(self, monkeypatch):
@@ -356,6 +356,18 @@ class TestConjugacyClasses:
             cc_coefficients_direct(alg, 5, 2, 5**6 - 1)
         assert (err.value.needed, err.value.budget) == (5**6, 5**6 - 1)
 
+    def test_budget_comes_before_the_generators(self):
+        """Every level meets the budget before exp_group builds the generators
+        mod p^n_max: a deep n_max refuses level 1 at once."""
+        import time
+
+        alg = catalog_algebra("L_{3,2}")
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as err:
+            cc_coefficients_direct(alg, 5, 10**6, 100)
+        assert time.perf_counter() - start < 0.1
+        assert (err.value.needed, err.value.budget) == (125, 100)
+
     @pytest.mark.parametrize("key, varying", [("L_{3,2}", 3), ("n(4)", 6), ("L_{4,3}", 6)])
     def test_closure_stores_varying_coordinates(self, key, varying):
         """Coordinates that no element moves are not stored: an element is
@@ -389,10 +401,11 @@ class TestConjugacyClasses:
         assert count_peak <= 1.25 * closure_peak, (count_peak, closure_peak)
 
     @pytest.mark.parametrize("key", ["n(3)", "L_{3,2}", "L_{4,3}"])
-    def test_non_triangular_groups_keep_no_shifts(self, key):
-        """A unimodular conjugate of a catalog algebra is not triangular: its
-        group takes fibre 1, whose closure holds no shift entries, and its
-        class counts are the brute-force ones."""
+    def test_non_triangular_groups_take_corner_rows(self, key):
+        """A unimodular conjugate of a catalog algebra is not triangular, but
+        its group is built on its flag basis: it takes rows over a nontrivial
+        corner subgroup (fibre > 1), and its class counts are the brute-force
+        ones."""
         from askzeta import MatrixModule
         from conftest import brute_class_count, brute_closure
 
@@ -409,10 +422,71 @@ class TestConjugacyClasses:
             gens = exp_group(alg, p, 1).generators
             flat = [g.mod(m).flat() for g in gens]
             closure = grouporbits.group_closure(flat, d, m, 10**4)
-            assert (closure.fibre, closure.shift) == (1, [])
+            assert closure.fibre > 1
+            assert len(closure.shift) == len(closure.right)
             group = brute_closure([g.mod(m) for g in gens], d, m, limit=10**4)
             assert len(closure) == len(group)
             assert grouporbits.conjugacy_class_count(closure) == brute_class_count(group, m)
+
+
+class TestFlagBasis:
+    """Every algebra's group is built on a strictly upper triangular basis:
+    its flag U, unimodular, makes U*b*U^-1 strictly upper triangular, and the
+    conjugate group has the catalog algebra's counts."""
+
+    @staticmethod
+    def upper(basis) -> bool:
+        return all(not v for b in basis for i, row in enumerate(b.entries) for v in row[: i + 1])
+
+    @pytest.mark.parametrize("key", [*algebra_keys(), "n(3)", "n(4)", "zero(2,2)"])
+    def test_catalog_bases_keep_the_identity(self, key):
+        alg = catalog_algebra(key)
+        assert alg.flag == IntMatrix.identity(alg.d)
+        assert alg.group_basis == tuple(alg.module.basis)
+
+    # the deepest level per prime: the direct counts of the conjugate and of
+    # the catalog algebra each close at most 15,625 rows and take well under
+    # a second (L_{4,2} has no corner subgroup, so its rows are elements)
+    LEVELS = {
+        "n(3)": {5: 2, 7: 2},
+        "L_{3,2}": {5: 2, 7: 2},
+        "L_{4,3}": {5: 2, 7: 1},
+        "L_{4,2}": {5: 1, 7: 1},
+        "L_{5,6}": {5: 1, 7: 1},
+    }
+
+    @pytest.mark.parametrize("key", sorted(LEVELS))
+    def test_random_conjugates(self, key, rng):
+        from askzeta import MatrixModule
+        from askzeta.linalg import frac_rref
+        from conftest import _int_det, brute_class_count, brute_closure, random_unimodular
+
+        ref = catalog_algebra(key)
+        d = ref.d
+        u = random_unimodular(rng, d)
+        eye = IntMatrix.identity(d).entries
+        rref, _ = frac_rref([row + e for row, e in zip(u.entries, eye)])
+        inverse = IntMatrix([[int(v) for v in row[d:]] for row in rref])
+        assert u @ inverse == IntMatrix.identity(d)
+        alg = NilpotentAlgebra(MatrixModule(d, d, [u @ b @ inverse for b in ref.module.basis]))
+        assert not self.upper(alg.module.basis)
+        assert abs(_int_det(alg.flag.entries)) == 1
+        assert self.upper(alg.group_basis)
+        for b, c in zip(alg.module.basis, alg.group_basis):
+            assert alg.flag @ b == c @ alg.flag
+        for p, top in self.LEVELS[key].items():
+            direct = cc_coefficients_direct(alg, p, top)
+            assert direct == cc_coefficients_direct(ref, p, top), (key, p)
+            orbits = oc_coefficients(exp_group(alg, p, top), p, top)
+            assert orbits == oc_coefficients(exp_group(ref, p, top), p, top), (key, p)
+            # brute_class_count conjugates each class's first element by the
+            # whole group: check the levels where that is at most 5 * 10^4
+            for n in range(1, top + 1):
+                if direct[n] * p ** (alg.dim * n) <= 5 * 10**4:
+                    m = p**n
+                    gens = [g.mod(m) for g in exp_group(alg, p, n).generators]
+                    group = brute_closure(gens, d, m, limit=10**4)
+                    assert direct[n] == brute_class_count(group, m), (key, p, n)
 
 
 class TestOrbitBridge:
@@ -813,11 +887,9 @@ class TestDenseOracles:
             assert set(elements) == group, (gens, p, n)
             powers = self.powers(closure, d, m)
             one = reps[0]
-            assert len(closure.right) == len(acting)
-            # at fibre 1 every shift is 0, and no table of them is kept
-            assert len(closure.shift) == (len(acting) if closure.fibre > 1 else 0)
-            shifts = closure.shift or [[0] * len(reps) for _ in acting]
-            for g, right, shift in zip(acting, closure.right, shifts):
+            # one shift table per acting generator at every fibre
+            assert len(closure.right) == len(closure.shift) == len(acting)
+            for g, right, shift in zip(acting, closure.right, closure.shift):
                 assert len(right) == len(shift) == len(reps)
                 assert all(0 <= s < closure.fibre for s in shift)
                 for y, j, s in zip(reps, right, shift):
