@@ -68,12 +68,14 @@ _FIXED = {
     "L_{3,1}": (4, 4, [[(0, 1)], [(0, 2)], [(0, 3)]]),
     "L_{3,2}": (3, 3, [[(0, 1)], [(0, 2)], [(1, 2)]]),
     "L_{4,1}": (5, 5, [[(0, 1)], [(0, 2)], [(0, 3)], [(0, 4)]]),
-    # n(3) (+) L_{1,1}
-    "L_{4,2}": (5, 5, [[(0, 1)], [(0, 2)], [(1, 2)], [(3, 4)]]),
+    # n(3) on coordinates 0, 1, 4 (+) L_{1,1} on 2, 3: the centre E_04 of
+    # the Heisenberg block sits on the corner, so the group closes over it
+    "L_{4,2}": (5, 5, [[(0, 1)], [(0, 4)], [(1, 4)], [(2, 3)]]),
     "L_{4,3}": (4, 4, [[(0, 1), (1, 2), (2, 3)], [(0, 1)], [(0, 2)], [(0, 3)]]),
     "L_{5,1}": (5, 5, [[(0, 2)], [(0, 3)], [(0, 4)], [(1, 2)], [(1, 3)]]),
-    # n(3) (+) the span of e_{0,2}, e_{1,2} in Mat_3
-    "L_{5,2}": (6, 6, [[(0, 1)], [(0, 2)], [(1, 2)], [(3, 5)], [(4, 5)]]),
+    # n(3) on coordinates 0, 1, 5 (+) the span of e_{0,2}, e_{1,2} in Mat_3 on
+    # 2, 3, 4, with the Heisenberg centre E_05 on the corner as in L_{4,2}
+    "L_{5,2}": (6, 6, [[(0, 1)], [(0, 5)], [(1, 5)], [(2, 4)], [(3, 4)]]),
     "L_{5,3}": (5, 5, [[(0, 1), (1, 2), (2, 3)], [(0, 1)], [(0, 2)], [(0, 3)], [(0, 4)]]),
     "L_{5,4}": (4, 4, [[(0, 1)], [(1, 3)], [(0, 2)], [(2, 3)], [(0, 3)]]),
     "L_{5,5}": (5, 5, [

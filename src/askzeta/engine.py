@@ -29,15 +29,16 @@ rank z, a unimodular change of the point coordinates turns it into z
 coordinates that contribute p^(nz), and the walk runs over the other k - z.
 From here on k is that reduced size, and the scale is p^(n(d-k)).  The
 average view's point axis indexes an independent basis, so its kernel
-is zero and its walk is unchanged.
+is zero and it is walked as it stands.
 
 ask_series is the one entry: it runs one view by name, or "auto", the view
-with the fewest points p^(kn), or "both", which compares the average and
-orbit routes, i.e. the definition with the orbit formula.  One rule,
+with the fewest points p^(kn) once each view's kernel is stripped (ties in
+VIEWS order, orbit first), or "both", which compares the average and orbit
+routes, i.e. the definition with the orbit formula.  One rule,
 check_budget, bounds p^(kn) at every level of every view a call runs, from
 the axis sizes (dim, d, e) alone: before any walk, or any catalog build.
-Budget and "auto" read the unreduced k, so the budget is an upper bound on
-the points the walk covers.
+The budget reads the unreduced k, for "auto" the fewest over the views, so
+it is an upper bound on the points the walk covers.
 
 Spans are invariant under multiplying the point by a unit, and a nonzero x
 is p^w times a primitive vector y mod p^(n-w), whose unit class has
@@ -74,7 +75,14 @@ have a closed count.  Otherwise the counter branches on one coordinate,
 toward making a row or column constant; where every row and column reads
 every coordinate no branching can, and each point takes its own rank.  The
 walk receives each rank's classes in bulk and gets back only the points it
-goes below.
+goes below.  Branches often reach the same sub-family again, as a set of
+matrices, and a rank distribution depends on that set alone.  So while
+the walk has gone below none of a count's points, the count keeps each
+distribution it takes, by the sub-family's affine space, and a sub-family
+met again whose ranks have all been taken takes the kept counts, scaled
+by its points per matrix of the space.  The walk goes below no point of a
+family at level n_max, so every family of a level-1 walk counts each
+distinct sub-family once.  The memo lives for one family's count.
 
 The walk stops at a resolved node: one with r divisors below m, where r is
 the generic rank of the rows (the rank over Q(X) of the view's matrix of
@@ -94,7 +102,7 @@ inconsistency.  A walk without r (level 1, where every node is a leaf)
 resolves nothing: the nodes at depth m are then exactly the unit classes
 mod p^m.  The counter takes at most one rank per class, and far fewer where
 rows and columns read few coordinates (the average view of sl(3) at p = 5
-counts its 97,656 classes from 43 ranks); each node the walk expands takes
+counts its 97,656 classes from 9 ranks); each node the walk expands takes
 one residual pencil besides.
 """
 
@@ -176,12 +184,120 @@ def _family(a0, dirs, p, take, short=False):
 
     a0 and the j directions are matrices of one shape, reduced mod p.
     `take(rank, nodes)` receives the points of each rank in bulk and says
-    whether the walk goes below them; the counter yields (t, rank) for
-    exactly those points, each once.  With `short` every rank is at most 1.
-    It holds one family per branching, so O(j + rows) of them at a time.
+    whether the walk goes below them; its answer depends on the rank alone.
+    The counter yields (t, rank) for exactly those points, each once.  With
+    `short` every rank is at most 1.
+
+    The branches of one count often reach the same affine sub-family: the
+    same shape and the same set of matrices, from other values of other
+    coordinates.  Its rank distribution, the number of matrices of each
+    rank in that set, is a function of the set alone.  So while the count is
+    quiet, the walk having gone below none of the points taken so far (as
+    at level n_max, where it goes below none), each sub-family of two or
+    more coordinates is counted once per key (_space) and its distribution
+    kept (_Tally.memo).  A later one with that key whose ranks have all been
+    taken, and so are not walked below, yields nothing and takes the kept
+    counts, which is what counting it again would do.  Once the walk goes
+    below a point, the rest of the count runs as without the memo.  The
+    memo lives as long as this one count and holds one entry per distinct
+    sub-family counted while quiet; besides, the count holds one family per
+    branching on its stack.
     """
-    counter = _rank_one if short else _classes
-    return counter(a0, list(enumerate(dirs)), 0, (), [0] * len(dirs), p, take)
+    dirs, t = list(enumerate(dirs)), [0] * len(dirs)
+    if short:
+        return _rank_one(a0, dirs, 0, (), t, p, take)
+    return _classes(a0, dirs, 0, (), t, p, _Tally(take))
+
+
+class _Tally:
+    """The walk's `take` for one _family count, and that count's memo.
+
+    `quiet` says that the walk has gone below none of the points taken so
+    far, `taken` maps each rank taken so far to its points, and `memo` maps
+    the _space key of each sub-family counted while quiet to its points per
+    rank, per matrix of the space.
+    """
+
+    def __init__(self, take):
+        self.take = take
+        self.quiet = True
+        self.taken = {}
+        self.memo = {}
+
+    def __call__(self, rank, nodes):
+        self.taken[rank] = self.taken.get(rank, 0) + nodes
+        if self.take(rank, nodes):
+            self.quiet = False
+            return True
+        return False
+
+
+def _space(a0, dirs, p):
+    """(key, dim) of the affine space a0 + span of the directions over F_p.
+
+    The key is the shape, the reduced echelon basis of the flattened
+    directions and a0 reduced against it, so two families of one shape have
+    one key exactly when they are the same set of matrices; dim is the
+    number of basis vectors.
+    """
+    basis = {}  # pivot column -> row, reduced echelon
+    for _, d in dirs:
+        v = [x for row in d for x in row]
+        for c, row in basis.items():
+            if f := v[c]:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            v = [x * inv % p for x in v]
+            for b, row in basis.items():
+                if f := row[c]:
+                    basis[b] = [(x - f * y) % p for x, y in zip(row, v)]
+            basis[c] = v
+    v = [x for row in a0 for x in row]
+    for c, row in basis.items():
+        if f := v[c]:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    rows = tuple(tuple(basis[c]) for c in sorted(basis))
+    return (len(a0), len(a0[0]), rows, tuple(v)), len(rows)
+
+
+def _memoised(counter, a0, dirs, base, unused, t, p, take, *rest):
+    """counter(a0, dirs, base, unused, t, p, take, *rest), a sub-family of a
+    _classes count, through the count's memo while the count is quiet.
+
+    Each point of the space a0 + span(dirs) stands for p^(j - dim + |unused|)
+    points of the count: the directions that depend on others, and the
+    coordinates that no entry reads.  A space met before, whose ranks (plus
+    base) have all been taken, takes its stored points per rank times that:
+    the walk goes below none of them.  Otherwise it is counted, and the
+    count's total per rank, divided once by that multiplicity, is stored
+    (_kept).  A family of one coordinate is a line of p matrices, whose key
+    would cost about as much as its count, so it is counted directly.
+    """
+    points = counter(a0, dirs, base, unused, t, p, take, *rest)
+    if not take.quiet or len(dirs) < 2:
+        return points
+    key, dim = _space(a0, dirs, p)
+    per = p ** (len(dirs) - dim + len(unused))
+    entry = take.memo.get(key)
+    if entry is None or any(base + r not in take.taken for r in entry):
+        return _kept(points, take, key, base, per)
+    for r, n in entry.items():
+        take(base + r, n * per)
+    return ()
+
+
+def _kept(points, take, key, base, per):
+    """The points of one sub-family's count; once it ends, its points per
+    rank (less base), divided by the multiplicity per, go to take.memo."""
+    before = dict(take.taken)
+    yield from points
+    take.memo[key] = {
+        r - base: (n - before.get(r, 0)) // per
+        for r, n in take.taken.items()
+        if n != before.get(r, 0)
+    }
 
 
 def _touched(a0, dirs):
@@ -213,7 +329,8 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
     branches like any other.  Otherwise the counter branches on a
     coordinate of the row or column that the fewest coordinates touch; when
     every row and column reads every coordinate no branching can make one
-    constant, and each point takes its own rank.
+    constant, and each point takes its own rank.  The branches and the two
+    closed counts go through the count's memo (_memoised).
     """
     while True:
         rows, cols = masks or _touched(a0, dirs)
@@ -249,10 +366,10 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
             dirs = [(a, _eliminate(d, i0, j0, row0, inv, p)) for a, d in dirs]
             base += 1
     if len(a0) == 1 or len(a0[0]) == 1:
-        yield from _rank_one(a0, dirs, base, unused, t, p, take)
+        yield from _memoised(_rank_one, a0, dirs, base, unused, t, p, take)
         return
     if p > 2 and len(a0) == len(a0[0]) == 2:
-        yield from _two_by_two(a0, dirs, base, unused, t, p, take)
+        yield from _memoised(_two_by_two, a0, dirs, base, unused, t, p, take)
         return
     lines = rows + cols
     narrow = min(lines, key=int.bit_count)
@@ -268,7 +385,7 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
         for v in range(p):
             t[a] = v
             at = [[(x + v * y) % p for x, y in zip(r, s)] for r, s in zip(a0, d)] if v else a0
-            yield from _classes(at, rest, base, unused, t, p, take, masks)
+            yield from _memoised(_classes, at, rest, base, unused, t, p, take, masks)
         return
     # every point on its own, the last coordinate innermost; each rank is
     # taken once when first seen and once more for the rest of its points
@@ -604,19 +721,35 @@ def _strip_kernel(generators, k: int, w: int) -> tuple[tuple, int]:
     return reduced, len(kept)
 
 
+def _walk_input(m: MatrixModule, view: str) -> tuple[str, tuple, int]:
+    """(view, generators, k): the view's generators with their common kernel
+    along the point axis stripped, and the reduced size k of that axis.
+
+    "auto" strips every view once and takes the one with the fewest points
+    left, ties in VIEWS order (orbit first).
+    """
+    stripped = []
+    for name in VIEWS if view == "auto" else (view,):
+        k, _, w = m.view_shape(name)
+        generators = m.view_generators(name)
+        if name != "average":  # its point axis indexes a basis: no kernel
+            generators, k = _strip_kernel(generators, k, w)
+        stripped.append((name, generators, k))
+    return min(stripped, key=lambda s: s[2])
+
+
 def _view_series(m: MatrixModule, p: int, top: int, view: str, jobs: int) -> list[Fraction]:
-    """ask(M, Z/p^n) for n = 0..top through one view, from one walk.
+    """ask(M, Z/p^n) for n = 0..top through one view, or "auto", from one walk.
 
     The walk runs on the view's generators with their common kernel along the
-    point axis stripped; a unimodular change of the point coordinates keeps
-    the generic rank of the view.  The rank that resolves nodes is asked for
-    only when the walk goes deeper than level 1, where every node is a leaf
-    anyway.
+    point axis stripped (_walk_input); a unimodular change of the point
+    coordinates keeps the generic rank of the view.  The rank that resolves
+    nodes is asked for only when the walk goes deeper than level 1, where
+    every node is a leaf anyway.
     """
-    k, _, w = m.view_shape(view)
-    generators, k = _strip_kernel(m.view_generators(view), k, w)
+    view, generators, k = _walk_input(m, view)
     rank = m.generic_rank(view) if top > 1 else None
-    return _orbit_sums(generators, k, w, p, top, rank, jobs, m.d - k)
+    return _orbit_sums(generators, k, m.view_shape(view)[2], p, top, rank, jobs, m.d - k)
 
 
 def _method_views(sizes, method: str) -> tuple[str, ...]:
@@ -631,7 +764,9 @@ def _method_views(sizes, method: str) -> tuple[str, ...]:
 
 def check_budget(sizes, p: int, top: int, method: str, budget: int) -> tuple[str, ...]:
     """The views `method` runs, once every level up to top of each is within
-    the budget; sizes are (dim, d, e), so no module need exist yet."""
+    the budget; sizes are (dim, d, e), so no module need exist yet.  For
+    "auto" that is the view with the fewest unreduced points, which bound
+    those of the view that auto runs after the strip."""
     views = _method_views(sizes, method)
     for n in range(1, top + 1):
         for view in views:
@@ -650,15 +785,19 @@ def ask_series(
     """Coefficients ask(M, Z/p^n) for n = 0 .. n_max; the engine's one entry.
 
     method is a view ("orbit", "average" or "transpose"); "auto" runs the
-    view with the fewest points, and "both" runs the average and orbit
-    routes and insists on exact agreement.  A coefficient below 1, or two
-    routes that disagree, raise InternalConsistencyError.  The point count
-    p^(k*n) of every view run must stay within the budget at every level.
+    view with the fewest points once its kernel is stripped, and "both"
+    runs the average and orbit routes and insists on exact agreement.  A
+    coefficient below 1, or two routes that disagree, raise
+    InternalConsistencyError.  The point count p^(k*n) of every view run,
+    for "auto" of the view with the fewest unreduced points, must stay
+    within the budget at every level.
     `jobs` splits each walk by pivot across processes; the result does not
     depend on the split.
     """
     RingSpec(p, n_max)
     views = check_budget(m.sizes, p, n_max, method, budget)
+    if method == "auto":
+        views = (method,)
     found = [_view_series(m, p, n_max, view, jobs) for view in views]
     for n, value in enumerate(found[0]):
         if value != found[-1][n]:

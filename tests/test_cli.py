@@ -968,3 +968,15 @@ class TestCommands:
         code = main(["verify", "--catalog", "sp(4)", "--p", "3", "--n-max", "2"])
         assert code == EXIT_OK
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key", ["so(6)", "sym(5)"])
+    def test_verify_definition_route_within_seconds(self, capsys, key):
+        # both views fit the budget, so verify compares the average view over
+        # 3^15 coefficient tuples with the orbit formula; each distinct
+        # sub-family of a pivot's family is counted once at level 1, where
+        # this took about 6 and 10 s when every copy was counted
+        start = time.perf_counter()
+        code = main(["verify", "--catalog", key, "--p", "3", "--n-max", "1"])
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["status"] == "match"

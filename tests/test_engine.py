@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,8 +18,11 @@ from askzeta import (
     ask_average,
     ask_orbit,
     ask_series,
+    catalog_keys,
     catalog_module,
     closed_form,
+    elliptic_point_count,
+    ex_elliptic_formula,
     expand,
     transpose_module,
 )
@@ -137,6 +141,52 @@ class TestAskSeries:
         for p in (2, 3):
             assert engine.check_budget(m.sizes, p, 2, "auto", DEFAULT_BUDGET) == ("transpose",)
             assert ask_series(m, p, 2) == list(expand(closed_form(key).formula, p, 3).coeffs)
+
+    # the view auto runs on each catalog ask key, "orbit" unless listed: the
+    # fewest points once each view's kernel is stripped, ties in VIEWS order
+    AUTO_VIEWS = {
+        "mat(2,1)": "transpose", "mat(3,1)": "transpose", "mat(3,2)": "transpose",
+        "so(2)": "average", "band(2)": "average", "band(3)": "average",
+    }
+    # the keys whose view differs from the one with the fewest unreduced
+    # points, which the budget reads before any module is built
+    STRIPPED_CHOICE = {"sl(1)", "so(1)", "n(2)", "zero(2,2)", "ex_non_lie"}
+
+    @staticmethod
+    def record_views(monkeypatch):
+        chosen = []
+        walk_input = engine._walk_input
+
+        def recorded(m, view):
+            out = walk_input(m, view)
+            chosen.append(out[0])
+            return out
+
+        monkeypatch.setattr(engine, "_walk_input", recorded)
+        return chosen
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_auto_takes_the_fewest_stripped_points(self, p, monkeypatch):
+        chosen = self.record_views(monkeypatch)
+        for key in catalog_keys():
+            entry = closed_form(key)
+            if entry.kind != "ask":
+                continue
+            m = catalog_module(entry.module_key)
+            chosen.clear()
+            ask_series(m, p, 1)
+            assert chosen == [self.AUTO_VIEWS.get(key, "orbit")], key
+            unreduced = engine.check_budget(m.sizes, p, 1, "auto", DEFAULT_BUDGET)
+            assert (unreduced != tuple(chosen)) == (key in self.STRIPPED_CHOICE), key
+
+    def test_auto_runs_ex_non_lie_in_the_orbit_view(self, monkeypatch):
+        # unreduced, the average view has the fewest points (k = 5 against the
+        # orbit view's 6); stripped, both have k = 5 and the tie goes to the
+        # orbit view, whose walk here takes about a fifth of the average's time
+        chosen = self.record_views(monkeypatch)
+        got = ask_series(catalog_module("ex_non_lie"), 3, 3)
+        assert chosen == ["orbit"]
+        assert got == _closed_form("ex_non_lie", 3, 3)
 
     def test_auto_respects_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -278,11 +328,13 @@ class TestTreeWalk:
         # classes, which took one rank each before the family counter and
         # 2,384 in all while it branched 2 x 2 blocks down to 1 x 1 leaves;
         # the zeros of a block's determinant count its points of rank <= 1
+        # (43 ranks), and each distinct sub-family of a pivot's family is
+        # counted once, since the walk goes below no point at level 1
         caps, walks = spy
         got = ask_series(catalog_module("sl(3)"), 5, 1, "average")
         assert got == _closed_form("sl(3)", 5, 1)
         assert _classes_per_level(walks, 1) == [(5**8 - 1) // 4] == [97656]
-        assert caps == [1] * 43
+        assert caps == [1] * 9
 
     def test_transpose_view_is_the_orbit_view_of_the_transpose(self, rng, spy):
         # the same spans from m's basis transposed and from M^T's own basis, so
@@ -421,6 +473,155 @@ class TestFamilyCounter:
         sums = engine._orbit_sums(rows, m.d, m.e, 3, 3, None)
         assert sums == _closed_form("so(3)", 3, 3)
         assert _classes_per_level(walks, 3) == [13, 13 * 9, 13 * 81]
+
+
+def _memo_family(rng, p, jmax):
+    """A random affine family of at most 4 x 4 matrices mod p in 1..jmax
+    coordinates, sparse enough to branch, with directions that combine
+    earlier ones, zero directions (coordinates no entry reads) and, half the
+    time each, a zero row and a zero column."""
+    nr, nc, j = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, jmax)
+    density = rng.choice((0.3, 0.5, 0.8))
+
+    def matrix():
+        return [[rng.randrange(p) if rng.random() < density else 0 for _ in range(nc)] for _ in range(nr)]
+
+    a0, dirs = matrix(), []
+    for _ in range(j):
+        kind = rng.random()
+        if dirs and kind < 0.3:
+            coeffs = [rng.randrange(p) for _ in dirs]
+            dirs.append(
+                [[sum(c * d[i][k] for c, d in zip(coeffs, dirs)) % p for k in range(nc)] for i in range(nr)]
+            )
+        elif kind < 0.4:
+            dirs.append([[0] * nc for _ in range(nr)])
+        else:
+            dirs.append(matrix())
+    if rng.random() < 0.5:
+        i = rng.randrange(nr)
+        for m in (a0, *dirs):
+            m[i] = [0] * nc
+    if rng.random() < 0.5:
+        k = rng.randrange(nc)
+        for m in (a0, *dirs):
+            for row in m:
+                row[k] = 0
+    return a0, dirs
+
+
+class TestFamilyMemo:
+    """Within one _family count, a sub-family that the walk goes below
+    nowhere is counted once per affine space; later copies take its counts."""
+
+    @staticmethod
+    def points(a0, dirs, p):
+        """The shape and the set of matrices a0 + sum_a t_a dirs[a] over F_p."""
+        nr, nc = len(a0), len(a0[0])
+        return nr, nc, frozenset(
+            tuple(
+                (a0[i][c] + sum(s * d[i][c] for s, d in zip(t, dirs))) % p
+                for i in range(nr)
+                for c in range(nc)
+            )
+            for t in product(range(p), repeat=len(dirs))
+        )
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_keys_name_the_set_of_matrices(self, p):
+        # the same space from other directions and another base point gets the
+        # same key; other spaces, and other shapes of the same entries, do not
+        rng = random.Random(6000 + p)
+        for _ in range(60):
+            a0, dirs = _memo_family(rng, p, 3)
+            # an invertible change of the directions, and a0 moved within the space
+            lower = [[rng.randrange(p) if b < a else int(a == b) for b in range(len(dirs))] for a in range(len(dirs))]
+            moved = [
+                [[sum(c * d[i][k] for c, d in zip(row, dirs)) % p for k in range(len(a0[0]))] for i in range(len(a0))]
+                for row in lower
+            ]
+            shift = [rng.randrange(p) for _ in dirs]
+            b0 = [
+                [(x + sum(s * d[i][k] for s, d in zip(shift, dirs))) % p for k, x in enumerate(row)]
+                for i, row in enumerate(a0)
+            ]
+            key, dim = engine._space(a0, list(enumerate(dirs)), p)
+            assert engine._space(b0, list(enumerate(moved[::-1])), p) == (key, dim)
+            assert p**dim == len(self.points(a0, dirs, p)[2])
+            c0, others = _memo_family(rng, p, 3)
+            flat = [[x for row in m for x in row] for m in (a0, *dirs)]
+            for b0, bdirs in ((c0, others), ([flat[0]], [[v] for v in flat[1:]])):
+                same = self.points(a0, dirs, p) == self.points(b0, bdirs, p)
+                assert (engine._space(b0, list(enumerate(bdirs)), p)[0] == key) == same
+
+    @pytest.mark.parametrize("p, jmax", [(2, 6), (3, 6), (5, 5), (7, 4)])
+    def test_random_families_match_the_per_point_ranks(self, p, jmax, spy):
+        # with no rank walked below the memo serves every repeated sub-family;
+        # with every rank walked below it serves none, and both match the ranks
+        caps, _ = spy
+        rng = random.Random(7000 + p)
+        ranks = {"none": 0, "some": 0, "all": 0}
+        for _ in range(30):
+            a0, dirs = _memo_family(rng, p, jmax)
+            for name, walk in (
+                ("none", set()),
+                ("some", {r for r in range(5) if rng.random() < 0.5}),
+                ("all", set(range(5))),
+            ):
+                caps.clear()
+                _check_family(a0, dirs, p, walk)
+                ranks[name] += len(caps)
+        # _check_family's own per-point ranks are zpn's, not the spy's
+        assert ranks["none"] < ranks["all"], ranks
+
+    def test_a_repeated_direction_is_one_space(self, spy):
+        # t_0 and t_1 move a0 along the same matrix D, and row 0 reads only
+        # them, so the counter branches on t_0: each branch a0 + v D + t_1 D +
+        # t_2 E is the space a0 + span(D, E), counted once and then taken
+        # from the memo; with every rank walked below, each branch is counted
+        caps, _ = spy
+        p = 3
+        a0 = [[1, 0, 2], [0, 1, 1], [2, 2, 0]]
+        d = [[1, 0, 0], [0, 1, 1], [1, 0, 1]]
+        e = [[0, 0, 0], [1, 0, 1], [0, 1, 0]]
+
+        def ranks(base, dirs, walk):
+            caps.clear()
+            _check_family(base, dirs, p, walk)
+            return len(caps)
+
+        walk_all = {0, 1, 2, 3}
+        assert ranks(a0, [d, d, e], set()) == ranks(a0, [d, e], set())
+        moved = [[[(x + v * y) % p for x, y in zip(r, s)] for r, s in zip(a0, d)] for v in range(p)]
+        every = sum(ranks(b0, [d, e], walk_all) for b0 in moved)
+        assert ranks(a0, [d, d, e], walk_all) == every > ranks(a0, [d, e], set())
+
+    def test_a_space_met_again_at_a_higher_rank(self):
+        # diag(t_0, t_1 + t_2) at p = 2 branches on t_0: at t_0 = 0 the family
+        # is (t_1 + t_2) of rank base 0 + {0, 1}, at t_0 = 1 the same space
+        # after one pivot, of rank base 1 + {0, 1}; the walk goes below rank
+        # 2 alone, which the first copy never took, so the second must be
+        # counted
+        e00, e11 = [[1, 0], [0, 0]], [[0, 0], [0, 1]]
+        for walk in (set(), {2}, {0, 2}):
+            _check_family([[0, 0], [0, 0]], [e00, e11, e11], 2, walk)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_level_one_average_views_match_closed_forms(self, p):
+        # verify's definition route at n = 1, where the memo serves every
+        # family; at p = 2 three keys lie outside their formula's validity,
+        # so the orbit view stands in for it there
+        for key in catalog_keys():
+            entry = closed_form(key)
+            if entry.kind != "ask":
+                continue
+            m = catalog_module(entry.module_key)
+            if p > 2 or entry.validity == "all p":
+                formula = entry.formula or ex_elliptic_formula(elliptic_point_count(p))
+                want = list(expand(formula, p, 2).coeffs)
+            else:
+                want = _levels(m, p, 1, "orbit")
+            assert _levels(m, p, 1, "average") == want, (key, p)
 
 
 def _random_two_by_two(rng, p, jmax):

@@ -446,7 +446,8 @@ class TestFlagBasis:
 
     # the deepest level per prime: the direct counts of the conjugate and of
     # the catalog algebra each close at most 15,625 rows and take well under
-    # a second (L_{4,2} has no corner subgroup, so its rows are elements)
+    # a second (the flag basis of a conjugate of L_{4,2} can miss the corner
+    # subgroup, and then its rows are elements)
     LEVELS = {
         "n(3)": {5: 2, 7: 2},
         "L_{3,2}": {5: 2, 7: 2},
@@ -619,6 +620,19 @@ class TestDimensionAtMostFiveCatalog:
         want = list(expand(table, p, 2).coeffs)
         assert quiet(cc_via_ask, alg, p, 1) == want
         assert cc_coefficients_direct(alg, p, 1) == want
+
+    @pytest.mark.parametrize("key, p, n", [("L_{4,2}", 5, 2), ("L_{5,2}", 7, 1)])
+    def test_heisenberg_centre_on_the_corner(self, key, p, n):
+        # the n(3) block's centre is the corner unit E_(0,d-1), so the closure
+        # stores rows over the corner subgroup Z/p^n, not every element
+        alg = catalog_algebra(key)
+        m = p**n
+        flat = [g.mod(m).flat() for g in exp_group(alg, p, n).generators]
+        closure = grouporbits.group_closure(flat, alg.d, m, 10**6)
+        assert closure.fibre == m > 1
+        assert len(closure) == p ** (alg.dim * n)
+        table = closed_form(f"cc:{key}").formula
+        assert cc_coefficients_direct(alg, p, n) == list(expand(table, p, n + 1).coeffs)
 
     @pytest.mark.parametrize("key", ["L_{5,2}", "L_{5,9}"])
     def test_bridge_dim6_models(self, key):
