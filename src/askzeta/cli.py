@@ -36,6 +36,7 @@ from .errors import (
 from .grouporbits import (
     GroupGenSet,
     NilpotentAlgebra,
+    _traces_vanish,
     catalog_algebra,
     cc_coefficients_direct,
     cc_via_ask,
@@ -434,7 +435,9 @@ def _oc_budget(d: int, args) -> None:
 def _group_source(args):
     """The source's group at a prime, and its algebra (None if not exp).  Its
     size meets the budget once, before any build; a catalog algebra's is read
-    off its row, before the algebra and its adjoint module are built."""
+    off its row before the algebra and its adjoint module are built, and
+    checked against the bound p >= d of the exponential after the cheap
+    trace test, which refuses a non-nilpotent algebra first."""
     if args.gl is not None:
         if args.gl < 1:
             raise InputError(f"--gl must be >= 1, got {args.gl}")
@@ -449,8 +452,13 @@ def _group_source(args):
         d, gens = _document(data, "group", "d", "generators")
         group = GroupGenSet(d, tuple(gens), str(data.get("label", "")))
     elif args.algebra:
-        _oc_budget(catalog_row(args.algebra)[1], args)
-        alg = catalog_algebra(args.algebra)
+        d = catalog_row(args.algebra)[1]
+        _oc_budget(d, args)
+        m = catalog_module(args.algebra)
+        # a nonzero trace is refused at once by the build, as not nilpotent
+        if _traces_vanish(m.basis) and min(args.p) < d:
+            raise InputError(f"need p >= {d} for the exponential")
+        alg = NilpotentAlgebra(m)
         return (lambda p: exp_group(alg, p, args.n_max)), alg
     else:
         raise InputError("provide a group source (--group/--gl/--neg1/--swap/--algebra)")

@@ -700,19 +700,14 @@ def _strip_kernel(generators, k: int, w: int) -> tuple[tuple, int]:
     """The k x w generators with their saturated common left kernel removed.
 
     Row a of S holds row a of every generator side by side, so v S = 0 exactly
-    when v G = 0 for every generator G.  The Hermite form of [S | I_k] is
-    [U S | U] with U unimodular, and the U parts of its z rows whose S part is
-    zero are a basis of that kernel.  Under the bijection x = y U the rows at
-    x are y U G, which never read the last z coordinates of y: the walk runs
-    on the other k - z rows of U G, and each of the z coordinates adds a
-    factor p^n.  Without a kernel the generators come back unchanged.
+    when v G = 0 for every generator G.  Some unimodular U gives U S = [H; 0],
+    where H, the Hermite form of S, has k - z rows, and the last z rows of U
+    are a basis of that kernel.  Under the bijection x = y U the rows at x
+    are y U G, which never read the last z coordinates of y: the walk runs on
+    the rows of H, the nonzero rows of U S, and each of the z coordinates
+    adds a factor p^n.  Without a kernel the generators come back unchanged.
     """
-    width = len(generators) * w
-    stacked = [
-        [v for g in generators for v in g[a]] + [int(a == b) for b in range(k)]
-        for a in range(k)
-    ]
-    kept = [row[:width] for row in hermite_form(stacked) if any(row[:width])]
+    kept = hermite_form([[v for g in generators for v in g[a]] for a in range(k)])
     if len(kept) == k:
         return generators, k
     reduced = tuple(

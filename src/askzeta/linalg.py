@@ -1,80 +1,111 @@
-"""Exact linear algebra helpers: rational elimination and Hermite form."""
+"""Exact linear algebra helpers: fraction-free elimination over Q and the
+Hermite form over Z."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
-def _reduce(a, ncols: int) -> list[int]:
-    """Bring the Fraction rows `a` to reduced echelon form in place.
+def _clear(row: dict, pivot_row: dict, c: int) -> None:
+    """Make `row` zero at column c with the pivot row, then primitive, in place.
 
-    Pivots are sought only in the first `ncols` columns, first column first
-    and first row first; the pivot columns are returned, and the rows below
-    the last pivot row are zero there.  A pivot row is zero before its pivot
-    column, so the row operations touch only its nonzero entries from there.
+    row becomes (p/g) row - (f/g) pivot_row, where p and f are the two rows'
+    entries at c and g = gcd(p, f), and is then divided by its content, so
+    its entries stay as small as a multiple of its rational form allows.
     """
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, v in pivot_row.items():
+        x = row.get(k, 0) - b * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    _divide_content(row)
+
+
+def _divide_content(row: dict) -> None:
+    """Divide the integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+def _reduce(rows: list, ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination over Q of the sparse integer rows
+    `rows` ({column: int}, zero entries absent), in place.
+
+    Returns the pivot columns of the reduced echelon form, where pivots are
+    sought only among the columns below `ncols`.  Afterwards rows[i], for
+    i < len(pivots), is a primitive integer multiple of the i-th row of that
+    form, so rows[i][c] / rows[i][pivots[i]] is its entry at c; the other
+    rows have no entry below `ncols`.  Each row in turn is cleared at every
+    pivot column it holds; if it keeps an entry below `ncols`, it is made
+    primitive and its first such entry is a new pivot, which is cleared from
+    the earlier pivot rows.  So a pivot row is zero at every other pivot
+    column throughout, and the work follows the rows' nonzero entries.  The
+    form is unique, so the order in which the rows come does not change the
+    result.
+    """
+    pivot_rows = {}
+    rest = []
+    for row in rows:
+        for c in [c for c in row if c in pivot_rows]:
+            _clear(row, pivot_rows[c], c)
+        lead = min((c for c in row if c < ncols), default=None)
+        if lead is None:
+            rest.append(row)
             continue
-        a[r], a[piv] = a[piv], a[r]
-        row = a[r]
-        support = [j for j in range(c, len(row)) if row[j]]
-        inv = 1 / row[c]
-        for j in support:
-            row[j] *= inv
-        for i, other in enumerate(a):
-            f = other[c]
-            if f and i != r:
-                for j in support:
-                    other[j] -= f * row[j]
-        pivots.append(c)
-        r += 1
+        _divide_content(row)
+        for other in pivot_rows.values():
+            if lead in other:
+                _clear(other, row, lead)
+        pivot_rows[lead] = row
+    pivots = sorted(pivot_rows)
+    rows[:] = [pivot_rows[c] for c in pivots] + rest
     return pivots
 
 
-def frac_rref(rows):
-    """Reduced row echelon form over Q.
-
-    Returns (rref_rows, pivot_columns); zero rows are dropped.
-    """
-    a = [[Fraction(v) for v in row] for row in rows]
-    pivots = _reduce(a, len(a[0]) if a else 0)
-    return a[: len(pivots)], pivots
+def sparse_row(values, offset: int = 0) -> dict:
+    """{offset + j: v} for the nonzero entries v of `values`."""
+    return {offset + j: v for j, v in enumerate(values) if v}
 
 
 def frac_rank(rows) -> int:
-    return len(frac_rref(rows)[0])
+    """Rank over Q of a matrix of integers."""
+    width = len(rows[0]) if rows else 0
+    return len(_reduce([sparse_row(row) for row in rows], width))
 
 
-def frac_solve_multi(rows, targets):
+def frac_solve_multi(rows: list, ncols: int, ntargets: int):
     """Solutions of A x = t over Q for several right-hand sides, one elimination.
 
-    `rows` are the rows of A.  Each entry of the result is one solution, with
-    the free variables set to zero, or None when that t is inconsistent:
-    pivots are sought only among the columns of A, so t is inconsistent
-    exactly when it is nonzero in a row whose A-part was cleared.
+    `rows` are the sparse rows ({column: int}) of [A | t_0 ... t_(ntargets-1)]:
+    A holds the columns below `ncols`, and t_j the column ncols + j.  They
+    are reduced in place.  Each entry of the result is one solution, a tuple
+    of Fractions with the free variables set to zero, or None when that t is
+    inconsistent: pivots are sought only among the columns of A, so t is
+    inconsistent exactly when it is nonzero in a row whose A-part was cleared.
     """
-    ncols = len(rows[0]) if rows else 0
+    pivots = _reduce(rows, ncols)
+    rank = len(pivots)
+    inconsistent = set().union(*rows[rank:])
     zero = Fraction(0)
-    aug = [
-        [Fraction(v) if v else zero for v in row]
-        + [Fraction(t[i]) if t[i] else zero for t in targets]
-        for i, row in enumerate(rows)
-    ]
-    pivots = _reduce(aug, ncols)
     sols = []
-    for col in range(ncols, ncols + len(targets)):
-        if any(aug[i][col] for i in range(len(pivots), len(aug))):
+    for col in range(ncols, ncols + ntargets):
+        if col in inconsistent:
             sols.append(None)
             continue
-        sol = [Fraction(0)] * ncols
-        for i, c in enumerate(pivots):
-            sol[c] = aug[i][col]
+        sol = [zero] * ncols
+        for row, c in zip(rows, pivots):
+            if col in row:
+                sol[c] = Fraction(row[col], row[c])
         sols.append(tuple(sol))
     return sols
 
@@ -115,4 +146,3 @@ def hermite_form(rows) -> list[tuple[int, ...]]:
             if q:
                 basis[i] = [x - q * y for x, y in zip(basis[i], row_k)]
     return [tuple(r) for r in basis]
-

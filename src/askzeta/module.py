@@ -13,7 +13,7 @@ from .errors import (
     NotLieAlgebraError,
 )
 from .intmat import IntMatrix, from_flat
-from .linalg import frac_solve_multi, hermite_form
+from .linalg import frac_solve_multi, hermite_form, sparse_row
 from .poly import Poly, symbolic_rank
 from .zpn import lambdas_mod
 
@@ -53,7 +53,8 @@ class MatrixModule:
         self.label = label
         rows = [b.flat() for b in gens if not b.is_zero()]
         self.basis = tuple(from_flat(r, d, e) for r in hermite_form(rows))
-        self._cache = {}
+        self._forms = {}
+        self._ranks = {}
 
     @property
     def dim(self) -> int:
@@ -129,15 +130,19 @@ class MatrixModule:
     def linear_forms(self, view: str):
         """Linear forms in X_1..X_k, one row per generator G_g: sum_a X_a * G_g[a][j].
 
-        The rows at an integer point x are this matrix at X = x.  The orbit view gives the rows X * b_i, the
-        average view the generic element sum X_i b_i.
+        The rows at an integer point x are this matrix at X = x.  The orbit
+        view gives the rows X * b_i, the average view the generic element
+        sum X_i b_i.  Built once per view and shared with every caller,
+        who must not modify it.
         """
-        k, _, w = self.view_shape(view)
-        units = [tuple(int(t == a) for t in range(k)) for a in range(k)]
-        return [
-            [Poly(k, {units[a]: r[j] for a, r in enumerate(gen) if r[j]}) for j in range(w)]
-            for gen in self.view_generators(view)
-        ]
+        if view not in self._forms:
+            k, _, w = self.view_shape(view)
+            units = [tuple(int(t == a) for t in range(k)) for a in range(k)]
+            self._forms[view] = [
+                [Poly(k, {units[a]: r[j] for a, r in enumerate(gen) if r[j]}) for j in range(w)]
+                for gen in self.view_generators(view)
+            ]
+        return self._forms[view]
 
     def generic_rank(self, view: str) -> int:
         """Rank over Q(X) of the view's linear forms, cached per view.
@@ -148,10 +153,10 @@ class MatrixModule:
         Otherwise the fraction-free elimination decides, and a rank at a
         point above its answer is a bug.
         """
-        if view not in self._cache:
+        if view not in self._ranks:
             k = self.view_shape(view)[0]
-            self._cache[view] = _generic_rank_of(self.linear_forms(view), k)
-        return self._cache[view]
+            self._ranks[view] = _generic_rank_of(self.linear_forms(view), k)
+        return self._ranks[view]
 
 
 # a rank mod this prime never exceeds the rank over Q
@@ -201,9 +206,11 @@ def ad_representation(m: MatrixModule) -> MatrixModule:
     basis = m.basis
     ell = len(basis)
     # one elimination against the basis solves every commutator [b_j, a_i]
-    columns = list(zip(*(b.flat() for b in basis)))
     pairs = [(a, b) for a in basis for b in basis]
-    sols = frac_solve_multi(columns, [b.commutator(a).flat() for a, b in pairs])
+    columns = zip(*(b.flat() for b in basis))
+    images = zip(*(b.commutator(a).flat() for a, b in pairs))
+    rows = [sparse_row(col) | sparse_row(img, ell) for col, img in zip(columns, images)]
+    sols = frac_solve_multi(rows, ell, len(pairs))
     for (a, b), coords in zip(pairs, sols):
         if coords is None:
             raise NotLieAlgebraError(

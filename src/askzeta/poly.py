@@ -1,16 +1,15 @@
 """Sparse multivariate polynomials over Z and fraction-free elimination.
 
 Small and deliberately plain: exponent tuples to integer coefficients.  This
-is the package's one polynomial type.  It is used for linear-form matrices,
-their minors and symbolic ranks, all at desk scale, and, with negative
-exponents allowed, for the numerators and denominators of the (q, T)
-rational functions in `ratfun`.
+is the package's one polynomial type.  It is used for linear-form matrices
+and their symbolic ranks, all at desk scale (`structural` packs their
+minors' exponents into integers), and, with negative exponents allowed, for
+the numerators and denominators of the (q, T) rational functions in
+`ratfun`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from operator import add
 
 from .errors import InputError, InternalConsistencyError
@@ -67,9 +66,6 @@ class Poly:
                 t[e] = t.get(e, 0) + c1 * c2
         return Poly(self.nvars, t)
 
-    def is_homogeneous(self, deg: int) -> bool:
-        return all(sum(e) == deg for e in self.terms)
-
     def leading(self):
         """Leading (exponent, coefficient) in lex order."""
         e = max(self.terms)
@@ -108,23 +104,6 @@ class Poly:
                     v *= x**k
             total += v
         return total
-
-    def content_and_sign(self):
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        if not g:
-            return 0, 1
-        lead = self.terms[max(self.terms)]
-        return g, (1 if lead > 0 else -1)
-
-    def normalized(self) -> "Poly":
-        """Divide by the content and make the lex-leading coefficient positive."""
-        g, s = self.content_and_sign()
-        if not g:
-            return self
-        g *= s
-        return Poly(self.nvars, {e: c // g for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -204,6 +183,5 @@ def symbolic_rank(rows) -> int:
 
 def evaluated_rank(rows, point) -> int:
     """Rank over Q of the matrix obtained by evaluating every entry at `point`."""
-    ints = [[Fraction(p.eval_int(point)) for p in row] for row in rows]
-    return frac_rank(ints)
+    return frac_rank([[p.eval_int(point) for p in row] for row in rows])
 

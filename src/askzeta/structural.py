@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
-from math import comb
+from itertools import combinations
+from math import comb, gcd
+from operator import mul
 
 from .errors import InternalConsistencyError
 from .linalg import frac_solve_multi
 from .module import MatrixModule
-from .poly import Poly, evaluated_rank
+from .poly import evaluated_rank
 from .primes import factorize
 from .ratfun import QTRational
 from .closed_forms import constant_rank_form, mat_form
@@ -56,56 +57,93 @@ class Certificate:
         return self.status == "certified"
 
 
-def _all_minors(rows, size, budget, below):
-    """Deduplicated nonzero size x size minors of a Poly matrix, and their table.
+def _pack(rows, k: int, top: int):
+    """The Poly entries, in k variables, as dicts over packed exponents, and
+    the base B = top + 1 of the packing.
 
-    A table maps (row set, column set) to (scale, form) for every nonzero
-    minor, the minor being scale times its normalized form; equal forms are
-    one object, shared with the next degree.  `below` is the table of the
-    (size - 1) x (size - 1) minors, {((), ()): (1, 1)} for size 1.  Each
-    minor is its Laplace expansion along its first row, sum_k (-1)^k
-    a[r0][c_k] times the minor on the other rows and the columns other than
-    c_k; a zero entry or a sub-minor missing from `below` adds nothing, so
-    a minor that is zero by its support costs no product.  The minors kept
-    are the first of each form, in the order of the row sets, then the
-    column sets.  The two tables in memory hold at most one degree's count
-    of minors each, C(rows, size) C(cols, size), which the budget bounds,
-    and one polynomial per form.  Returns (None, count, None) over budget.
+    A monomial X^e of degree |e| packs to |e| B^k + sum_a e_a B^(k-1-a), the
+    integer whose base-B digits are its degree and then its exponents.  A
+    product of degree at most `top` has every digit below B, so no digit
+    carries: the product of two monomials packs to the sum of their packed
+    exponents, and among monomials of one degree the integers compare as
+    the exponent tuples do in lex order.
+    """
+    base = top + 1
+    weights = [base ** (k - 1 - a) for a in range(k)] + [base**k]
+    packed = [
+        [{sum(map(mul, (*e, sum(e)), weights)): c for e, c in f.terms.items()} for f in row]
+        for row in rows
+    ]
+    return packed, base
+
+
+def _add_product(terms: dict, entry: dict, form, scale: int) -> None:
+    """Add scale * entry * form to terms, all over packed exponents."""
+    for ea, ca in entry.items():
+        ca *= scale
+        for eb, cb in form:
+            e = ea + eb
+            terms[e] = terms.get(e, 0) + ca * cb
+
+
+def _all_minors(rows, size, budget, below):
+    """Deduplicated nonzero size x size minors of a packed matrix, and their table.
+
+    `rows` hold the entries as dicts over packed exponents (`_pack`), and a
+    minor is one such dict.  A table maps each row set to a dict from column
+    sets to (scale, form), one for every nonzero minor, the minor being
+    scale times its normalized form: content 1 and a positive coefficient
+    at its largest packed exponent, as a frozenset of (exponent,
+    coefficient) pairs.  Equal forms are one object, shared with the next
+    degree.  `below` is the table of the (size - 1) x (size - 1) minors,
+    {(): {(): (1, frozenset({(0, 1)}))}} for size 1.  Each minor is its
+    Laplace expansion along its first row, sum_k (-1)^k a[r0][c_k] times
+    the minor on the other rows and the columns other than c_k; a zero
+    entry or a sub-minor missing from `below` adds nothing, so a minor that
+    is zero by its support costs no product.  The minors kept are the first of each
+    form, in the order of the row sets, then the column sets.  The two
+    tables in memory hold at most one degree's count of minors each,
+    C(rows, size) C(cols, size), which the budget bounds, and one form per
+    distinct minor.  Returns (None, count, None) over budget.
     """
     nr, nc = len(rows), len(rows[0]) if rows else 0
     count = comb(nr, size) * comb(nc, size)
     if count > budget:
         return None, count, None
-    nvars = rows[0][0].nvars
+    # each column set with its expansion: (sign is odd, column, the others)
+    expansions = [
+        (csel, [(k & 1, c, csel[:k] + csel[k + 1 :]) for k, c in enumerate(csel)])
+        for csel in combinations(range(nc), size)
+    ]
     shared = {}
     minors = []
     table = {}
     for rsel in combinations(range(nr), size):
-        r0, rest = rows[rsel[0]], rsel[1:]
-        for csel in combinations(range(nc), size):
+        r0, subs = rows[rsel[0]], below.get(rsel[1:])
+        if subs is None:  # every minor on the other rows vanishes
+            continue
+        found = {}
+        for csel, expansion in expansions:
             terms = {}
-            for k, c in enumerate(csel):
-                if not r0[c].terms:
-                    continue
-                sub = below.get((rest, csel[:k] + csel[k + 1 :]))
-                if sub is None:
-                    continue
-                scale, form = sub
-                if k & 1:
-                    scale = -scale
-                for e, v in (r0[c] * form).terms.items():
-                    terms[e] = terms.get(e, 0) + scale * v
-            if not terms:
+            for odd, c, others in expansion:
+                if r0[c] and others in subs:
+                    scale, form = subs[others]
+                    _add_product(terms, r0[c], form, -scale if odd else scale)
+            if not terms:  # zero by its support
                 continue
-            det = Poly(nvars, terms)
-            if det.is_zero():  # the products cancelled
+            det = {e: v for e, v in terms.items() if v}
+            if not det:  # the products cancelled
                 continue
-            g, sign = det.content_and_sign()
-            form = det.normalized()
+            g = gcd(*det.values())
+            if det[max(det)] < 0:
+                g = -g
+            form = frozenset((e, v // g) for e, v in det.items())
             first = shared.setdefault(form, form)
             if first is form:
                 minors.append(det)
-            table[rsel, csel] = (g * sign, first)
+            found[csel] = (g, first)
+        if found:
+            table[rsel] = found
     return minors, count, table
 
 
@@ -116,40 +154,38 @@ def _monomial_span_test(rows, generic_rank, nvars, budget):
     budget.  Each degree's minors are expanded from the previous degree's
     table, which is dropped once the next one is built.  Every minor of a
     linear-form matrix must be homogeneous of its size; this is asserted
-    per run.
+    per run.  The span is solved on sparse rows, one per monomial that a
+    minor or a target holds: a monomial that none holds is a zero row.
     """
     combos = {}
     denominators = set()
-    table = {((), ()): (1, Poly.const(nvars, 1))}
+    packed, base = _pack(rows, nvars, generic_rank)
+    degree_one = base**nvars
+    table = {(): {(): (1, frozenset({(0, 1)}))}}
     for i in range(1, generic_rank + 1):
-        minors, count, table = _all_minors(rows, i, budget, table)
+        minors, count, table = _all_minors(packed, i, budget, table)
         if minors is None:
             return None, f"degree {i} needs {count} minors (budget {budget})"
         if not minors:
             # every minor vanished although i <= generic rank: no pure power
             # can be in the span
             return (False, (0, i)), None
+        # a monomial of degree i packs into [low, high)
+        low, high = i * degree_one, (i + 1) * degree_one
         for m in minors:
-            if not m.is_homogeneous(i):
+            if not all(low <= e < high for e in m):
                 raise InternalConsistencyError(
                     "minor of a linear-form matrix is not homogeneous"
                 )
-        # monomial basis of degree i
-        monos = sorted(
-            tuple(c.count(j) for j in range(nvars))
-            for c in combinations_with_replacement(range(nvars), i)
-        )
-        index = {m: k for k, m in enumerate(monos)}
-        # columns are minors, rows are monomials; solve A c = e(X_j^i)
-        a_rows = [[0] * len(minors) for _ in monos]
+        # columns are minors, then one per target X_j^i; rows are monomials
+        span = {}
         for col, m in enumerate(minors):
-            for e, c in m.terms.items():
-                a_rows[index[e]][col] = c
-        targets = []
+            for e, c in m.items():
+                span.setdefault(e, {})[col] = c
+        ncols = len(minors)
         for j in range(nvars):
-            target_exp = tuple(i if t == j else 0 for t in range(nvars))
-            targets.append([int(e == target_exp) for e in monos])
-        sols = frac_solve_multi(a_rows, targets)
+            span.setdefault(low + i * base ** (nvars - 1 - j), {})[ncols + j] = 1
+        sols = frac_solve_multi(list(span.values()), ncols, nvars)
         for j, sol in enumerate(sols):
             if sol is None:
                 return (False, (j, i)), None
@@ -194,8 +230,8 @@ def _certify(m: MatrixModule, view: str, excluded_primes, trials: int, seed: int
     `excluded_primes` are excluded from a certificate on top of the primes
     dividing the denominators of its combinations.
     """
-    rank = m.generic_rank(view)
     rows = m.linear_forms(view)
+    rank = m.generic_rank(view)
     nvars = m.view_shape(view)[0]
     excluded = set(excluded_primes)
     if rank == 0:

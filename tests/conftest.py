@@ -14,7 +14,8 @@ families, evaluates a quadratic polynomial at every point.
 character at a time and builds a normalised QTRational at every operation.
 `reference_minors`, the oracle of `structural._all_minors`, takes every
 minor as its own fraction-free determinant (`poly.bareiss_det`), and
-`reference_reduce`, the oracle of `linalg._reduce`, eliminates dense rows.
+`reference_reduce`, the oracle of `linalg._reduce`, eliminates dense rows
+of Fractions; `frac_rref` reads the reduced echelon form off it.
 
 The fixtures build the modules and groups of the paper's identities (direct
 sums, zero rows and columns, rescaling, the semidirect embedding) through
@@ -293,12 +294,21 @@ def reference_minor_table(rows, size: int) -> dict:
     return table
 
 
+def normalized(poly: Poly) -> Poly:
+    """A nonzero Poly divided by its content, its lex-leading coefficient
+    made positive."""
+    g = gcd(*poly.terms.values())
+    if poly.terms[max(poly.terms)] < 0:
+        g = -g
+    return Poly(poly.nvars, {e: c // g for e, c in poly.terms.items()})
+
+
 def reference_minors(rows, size: int) -> list[Poly]:
     """The nonzero size x size minors in table order, each kept only when no
     earlier one has the same normalized form."""
     seen, minors = set(), []
     for det in reference_minor_table(rows, size).values():
-        normed = det.normalized()
+        normed = normalized(det)
         if normed not in seen:
             seen.add(normed)
             minors.append(det)
@@ -327,6 +337,17 @@ def reference_reduce(a, ncols: int) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def frac_rref(rows):
+    """Reduced row echelon form over Q by `reference_reduce`.
+
+    Returns (rref_rows, pivot_columns), the rows as lists of Fractions; zero
+    rows are dropped.
+    """
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots = reference_reduce(a, len(a[0]) if a else 0)
+    return a[: len(pivots)], pivots
 
 
 def brute_brenti(n: int) -> dict[tuple[int, int], int]:
@@ -444,8 +465,6 @@ def random_nilpotent(rng: random.Random, d: int, bound=4) -> IntMatrix:
     n = [[rng.randint(-bound, bound) if j > i else 0 for j in range(d)] for i in range(d)]
     u = random_unimodular(rng, d)
     # integer inverse of a unimodular matrix via rational elimination
-    from askzeta.linalg import frac_rref
-
     aug = [
         [Fraction(v) for v in row] + [Fraction(int(i == k)) for k in range(d)]
         for i, row in enumerate(u.entries)

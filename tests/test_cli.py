@@ -403,12 +403,42 @@ class TestExitCodes:
         assert "input error:" in capsys.readouterr().err
 
     def test_report_value_too_long_to_print(self, tmp_path, capsys):
-        # ask = 3^10000 at n = 1 has 4,772 digits
+        # ask = 3^10000 at n = 1 has 4,772 digits; stripping the kernel with
+        # an identity block beside the generators took about 30 s here
         path = tmp_path / "big.json"
         path.write_text(json.dumps({**MODULE_DOC, "d": 10000, "basis": []}))
+        start = time.perf_counter()
         assert main(["ask", "--module", str(path), "--p", "3", "--n-max", "1"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 3
         err = capsys.readouterr().err
         assert err.startswith("budget exceeded:") and "15850 bits" in err
+
+    @pytest.mark.parametrize("key, d", [("zero(3000,1)", 3000), ("zero(1,3000)", 1)])
+    def test_zero_modules_strip_at_the_cost_of_their_generators(self, key, d, capsys):
+        # auto strips every view; with an identity block beside the
+        # generators the strip of the 3000-point view took 2 s and 200 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert main(["ask", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_OK
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1
+        assert peak < 10 * 2**20
+        # every kernel is all of (Z/3)^d
+        coefficients = json.loads(capsys.readouterr().out)["results"][0]["coefficients"]
+        assert coefficients[1] == {"num": str(3**d), "den": "1"}
+
+    def test_exponential_prime_checked_before_the_algebra_is_built(self, capsys):
+        # building n(12) (its adjoint module and product spans) takes seconds
+        start = time.perf_counter()
+        assert main(["oc", "--algebra", "n(12)", "--p", "3", "--n-max", "1"]) == EXIT_INPUT
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "input error: need p >= 12 for the exponential\n"
 
     @pytest.mark.parametrize(
         "argv, bits",

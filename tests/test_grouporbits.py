@@ -459,8 +459,13 @@ class TestFlagBasis:
     @pytest.mark.parametrize("key", sorted(LEVELS))
     def test_random_conjugates(self, key, rng):
         from askzeta import MatrixModule
-        from askzeta.linalg import frac_rref
-        from conftest import _int_det, brute_class_count, brute_closure, random_unimodular
+        from conftest import (
+            _int_det,
+            brute_class_count,
+            brute_closure,
+            frac_rref,
+            random_unimodular,
+        )
 
         ref = catalog_algebra(key)
         d = ref.d

@@ -4,7 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -24,13 +24,14 @@ from askzeta import (
 from askzeta import module
 from askzeta.catalog import _FAMILIES, _FIXED, catalog_row
 from askzeta.intmat import from_flat
-from askzeta.linalg import frac_rref, frac_solve_multi
+from askzeta.linalg import _reduce, frac_rank, frac_solve_multi, sparse_row
 from askzeta.module import VIEWS
 from askzeta.poly import Poly, bareiss_det, evaluated_rank, symbolic_rank
 from conftest import (
     add_zero_col,
     add_zero_row,
     direct_sum,
+    frac_rref,
     leibniz_det,
     minor_rank,
     random_module,
@@ -343,16 +344,65 @@ def _sparse_system(rng):
     return rows, targets
 
 
+def _rref_of(rows, pivots, width):
+    """The reduced echelon rows that `_reduce`'s pivot rows are multiples of."""
+    return [[Fraction(row.get(j, 0), row[c]) for j in range(width)] for row, c in zip(rows, pivots)]
+
+
+def _primitive(values):
+    """The integer row with content 1 and the sign of the first nonzero
+    entry of `values` (Fractions), a positive multiple of it."""
+    scale = lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def _check_reduced(rows, width, want, want_pivots):
+    """`_reduce` in place on sparse `rows` against the dense reference form:
+    the same pivots and reduced rows, pivot rows that are their rows'
+    primitive integer multiples, and nothing left in the other rows."""
+    pivots = _reduce(rows, width)
+    assert pivots == want_pivots
+    got = _rref_of(rows, pivots, width)
+    assert got == want
+    for row, ref in zip(rows, got):
+        dense = [row.get(j, 0) for j in range(width)]
+        assert dense in (_primitive(ref), [-x for x in _primitive(ref)])
+    assert rows[len(pivots):] == [{}] * (len(rows) - len(pivots))
+
+
 class TestRationalElimination:
-    """The sparse row operations against a dense elimination over Fraction."""
+    """The fraction-free sparse elimination against a dense one over Fraction."""
 
     def test_rref_matches_dense_elimination(self):
         rng = random.Random("rref")
         for _ in range(200):
             rows, _ = _sparse_system(rng)
-            dense = [[Fraction(v) for v in row] for row in rows]
-            pivots = reference_reduce(dense, len(dense[0]))
-            assert frac_rref(rows) == (dense[: len(pivots)], pivots)
+            # zero rows anywhere, and the rows in any order
+            rows += [[0] * len(rows[0])] * rng.randint(0, 2)
+            rng.shuffle(rows)
+            want, want_pivots = frac_rref(rows)
+            _check_reduced([sparse_row(row) for row in rows], len(rows[0]), want, want_pivots)
+
+    def test_coefficient_growth(self):
+        # dense rows with entries near 10^6: without dividing out each row's
+        # content the pivot rows would not be primitive
+        rng = random.Random("growth")
+        for _ in range(20):
+            nr, nc = rng.randint(2, 8), rng.randint(2, 9)
+            rows = [[rng.randint(-(10**6), 10**6) for _ in range(nc)] for _ in range(nr)]
+            if nr > 2:
+                rows[-1] = [3 * x - 7 * y for x, y in zip(rows[0], rows[1])]
+            want, want_pivots = frac_rref(rows)
+            _check_reduced([sparse_row(row) for row in rows], nc, want, want_pivots)
+
+    def test_rank(self):
+        rng = random.Random("rank")
+        assert frac_rank([]) == 0
+        for _ in range(100):
+            rows, _ = _sparse_system(rng)
+            assert frac_rank(rows) == len(frac_rref(rows)[1])
 
     def test_solutions_match_dense_elimination(self):
         rng = random.Random("solve")
@@ -374,7 +424,11 @@ class TestRationalElimination:
                 for i, c in enumerate(pivots):
                     sol[c] = aug[i][col]
                 want.append(tuple(sol))
-            got = frac_solve_multi(rows, targets)
+            sparse = [
+                sparse_row(row) | sparse_row([t[i] for t in targets], nc)
+                for i, row in enumerate(rows)
+            ]
+            got = frac_solve_multi(sparse, nc, len(targets))
             assert got == want
             for sol, t in zip(got, targets):
                 outcomes.add(sol is None)
@@ -382,6 +436,12 @@ class TestRationalElimination:
                     assert [sum(a * b for a, b in zip(row, sol)) for row in rows] == t
         # both consistent and inconsistent targets were drawn
         assert outcomes == {False, True}
+
+    def test_a_target_in_a_row_that_a_holds_nowhere(self):
+        # x_0 = 1 and 0 = t: the second row has no entry of A, and t is
+        # consistent only where it is 0 there
+        rows = [{0: 2, 1: 2, 3: 2}, {2: 1, 4: 5}]
+        assert frac_solve_multi(rows, 1, 4) == [(Fraction(1),), None, (Fraction(1),), None]
 
 
 class TestTransforms:
@@ -437,9 +497,9 @@ class TestAdRepresentation:
     def test_one_elimination_solves_every_commutator(self, monkeypatch):
         calls = []
 
-        def spy(rows, targets):
-            calls.append(len(targets))
-            return frac_solve_multi(rows, targets)
+        def spy(rows, ncols, ntargets):
+            calls.append(ntargets)
+            return frac_solve_multi(rows, ncols, ntargets)
 
         monkeypatch.setattr(module, "frac_solve_multi", spy)
         ad = ad_representation(catalog_module("n(4)"))

@@ -1,6 +1,10 @@
 """Structural certificates and the template they select."""
 
+import contextlib
+import io
+import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from askzeta import (
     BudgetExceededError,
     InputError,
+    InternalConsistencyError,
     MatrixModule,
     ask_series,
     catalog_keys,
@@ -21,10 +26,12 @@ from askzeta import (
 from askzeta.cli import EXIT_OK, main
 from askzeta.poly import Poly, bareiss_det
 from askzeta.primes import factorize
-from askzeta.structural import DEFAULT_MINOR_BUDGET, _all_minors
+from askzeta import structural
+from askzeta.structural import DEFAULT_MINOR_BUDGET, _all_minors, _monomial_span_test, _pack
 from conftest import (
     add_zero_col,
     check_constant_rank_fq,
+    normalized,
     reference_minor_table,
     reference_minors,
     rescale,
@@ -171,22 +178,43 @@ class TestMinorGrading:
                         [[rows[r][c] for c in csel] for r in rsel]
                     )
                     if not det.is_zero():
-                        assert det.is_homogeneous(i)
+                        assert all(sum(e) == i for e in det.terms)
+
+
+def _unpacked(terms, nvars, base):
+    """A packed minor or form, (exponent, coefficient) pairs, as a Poly: the
+    base-B digits of each packed exponent, then its degree."""
+    out = {}
+    for e, c in terms:
+        digits = []
+        for _ in range(nvars):
+            e, r = divmod(e, base)
+            digits.append(r)
+        assert e == sum(digits)
+        out[tuple(reversed(digits))] = c
+    return Poly(nvars, out)
 
 
 def _minors_match_reference(rows, top):
     """_all_minors, fed its own tables, against one determinant per minor."""
     nvars = rows[0][0].nvars
-    table = {((), ()): (1, Poly.const(nvars, 1))}
+    packed, base = _pack(rows, nvars, top)
+    table = {(): {(): (1, frozenset({(0, 1)}))}}
     for size in range(1, top + 1):
-        minors, _, table = _all_minors(rows, size, DEFAULT_MINOR_BUDGET, table)
-        assert minors == reference_minors(rows, size), size
+        minors, _, table = _all_minors(packed, size, DEFAULT_MINOR_BUDGET, table)
+        got = [_unpacked(m.items(), nvars, base) for m in minors]
+        assert got == reference_minors(rows, size), size
+        forms = {
+            (rsel, csel): (scale, _unpacked(form, nvars, base))
+            for rsel, found in table.items()
+            for csel, (scale, form) in found.items()
+        }
         scaled = {
             key: Poly(nvars, {e: scale * v for e, v in form.terms.items()})
-            for key, (scale, form) in table.items()
+            for key, (scale, form) in forms.items()
         }
         assert scaled == reference_minor_table(rows, size), size
-        assert all(form == form.normalized() for _, form in table.values())
+        assert all(form == normalized(form) for _, form in forms.values())
 
 
 def _random_forms(rng, nr, nc, nvars):
@@ -275,25 +303,93 @@ class TestStructureReport:
         assert rep.o_maximal.status == "refuted"
 
 
+class TestSpanSolve:
+    """The sparse span solve against the minors it combines."""
+
+    ASK_KEYS = sorted(k for k in catalog_keys() if closed_form(k).kind == "ask")
+
+    @pytest.mark.parametrize("key", ASK_KEYS)
+    def test_combinations_give_each_pure_power(self, key):
+        # a certificate's coefficients, applied to the oracle's minors in the
+        # same order, give X_j^i exactly
+        m = catalog_module(closed_form(key).module_key)
+        for view, cert in (("orbit", check_o_maximal(m)), ("average", check_k_minimal(m))):
+            rows, nvars = m.linear_forms(view), m.view_shape(view)[0]
+            for (j, i), coeffs in cert.combinations.items():
+                minors = reference_minors(rows, i)
+                assert len(coeffs) == len(minors), (key, view, i)
+                total = {}
+                for c, minor in zip(coeffs, minors):
+                    for e, v in minor.terms.items():
+                        total[e] = total.get(e, 0) + c * v
+                power = tuple(i * (a == j) for a in range(nvars))
+                assert {e: v for e, v in total.items() if v} == {power: 1}, (key, view, j, i)
+
+    def test_a_power_that_no_minor_holds(self):
+        # X_2 is in no minor of [[X_1, 0], [0, X_1]]: its target row holds
+        # nothing but the target, and the solve must still see it
+        x1, zero = Poly(2, {(1, 0): 1}), Poly(2)
+        rows = [[x1, zero], [zero, x1]]
+        assert _monomial_span_test(rows, 2, 2, DEFAULT_MINOR_BUDGET) == ((False, (1, 1)), None)
+
+    def test_a_minor_that_is_not_homogeneous(self):
+        x1, one = Poly(2, {(1, 0): 1}), Poly.const(2, 1)
+        with pytest.raises(InternalConsistencyError, match="not homogeneous"):
+            _monomial_span_test([[x1, one]], 1, 2, DEFAULT_MINOR_BUDGET)
+
+    @pytest.mark.parametrize("key", ASK_KEYS)
+    def test_reports(self, key):
+        # written by the dense elimination over Fraction
+        want = json.loads((DATA / "structure_ask.json").read_text(encoding="utf-8"))[key]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["structure", "--catalog", key]) == EXIT_OK
+        assert out.getvalue() == want
+
+    def test_sym12_memory(self):
+        # its degree-2 solve has 3,081 monomials and 2,211 minors: dense rows
+        # took the peak RSS from 21 to 131 MB; sparse ones hold a few entries
+        # per monomial
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["structure", "--catalog", "sym(12)"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 class TestPinnedStructure:
     """Work and reports of `structure` on keys that per-minor elimination made slow."""
 
+    # of each total, the products of a linear form and a stored minor
+    MINOR_PRODUCTS = {"gl(5)": 8_000, "so(6)": 20_857}
+
     @pytest.mark.parametrize(
         "key, products",
-        # one fraction-free determinant per minor took 2,795,684 and 1,441,148
+        # one fraction-free determinant per minor took 2,795,684 and
+        # 1,441,148; the rest of each total are Poly products outside the
+        # minors
         [("gl(5)", 8_002), ("so(6)", 21_239)],
     )
     def test_polynomial_products(self, key, products, monkeypatch):
         calls = []
-        mul = Poly.__mul__
+        add, mul = structural._add_product, Poly.__mul__
 
-        def counting(a, b):
-            calls.append(None)
+        def counting_add(*args):
+            calls.append("minor")
+            return add(*args)
+
+        def counting_mul(a, b):
+            calls.append("poly")
             return mul(a, b)
 
-        monkeypatch.setattr(Poly, "__mul__", counting)
+        monkeypatch.setattr(structural, "_add_product", counting_add)
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
         structure_report(catalog_module(key))
         assert len(calls) == products
+        assert calls.count("minor") == self.MINOR_PRODUCTS[key]
 
     @pytest.mark.parametrize("key", ["gl(5)", "so(6)", "sp(6)"])
     def test_reports(self, key, tmp_path):
