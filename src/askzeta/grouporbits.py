@@ -700,19 +700,26 @@ def oc_via_ask(
 
 
 def gl_generators(d: int, p: int, n: int) -> GroupGenSet:
-    """Generators of GL_d(Z/p^n): elementary transvections plus diagonal units.
+    """Generators of GL_d(Z/p^n): E_01(1), a cyclic permutation of
+    determinant 1, and diagonal units.
 
-    For odd p one diagonal entry runs through a primitive root mod p^n; for
-    p = 2 the diagonal units -1 and 5 are used instead.  This is a helper
-    set; its correctness at n > 1 is something callers test, not assume.
+    Conjugating E_01(1) by powers of the cycle gives every E_(i,i+1)(+-1),
+    their commutators [E_ij(a), E_jk(b)] = E_ik(ab) every E_ij(a), and
+    these generate SL_d of the local ring Z/p^n; the units supply the
+    determinant.  For odd p one diagonal entry runs through a primitive
+    root mod p^n; for p = 2 the diagonal units -1 and 5 are used instead.
+    At d = 1 the units alone generate.
     """
     gens = []
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                rows = [[int(a == b) for b in range(d)] for a in range(d)]
-                rows[i][j] = 1
-                gens.append(IntMatrix(rows))
+    if d > 1:
+        transvection = [[int(a == b) for b in range(d)] for a in range(d)]
+        transvection[0][1] = 1
+        # the cycle's sign is (-1)^(d-1): negating its last row at even d
+        # makes its determinant 1
+        cycle = [[int(b == (a + 1) % d) for b in range(d)] for a in range(d)]
+        if d % 2 == 0:
+            cycle[-1] = [-v for v in cycle[-1]]
+        gens += [IntMatrix(transvection), IntMatrix(cycle)]
     units = [primitive_root(p, n)] if p != 2 else [-1, 5]
     for u in units:
         rows = [[int(a == b) for b in range(d)] for a in range(d)]

@@ -4,7 +4,9 @@ ranks, the transpose and the adjoint representation."""
 from __future__ import annotations
 
 import random
+from itertools import chain
 from math import prod
+from operator import mul
 
 from .errors import (
     InputError,
@@ -53,7 +55,6 @@ class MatrixModule:
         self.label = label
         rows = [b.flat() for b in gens if not b.is_zero()]
         self.basis = tuple(from_flat(r, d, e) for r in hermite_form(rows))
-        self._forms = {}
         self._ranks = {}
 
     @property
@@ -111,19 +112,16 @@ class MatrixModule:
 
         Slice g has entry (a, j) equal to B[i][r][c] with the view's point
         axis at a, its generator axis at g and its column axis at j.  Its
-        row at an integer point x is x times the slice.
+        row at an integer point x is x times the slice (`rows_at`).  Each
+        row is one strided slice of the flattened tensor, whose axes have
+        strides (d*e, e, 1).
         """
-        point, gen, col = VIEWS[view]
         k, count, w = self.view_shape(view)
-        tensor = [b.entries for b in self.basis]
-        at = [0, 0, 0]
-
-        def entry(g, a, j):
-            at[gen], at[point], at[col] = g, a, j
-            return tensor[at[0]][at[1]][at[2]]
-
+        strides = (self.d * self.e, self.e, 1)
+        sp, sg, sc = (strides[axis] for axis in VIEWS[view])
+        flat = tuple(chain.from_iterable(row for b in self.basis for row in b.entries))
         return tuple(
-            tuple(tuple(entry(g, a, j) for j in range(w)) for a in range(k))
+            tuple(flat[s : s + w * sc : sc] for s in (g * sg + a * sp for a in range(k)))
             for g in range(count)
         )
 
@@ -132,30 +130,27 @@ class MatrixModule:
 
         The rows at an integer point x are this matrix at X = x.  The orbit
         view gives the rows X * b_i, the average view the generic element
-        sum X_i b_i.  Built once per view and shared with every caller,
-        who must not modify it.
+        sum X_i b_i.  Only the symbolic rank reads them; every other caller
+        reads the generators.
         """
-        if view not in self._forms:
-            k, _, w = self.view_shape(view)
-            units = [tuple(int(t == a) for t in range(k)) for a in range(k)]
-            self._forms[view] = [
-                [Poly(k, {units[a]: r[j] for a, r in enumerate(gen) if r[j]}) for j in range(w)]
-                for gen in self.view_generators(view)
-            ]
-        return self._forms[view]
+        k, _, w = self.view_shape(view)
+        units = [tuple(int(t == a) for t in range(k)) for a in range(k)]
+        return [
+            [Poly(k, {units[a]: r[j] for a, r in enumerate(gen) if r[j]}) for j in range(w)]
+            for gen in self.view_generators(view)
+        ]
 
     def generic_rank(self, view: str) -> int:
-        """Rank over Q(X) of the view's linear forms, cached per view.
+        """Rank over Q(X) of the view's matrix X * G_g, cached per view.
 
         Specialising X never raises the rank, nor does reducing the values
         mod a prime, and no rank exceeds min(rows, columns): so a random
-        point whose values have that rank mod the prime 2^61 - 1 proves it.
-        Otherwise the fraction-free elimination decides, and a rank at a
-        point above its answer is a bug.
+        point whose rows have that rank mod the prime 2^61 - 1 proves it.
+        Otherwise the fraction-free elimination of the linear forms
+        decides, and a rank at a point above its answer is a bug.
         """
         if view not in self._ranks:
-            k = self.view_shape(view)[0]
-            self._ranks[view] = _generic_rank_of(self.linear_forms(view), k)
+            self._ranks[view] = _generic_rank_of(self, view)
         return self._ranks[view]
 
 
@@ -163,21 +158,27 @@ class MatrixModule:
 RANK_PRIME = 2**61 - 1
 
 
-def _generic_rank_of(rows, nvars: int) -> int:
+def rows_at(columns, point) -> list[list[int]]:
+    """Row g = point * G_g, from the columns of each generator G_g."""
+    return [[sum(map(mul, point, col)) for col in cols] for cols in columns]
+
+
+def _generic_rank_of(m: MatrixModule, view: str) -> int:
     """Rank over the rational function field, by evaluation mod a large prime
     and, when that falls short of full rank, elimination."""
-    if not rows or not rows[0]:
+    k, count, w = m.view_shape(view)
+    full = min(count, w)
+    if not full:
         return 0
-    full = min(len(rows), len(rows[0]))
+    columns = [tuple(zip(*gen)) for gen in m.view_generators(view)]
     rng = random.Random(0)
     best = 0
     for _ in range(8):
-        point = [rng.randint(-(10**6), 10**6) for _ in range(nvars)]
-        values = [[f.eval_int(point) for f in row] for row in rows]
-        best = max(best, len(lambdas_mod(values, RANK_PRIME, 1)))
+        point = [rng.randint(-(10**6), 10**6) for _ in range(k)]
+        best = max(best, len(lambdas_mod(rows_at(columns, point), RANK_PRIME, 1)))
         if best == full:
             return full
-    exact = symbolic_rank(rows)
+    exact = symbolic_rank(m.linear_forms(view))
     if best > exact:
         raise InternalConsistencyError(f"randomized rank {best} exceeds symbolic rank {exact}")
     return exact

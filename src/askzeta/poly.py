@@ -1,11 +1,11 @@
 """Sparse multivariate polynomials over Z and fraction-free elimination.
 
 Small and deliberately plain: exponent tuples to integer coefficients.  This
-is the package's one polynomial type.  It is used for linear-form matrices
-and their symbolic ranks, all at desk scale (`structural` packs their
-minors' exponents into integers), and, with negative exponents allowed, for
-the numerators and denominators of the (q, T) rational functions in
-`ratfun`.
+is the package's one polynomial type.  It carries a view's linear forms only
+for their symbolic rank, the fallback when no random point proves the rank
+full (every other reader of a view takes its integer generators), and, with
+negative exponents allowed, the numerators and denominators of the (q, T)
+rational functions in `ratfun`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from operator import add
 
 from .errors import InputError, InternalConsistencyError
-from .linalg import frac_rank
 
 
 class Poly:
@@ -95,16 +94,6 @@ class Poly:
                     rem.pop(e, None)
         return Poly(self.nvars, out)
 
-    def eval_int(self, point) -> int:
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= x**k
-            total += v
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -179,9 +168,4 @@ def bareiss_det(rows) -> Poly:
 def symbolic_rank(rows) -> int:
     """Rank over Q(x_1, ..., x_m) by fraction-free elimination."""
     return sum(1 for _ in _bareiss(rows))
-
-
-def evaluated_rank(rows, point) -> int:
-    """Rank over Q of the matrix obtained by evaluating every entry at `point`."""
-    return frac_rank([[p.eval_int(point) for p in row] for row in rows])
 

@@ -21,12 +21,10 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd
-from operator import mul
 
 from .errors import InternalConsistencyError
-from .linalg import frac_solve_multi
-from .module import MatrixModule
-from .poly import evaluated_rank
+from .linalg import frac_rank, frac_solve_multi
+from .module import MatrixModule, rows_at
 from .primes import factorize
 from .ratfun import QTRational
 from .closed_forms import constant_rank_form, mat_form
@@ -57,23 +55,22 @@ class Certificate:
         return self.status == "certified"
 
 
-def _pack(rows, k: int, top: int):
-    """The Poly entries, in k variables, as dicts over packed exponents, and
-    the base B = top + 1 of the packing.
+def _pack(columns, k: int, top: int):
+    """The view's entries sum_a X_a G_g[a][j], in k variables, read from the
+    columns of each generator G_g, as dicts over packed exponents, and the
+    base B = top + 1 of the packing.
 
     A monomial X^e of degree |e| packs to |e| B^k + sum_a e_a B^(k-1-a), the
-    integer whose base-B digits are its degree and then its exponents.  A
-    product of degree at most `top` has every digit below B, so no digit
-    carries: the product of two monomials packs to the sum of their packed
-    exponents, and among monomials of one degree the integers compare as
-    the exponent tuples do in lex order.
+    integer whose base-B digits are its degree and then its exponents, so
+    the unit X_a packs to B^k + B^(k-1-a).  A product of degree at most
+    `top` has every digit below B, so no digit carries: the product of two
+    monomials packs to the sum of their packed exponents, and among
+    monomials of one degree the integers compare as the exponent tuples do
+    in lex order.
     """
     base = top + 1
-    weights = [base ** (k - 1 - a) for a in range(k)] + [base**k]
-    packed = [
-        [{sum(map(mul, (*e, sum(e)), weights)): c for e, c in f.terms.items()} for f in row]
-        for row in rows
-    ]
+    units = [base**k + base ** (k - 1 - a) for a in range(k)]
+    packed = [[{units[a]: v for a, v in enumerate(col) if v} for col in cols] for cols in columns]
     return packed, base
 
 
@@ -147,8 +144,9 @@ def _all_minors(rows, size, budget, below):
     return minors, count, table
 
 
-def _monomial_span_test(rows, generic_rank, nvars, budget):
-    """Check X_j^i in span of the i x i minors for all i <= generic_rank.
+def _monomial_span_test(columns, generic_rank, nvars, budget):
+    """Check X_j^i in span of the i x i minors of the view's linear forms for
+    all i <= generic_rank.
 
     Returns (ok, combinations, excluded_primes) or (None, reason) when over
     budget.  Each degree's minors are expanded from the previous degree's
@@ -159,7 +157,7 @@ def _monomial_span_test(rows, generic_rank, nvars, budget):
     """
     combos = {}
     denominators = set()
-    packed, base = _pack(rows, nvars, generic_rank)
+    packed, base = _pack(columns, nvars, generic_rank)
     degree_one = base**nvars
     table = {(): {(): (1, frozenset({(0, 1)}))}}
     for i in range(1, generic_rank + 1):
@@ -199,8 +197,9 @@ def _monomial_span_test(rows, generic_rank, nvars, budget):
     return (True, combos), tuple(sorted(primes))
 
 
-def _search_degenerate_point(rows, nvars, generic_rank, trials, seed):
-    """A rational point where the matrix rank drops below generic_rank, or None.
+def _search_degenerate_point(columns, nvars, generic_rank, trials, seed):
+    """A rational point where the rank of `rows_at` drops below generic_rank,
+    or None.
 
     Unit vectors and small patterned points are tried before random ones.
     """
@@ -218,25 +217,25 @@ def _search_degenerate_point(rows, nvars, generic_rank, trials, seed):
             point = tuple(rng.randint(-bound, bound) for _ in range(nvars))
             if not any(point):
                 continue
-        r = evaluated_rank(rows, point)
+        r = frac_rank(rows_at(columns, point))
         if r < generic_rank:
             return point, r
     return None, None
 
 
 def _certify(m: MatrixModule, view: str, excluded_primes, trials: int, seed: int) -> Certificate:
-    """The monomial test on the view's linear forms, then a witness search.
+    """The monomial test on the view's generators, then a witness search.
 
     `excluded_primes` are excluded from a certificate on top of the primes
     dividing the denominators of its combinations.
     """
-    rows = m.linear_forms(view)
+    columns = [tuple(zip(*gen)) for gen in m.view_generators(view)]
     rank = m.generic_rank(view)
     nvars = m.view_shape(view)[0]
     excluded = set(excluded_primes)
     if rank == 0:
         return Certificate("certified", excluded_primes=tuple(sorted(excluded)))
-    result, extra = _monomial_span_test(rows, rank, nvars, DEFAULT_MINOR_BUDGET)
+    result, extra = _monomial_span_test(columns, rank, nvars, DEFAULT_MINOR_BUDGET)
     if result is None:
         return Certificate("inconclusive", reason=extra)
     ok, payload = result
@@ -245,7 +244,7 @@ def _certify(m: MatrixModule, view: str, excluded_primes, trials: int, seed: int
         return Certificate(
             "certified", combinations=payload, excluded_primes=tuple(sorted(excluded))
         )
-    witness, r = _search_degenerate_point(rows, nvars, rank, trials, seed)
+    witness, r = _search_degenerate_point(columns, nvars, rank, trials, seed)
     if witness is not None:
         return Certificate("refuted", witness=witness, witness_rank=r)
     j, i = payload

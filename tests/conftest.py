@@ -16,6 +16,9 @@ character at a time and builds a normalised QTRational at every operation.
 minor as its own fraction-free determinant (`poly.bareiss_det`), and
 `reference_reduce`, the oracle of `linalg._reduce`, eliminates dense rows
 of Fractions; `frac_rref` reads the reduced echelon form off it.
+`evaluated_rows`, the oracle of `module.rows_at`, evaluates a matrix of
+`Poly` entries term by term at an integer point, and `evaluated_rank`
+takes the rank of that by `frac_rref`.
 
 The fixtures build the modules and groups of the paper's identities (direct
 sums, zero rows and columns, rescaling, the semidirect embedding) through
@@ -25,7 +28,8 @@ the public constructors.
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -350,6 +354,19 @@ def frac_rref(rows):
     return a[: len(pivots)], pivots
 
 
+def evaluated_rows(rows, point) -> list[list[int]]:
+    """Every Poly entry of `rows` evaluated at an integer point, term by term."""
+    return [
+        [sum(c * prod(x**k for x, k in zip(point, e)) for e, c in f.terms.items()) for f in row]
+        for row in rows
+    ]
+
+
+def evaluated_rank(rows, point) -> int:
+    """Rank over Q of the Poly matrix `rows` evaluated at `point`."""
+    return len(frac_rref(evaluated_rows(rows, point))[1])
+
+
 def brute_brenti(n: int) -> dict[tuple[int, int], int]:
     """(negative entries, descents) of every signed permutation of [n], with
     the value 0 pinned in front, counted by enumeration."""
@@ -495,22 +512,23 @@ def brute_orbit_count(gens, d: int, m: int) -> int:
 
 def brute_closure(gens, d: int, m: int, limit: int):
     """The group generated by `gens` mod m as IntMatrix elements, by dense
-    products; None once it has more than `limit` elements."""
-    identity = IntMatrix.identity(d).mod(m)
+    products of row tuples; None once it has more than `limit` elements."""
+    columns = [tuple(zip(*g.entries)) for g in gens]
+    identity = tuple(tuple(int(i == j) % m for j in range(d)) for i in range(d))
     group = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for el in frontier:
-            for g in gens:
-                h = (el @ g).mod(m)
+            for cols in columns:
+                h = tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in el)
                 if h not in group:
                     group.add(h)
                     nxt.append(h)
         if len(group) > limit:
             return None
         frontier = nxt
-    return group
+    return {IntMatrix(el) for el in group}
 
 
 def brute_class_count(group, m: int) -> int:

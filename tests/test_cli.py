@@ -825,7 +825,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "source, spied",
         [
-            # GL(30) has 871 generators of 900 entries; 3^30 points
+            # GL(30) has 3 generators of 900 entries; 3^30 points
             (["--gl", "30", "--p", "3", "--n-max", "1"], "gl_generators"),
             # the direct count needs 7^12 points, the kernel average 7^10
             (["--algebra", "L_{5,9}", "--p", "7", "--n-max", "2", "--budget", "1000000000"],

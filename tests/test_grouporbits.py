@@ -2,6 +2,7 @@
 
 import warnings
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -94,6 +95,22 @@ class TestOrbitCounts:
         assert oc_coefficients(gl_generators(3, 3, 2), 3, 2) == [1, 2, 3]
         assert oc_coefficients(gl_generators(2, 5, 2), 5, 2) == [1, 2, 3]
         assert oc_coefficients(gl_generators(1, 7, 2), 7, 2) == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "d, p, n",
+        [(d, p, n) for d in (1, 2, 3) for p in (2, 3) for n in (1, 2) if (d, p, n) != (3, 3, 2)],
+    )
+    def test_gl_helper_generates_gl(self, d, p, n):
+        # orbit counts cannot tell SL_d from GL_d, which already acts
+        # transitively on primitive vectors; the group order can:
+        # |GL_d(Z/p^n)| = p^((n-1) d^2) |GL_d(F_p)|
+        from conftest import brute_closure
+
+        m = p**n
+        gens = [g.mod(m) for g in gl_generators(d, p, n).generators]
+        assert len(gens) == (d > 1) * 2 + (p == 2) + 1
+        order = p ** ((n - 1) * d * d) * prod(p**d - p**i for i in range(d))
+        assert len(brute_closure(gens, d, m, limit=order)) == order
 
     def test_negation_group(self):
         g = GroupGenSet(1, (IntMatrix([[-1]]),))

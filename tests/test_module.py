@@ -25,12 +25,14 @@ from askzeta import module
 from askzeta.catalog import _FAMILIES, _FIXED, catalog_row
 from askzeta.intmat import from_flat
 from askzeta.linalg import _reduce, frac_rank, frac_solve_multi, sparse_row
-from askzeta.module import VIEWS
-from askzeta.poly import Poly, bareiss_det, evaluated_rank, symbolic_rank
+from askzeta.module import VIEWS, rows_at
+from askzeta.poly import Poly, bareiss_det, symbolic_rank
 from conftest import (
     add_zero_col,
     add_zero_row,
     direct_sum,
+    evaluated_rank,
+    evaluated_rows,
     frac_rref,
     leibniz_det,
     minor_rank,
@@ -196,8 +198,12 @@ class TestGenericRanks:
 
     def test_a_rank_lost_mod_the_prime_falls_through_to_elimination(self, monkeypatch):
         # every coefficient a multiple of 2^61 - 1: each point's values are 0
-        # mod the prime, so only the elimination gives the rank
+        # mod the prime, so only the elimination gives the rank; the orbit
+        # view's rows are q * [[X_0, X_1, 0], [0, X_2, X_0]]
         q = 2**61 - 1
+        m = MatrixModule(
+            3, 3, [[[q, 0, 0], [0, q, 0], [0, 0, 0]], [[0, 0, q], [0, 0, 0], [0, q, 0]]]
+        )
         x = [Poly.const(3, q) * variable(a, 3) for a in range(3)]
         zero = Poly(3)
         rows = [[x[0], x[1], zero], [zero, x[2], x[0]]]
@@ -208,8 +214,21 @@ class TestGenericRanks:
             return symbolic_rank(forms)
 
         monkeypatch.setattr(module, "symbolic_rank", counted)
-        assert module._generic_rank_of(rows, 3) == 2
+        assert m.generic_rank("orbit") == 2
         assert calls == [rows]
+
+    @pytest.mark.parametrize("key, view", [("mat(1,600)", "orbit"), ("gl(4)", "average")])
+    def test_a_full_rank_builds_no_poly(self, monkeypatch, key, view):
+        # the random points read the generators; only the elimination needs
+        # the linear forms
+        def refuse(*args):
+            raise _Eliminated
+
+        monkeypatch.setattr(module, "Poly", refuse)
+        m = catalog_module(key)
+        assert m.generic_rank(view) == min(m.view_shape(view)[1:])
+        with pytest.raises(_Eliminated):
+            m.linear_forms(view)
 
     def test_randomized_matches_symbolic(self, rng):
         for _ in range(10):
@@ -223,6 +242,17 @@ class TestGenericRanks:
                 point = [rng.randint(-(10**6), 10**6) for _ in range(m.d)]
                 best = max(best, evaluated_rank(rows, point))
             assert best == exact
+
+    def test_rows_at_evaluates_the_linear_forms(self, rng):
+        for _ in range(40):
+            m = random_module(rng)
+            for view in VIEWS:
+                k = m.view_shape(view)[0]
+                columns = [tuple(zip(*gen)) for gen in m.view_generators(view)]
+                forms = m.linear_forms(view)
+                for _ in range(3):
+                    point = [rng.randint(-50, 50) for _ in range(k)]
+                    assert rows_at(columns, point) == evaluated_rows(forms, point), view
 
 
 class TestViews:
@@ -239,6 +269,14 @@ class TestViews:
             assert m.view_generators("transpose") == tuple(
                 b.transpose().entries for b in m.basis
             )
+
+    def test_generators_of_a_zero_module(self):
+        # k rows of w zeros per generator; an empty axis slices nothing
+        for d, e in ((0, 3), (3, 0), (2, 3)):
+            z = MatrixModule(d, e, [])
+            for view in VIEWS:
+                k, count, w = z.view_shape(view)
+                assert z.view_generators(view) == (((0,) * w,) * k,) * count, (d, e, view)
 
     def test_shapes(self):
         m = catalog_module("band(2)")  # dim 2 in Mat_{3 x 2}

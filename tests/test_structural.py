@@ -195,10 +195,24 @@ def _unpacked(terms, nvars, base):
     return Poly(nvars, out)
 
 
-def _minors_match_reference(rows, top):
-    """_all_minors, fed its own tables, against one determinant per minor."""
-    nvars = rows[0][0].nvars
-    packed, base = _pack(rows, nvars, top)
+def _forms(generators, nvars):
+    """The linear forms sum_a X_a G_g[a][j] of generators, as Poly entries."""
+    units = [tuple(int(t == a) for t in range(nvars)) for a in range(nvars)]
+    return [
+        [Poly(nvars, {units[a]: v for a, v in enumerate(col) if v}) for col in zip(*gen)]
+        for gen in generators
+    ]
+
+
+def _columns(generators):
+    return [tuple(zip(*gen)) for gen in generators]
+
+
+def _minors_match_reference(generators, nvars, top):
+    """_all_minors, fed its own tables, against one determinant per minor of
+    the generators' linear forms."""
+    rows = _forms(generators, nvars)
+    packed, base = _pack(_columns(generators), nvars, top)
     table = {(): {(): (1, frozenset({(0, 1)}))}}
     for size in range(1, top + 1):
         minors, _, table = _all_minors(packed, size, DEFAULT_MINOR_BUDGET, table)
@@ -217,17 +231,17 @@ def _minors_match_reference(rows, top):
         assert all(form == normalized(form) for _, form in forms.values())
 
 
-def _random_forms(rng, nr, nc, nvars):
-    """Linear forms with small coefficients, about a third of them zero."""
-    def form():
-        if rng.random() < 0.35:
-            return Poly(nvars)
-        return Poly(
-            nvars,
-            {tuple(int(t == a) for t in range(nvars)): rng.randint(-2, 2) for a in range(nvars)},
-        )
-
-    return [[form() for _ in range(nc)] for _ in range(nr)]
+def _random_generators(rng, nr, nc, nvars):
+    """nr generators of nvars x nc small entries, whose linear forms (one per
+    column) are about a third of them zero."""
+    columns = [
+        [
+            [0] * nvars if rng.random() < 0.35 else [rng.randint(-2, 2) for _ in range(nvars)]
+            for _ in range(nc)
+        ]
+        for _ in range(nr)
+    ]
+    return [[list(row) for row in zip(*cols)] for cols in columns]
 
 
 class TestLaplaceMinors:
@@ -242,29 +256,30 @@ class TestLaplaceMinors:
         for view in ("orbit", "average"):
             rank = m.generic_rank(view)
             if rank:
-                _minors_match_reference(m.linear_forms(view), rank)
+                _minors_match_reference(m.view_generators(view), m.view_shape(view)[0], rank)
 
     @pytest.mark.parametrize("kind", ["random", "zero row", "zero column", "repeated row"])
     def test_random_forms(self, kind):
         rng = random.Random(f"laplace {kind}")
         for _ in range(25):
             nr, nc, nvars = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
-            rows = _random_forms(rng, nr, nc, nvars)
+            gens = _random_generators(rng, nr, nc, nvars)
             if kind == "zero row":
-                rows[rng.randrange(nr)] = [Poly(nvars)] * nc
+                gens[rng.randrange(nr)] = [[0] * nc for _ in range(nvars)]
             elif kind == "zero column":
                 j = rng.randrange(nc)
-                for row in rows:
-                    row[j] = Poly(nvars)
+                for gen in gens:
+                    for row in gen:
+                        row[j] = 0
             elif kind == "repeated row" and nr > 1:
                 # minors on both copies cancel to zero
-                rows[-1] = list(rows[0])
-            _minors_match_reference(rows, min(nr, nc))
+                gens[-1] = gens[0]
+            _minors_match_reference(gens, nvars, min(nr, nc))
 
     def test_one_row(self):
         rng = random.Random("laplace one row")
         for nc in range(1, 6):
-            _minors_match_reference(_random_forms(rng, 1, nc, 2), 1)
+            _minors_match_reference(_random_generators(rng, 1, nc, 2), 2, 1)
 
     def test_over_budget(self):
         # 4 rows and 2 columns: C(4, 2) C(2, 2) = 6 pairs of 2 x 2 minors
@@ -328,14 +343,24 @@ class TestSpanSolve:
     def test_a_power_that_no_minor_holds(self):
         # X_2 is in no minor of [[X_1, 0], [0, X_1]]: its target row holds
         # nothing but the target, and the solve must still see it
-        x1, zero = Poly(2, {(1, 0): 1}), Poly(2)
-        rows = [[x1, zero], [zero, x1]]
-        assert _monomial_span_test(rows, 2, 2, DEFAULT_MINOR_BUDGET) == ((False, (1, 1)), None)
+        gens = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
+        result = _monomial_span_test(_columns(gens), 2, 2, DEFAULT_MINOR_BUDGET)
+        assert result == ((False, (1, 1)), None)
 
-    def test_a_minor_that_is_not_homogeneous(self):
-        x1, one = Poly(2, {(1, 0): 1}), Poly.const(2, 1)
+    def test_a_minor_that_is_not_homogeneous(self, monkeypatch):
+        # the generators give linear forms only, so the matrix [[X_1, 1]]
+        # comes from a packing with a constant put in
+        pack = structural._pack
+
+        def with_a_constant(columns, k, top):
+            packed, base = pack(columns, k, top)
+            packed[0][1] = {0: 1}
+            return packed, base
+
+        monkeypatch.setattr(structural, "_pack", with_a_constant)
+        columns = _columns([[[1, 0], [0, 0]]])
         with pytest.raises(InternalConsistencyError, match="not homogeneous"):
-            _monomial_span_test([[x1, one]], 1, 2, DEFAULT_MINOR_BUDGET)
+            _monomial_span_test(columns, 1, 2, DEFAULT_MINOR_BUDGET)
 
     @pytest.mark.parametrize("key", ASK_KEYS)
     def test_reports(self, key):
