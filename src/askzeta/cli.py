@@ -97,8 +97,8 @@ def _primes(text: str) -> list[int]:
 
 
 def _at_least(low: int):
-    """The type of an integer option with a lower bound: --n-max and --order
-    take integers >= 0, --jobs and --budget integers >= 1."""
+    """The type of an integer option with a lower bound: --n-max, --order and
+    feqn's --d take integers >= 0, --jobs and --budget integers >= 1."""
 
     def integer(text: str) -> int:
         try:
@@ -586,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("feqn", help="functional equation check for a formula")
     sp.add_argument("--form", type=str, required=True)
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_at_least(0), required=True)
     common(sp, cmd_feqn, counts=False)
 
     sp = sub.add_parser("catalog", help="export the closed-form catalog")

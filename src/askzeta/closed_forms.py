@@ -21,7 +21,6 @@ all the evidence recorded for entries whose validity threshold is unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
 from .catalog import _canonical_key, _family, _parse_key
@@ -30,15 +29,26 @@ from .poly import Poly
 from .ratfun import QTRational, _poly_pow, parse_rational
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    key: str
-    kind: str  # "ask" | "cc" | "oc"
-    formula: QTRational | None
-    module_key: str | None
-    validity: str
-    tested_at: tuple[int, ...] = ()
-    notes: str = ""
+    __slots__ = ("key", "kind", "formula", "module_key", "validity", "tested_at", "notes")
+
+    def __init__(
+        self,
+        key: str,
+        kind: str,  # "ask" | "cc" | "oc"
+        formula: QTRational | None,
+        module_key: str | None,
+        validity: str,
+        tested_at: tuple[int, ...] = (),
+        notes: str = "",
+    ):
+        self.key = key
+        self.kind = kind
+        self.formula = formula
+        self.module_key = module_key
+        self.validity = validity
+        self.tested_at = tested_at
+        self.notes = notes
 
 
 def constant_rank_form(d: int, ell: int, r: int) -> QTRational:

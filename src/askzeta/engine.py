@@ -644,12 +644,13 @@ def _walk_partial(payload):
 def _run_partials(worker, payloads, jobs):
     """worker over payloads, in order; the package's one process pool, of at
     most one process per payload and per CPU."""
-    processes = min(jobs, len(payloads), os.cpu_count() or 1)
-    if processes > 1:
-        from multiprocessing import Pool
+    if jobs > 1 and len(payloads) > 1:
+        processes = min(jobs, len(payloads), os.cpu_count() or 1)
+        if processes > 1:
+            from multiprocessing import Pool
 
-        with Pool(processes=processes) as pool:
-            return pool.map(worker, payloads)
+            with Pool(processes=processes) as pool:
+                return pool.map(worker, payloads)
     return [worker(pl) for pl in payloads]
 
 

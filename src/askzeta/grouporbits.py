@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product, repeat
 from math import factorial, gcd
@@ -69,21 +68,21 @@ from .primes import is_prime, primitive_root
 from .zpn import RingSpec, lambdas_mod
 
 
-@dataclass(frozen=True)
 class GroupGenSet:
     """Generators of a subgroup of GL_d(Z); must be invertible mod the primes
     they are used at."""
 
-    d: int
-    generators: tuple[IntMatrix, ...]
-    label: str = ""
+    __slots__ = ("d", "generators", "label")
 
-    def __post_init__(self):
-        if self.d < 0:
+    def __init__(self, d: int, generators: tuple[IntMatrix, ...], label: str = ""):
+        if d < 0:
             raise InputError("dimensions must be >= 0")
-        for g in self.generators:
-            if g.shape != (self.d, self.d):
+        for g in generators:
+            if g.shape != (d, d):
                 raise InputError("generator shape mismatch")
+        self.d = d
+        self.generators = generators
+        self.label = label
 
     def check_invertible(self, p: int):
         if not is_prime(p):
@@ -486,8 +485,7 @@ class GroupClosure:
     each row is then one element).  y_i*g_a = y_(right[a][i]) *
     u^(shift[a][i]), one shift table per right table (all 0 at fibre 1),
     and y_i = y_(parent[i]) * g_(last[i]) for i > 0.  The length is the
-    group order, rows * fibre.  A plain class: a dataclass would add about
-    half a millisecond to importing the package.
+    group order, rows * fibre.
     """
 
     __slots__ = ("right", "shift", "parent", "last", "fibre")

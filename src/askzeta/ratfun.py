@@ -45,7 +45,6 @@ per power of T and makes one Fraction each.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -581,12 +580,14 @@ def parse_rational(text: str) -> QTRational:
 # -- series ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SeriesQ:
     """Truncated power series in T with exact rational coefficients, fixed q."""
 
-    q_value: Fraction
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("q_value", "coeffs")
+
+    def __init__(self, q_value: Fraction, coeffs: tuple[Fraction, ...]):
+        self.q_value = q_value
+        self.coeffs = coeffs
 
     @property
     def order(self) -> int:

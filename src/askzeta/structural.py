@@ -18,7 +18,6 @@ candidates first and seeded random search after.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, gcd
 
@@ -33,7 +32,6 @@ DEFAULT_MINOR_BUDGET = 10**6
 DEFAULT_WITNESS_TRIALS = 10**4
 
 
-@dataclass(frozen=True)
 class Certificate:
     """Outcome of a sufficiency test: certified, refuted, or inconclusive.
 
@@ -43,12 +41,23 @@ class Certificate:
     with rank strictly below the generic one.  inconclusive: see `reason`.
     """
 
-    status: str
-    witness: tuple | None = None
-    witness_rank: int | None = None
-    excluded_primes: tuple[int, ...] = ()
-    combinations: dict = field(default_factory=dict, compare=False)
-    reason: str = ""
+    __slots__ = ("status", "witness", "witness_rank", "excluded_primes", "combinations", "reason")
+
+    def __init__(
+        self,
+        status: str,
+        witness: tuple | None = None,
+        witness_rank: int | None = None,
+        excluded_primes: tuple[int, ...] = (),
+        combinations: dict | None = None,
+        reason: str = "",
+    ):
+        self.status = status
+        self.witness = witness
+        self.witness_rank = witness_rank
+        self.excluded_primes = excluded_primes
+        self.combinations = {} if combinations is None else combinations
+        self.reason = reason
 
     @property
     def certified(self) -> bool:
@@ -278,14 +287,24 @@ def check_k_minimal(
     return _certify(m, "average", factorize(m.index()), trials, seed)
 
 
-@dataclass(frozen=True)
 class StructureReport:
-    grk: int
-    gor: int
-    o_maximal: Certificate
-    k_minimal: Certificate
-    template_key: str | None
-    template: QTRational | None
+    __slots__ = ("grk", "gor", "o_maximal", "k_minimal", "template_key", "template")
+
+    def __init__(
+        self,
+        grk: int,
+        gor: int,
+        o_maximal: Certificate,
+        k_minimal: Certificate,
+        template_key: str | None,
+        template: QTRational | None,
+    ):
+        self.grk = grk
+        self.gor = gor
+        self.o_maximal = o_maximal
+        self.k_minimal = k_minimal
+        self.template_key = template_key
+        self.template = template
 
 
 def structure_report(

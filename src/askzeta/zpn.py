@@ -16,24 +16,22 @@ of the pencil follow from one rank over F_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .primes import is_prime
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """The quotient ring Z/p^n; n = 0 is the zero ring with one element."""
 
-    p: int
-    n: int
+    __slots__ = ("p", "n")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InputError(f"p = {self.p} is not prime")
-        if self.n < 0:
-            raise InputError(f"level n = {self.n} must be >= 0")
+    def __init__(self, p: int, n: int):
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not prime")
+        if n < 0:
+            raise InputError(f"level n = {n} must be >= 0")
+        self.p = p
+        self.n = n
 
     @property
     def modulus(self) -> int:

@@ -4,7 +4,10 @@ import argparse
 import itertools
 import json
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -624,6 +627,18 @@ class TestExitCodes:
         assert started == [2]
         capsys.readouterr()
 
+    def test_one_process_reads_no_cpu_count(self, capsys, monkeypatch):
+        # the CPU count matters only where more than one process could start
+        def no_cpu_count():
+            raise AssertionError("os.cpu_count called")
+
+        monkeypatch.setattr("os.cpu_count", no_cpu_count)
+        assert engine._run_partials(abs, [-1, -2, -3], 1) == [1, 2, 3]
+        assert engine._run_partials(abs, [-1], 4) == [1]
+        argv = ["ask", "--catalog", "so(3)", "--p", "3,5", "--n-max", "2", "--jobs", "1"]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+
     def test_views_that_disagree_exit_4(self, capsys, monkeypatch):
         # the average and orbit routes must agree at every level
         real = engine._view_series
@@ -664,6 +679,13 @@ class TestExitCodes:
     def test_brenti_order_is_a_level(self, capsys):
         assert main(["brenti", "--n", "3", "--order", "-5"]) == EXIT_INPUT
         assert "argument --order:" in capsys.readouterr().err
+
+    def test_feqn_dimension_is_checked_by_the_parser(self, capsys):
+        # a malformed dimension is a usage error, not a failed equation
+        assert main(["feqn", "--form", "1/(1-T)", "--d", "-3"]) == EXIT_INPUT
+        assert "argument --d:" in capsys.readouterr().err
+        assert main(["feqn", "--form", "1/(1-T)", "--d", "0"]) == EXIT_OK
+        capsys.readouterr()
 
     def test_brenti_order_is_bounded(self, capsys):
         start = time.perf_counter()
@@ -718,6 +740,22 @@ class TestReportStep:
             assert code == EXIT_INPUT
             assert captured.out == ""
             assert "argument --format: invalid choice: 'csv'" in captured.err
+
+
+class TestColdStart:
+    def test_cli_imports_no_dataclasses(self):
+        # each command is one process: dataclasses and the inspect, ast and
+        # dis it loads were half the cost of importing askzeta.cli
+        src = Path(cli.__file__).parents[1]
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import askzeta.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestCommands:

@@ -8,6 +8,7 @@ import pytest
 
 from askzeta import (
     BudgetExceededError,
+    CatalogEntry,
     InputError,
     NilpotentAlgebra,
     RingSpec,
@@ -60,6 +61,10 @@ class TestMasterCatalog:
             reparsed = parse_rational(text)
             assert reparsed == entry.formula, key
             assert str(reparsed) == text, key
+
+    def test_entry_defaults(self):
+        for entry in (closed_form("mat(2,1)"), CatalogEntry("k", "ask", None, None, "all p")):
+            assert entry.tested_at == () and entry.notes == ""
 
     def test_unknown_key(self):
         with pytest.raises(InputError):

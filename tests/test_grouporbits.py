@@ -128,6 +128,14 @@ class TestOrbitCounts:
         redundant = GroupGenSet(2, extra)
         assert oc_coefficients(base, 3, 2) == oc_coefficients(redundant, 3, 2)
 
+    def test_generator_set_checks_its_shapes(self):
+        with pytest.raises(InputError, match="dimensions"):
+            GroupGenSet(-1, ())
+        for bad in (IntMatrix.identity(3), IntMatrix([[1, 0]])):
+            with pytest.raises(InputError, match="shape"):
+                GroupGenSet(2, (IntMatrix.identity(2), bad))
+        assert GroupGenSet(0, ()).label == ""
+
     def test_non_invertible_generator(self):
         g = GroupGenSet(2, (IntMatrix([[1, 0], [0, 3]]),))
         with pytest.raises(InputError):

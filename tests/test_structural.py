@@ -312,6 +312,14 @@ class TestStructureReport:
                 want = list(expand(rep.template, p, 3).coeffs)
                 assert got == want, key
 
+    def test_certificates_own_their_combinations(self):
+        # a certificate built without combinations gets a dict of its own
+        first = structural.Certificate("inconclusive")
+        second = structural.Certificate("refuted")
+        first.combinations[(1, 0)] = {}
+        assert second.combinations == {}
+        assert structural.Certificate("certified").combinations == {}
+
     def test_grading_fields(self):
         rep = structure_report(catalog_module("n(3)"))
         assert rep.gor == 2 and rep.grk == 2
