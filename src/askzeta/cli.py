@@ -97,8 +97,9 @@ def _primes(text: str) -> list[int]:
 
 
 def _at_least(low: int):
-    """The type of an integer option with a lower bound: --n-max, --order and
-    feqn's --d take integers >= 0, --jobs and --budget integers >= 1."""
+    """The type of an integer option with a lower bound: --n-max, --order,
+    feqn's --d and brenti's --n take integers >= 0, --jobs, --budget and
+    --gl integers >= 1."""
 
     def integer(text: str) -> int:
         try:
@@ -213,14 +214,14 @@ def _to_text(report: dict) -> str:
 
 def _get_module(args, method=None) -> MatrixModule:
     """The module of --catalog or --module.  A catalog key's sizes meet the budget
-    of method(sizes, p) at each listed prime, in order, before it is built; the
-    build is level-1 work, so the check reads level 1 even at --n-max 0."""
+    of `method` at each listed prime, in order, before it is built; the build
+    is level-1 work, so the check reads level 1 even at --n-max 0."""
     if args.catalog:
         if method is not None:
             _, d, e, generators = catalog_row(args.catalog)
             sizes = (len(generators), d, e)
             for p in args.p:
-                check_budget(sizes, p, max(args.n_max, 1), method(sizes, p), args.budget)
+                check_budget(sizes, p, max(args.n_max, 1), method, args.budget)
         return catalog_module(args.catalog)
     if args.module:
         return module_from_json(_read_json(args.module))
@@ -243,7 +244,7 @@ def _run_series(m, primes, n_max, method, budget, jobs):
 
 
 def cmd_ask(args) -> tuple[dict, int]:
-    m = _get_module(args, lambda sizes, p: args.method)
+    m = _get_module(args, args.method)
     results = _run_series(m, args.p, args.n_max, args.method, args.budget, args.jobs)
     report = {
         "input": args.catalog or args.module,
@@ -273,6 +274,9 @@ def _verify_formula(args):
 
 def cmd_verify(args) -> tuple[dict, int]:
     formula = _verify_formula(args)
+    # auto's unreduced points are the fewest of any view, so where both
+    # routes fit the budget auto does too: the build needs auto to fit
+    m = _get_module(args, "auto")
 
     # cross-check the routes when both enumerations fit the budget;
     # otherwise the affordable view alone carries the comparison
@@ -283,7 +287,6 @@ def cmd_verify(args) -> tuple[dict, int]:
             return "auto"
         return "both"
 
-    m = _get_module(args, method)
     results = []
     first_mismatch = None
     for p in args.p:
@@ -439,8 +442,6 @@ def _group_source(args):
     checked against the bound p >= d of the exponential after the cheap
     trace test, which refuses a non-nilpotent algebra first."""
     if args.gl is not None:
-        if args.gl < 1:
-            raise InputError(f"--gl must be >= 1, got {args.gl}")
         _oc_budget(args.gl, args)
         return (lambda p: gl_generators(args.gl, p, max(args.n_max, 1))), None
     if args.neg1:
@@ -579,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oc", help="orbit counts of a linear group")
     sp.add_argument("--group", type=str)
     sp.add_argument("--algebra", type=str)
-    sp.add_argument("--gl", type=int)
+    sp.add_argument("--gl", type=_at_least(1))
     sp.add_argument("--neg1", action="store_true")
     sp.add_argument("--swap", action="store_true")
     common(sp, cmd_oc, csv=True)
@@ -594,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, cmd_catalog, counts=False)
 
     sp = sub.add_parser("brenti", help="signed-permutation polynomial and identity")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(0), required=True)
     sp.add_argument("--order", type=_at_least(0), default=0)
     common(sp, cmd_brenti, counts=False)
 

@@ -122,18 +122,49 @@ from .zpn import RingSpec, lambdas_mod, residual_pencil
 DEFAULT_BUDGET = 10**8
 
 
-def _spread(t, unused, p, rank):
-    """(t, rank) for every value of the coordinates in `unused`, lazily."""
+def _emit(t, dirs, vals, unused, p, rank):
+    """(t, rank) with t at `vals` on the coordinates of `dirs`, for every
+    value of the coordinates in `unused`, lazily.  Most points have no
+    unused coordinate, and a tuple of one costs less than a generator."""
+    for (a, _), v in zip(dirs, vals):
+        t[a] = v
     if not unused:
         return ((tuple(t), rank),)
 
     def points():
-        for vals in product(range(p), repeat=len(unused)):
-            for a, v in zip(unused, vals):
+        for spread in product(range(p), repeat=len(unused)):
+            for a, v in zip(unused, spread):
                 t[a] = v
             yield tuple(t), rank
 
     return points()
+
+
+def _reduced(v, basis, p):
+    """v (entries reduced mod p) less its components along a reduced echelon
+    basis over F_p (_echelon): 0 at every pivot of the basis."""
+    for c, row in basis.items():
+        if f := v[c]:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return v
+
+
+def _echelon(vectors, p):
+    """The reduced echelon basis over F_p of the span of `vectors` (entries
+    reduced mod p), as {pivot column: row}: each row is 1 at its pivot and 0
+    at every other pivot.  The pivots and rows depend only on the span."""
+    basis = {}
+    for v in vectors:
+        v = _reduced(v, basis, p)
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            v = [x * inv % p for x in v]
+            for b, row in basis.items():
+                if f := row[c]:
+                    basis[b] = [(x - f * y) % p for x, y in zip(row, v)]
+            basis[c] = v
+    return basis
 
 
 def _eliminate(mat, i0, j0, row0, inv, p):
@@ -152,29 +183,15 @@ def _eliminate(mat, i0, j0, row0, inv, p):
 
 def _affine_zeros(eqs, j, p):
     """Every v in F_p^j with c + sum_a l[a] v_a = 0 for each (c, l) in eqs, a
-    consistent system mod p: one solution plus the span of a kernel basis."""
-    rows = [[*l, c] for c, l in eqs]
-    pivots = []
-    for a in range(j):
-        r = len(pivots)
-        for i in range(r, len(rows)):
-            if rows[i][a]:
-                break
-        else:
-            continue
-        inv = pow(rows[i][a], -1, p)
-        rows[i], rows[r] = rows[r], [x * inv % p for x in rows[i]]
-        for i, row in enumerate(rows):
-            f = row[a]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, rows[r])]
-        pivots.append(a)
-    free = [a for a in range(j) if a not in pivots]
+    consistent system mod p: one solution plus the span of a kernel basis,
+    both read off the reduced echelon basis of the rows [l | c]."""
+    basis = _echelon(([*l, c] for c, l in eqs), p)
+    free = [a for a in range(j) if a not in basis]
     for vals in product(range(p), repeat=len(free)):
         v = [0] * j
         for a, x in zip(free, vals):
             v[a] = x
-        for b, row in zip(pivots, rows):
+        for b, row in basis.items():
             v[b] = -(row[j] + sum(row[a] * v[a] for a in free)) % p
         yield v
 
@@ -236,28 +253,12 @@ def _space(a0, dirs, p):
     """(key, dim) of the affine space a0 + span of the directions over F_p.
 
     The key is the shape, the reduced echelon basis of the flattened
-    directions and a0 reduced against it, so two families of one shape have
-    one key exactly when they are the same set of matrices; dim is the
-    number of basis vectors.
+    directions (_echelon) and a0 reduced against it, so two families of one
+    shape have one key exactly when they are the same set of matrices; dim
+    is the number of basis vectors.
     """
-    basis = {}  # pivot column -> row, reduced echelon
-    for _, d in dirs:
-        v = [x for row in d for x in row]
-        for c, row in basis.items():
-            if f := v[c]:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is not None:
-            inv = pow(v[c], -1, p)
-            v = [x * inv % p for x in v]
-            for b, row in basis.items():
-                if f := row[c]:
-                    basis[b] = [(x - f * y) % p for x, y in zip(row, v)]
-            basis[c] = v
-    v = [x for row in a0 for x in row]
-    for c, row in basis.items():
-        if f := v[c]:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
+    basis = _echelon(([x for row in d for x in row] for _, d in dirs), p)
+    v = _reduced([x for row in a0 for x in row], basis, p)
     rows = tuple(tuple(basis[c]) for c in sorted(basis))
     return (len(a0), len(a0[0]), rows, tuple(v)), len(rows)
 
@@ -270,29 +271,23 @@ def _memoised(counter, a0, dirs, base, unused, t, p, take, *rest):
     points of the count: the directions that depend on others, and the
     coordinates that no entry reads.  A space met before, whose ranks (plus
     base) have all been taken, takes its stored points per rank times that:
-    the walk goes below none of them.  Otherwise it is counted, and the
-    count's total per rank, divided once by that multiplicity, is stored
-    (_kept).  A family of one coordinate is a line of p matrices, whose key
-    would cost about as much as its count, so it is counted directly.
+    the walk goes below none of them.  Otherwise it is counted, and once the
+    count ends its total per rank (less base), divided by that multiplicity,
+    is stored.  A family of one coordinate is a line of p matrices, whose
+    key would cost about as much as its count, so it is counted directly.
     """
-    points = counter(a0, dirs, base, unused, t, p, take, *rest)
     if not take.quiet or len(dirs) < 2:
-        return points
+        yield from counter(a0, dirs, base, unused, t, p, take, *rest)
+        return
     key, dim = _space(a0, dirs, p)
     per = p ** (len(dirs) - dim + len(unused))
     entry = take.memo.get(key)
-    if entry is None or any(base + r not in take.taken for r in entry):
-        return _kept(points, take, key, base, per)
-    for r, n in entry.items():
-        take(base + r, n * per)
-    return ()
-
-
-def _kept(points, take, key, base, per):
-    """The points of one sub-family's count; once it ends, its points per
-    rank (less base), divided by the multiplicity per, go to take.memo."""
+    if entry is not None and all(base + r in take.taken for r in entry):
+        for r, n in entry.items():
+            take(base + r, n * per)
+        return
     before = dict(take.taken)
-    yield from points
+    yield from counter(a0, dirs, base, unused, t, p, take, *rest)
     take.memo[key] = {
         r - base: (n - before.get(r, 0)) // per
         for r, n in take.taken.items()
@@ -345,7 +340,7 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
         if not dirs:
             rank = base + len(lambdas_mod(a0, p, 1)) if any(map(any, a0)) else base
             if take(rank, nodes):
-                yield from _spread(t, unused, p, rank)
+                yield from _emit(t, (), (), unused, p, rank)
             return
         if 0 not in rows:
             if 0 not in cols:
@@ -405,9 +400,7 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
             else:
                 entry[0] += 1
             if entry[1]:
-                for (a, _), x in zip(dirs, (*vals, v)):
-                    t[a] = x
-                yield from _spread(t, unused, p, rank)
+                yield from _emit(t, dirs, (*vals, v), unused, p, rank)
     for rank, (more, _) in seen.items():
         if more:
             take(rank, more * nodes)
@@ -442,14 +435,10 @@ def _rank_one(a0, dirs, base, unused, t, p, take):
     if z < p**j and take(base + 1, (p**j - z) * nodes):
         for vals in product(range(p), repeat=j):
             if not z or any((x + sum(map(mul, vals, l))) % p for x, l in eqs):
-                for (a, _), v in zip(dirs, vals):
-                    t[a] = v
-                yield from _spread(t, unused, p, base + 1)
+                yield from _emit(t, dirs, vals, unused, p, base + 1)
     if z and take(base, z * nodes):
         for vals in _affine_zeros(eqs, j, p):
-            for (a, _), v in zip(dirs, vals):
-                t[a] = v
-            yield from _spread(t, unused, p, base)
+            yield from _emit(t, dirs, vals, unused, p, base)
 
 
 def _legendre(x, p):
@@ -538,9 +527,7 @@ def _two_by_two(a0, dirs, base, unused, t, p, take):
     }
     if base in walk:
         for vals in _affine_zeros(eqs, j, p):
-            for (i, _), v in zip(dirs, vals):
-                t[i] = v
-            yield from _spread(t, unused, p, base)
+            yield from _emit(t, dirs, vals, unused, p, base)
     if walk - {base}:
         lines = ((a, ea), (b, eb), (c, ec), (d, ed))
         for vals in product(range(p), repeat=j):
@@ -553,9 +540,7 @@ def _two_by_two(a0, dirs, base, unused, t, p, take):
             else:
                 continue
             if rank in walk:
-                for (i, _), v in zip(dirs, vals):
-                    t[i] = v
-                yield from _spread(t, unused, p, rank)
+                yield from _emit(t, dirs, vals, unused, p, rank)
 
 
 def _walk_partial(payload):

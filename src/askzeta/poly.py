@@ -10,9 +10,14 @@ rational functions in `ratfun`.
 
 from __future__ import annotations
 
+from math import inf
 from operator import add
 
-from .errors import InputError, InternalConsistencyError
+from .errors import BudgetExceededError, InputError, InternalConsistencyError
+
+# the term operations symbolic_rank may spend: so(7)'s average view needs
+# about 10^5, and so(9)'s would not finish in a minute
+SYMBOLIC_RANK_WORK = 10**6
 
 
 class Poly:
@@ -107,7 +112,7 @@ class Poly:
         return " + ".join(parts)
 
 
-def _bareiss(rows):
+def _bareiss(rows, work=inf):
     """Fraction-free (Bareiss) elimination of a Poly matrix, column by column.
 
     Yields (column, pivot, sign) for each pivot in turn, with the sign of the
@@ -118,6 +123,10 @@ def _bareiss(rows):
     (Sylvester's identity).  So the number of pivots is the rank over
     Q(x_1, ..., x_m), and when the pivots of a square matrix fill its
     diagonal the last one, times the sign, is the determinant.
+
+    Past `work` term operations (the term pairs of each product, and the
+    dividend's times the divisor's terms of each exact division) it raises
+    BudgetExceededError.
     """
     a = [list(r) for r in rows]
     nr = len(a)
@@ -125,6 +134,7 @@ def _bareiss(rows):
     prev = None
     sign = 1
     r = 0
+    spent = 0
     for c in range(nc):
         if r == nr:
             return
@@ -141,6 +151,11 @@ def _bareiss(rows):
             f = ai[c]
             for j in range(c + 1, nc):
                 x = piv * ai[j] - f * row0[j]
+                spent += len(piv.terms) * len(ai[j].terms) + len(f.terms) * len(row0[j].terms)
+                if prev is not None:
+                    spent += len(x.terms) * len(prev.terms)
+                if spent > work:
+                    raise BudgetExceededError(spent, work, "term operations of the symbolic rank")
                 ai[j] = x if prev is None else x.exact_div(prev)
         prev = piv
         r += 1
@@ -166,6 +181,7 @@ def bareiss_det(rows) -> Poly:
 
 
 def symbolic_rank(rows) -> int:
-    """Rank over Q(x_1, ..., x_m) by fraction-free elimination."""
-    return sum(1 for _ in _bareiss(rows))
+    """Rank over Q(x_1, ..., x_m) by fraction-free elimination, within
+    SYMBOLIC_RANK_WORK term operations."""
+    return sum(1 for _ in _bareiss(rows, SYMBOLIC_RANK_WORK))
 

@@ -508,6 +508,18 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.startswith("budget exceeded:")
 
+    def test_structure_bounds_the_symbolic_rank(self, capsys):
+        # the average views of so(7) and so(9) are rank-deficient, so their
+        # generic rank comes from the symbolic elimination: so(7)'s takes
+        # about 10^5 term operations, and so(9)'s ran for minutes uncapped
+        start = time.perf_counter()
+        assert main(["structure", "--catalog", "so(9)"]) == EXIT_BUDGET
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded:") and "symbolic rank" in err
+        assert main(["structure", "--catalog", "so(7)"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["grk"] == 6
+
     @pytest.mark.parametrize("key", ["so(3)", "so (3)", " so( 3 ) "])
     def test_catalog_key_whitespace(self, capsys, key):
         assert main(["ask", "--catalog", key, "--p", "3", "--n-max", "1"]) == EXIT_OK
@@ -679,6 +691,13 @@ class TestExitCodes:
     def test_brenti_order_is_a_level(self, capsys):
         assert main(["brenti", "--n", "3", "--order", "-5"]) == EXIT_INPUT
         assert "argument --order:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["-1", "two"])
+    def test_brenti_size_is_checked_by_the_parser(self, capsys, n):
+        assert main(["brenti", "--n", n]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --n:" in captured.err
 
     def test_feqn_dimension_is_checked_by_the_parser(self, capsys):
         # a malformed dimension is a usage error, not a failed equation
@@ -858,7 +877,7 @@ class TestCommands:
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_oc_gl_below_one_is_an_input_error(self, capsys, size):
         assert main(["oc", "--gl", size, "--p", "3"]) == EXIT_INPUT
-        assert "--gl must be >= 1" in capsys.readouterr().err
+        assert "argument --gl:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "source, spied",

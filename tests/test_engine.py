@@ -624,6 +624,76 @@ class TestFamilyMemo:
             assert _levels(m, p, 1, "average") == want, (key, p)
 
 
+def _random_vectors(rng, p, n, count):
+    """Vectors mod p of length n, some repeated, some combinations of earlier
+    ones and some zero."""
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if out and kind < 0.2:
+            out.append(list(rng.choice(out)))
+        elif len(out) > 1 and kind < 0.4:
+            u, v = rng.sample(out, 2)
+            a, b = rng.randrange(p), rng.randrange(p)
+            out.append([(a * x + b * y) % p for x, y in zip(u, v)])
+        elif kind < 0.5:
+            out.append([0] * n)
+        else:
+            out.append([rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n)])
+    return out
+
+
+class TestEchelon:
+    """engine._echelon, the counter's one reduced echelon over F_p, and the
+    zero sets that engine._affine_zeros reads off it."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_the_basis_depends_only_on_the_span(self, p):
+        rng = random.Random(8000 + p)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            vectors = _random_vectors(rng, p, n, rng.randint(0, 5))
+            basis = engine._echelon(vectors, p)
+            for c, row in basis.items():
+                assert [row[b] for b in basis] == [int(b == c) for b in basis]
+                assert not any(row[:c])
+            span = {
+                tuple(sum(s * v[i] for s, v in zip(coeffs, vectors)) % p for i in range(n))
+                for coeffs in product(range(p), repeat=len(vectors))
+            }
+            assert p ** len(basis) == len(span)
+            assert all(tuple(row) in span for row in basis.values())
+            # another generating set of the span: permuted, rescaled by
+            # units, with a combination of the others added
+            units = [rng.randrange(1, p) for _ in vectors]
+            other = [[x * u % p for x in v] for u, v in zip(units, vectors)]
+            rng.shuffle(other)
+            if other:
+                coeffs = [rng.randrange(p) for _ in other]
+                other.append([sum(s * v[i] for s, v in zip(coeffs, other)) % p for i in range(n)])
+            assert engine._echelon(other, p) == basis, (vectors, other, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_affine_zeros_match_brute_force(self, p):
+        # consistent systems, planted at a point, with duplicated, dependent
+        # and all-zero equations
+        rng = random.Random(9000 + p)
+        for _ in range(60):
+            j = rng.randint(0, 4)
+            x = [rng.randrange(p) for _ in range(j)]
+            eqs = [
+                (-sum(a * b for a, b in zip(l, x)) % p, l)
+                for l in _random_vectors(rng, p, j, rng.randint(0, 5))
+            ]
+            got = list(engine._affine_zeros(eqs, j, p))
+            want = [
+                list(v)
+                for v in product(range(p), repeat=j)
+                if all((c + sum(a * b for a, b in zip(l, v))) % p == 0 for c, l in eqs)
+            ]
+            assert sorted(got) == want, (eqs, j, p)
+
+
 def _random_two_by_two(rng, p, jmax):
     """A 2 x 2 family whose directions touch every row and column, often
     sparse, with a repeated direction or a rank-one a0."""

@@ -10,6 +10,7 @@ from operator import mul
 import pytest
 
 from askzeta import (
+    BudgetExceededError,
     InputError,
     IntMatrix,
     MatrixModule,
@@ -21,7 +22,7 @@ from askzeta import (
     closed_form,
     transpose_module,
 )
-from askzeta import module
+from askzeta import module, poly
 from askzeta.catalog import _FAMILIES, _FIXED, catalog_row
 from askzeta.intmat import from_flat
 from askzeta.linalg import _reduce, frac_rank, frac_solve_multi, sparse_row
@@ -360,6 +361,16 @@ class TestFractionFree:
                 c = variable(rng.randrange(nvars), nvars)
                 a[-1] = [c * x for x in a[0]]
             assert symbolic_rank(a) == minor_rank(a, nvars)
+
+    def test_symbolic_rank_counts_its_work(self, rng, monkeypatch):
+        # so(7)'s rank-deficient average view takes about 10^5 term
+        # operations; the determinant, the tests' oracle, has no cap
+        assert symbolic_rank(catalog_module("so(7)").linear_forms("average")) == 6
+        a = random_poly_matrix(rng, 4, 4, 3)
+        monkeypatch.setattr(poly, "SYMBOLIC_RANK_WORK", 10)
+        with pytest.raises(BudgetExceededError, match="symbolic rank"):
+            symbolic_rank(a)
+        assert bareiss_det(a) == leibniz_det(a, 3)
 
 
 def _sparse_system(rng):
