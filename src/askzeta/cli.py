@@ -388,6 +388,8 @@ def cmd_cc(args) -> tuple[dict, int]:
         sizes = adjoint_sizes(args.algebra)
         for p in args.p:
             check_budget(sizes, p, max(args.n_max, 1), "auto", args.budget)
+        if not args.skip_direct:
+            _exponential_primes(catalog_module(args.algebra), args)
     alg = _get_algebra(args)
     results = []
     internal_problem = False
@@ -435,12 +437,20 @@ def _oc_budget(d: int, args) -> None:
         check_power(p, d * max(args.n_max, 1), args.budget)
 
 
+def _exponential_primes(m: MatrixModule, args) -> None:
+    """Refuse a prime below the bound p >= d of the exponential, for the
+    module m of a catalog algebra, before the algebra and its adjoint are
+    built.  A nonzero trace is left to the build, which refuses a
+    non-nilpotent algebra first."""
+    if _traces_vanish(m.basis) and min(args.p) < m.d:
+        raise InputError(f"need p >= {m.d} for the exponential")
+
+
 def _group_source(args):
     """The source's group at a prime, and its algebra (None if not exp).  Its
     size meets the budget once, before any build; a catalog algebra's is read
     off its row before the algebra and its adjoint module are built, and
-    checked against the bound p >= d of the exponential after the cheap
-    trace test, which refuses a non-nilpotent algebra first."""
+    checked against the bound of the exponential (_exponential_primes)."""
     if args.gl is not None:
         _oc_budget(args.gl, args)
         return (lambda p: gl_generators(args.gl, p, max(args.n_max, 1))), None
@@ -456,9 +466,7 @@ def _group_source(args):
         d = catalog_row(args.algebra)[1]
         _oc_budget(d, args)
         m = catalog_module(args.algebra)
-        # a nonzero trace is refused at once by the build, as not nilpotent
-        if _traces_vanish(m.basis) and min(args.p) < d:
-            raise InputError(f"need p >= {d} for the exponential")
+        _exponential_primes(m, args)
         alg = NilpotentAlgebra(m)
         return (lambda p: exp_group(alg, p, args.n_max)), alg
     else:

@@ -83,7 +83,8 @@ def brenti_polynomial(n: int) -> dict[tuple[int, int], int]:
         # 2^n * n! < (2n)^n, so the count is built only where that is small
         small = n * (2 * n).bit_length() <= MAX_BUILT_BITS
         needed = 2**n * factorial(n) if small else f"2^{n}*{n}!"
-        raise BudgetExceededError(needed, 2**8 * factorial(8))
+        unit = "enumeration of {} signed permutations"
+        raise BudgetExceededError(needed, 2**8 * factorial(8), unit)
     out = {(0, 0): 1}
     for k in range(1, n + 1):
         nxt: dict[tuple[int, int], int] = {}
@@ -116,8 +117,8 @@ def brenti_identity_check(n: int, order: int) -> bool:
     if order < 0:
         raise InputError(f"order must be >= 0, got {order}")
     if order > BRENTI_MAX_ORDER:
-        advice = f"the identity is compared up to Y^{BRENTI_MAX_ORDER}"
-        raise BudgetExceededError(order, BRENTI_MAX_ORDER, advice=advice)
+        unit = "an identity check of {} coefficients of Y"
+        raise BudgetExceededError(order, BRENTI_MAX_ORDER, unit)
     b = brenti_polynomial(n)
     for i in range(order):
         # (i(X+1)+1)^n = (iX + (i+1))^n expanded in X

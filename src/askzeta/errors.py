@@ -18,30 +18,29 @@ class InputError(AskZetaError):
 
 
 class BudgetExceededError(AskZetaError):
-    """An exact enumeration would exceed the configured budget.
+    """An exact computation would exceed the configured budget.
 
-    The message gives a `needed` past MAX_REPORT_BITS by its bit length, which
+    `unit` words what the budget counts, points by default, with {} where
+    the count goes: "a symbolic rank of {} term operations".  The message
+    gives a `needed` past MAX_REPORT_BITS by its bit length, which
     the interpreter can print; `.needed` keeps the exact number, or the
     formula that names a count too large to build (see check_power).
     """
 
-    def __init__(self, needed, budget, advice="", view="", level=None):
+    def __init__(self, needed, budget, unit="enumeration of {} points", view="", level=None):
         self.needed = needed
         self.budget = budget
-        self.advice = advice
         self.view = view
         self.level = level
         if isinstance(needed, int) and needed.bit_length() > MAX_REPORT_BITS:
             needed = f"a {needed.bit_length()}-bit number of"
-        msg = f"enumeration of {needed} points exceeds budget {budget}"
+        msg = f"{unit.format(needed)} exceeds budget {budget}"
         if view:
             msg += f" in the {view} view at level n = {level}"
-        if advice:
-            msg += f" ({advice})"
         super().__init__(msg)
 
 
-def check_power(p: int, e: int, budget: int, advice="", view="", level=None) -> None:
+def check_power(p: int, e: int, budget: int, view="", level=None) -> None:
     """Raise BudgetExceededError if p^e exceeds the budget, for a prime p.
 
     The exponent decides first: p^e >= 2^e > budget once e >= the budget's
@@ -55,7 +54,7 @@ def check_power(p: int, e: int, budget: int, advice="", view="", level=None) -> 
         needed = p**e
     else:
         needed = f"{p}^{e}"
-    raise BudgetExceededError(needed, budget, advice, view, level)
+    raise BudgetExceededError(needed, budget, view=view, level=level)
 
 
 class NotExpandableError(AskZetaError):

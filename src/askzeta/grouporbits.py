@@ -589,7 +589,7 @@ def group_closure(gens_flat, d: int, m: int, budget: int) -> GroupClosure:
             if j == size:
                 size += 1
                 if size > budget:
-                    raise BudgetExceededError(size, budget, "group too large")
+                    raise BudgetExceededError(size, budget, "a group closure of {} stored rows")
                 codes.append(image)
                 parent.append(i)
                 last.append(a)

@@ -155,7 +155,7 @@ def _bareiss(rows, work=inf):
                 if prev is not None:
                     spent += len(x.terms) * len(prev.terms)
                 if spent > work:
-                    raise BudgetExceededError(spent, work, "term operations of the symbolic rank")
+                    raise BudgetExceededError(spent, work, "a symbolic rank of {} term operations")
                 ai[j] = x if prev is None else x.exact_div(prev)
         prev = piv
         r += 1

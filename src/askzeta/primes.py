@@ -74,9 +74,8 @@ def factorize(n: int) -> list[int]:
         if d >= _TRIAL_LIMIT:
             q = _prime_root(n)
             if q is None:
-                raise BudgetExceededError(
-                    isqrt(n), _TRIAL_LIMIT, advice=f"trial divisors to factor {n}"
-                )
+                unit = f"factoring {n} by {{}} trial divisors"
+                raise BudgetExceededError(isqrt(n), _TRIAL_LIMIT, unit)
             n = q
             break
         if n % d == 0:

@@ -443,6 +443,20 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == "input error: need p >= 12 for the exponential\n"
 
+    def test_cc_checks_the_exponential_prime_before_either_route(self, capsys, monkeypatch):
+        # the direct route needs p >= 4 for n(4); neither route may start
+        def unreachable(*args):
+            raise AssertionError("the kernel-average route ran")
+
+        monkeypatch.setattr(cli, "cc_via_ask", unreachable)
+        assert main(["cc", "--algebra", "n(4)", "--p", "3", "--n-max", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: need p >= 4 for the exponential\n"
+        monkeypatch.undo()
+        # without the direct route the run goes on, and warns
+        argv = ["cc", "--algebra", "n(4)", "--p", "3", "--n-max", "1", "--skip-direct"]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"][0]["warnings"]
+
     @pytest.mark.parametrize(
         "argv, bits",
         [
@@ -470,10 +484,12 @@ class TestExitCodes:
     )
     def test_budget_count_too_large_to_build(self, capsys, argv, named):
         # the exponent decides, and a count of more than 2^20 bits is named
+        # in the unit that the budget counts
         t0 = time.monotonic()
         assert main(argv) == EXIT_BUDGET
         assert time.monotonic() - t0 < 2
-        assert f"enumeration of {named} points exceeds budget" in capsys.readouterr().err
+        unit = "signed permutations" if argv[0] == "brenti" else "points"
+        assert f"enumeration of {named} {unit} exceeds budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 8, 9, 26, 27, 28, 3**20, 3**20 - 1, 2**40])
     def test_exponent_decides_at_the_budget(self, budget):
@@ -516,7 +532,8 @@ class TestExitCodes:
         assert main(["structure", "--catalog", "so(9)"]) == EXIT_BUDGET
         assert time.perf_counter() - start < 5
         err = capsys.readouterr().err
-        assert err.startswith("budget exceeded:") and "symbolic rank" in err
+        assert err.startswith("budget exceeded: a symbolic rank of ")
+        assert err.endswith(" term operations exceeds budget 1000000\n")
         assert main(["structure", "--catalog", "so(7)"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["grk"] == 6
 

@@ -10,6 +10,7 @@ it.  The package exports what its __init__ imports and no submodule.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 from types import ModuleType
@@ -82,6 +83,19 @@ def test_public_api_is_what_only_tests_reach():
     assert sorted(entry.split()[1] for entry in unused_definitions(public=())) == sorted(
         PUBLIC_API
     )
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps askzeta.<module>.<name> for each name in
+    # TRACED; it is read from its source, so nothing is written under perfbench
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = {"__name__": "tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer)
+    assert tracer["TRACED"]
+    for module, names in tracer["TRACED"].items():
+        found = importlib.import_module(f"askzeta.{module}")
+        for name in names:
+            assert callable(getattr(found, name, None)), f"askzeta.{module}.{name}"
 
 
 def test_star_import_binds_no_submodule():

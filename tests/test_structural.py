@@ -94,8 +94,11 @@ class TestKernelMinimal:
         # a product of two such primes is over budget
         assert factorize(3 * 1000000007) == [3, 1000000007]
         assert factorize(1000000007**2) == [1000000007]
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as err:
             factorize(1000000007 * 1000000009)
+        assert str(err.value) == (
+            "factoring 1000000016000000063 by 1000000007 trial divisors exceeds budget 100000"
+        )
 
     def test_certificate_denominator_a_large_prime_square(self):
         # a certificate of band(2) scaled by 3 * 1000000007 has the

@@ -170,6 +170,28 @@ class TestResidualPencil:
                 rank = len(lambdas_mod(_pencil_at(r2, pencil, t, 1), p, 1))
                 assert exact == below + [m] * rank, (rows, deltas, p, m, t)
 
+    def test_the_pencil_is_the_reduction_stopped_at_m(self, rng):
+        # one more level of lambdas_mod adds m once for each rank of R2 over F_p,
+        # with or without deltas; shapes include no rows and no columns
+        for _ in range(4000):
+            d, e, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 2)
+            p, m = rng.choice([2, 3, 5, 7]), rng.randint(0, 3)
+            rows = [
+                [rng.randint(-9, 9) * p ** rng.choice([0, 0, 1, 2, 3]) for _ in range(e)]
+                for _ in range(d)
+            ]
+            if d > 1 and rng.random() < 0.3:
+                rows[-1] = [p ** rng.randint(0, 2) * v for v in rows[0]]
+            deltas = [
+                [[rng.randint(-4, 4) for _ in range(e)] for _ in range(d)] for _ in range(k)
+            ]
+            r2, pencil = residual_pencil(rows, deltas, p, m)
+            assert residual_pencil(rows, [], p, m) == (r2, [])
+            assert all(len(g) == len(r2) for g in pencil)
+            rank = len(lambdas_mod(r2, p, 1))
+            expected = sorted(lambdas_mod(rows, p, m) + [m] * rank)
+            assert lambdas_mod(rows, p, m + 1) == expected, (rows, p, m)
+
     def test_the_pivot_row_shears_the_deltas(self):
         # at p = 3, m = 1 the rows [[1, 2], [3t, 3]] have determinant 3 (1 - 2t):
         # clearing the pivot row moves t into the residual, 1 + t mod 3
