@@ -37,7 +37,6 @@ from .grouporbits import (
     GroupGenSet,
     NilpotentAlgebra,
     _traces_vanish,
-    catalog_algebra,
     cc_coefficients_direct,
     cc_via_ask,
     exp_group,
@@ -115,7 +114,10 @@ def _at_least(low: int):
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InputError(f"{path} nests too deeply to decode") from None
 
 
 def _int_matrix(value, what: str) -> IntMatrix:
@@ -352,16 +354,26 @@ def cmd_structure(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _get_algebra(args) -> NilpotentAlgebra:
+def _get_algebra(args, exponential: bool) -> NilpotentAlgebra:
+    """The algebra of --algebra KEY or --module FILE, its module built once.
+
+    With `exponential`, a prime below the bound p >= d of the exponential is
+    refused before the adjoint module and the product spans are built
+    (seconds for n(12)), and so before any route runs.  A nonzero trace is
+    left to the build, which refuses a non-nilpotent algebra first.
+    """
     if args.algebra:
-        return catalog_algebra(args.algebra)
-    if args.module:
+        m = catalog_module(args.algebra)
+    elif args.module:
         data = _read_json(args.module)
         m = module_from_json(data)
         if not data.get("lie"):
             raise InputError('algebra documents must set "lie": true')
-        return NilpotentAlgebra(m)
-    raise InputError("provide --algebra KEY or --module FILE")
+    else:
+        raise InputError("provide --algebra KEY or --module FILE")
+    if exponential and _traces_vanish(m.basis) and min(args.p) < m.d:
+        raise InputError(f"need p >= {m.d} for the exponential")
+    return NilpotentAlgebra(m)
 
 
 def _bridge(via_route, alg, p, args, direct) -> tuple[dict, bool]:
@@ -388,9 +400,7 @@ def cmd_cc(args) -> tuple[dict, int]:
         sizes = adjoint_sizes(args.algebra)
         for p in args.p:
             check_budget(sizes, p, max(args.n_max, 1), "auto", args.budget)
-        if not args.skip_direct:
-            _exponential_primes(catalog_module(args.algebra), args)
-    alg = _get_algebra(args)
+    alg = _get_algebra(args, not args.skip_direct)
     results = []
     internal_problem = False
     first_mismatch = None
@@ -437,20 +447,11 @@ def _oc_budget(d: int, args) -> None:
         check_power(p, d * max(args.n_max, 1), args.budget)
 
 
-def _exponential_primes(m: MatrixModule, args) -> None:
-    """Refuse a prime below the bound p >= d of the exponential, for the
-    module m of a catalog algebra, before the algebra and its adjoint are
-    built.  A nonzero trace is left to the build, which refuses a
-    non-nilpotent algebra first."""
-    if _traces_vanish(m.basis) and min(args.p) < m.d:
-        raise InputError(f"need p >= {m.d} for the exponential")
-
-
 def _group_source(args):
     """The source's group at a prime, and its algebra (None if not exp).  Its
     size meets the budget once, before any build; a catalog algebra's is read
     off its row before the algebra and its adjoint module are built, and
-    checked against the bound of the exponential (_exponential_primes)."""
+    checked against the bound of the exponential (_get_algebra)."""
     if args.gl is not None:
         _oc_budget(args.gl, args)
         return (lambda p: gl_generators(args.gl, p, max(args.n_max, 1))), None
@@ -463,11 +464,8 @@ def _group_source(args):
         d, gens = _document(data, "group", "d", "generators")
         group = GroupGenSet(d, tuple(gens), str(data.get("label", "")))
     elif args.algebra:
-        d = catalog_row(args.algebra)[1]
-        _oc_budget(d, args)
-        m = catalog_module(args.algebra)
-        _exponential_primes(m, args)
-        alg = NilpotentAlgebra(m)
+        _oc_budget(catalog_row(args.algebra)[1], args)
+        alg = _get_algebra(args, True)
         return (lambda p: exp_group(alg, p, args.n_max)), alg
     else:
         raise InputError("provide a group source (--group/--gl/--neg1/--swap/--algebra)")

@@ -64,25 +64,26 @@ repeated rank_p(R2 + sum_a t_a E_a) times.
 Both are affine families A0 + sum_a t_a E_a over F_p, and one counter
 (_family) takes the rank distribution of a family without a rank per point.
 A row or column that no E_a touches is constant, and a row operation with a
-constant pivot row keeps every entry affine: the family loses that row and
-a column, and gains one in rank, with no branching.  A coordinate that no
+constant pivot row keeps every entry affine: the family loses that row and a
+column, and gains one in rank, with no branching.  A coordinate that no
 entry reads multiplies the count of every rank by p.  A family of one row or
 one column has rank 1 except on the zero set of its entries, an affine
-system whose z solutions follow from two ranks.  For odd p a 2 x 2 family
-is counted without branching as well: its rank is at most 1 on the zeros
-of its determinant, a quadric in t, and the zeros of a quadric over F_p
-have a closed count.  Otherwise the counter branches on one coordinate,
-toward making a row or column constant; where every row and column reads
-every coordinate no branching can, and each point takes its own rank.  The
-walk receives each rank's classes in bulk and gets back only the points it
-goes below.  Branches often reach the same sub-family again, as a set of
-matrices, and a rank distribution depends on that set alone.  So while
-the walk has gone below none of a count's points, the count keeps each
-distribution it takes, by the sub-family's affine space, and a sub-family
-met again whose ranks have all been taken takes the kept counts, scaled
-by its points per matrix of the space.  The walk goes below no point of a
-family at level n_max, so every family of a level-1 walk counts each
-distinct sub-family once.  The memo lives for one family's count.
+system whose z solutions, and their number, one reduced echelon of its rows
+gives.  For odd p a 2 x 2 family is counted without branching as well: its
+rank is at most 1 on the zeros of its determinant, a quadric in t, and the
+zeros of a quadric over F_p have a closed count.  Otherwise the counter
+branches on one coordinate, toward making a row or column constant; where
+every row and column reads every coordinate no branching can, and each point
+takes its own rank.  The walk receives each rank's classes in bulk and gets
+back only the points it goes below.  Branches often reach the same
+sub-family again, as a set of matrices, and a rank distribution depends on
+that set alone.  So while the walk has gone below none of a count's points,
+the count keeps each distribution it takes, by the sub-family's affine
+space, and a sub-family met again whose ranks have all been taken takes the
+kept counts, scaled by its points per matrix of the space.  The walk goes
+below no point of a family at level n_max, so every family of a level-1 walk
+counts each distinct sub-family once.  The memo lives for one family's
+count.
 
 The walk stops at a resolved node: one with r divisors below m, where r is
 the generic rank of the rows (the rank over Q(X) of the view's matrix of
@@ -102,8 +103,8 @@ inconsistency.  A walk without r (level 1, where every node is a leaf)
 resolves nothing: the nodes at depth m are then exactly the unit classes
 mod p^m.  The counter takes at most one rank per class, and far fewer where
 rows and columns read few coordinates (the average view of sl(3) at p = 5
-counts its 97,656 classes from 9 ranks); each node the walk expands takes
-one residual pencil besides.
+counts its 97,656 classes from one rank and seven closed counts); each node
+the walk expands takes one residual pencil besides.
 """
 
 from __future__ import annotations
@@ -181,11 +182,10 @@ def _eliminate(mat, i0, j0, row0, inv, p):
     return out
 
 
-def _affine_zeros(eqs, j, p):
-    """Every v in F_p^j with c + sum_a l[a] v_a = 0 for each (c, l) in eqs, a
-    consistent system mod p: one solution plus the span of a kernel basis,
-    both read off the reduced echelon basis of the rows [l | c]."""
-    basis = _echelon(([*l, c] for c, l in eqs), p)
+def _affine_zeros(basis, j, p):
+    """Every v in F_p^j with c + sum_a l[a] v_a = 0 for each row [l | c] of
+    a consistent system mod p, given the reduced echelon basis of its rows
+    (_echelon): one solution plus the span of a kernel basis."""
     free = [a for a in range(j) if a not in basis]
     for vals in product(range(p), repeat=len(free)):
         v = [0] * j
@@ -222,7 +222,7 @@ def _family(a0, dirs, p, take, short=False):
     """
     dirs, t = list(enumerate(dirs)), [0] * len(dirs)
     if short:
-        return _rank_one(a0, dirs, 0, (), t, p, take)
+        return _closed(a0, dirs, 0, (), t, p, take)
     return _classes(a0, dirs, 0, (), t, p, _Tally(take))
 
 
@@ -317,15 +317,15 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
     A row (or column) that no direction touches is constant: a row
     operation with a constant pivot row keeps every entry affine, so the
     family loses the row and a column at no branching (a column is pivoted
-    as a row of the transpose).  One row or column left goes to _rank_one,
-    and for odd p a 2 x 2 block to _two_by_two, which counts it from the
-    zeros of its determinant.  That count diagonalises a quadratic form,
-    which characteristic 2 does not allow, so at p = 2 a 2 x 2 block
-    branches like any other.  Otherwise the counter branches on a
-    coordinate of the row or column that the fewest coordinates touch; when
-    every row and column reads every coordinate no branching can make one
-    constant, and each point takes its own rank.  The branches and the two
-    closed counts go through the count's memo (_memoised).
+    as a row of the transpose).  One row or column left, and for odd p a
+    2 x 2 block, goes to the closed count (_closed), which reads its rank
+    off the zeros of its entries and, for the block, of its determinant; at
+    p = 2 a 2 x 2 block branches like any other.  Otherwise the counter
+    branches on a coordinate of the row or column that the fewest
+    coordinates touch; when every row and column reads every coordinate no
+    branching can make one constant, and each point takes its own rank.
+    The branches and the closed counts go through the count's memo
+    (_memoised).
     """
     while True:
         rows, cols = masks or _touched(a0, dirs)
@@ -360,11 +360,8 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
             a0 = _eliminate(a0, i0, j0, row0, inv, p)
             dirs = [(a, _eliminate(d, i0, j0, row0, inv, p)) for a, d in dirs]
             base += 1
-    if len(a0) == 1 or len(a0[0]) == 1:
-        yield from _memoised(_rank_one, a0, dirs, base, unused, t, p, take)
-        return
-    if p > 2 and len(a0) == len(a0[0]) == 2:
-        yield from _memoised(_two_by_two, a0, dirs, base, unused, t, p, take)
+    if len(a0) == 1 or len(a0[0]) == 1 or p > 2 and len(a0) == len(a0[0]) == 2:
+        yield from _memoised(_closed, a0, dirs, base, unused, t, p, take)
         return
     lines = rows + cols
     narrow = min(lines, key=int.bit_count)
@@ -404,41 +401,6 @@ def _classes(a0, dirs, base, unused, t, p, take, masks=None):
     for rank, (more, _) in seen.items():
         if more:
             take(rank, more * nodes)
-
-
-def _zeros(a0, dirs, p):
-    """The affine system of a family's entries, as (constant, coefficients)
-    for each entry that is not identically 0, and its number of solutions in
-    F_p^j: from the rank of its coefficients and, unless that rank is the
-    number of equations, the rank with the constants (0 when inconsistent)."""
-    eqs = [
-        (x, l)
-        for i, row in enumerate(a0)
-        for c, x in enumerate(row)
-        if any(l := [d[i][c] for _, d in dirs]) or x
-    ]
-    j = len(dirs)
-    system = [[l[a] for _, l in eqs] for a in range(j)]
-    rank_e = len(lambdas_mod(system, p, 1)) if any(map(any, system)) else 0
-    consistent = rank_e == len(eqs) or rank_e == len(
-        lambdas_mod(system + [[x for x, _ in eqs]], p, 1)
-    )
-    return eqs, p ** (j - rank_e) if consistent else 0
-
-
-def _rank_one(a0, dirs, base, unused, t, p, take):
-    """_classes of a family of rank base + 1, or base on the zero set of its
-    entries (_zeros)."""
-    eqs, z = _zeros(a0, dirs, p)
-    j = len(dirs)
-    nodes = p ** len(unused)
-    if z < p**j and take(base + 1, (p**j - z) * nodes):
-        for vals in product(range(p), repeat=j):
-            if not z or any((x + sum(map(mul, vals, l))) % p for x, l in eqs):
-                yield from _emit(t, dirs, vals, unused, p, base + 1)
-    if z and take(base, z * nodes):
-        for vals in _affine_zeros(eqs, j, p):
-            yield from _emit(t, dirs, vals, unused, p, base)
 
 
 def _legendre(x, p):
@@ -502,23 +464,32 @@ def _quadric_zeros(q, l, c, p):
     return p ** (j - r) * n
 
 
-def _two_by_two(a0, dirs, base, unused, t, p, take):
-    """_classes of a 2 x 2 family over F_p, p odd, by counting alone.
+def _closed(a0, dirs, base, unused, t, p, take):
+    """_classes of a family whose rank the zero set of its entries settles,
+    by counting alone: one row or column, a family of rank at most base + 1,
+    or for odd p a 2 x 2 block.
 
-    Its rank is base on the zero set of its four entries (_zeros), at most
-    base + 1 on the zeros of its determinant, a quadric in t
-    (_quadric_zeros), and base + 2 elsewhere.  The points of rank base come
-    from _affine_zeros, those of the other ranks the walk goes below from
-    one scan of the determinants.
+    Its rank is base on the zeros of its entries, an affine system in t
+    whose rows [l | c] have one reduced echelon basis (_echelon): no zeros
+    if a pivot falls on the constant column, else p^(j - rank), read off
+    the same basis (_affine_zeros).  Elsewhere the rank is base + 1, but a
+    2 x 2 block at odd p has rank base + 2 off the zeros of its
+    determinant, a quadric in t (_quadric_zeros).  That count diagonalises
+    a quadratic form, which characteristic 2 does not allow.  The points of
+    the ranks above base that the walk goes below come from one scan.
     """
     j = len(dirs)
-    (a, b), (c, d) = a0
-    ea, eb, ec, ed = ([m[i][k] for _, m in dirs] for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    # det = (a + ea.t)(d + ed.t) - (b + eb.t)(c + ec.t)
-    q = [[x * w - y * z for w, z in zip(ed, ec)] for x, y in zip(ea, eb)]
-    lin = [a * w + d * x - b * z - c * y for x, y, z, w in zip(ea, eb, ec, ed)]
-    eqs, zero = _zeros(a0, dirs, p)
-    low = _quadric_zeros(q, lin, a * d - b * c, p)
+    lines = [(x, [d[i][c] for _, d in dirs]) for i, row in enumerate(a0) for c, x in enumerate(row)]
+    basis = _echelon(([*l, x] for x, l in lines), p)
+    zero = 0 if j in basis else p ** (j - len(basis))
+    square = p > 2 and len(a0) == 2 == len(a0[0])
+    low = p**j
+    if square:
+        (a, ea), (b, eb), (c, ec), (d, ed) = lines
+        # det = (a + ea.t)(d + ed.t) - (b + eb.t)(c + ec.t)
+        q = [[x * w - y * z for w, z in zip(ed, ec)] for x, y in zip(ea, eb)]
+        lin = [a * w + d * x - b * z - c * y for x, y, z, w in zip(ea, eb, ec, ed)]
+        low = _quadric_zeros(q, lin, a * d - b * c, p)
     nodes = p ** len(unused)
     walk = {
         rank
@@ -526,16 +497,14 @@ def _two_by_two(a0, dirs, base, unused, t, p, take):
         if n and take(rank, n * nodes)
     }
     if base in walk:
-        for vals in _affine_zeros(eqs, j, p):
+        for vals in _affine_zeros(basis, j, p):
             yield from _emit(t, dirs, vals, unused, p, base)
     if walk - {base}:
-        lines = ((a, ea), (b, eb), (c, ec), (d, ed))
         for vals in product(range(p), repeat=j):
-            entries = [e + sum(map(mul, vals, l)) for e, l in lines]
-            w, x, y, z = entries
-            if (w * z - x * y) % p:
+            entries = [(x + sum(map(mul, vals, l))) % p for x, l in lines]
+            if square and (entries[0] * entries[3] - entries[1] * entries[2]) % p:
                 rank = base + 2
-            elif any(e % p for e in entries):
+            elif any(entries):
                 rank = base + 1
             else:
                 continue
@@ -556,8 +525,9 @@ def _walk_partial(payload):
     classes by rank in bulk and hands back only the points the walk goes
     below.  A node with `rank` divisors below its level is resolved:
     _orbit_sums counts its descendants in closed form.  Below a node one
-    divisor short of `rank` the residual has rank at most 1, so two ranks
-    over F_p count its children.  `rank` None resolves nothing.
+    divisor short of `rank` the residual has rank at most 1, so the zero
+    set of its entries counts its children (_closed).  `rank` None
+    resolves nothing.
     """
     triples, p, top, pivot, k, e, rank = payload
     counts: dict[tuple[int, int], int] = {}  # (level, span exponent) -> classes

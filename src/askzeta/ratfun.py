@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .errors import InputError, NotExpandableError
@@ -573,8 +574,16 @@ def _apply(a, op: str, b) -> QTRational:
 
 
 def parse_rational(text: str) -> QTRational:
-    """Parse the single-line expression grammar into a QTRational."""
-    return _Parser(text).parse()
+    """Parse the single-line expression grammar into a QTRational.
+
+    The parser descends a few frames per parenthesis, so a formula nested
+    deeper than the interpreter's recursion limit allows is an input error.
+    """
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        depth = max(accumulate((ch == "(") - (ch == ")") for ch in text))
+        raise InputError(f"parentheses nested {depth} deep are too deep to parse") from None
 
 
 # -- series ---------------------------------------------------------------

@@ -34,6 +34,7 @@ from askzeta import (
     closed_form,
     engine,
     expand,
+    grouporbits,
     parse_rational,
 )
 from askzeta.catalog import _FAMILIES, adjoint_sizes, catalog_row
@@ -138,6 +139,23 @@ class TestMalformedDocuments:
         path.write_text(json.dumps({**GROUP_DOC, **change}))
         assert main(["oc", "--group", str(path), "--p", "5", "--n-max", "1"]) == EXIT_INPUT
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ask", "--module", "FILE", "--p", "3"],
+            ["cc", "--module", "FILE", "--p", "5"],
+            ["oc", "--group", "FILE", "--p", "5"],
+        ],
+    )
+    def test_deeply_nested_document(self, tmp_path, capsys, argv):
+        # json.load descends once per array: 100,000 nested arrays raised
+        # RecursionError, a traceback and exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        assert main([*argv, "--n-max", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {path} nests too deeply to decode\n"
 
     def test_well_formed_group_document(self, tmp_path, capsys):
         path = tmp_path / "group.json"
@@ -373,6 +391,28 @@ class TestExitCodes:
         assert main(["feqn", "--form", "((1+q+T)^40)^40", "--d", "1"]) == EXIT_INPUT
         assert time.perf_counter() - start < 2
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [250, 5000])
+    def test_deeply_nested_formula_is_an_input_error(self, capsys, depth):
+        # the parser descends a few frames per parenthesis: 250 pairs raised
+        # RecursionError, a traceback and exit 1
+        form = "(" * depth + "1/(1-T)" + ")" * depth
+        assert main(["feqn", "--form", form, "--d", "0"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"input error: parentheses nested {depth + 1} deep are too deep to parse\n"
+
+    def test_nested_formula_within_the_limit(self, capsys):
+        form = "(" * 100 + "1/(1-T)" + ")" * 100
+        assert main(["feqn", "--form", form, "--d", "0"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report == {
+            "command": "feqn",
+            "d": 0,
+            "form": "1/(1 - T)",
+            "holds": True,
+            "results": [],
+            "schema": "askzeta/1",
+        }
 
     @pytest.mark.parametrize(
         "form",
@@ -907,9 +947,9 @@ class TestCommands:
             # the generators are built at level 1 even for --n-max 0
             (["--gl", "50", "--p", "3", "--n-max", "0"], "gl_generators"),
             # 11^8 points; building the algebra and its adjoint took 6 s
-            (["--algebra", "n(8)", "--p", "11", "--n-max", "1"], "catalog_algebra"),
+            (["--algebra", "n(8)", "--p", "11", "--n-max", "1"], "catalog_module"),
             # every prime is checked before the one build
-            (["--algebra", "n(8)", "--p", "3,11", "--n-max", "1"], "catalog_algebra"),
+            (["--algebra", "n(8)", "--p", "3,11", "--n-max", "1"], "catalog_module"),
         ],
     )
     def test_oc_budget_comes_before_any_work(self, capsys, monkeypatch, source, spied):
@@ -925,12 +965,29 @@ class TestCommands:
         # 11^27 points in the adjoint's average view; building n(8) and its
         # adjoint took 0.48 s before the check
         calls = []
-        monkeypatch.setattr(cli, "catalog_algebra", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "catalog_module", lambda *args: calls.append(args))
         start = time.perf_counter()
         assert main(["cc", "--algebra", "n(8)", "--p", "11", "--n-max", "1"]) == EXIT_BUDGET
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.startswith("budget exceeded:")
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["cc", "oc"])
+    def test_a_catalog_algebra_is_built_once(self, capsys, monkeypatch, command):
+        # cc built the module once for the p >= d check and once more for
+        # the algebra
+        calls = []
+        build = catalog_module
+
+        def spy(key):
+            calls.append(key)
+            return build(key)
+
+        monkeypatch.setattr(cli, "catalog_module", spy)
+        monkeypatch.setattr(grouporbits, "catalog_module", spy)
+        assert main([command, "--algebra", "L_{3,2}", "--p", "5", "--n-max", "1"]) == EXIT_OK
+        assert calls == ["L_{3,2}"]
+        capsys.readouterr()
 
     @pytest.mark.parametrize("key", [*algebra_keys(), "n(3)", "n(4)", "n(6)"])
     def test_cc_budget_reads_the_built_sizes(self, key):

@@ -226,6 +226,21 @@ def spy(monkeypatch):
     return caps, walks
 
 
+@pytest.fixture
+def closed(monkeypatch):
+    """The shape and the number of coordinates of each family that the
+    counter counts in closed form (engine._closed), one entry per count."""
+    calls = []
+    count = engine._closed
+
+    def counting(a0, dirs, *args):
+        calls.append((len(a0), len(a0[0]) if a0 else 0, len(dirs)))
+        return count(a0, dirs, *args)
+
+    monkeypatch.setattr(engine, "_closed", counting)
+    return calls
+
+
 def _classes_per_level(walks, top):
     """Unit classes the walks counted at each level 1..top."""
     return [
@@ -304,37 +319,42 @@ class TestTreeWalk:
         assert caps == [1]
 
     @pytest.mark.parametrize(
-        "key, view, p, top, classes, reductions",
+        "key, view, p, top, classes, counts",
         # reducing every child's own rows took 13,756 and 4,360 ranks, one
         # rank per child of the parent's pencil 1,336 and 360, and the family
         # counter 592 and 165 while it branched 2 x 2 blocks down to 1 x 1
-        # leaves; at odd p a 2 x 2 block takes at most the two ranks of its
-        # entries' affine system
+        # leaves; at odd p a 2 x 2 block, like a family of one row or column,
+        # is one closed count, which takes no rank: one echelon of its
+        # entries' affine system and the zeros of its determinant
         [
-            pytest.param("diag(3)", "orbit", 5, 4, [31, 375, 2175, 11175], 552, id="diag(3)-orbit-5-4"),
-            pytest.param("mat(2,2)", "average", 3, 3, [40, 432, 3888], 164, id="mat(2,2)-average-3-3"),
+            pytest.param("diag(3)", "orbit", 5, 4, [31, 375, 2175, 11175], 551, id="diag(3)-orbit-5-4"),
+            pytest.param("mat(2,2)", "average", 3, 3, [40, 432, 3888], 162, id="mat(2,2)-average-3-3"),
         ],
     )
-    def test_children_come_from_the_parents_pencil(self, spy, key, view, p, top, classes, reductions):
+    def test_children_come_from_the_parents_pencil(self, spy, closed, key, view, p, top, classes, counts):
         # a node one divisor short of the generic rank counts its children from
-        # two ranks over F_p, and visits only those that keep its divisors
+        # the zero set of the residual's entries, and visits only those that
+        # keep its divisors
         caps, walks = spy
         assert _levels(catalog_module(key), p, top, view) == _closed_form(key, p, top)
         assert _classes_per_level(walks, top) == classes
-        assert caps == [1] * reductions
+        assert len(closed) == counts
+        assert caps == [1]
 
-    def test_average_view_of_sl3_at_five(self, spy):
+    def test_average_view_of_sl3_at_five(self, spy, closed):
         # verify's definition route over 5^8 coefficient tuples: 97,656 unit
         # classes, which took one rank each before the family counter and
         # 2,384 in all while it branched 2 x 2 blocks down to 1 x 1 leaves;
         # the zeros of a block's determinant count its points of rank <= 1
         # (43 ranks), and each distinct sub-family of a pivot's family is
-        # counted once, since the walk goes below no point at level 1
+        # counted once, since the walk goes below no point at level 1: seven
+        # closed counts, which take no rank, and one rank
         caps, walks = spy
         got = ask_series(catalog_module("sl(3)"), 5, 1, "average")
         assert got == _closed_form("sl(3)", 5, 1)
         assert _classes_per_level(walks, 1) == [(5**8 - 1) // 4] == [97656]
-        assert caps == [1] * 9
+        assert len(closed) == 7
+        assert caps == [1]
 
     def test_transpose_view_is_the_orbit_view_of_the_transpose(self, rng, spy):
         # the same spans from m's basis transposed and from M^T's own basis, so
@@ -574,21 +594,21 @@ class TestFamilyMemo:
         # _check_family's own per-point ranks are zpn's, not the spy's
         assert ranks["none"] < ranks["all"], ranks
 
-    def test_a_repeated_direction_is_one_space(self, spy):
+    def test_a_repeated_direction_is_one_space(self, closed):
         # t_0 and t_1 move a0 along the same matrix D, and row 0 reads only
         # them, so the counter branches on t_0: each branch a0 + v D + t_1 D +
         # t_2 E is the space a0 + span(D, E), counted once and then taken
-        # from the memo; with every rank walked below, each branch is counted
-        caps, _ = spy
+        # from the memo; with every rank walked below, each branch is counted.
+        # The work is the closed counts: a memo hit makes none, a miss three
         p = 3
         a0 = [[1, 0, 2], [0, 1, 1], [2, 2, 0]]
         d = [[1, 0, 0], [0, 1, 1], [1, 0, 1]]
         e = [[0, 0, 0], [1, 0, 1], [0, 1, 0]]
 
         def ranks(base, dirs, walk):
-            caps.clear()
+            closed.clear()
             _check_family(base, dirs, p, walk)
-            return len(caps)
+            return len(closed)
 
         walk_all = {0, 1, 2, 3}
         assert ranks(a0, [d, d, e], set()) == ranks(a0, [d, e], set())
@@ -685,7 +705,7 @@ class TestEchelon:
                 (-sum(a * b for a, b in zip(l, x)) % p, l)
                 for l in _random_vectors(rng, p, j, rng.randint(0, 5))
             ]
-            got = list(engine._affine_zeros(eqs, j, p))
+            got = list(engine._affine_zeros(engine._echelon(([*l, c] for c, l in eqs), p), j, p))
             want = [
                 list(v)
                 for v in product(range(p), repeat=j)
@@ -761,30 +781,40 @@ class TestQuadricCount:
         assert engine._quadric_zeros(q, l, c, p) == quadric_zeros(q, l, c, p)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_random_two_by_two_families(self, p, monkeypatch):
-        blocks = []
-        two_by_two = engine._two_by_two
-
-        def counted(a0, dirs, *args):
-            blocks.append(len(dirs))
-            return two_by_two(a0, dirs, *args)
-
-        monkeypatch.setattr(engine, "_two_by_two", counted)
+    def test_random_two_by_two_families(self, p, closed):
         rng = random.Random(4000 + p)
         for _ in range(30):
             a0, dirs = _random_two_by_two(rng, p, 5)
             walk = {r for r in range(3) if rng.random() < 0.5}
             _check_family(a0, dirs, p, walk)
-        # most draws reach the closed count, some with five coordinates
+        # most draws reach the closed count as a 2 x 2 block, some with five
+        # coordinates
+        blocks = [j for rows, cols, j in closed if rows == cols == 2]
         assert len(blocks) >= 20 and 5 in blocks
 
     def test_a_two_by_two_family_at_two_branches(self, monkeypatch):
         # quadratic forms do not diagonalise in characteristic 2
-        monkeypatch.setattr(engine, "_two_by_two", None)
+        def unreachable(*args):
+            raise AssertionError("a determinant counted at p = 2")
+
+        monkeypatch.setattr(engine, "_quadric_zeros", unreachable)
         rng = random.Random(5002)
         for _ in range(20):
             a0, dirs = _random_two_by_two(rng, 2, 4)
             _check_family(a0, dirs, 2, {0, 1, 2})
+        # a family of rank at most 1 goes to the closed count as it stands:
+        # diag(t, 1 + t) has rank 1 at both points of F_2, where its
+        # determinant t + t^2 vanishes identically
+        diag = ([[0, 0], [0, 1]], [[[1, 0], [0, 1]]])
+        taken = {}
+
+        def take(rank, nodes):
+            taken[rank] = taken.get(rank, 0) + nodes
+            return False
+
+        assert list(engine._family(*diag, 2, take, short=True)) == []
+        assert taken == {1: 2}
+        _check_family(*diag, 2, {0, 1, 2}, short=True)
 
 
 def _planted(rng, side):

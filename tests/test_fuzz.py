@@ -1,11 +1,14 @@
-"""CLI fuzz tests: malformed documents and formulas exit 2, and quickly.
+"""CLI fuzz tests: malformed or too deeply nested documents and formulas exit
+2, and quickly.
 
-Every drawn input is malformed by construction, so the expected exit code does
-not depend on the code under test.  The hypothesis profile in conftest.py
-makes the draws the same on every run.
+Every drawn input is malformed by construction, or nested deeper than the
+interpreter's recursion limit lets the parser descend, so the expected exit
+code does not depend on the code under test.  The hypothesis profile in
+conftest.py makes the draws the same on every run.
 """
 
 import json
+import sys
 import time
 
 import pytest
@@ -139,4 +142,65 @@ def test_malformed_formula(capsys, formula):
     elapsed = time.perf_counter() - start
     assert code == EXIT_INPUT, formula
     assert elapsed < CASE_SECONDS, (formula, elapsed)
+    capsys.readouterr()
+
+
+# Nesting from a few hundred levels, past the parser's and the JSON decoder's
+# recursion (about 200 and 1000 levels), to tens of thousands.
+depths = st.integers(300, 30_000)
+
+
+@given(
+    depths,
+    expressions,
+    st.sampled_from(["balanced", "open", "broken"]),
+    broken_suffixes,
+)
+def test_deeply_nested_formula(capsys, depth, inner, how, suffix):
+    # unclosed, malformed inside, or well formed and nested deeper than the
+    # parser can descend, at least one frame a level: exit 2 every way
+    if how == "balanced":
+        depth = max(depth, sys.getrecursionlimit())
+    closing = "" if how == "open" else ")" * depth
+    formula = "(" * depth + inner + (suffix if how == "broken" else "") + closing
+    start = time.perf_counter()
+    code = main(["feqn", "--form", formula, "--d", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_INPUT, (depth, how)
+    assert elapsed < CASE_SECONDS, (depth, how, elapsed)
+    capsys.readouterr()
+
+
+@st.composite
+def _deeply_nested(draw, doc: dict, matrices: str):
+    """`doc`, or one of its fields, replaced by arrays or objects nested deep;
+    a document that decodes still has no integer matrix there."""
+    depth = draw(depths)
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"a":', "}"), ('[{"a":', "}]")]))
+    nested = opener * depth + "0" + closer * depth
+    where = draw(st.sampled_from(["document", matrices, "matrix", "d"]))
+    if where == "document":
+        return nested
+    if where == "matrix":
+        where, nested = matrices, f"[{nested}]"
+    fields = {k: json.dumps(v) for k, v in doc.items()}
+    fields[where] = nested
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
+
+
+@given(_deeply_nested(MODULE_DOC, "basis"))
+def test_deeply_nested_module_document(workdir, capsys, text):
+    _exits_2(workdir, text, ["ask", "--module", "FILE", "--p", "3", "--n-max", "2"])
+    capsys.readouterr()
+
+
+@given(_deeply_nested({**MODULE_DOC, "lie": True}, "basis"))
+def test_deeply_nested_algebra_document(workdir, capsys, text):
+    _exits_2(workdir, text, ["cc", "--module", "FILE", "--p", "5", "--n-max", "1"])
+    capsys.readouterr()
+
+
+@given(_deeply_nested(GROUP_DOC, "generators"))
+def test_deeply_nested_group_document(workdir, capsys, text):
+    _exits_2(workdir, text, ["oc", "--group", "FILE", "--p", "5", "--n-max", "1"])
     capsys.readouterr()
